@@ -33,8 +33,7 @@ from .pretraining import (PretrainConfig, condensor_loss, ct_step,
 from .qgen import (GenerationBudget, SamplerConfig, compute_budget,
                    generate_queries, mock_generator, nucleus_filter,
                    write_gen_qrels)
-from .training import (LossConfig, TrainRunConfig, default_gpl_config,
-                       default_qgen_config, gpl_train, margin_mse_loss,
-                       mnrl_loss, qgen_train)
+from .training import (LossConfig, TrainRunConfig, gpl_train,
+                       margin_mse_loss, mnrl_loss, qgen_train)
 
 __version__ = "0.1.0"

@@ -172,3 +172,14 @@ def write_trec_run(run: RunRanking, path: str | Path, tag: str = "run") -> None:
         for qid in sorted(run.entries):
             for rank, (pid, score) in enumerate(run.entries[qid], start=1):
                 f.write(f"{qid} Q0 {pid} {rank} {score:.17g} {tag}\n")
+
+
+def read_trec_run(path: str | Path) -> RunRanking:
+    """The run `write_trec_run` wrote: each query's lines in rank order,
+    scores exact (17 significant digits round-trip float64)."""
+    run = RunRanking()
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            qid, _, pid, _, score, _ = line.split()
+            run.entries.setdefault(qid, []).append((pid, float(score)))
+    return run

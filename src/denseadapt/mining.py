@@ -175,13 +175,12 @@ def _union_entry(query_id: str, source_pid: str,
 
 
 def mine_negatives(query: Query, retrievers: Sequence,
-                   n_per_retriever: int = DEFAULT_N_PER_RETRIEVER,
-                   seed: int = 0) -> PoolEntry:
+                   n_per_retriever: int = DEFAULT_N_PER_RETRIEVER) -> PoolEntry:
     """Top-n negatives from each retriever for one generated query.
 
     The query's source passage is removed before the union; an empty pool
-    marks the query unusable. The seed is accepted for interface parity;
-    negative sampling happens downstream at labeling time.
+    marks the query unusable. Negative sampling happens downstream at
+    labeling time.
     """
     if query.source_passage_id is None:
         raise ValueError(f"query {query.id} has no source passage")
@@ -194,9 +193,9 @@ def mine_negatives(query: Query, retrievers: Sequence,
 
 
 def mine_pools(queries: Sequence[Query], retrievers: Sequence,
-               n_per_retriever: int = DEFAULT_N_PER_RETRIEVER,
-               seed: int = 0) -> dict[str, PoolEntry]:
-    return {q.id: mine_negatives(q, retrievers, n_per_retriever, seed)
+               n_per_retriever: int = DEFAULT_N_PER_RETRIEVER
+               ) -> dict[str, PoolEntry]:
+    return {q.id: mine_negatives(q, retrievers, n_per_retriever)
             for q in queries}
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -151,11 +151,10 @@ def similarity(model: EncoderModel, u: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass
 class OptimizerState:
-    """Plain SGD state; buffers reserved for stateful optimizers."""
+    """Plain SGD state."""
 
     learning_rate: float
     step_count: int = 0
-    buffers: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.learning_rate < 0:

@@ -2,7 +2,8 @@
 
 Each stage produces its artifacts once and is skipped on re-run when both
 its input hash and its config hash match the cache manifest and all output
-files still exist. Stage layout under the output root:
+files still exist. Every stage runs through `_run_cached`, so its outputs
+appear only once it completes. Stage layout under the output root:
 
     <out>/<dataset>/shared/<stage>/...     ingest, generate, mine, label,
                                            pretrain-<method>
@@ -20,11 +21,12 @@ import copy
 import json
 import logging
 import os
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from . import corpus as corpus_io
 from .corpus import Passage, load_corpus, load_qrels, load_queries, \
     passage_text, save_corpus, save_queries, tokenize
 from .evaluation import EvalReport, RunRanking, ce_rerank, evaluate, \
-    full_rank, load_report, write_trec_run
+    full_rank, load_report, read_trec_run, write_trec_run
 from .labeling import build_dataset, read_dataset, write_dataset
 from .mining import BM25Retriever, DenseRetriever, build_bm25_index, \
     mine_pools, read_hard_negatives, write_hard_negatives
@@ -52,7 +54,19 @@ CACHE_ROOT_ENV = "PIPELINE_CACHE_ROOT"
 STAGE_NAMES = ("ingest", "generate", "mine", "label", "train", "pretrain",
                "evaluate", "rerank")
 
-FINAL_METHODS = ("zero_shot", "gpl", "qgen", "qgen_hard", "udalm")
+# The shared stages each final method needs, in run order; its train stage
+# hashes the artifact of each. Runners look `stage_<name>` up when they call.
+_SHARED_STAGES = {"zero_shot": (), "gpl": ("generate", "mine", "label"),
+                  "qgen": ("generate",), "qgen_hard": ("generate", "mine"),
+                  "udalm": ()}
+
+# The artifact of each shared stage that later stages read.
+_ARTIFACT = {"ingest": "corpus.jsonl", "generate": "gen-queries.jsonl",
+             "mine": "hard-negatives.jsonl", "label": "gpl-training-data.tsv"}
+
+# The ingest stage's copy of each input file, by `paths` key.
+_INGESTED = {"corpus": "corpus.jsonl", "queries": "queries.jsonl",
+             "qrels": "qrels.tsv"}
 
 DEFAULTS: dict = {
     "dataset": "dataset",
@@ -153,15 +167,15 @@ def parse_method(method: str) -> tuple[str | None, str]:
         pre, _, final = method.partition("+")
         if pre in PRETRAIN_METHODS and final in ("gpl", "qgen", "qgen_hard"):
             return pre, final
-    elif method in FINAL_METHODS:
+    elif method in _SHARED_STAGES:
         return ("mlm", "udalm") if method == "udalm" else (None, method)
-    valid = list(FINAL_METHODS) + [f"{p}+{m}" for p in PRETRAIN_METHODS
+    valid = list(_SHARED_STAGES) + [f"{p}+{m}" for p in PRETRAIN_METHODS
                                    for m in ("gpl", "qgen", "qgen_hard")]
     raise PipelineError(f"unknown method {method!r}; valid methods: "
                         + ", ".join(valid))
 
 
-# --- cache manifest -----------------------------------------------------------
+# --- cache manifest and run lock ----------------------------------------------
 
 
 class CacheManifest:
@@ -181,9 +195,12 @@ class CacheManifest:
                 self.entries = {}
 
     def save(self) -> None:
+        """Write atomically: a crash leaves the old manifest or the new one."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as f:
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as f:
             json.dump(self.entries, f, sort_keys=True, indent=2)
+        os.replace(tmp, self.path)
 
     def record(self, key: str, input_hash: str, config_hash: str,
                outputs: Sequence[Path]) -> None:
@@ -204,22 +221,35 @@ class CacheManifest:
         return all(Path(p).exists() for p in entry["outputs"])
 
 
-def resolve_cache(cfg: PipelineConfig, stage_key: str, input_hash: str,
-                  config_hash: str) -> bool:
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    return manifest.resolve(stage_key, input_hash, config_hash)
+def _lock_is_stale(lock: Path) -> bool:
+    """Whether the pid in a lock file names no process, so the run that
+    took the lock is dead. A lock without a readable pid counts as held:
+    its run may not have written the pid yet."""
+    try:
+        os.kill(int(lock.read_text(encoding="utf-8")), 0)
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+    except (PermissionError, ValueError):
+        return False
+    return False
 
 
 @contextmanager
 def _run_lock(directory: Path):
+    """Hold `<directory>/.lock` for one run; take over a dead run's lock."""
     directory.mkdir(parents=True, exist_ok=True)
     lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise PipelineError(
-            f"output directory {directory} is locked by another run "
-            f"(remove {lock} if that run is dead)") from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(lock):
+                raise PipelineError(
+                    f"output directory {directory} is locked by another run "
+                    f"(remove {lock} if that run is dead)") from None
+            logger.warning("removing %s: the run that took it is dead", lock)
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -228,21 +258,50 @@ def _run_lock(directory: Path):
         lock.unlink(missing_ok=True)
 
 
-def _write_provenance(stage_dir: Path, config_hash: str, input_hash: str,
-                      files: Sequence[Path]) -> None:
-    doc = {"config_hash": config_hash, "input_hash": input_hash,
-           "files": sorted(p.name for p in files)}
-    with open(stage_dir / "provenance.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
+# --- the stage runner -----------------------------------------------------------
+
+
+def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
+                inputs: Sequence[tuple[str | Path, str]],
+                outputs: Sequence[str], config_hash: str,
+                compute: Callable[[Path], None]) -> list[Path]:
+    """Run one stage through the cache; return its output paths.
+
+    `inputs` are (path, producing stage) pairs that must exist; `outputs`
+    are file names in `stage_dir`. On a miss the manifest entry `key` is
+    dropped, then `compute(out_dir)` writes into a scratch directory whose
+    files move into `stage_dir` once it returns: a crash leaves no partial
+    file there and no entry vouching for an older one."""
+    for path, producer in inputs:
+        if not os.path.exists(path):
+            raise PipelineError(f"missing artifact {path}; run {producer} first")
+    input_hash = sha256_files([path for path, _ in inputs])
+    paths = [stage_dir / name for name in outputs]
+    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
+    if manifest.resolve(key, input_hash, config_hash):
+        logger.info("%s: cache hit", key)
+        return paths
+
+    manifest.entries.pop(key, None)
+    manifest.save()
+    scratch = stage_dir.with_name(stage_dir.name + ".tmp")
+    shutil.rmtree(scratch, ignore_errors=True)
+    scratch.mkdir(parents=True)
+    try:
+        compute(scratch)
+        with open(scratch / "provenance.json", "w", encoding="utf-8") as f:
+            json.dump({"config_hash": config_hash, "input_hash": input_hash,
+                       "files": sorted(outputs)}, f, sort_keys=True, indent=2)
+        stage_dir.mkdir(exist_ok=True)
+        for produced in scratch.iterdir():
+            os.replace(produced, stage_dir / produced.name)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    manifest.record(key, input_hash, config_hash, paths)
+    return paths
 
 
 # --- stage helpers ------------------------------------------------------------
-
-
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.exists():
-        raise PipelineError(f"missing artifact {path}; run {produced_by} first")
-    return path
 
 
 def _stage_config_hash(cfg: PipelineConfig, *sections: str, extra: dict | None = None
@@ -255,10 +314,22 @@ def _stage_config_hash(cfg: PipelineConfig, *sections: str, extra: dict | None =
     return sha256_bytes(canonical_json(payload).encode())
 
 
-def _ingested(cfg: PipelineConfig) -> dict[str, Path]:
-    d = cfg.stage_dir("ingest")
-    return {"corpus": d / "corpus.jsonl", "queries": d / "queries.jsonl",
-            "qrels": d / "qrels.tsv"}
+def _artifact(cfg: PipelineConfig, stage: str) -> Path:
+    return cfg.stage_dir(stage) / _ARTIFACT[stage]
+
+
+def _inputs(cfg: PipelineConfig, *stages: str) -> list[tuple[Path, str]]:
+    return [(_artifact(cfg, stage), stage) for stage in stages]
+
+
+def _start_checkpoint(cfg: PipelineConfig, pre: str | None
+                      ) -> tuple[Path, str]:
+    """The checkpoint a method starts from: the initial encoder, or the
+    pre-trained one when the method has a pre-training stage."""
+    if pre is None:
+        return cfg.stage_dir("ingest") / "model-initial.json", "ingest"
+    return (cfg.stage_dir(f"pretrain-{pre}") / "model-pretrained.json",
+            f"pretrain (method {pre})")
 
 
 def _initial_model(cfg: PipelineConfig, passages: Sequence[Passage],
@@ -281,16 +352,6 @@ def _cross_encoder(cfg: PipelineConfig):
     raise PipelineError(f"unknown cross-encoder backend {backend!r}")
 
 
-def _model_path_for(cfg: PipelineConfig, method: str) -> Path:
-    """Checkpoint the evaluate stage should read, given the method id."""
-    pre, final = parse_method(method)
-    if final == "zero_shot":
-        if pre is None:
-            return cfg.stage_dir("ingest") / "model-initial.json"
-        return cfg.stage_dir(f"pretrain-{pre}") / "model-pretrained.json"
-    return cfg.stage_dir("train", scope=method) / "model-final.json"
-
-
 # --- stages -------------------------------------------------------------------
 
 
@@ -298,308 +359,210 @@ def stage_ingest(cfg: PipelineConfig) -> list[Path]:
     paths = cfg["paths"]
     if not paths.get("corpus"):
         raise PipelineError("config needs paths.corpus")
-    source_files = [paths["corpus"]]
-    for key in ("queries", "qrels"):
-        if paths.get(key):
-            source_files.append(paths[key])
-    input_hash = sha256_files(source_files)
-    config_hash = _stage_config_hash(cfg, "ingest")
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    out = _ingested(cfg)
-    stage_dir = cfg.stage_dir("ingest")
-    outputs = [out["corpus"], stage_dir / "model-initial.json"]
-    if paths.get("queries"):
-        outputs.append(out["queries"])
-    if paths.get("qrels"):
-        outputs.append(out["qrels"])
-    if manifest.resolve("ingest", input_hash, config_hash):
-        logger.info("ingest: cache hit")
-        return outputs
+    given = [key for key in _INGESTED if paths.get(key)]
 
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    passages = load_corpus(paths["corpus"],
-                           drop_missing_body=bool(cfg["ingest"]["drop_missing_body"]))
-    if not passages:
-        raise PipelineError("corpus is empty after ingestion")
-    save_corpus(passages, out["corpus"])
-    if paths.get("queries"):
-        save_queries(load_queries(paths["queries"]), out["queries"])
-    if paths.get("qrels"):
-        corpus_io.save_qrels(load_qrels(paths["qrels"]), out["qrels"])
-    save_model(_initial_model(cfg, passages), stage_dir / "model-initial.json")
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record("ingest", input_hash, config_hash, outputs)
-    return outputs
+    def compute(out_dir: Path) -> None:
+        passages = load_corpus(paths["corpus"], drop_missing_body=bool(
+            cfg["ingest"]["drop_missing_body"]))
+        if not passages:
+            raise PipelineError("corpus is empty after ingestion")
+        save_corpus(passages, out_dir / "corpus.jsonl")
+        if "queries" in given:
+            save_queries(load_queries(paths["queries"]), out_dir / "queries.jsonl")
+        if "qrels" in given:
+            corpus_io.save_qrels(load_qrels(paths["qrels"]), out_dir / "qrels.tsv")
+        save_model(_initial_model(cfg, passages), out_dir / "model-initial.json")
+
+    return _run_cached(cfg, "ingest", cfg.stage_dir("ingest"),
+                       [(paths[key], "nothing (external source data)")
+                        for key in given],
+                       [*(_INGESTED[key] for key in given), "model-initial.json"],
+                       _stage_config_hash(cfg, "ingest"), compute)
 
 
 def stage_generate(cfg: PipelineConfig) -> list[Path]:
-    corpus_file = _require(_ingested(cfg)["corpus"], "ingest")
-    input_hash = sha256_files([corpus_file])
-    config_hash = _stage_config_hash(cfg, "generate")
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    stage_dir = cfg.stage_dir("generate")
-    outputs = [stage_dir / "gen-queries.jsonl", stage_dir / "gen-qrels.tsv"]
-    if manifest.resolve("generate", input_hash, config_hash):
-        logger.info("generate: cache hit")
-        return outputs
+    def compute(out_dir: Path) -> None:
+        corpus = passages = load_corpus(_artifact(cfg, "ingest"))
+        gen_cfg = cfg["generate"]
+        budget = compute_budget(len(passages), int(gen_cfg["total_budget"]))
+        if budget.effective_corpus_size < len(passages):
+            passages = corpus_io.downsample_corpus(
+                passages, budget.effective_corpus_size,
+                derive_seed(cfg.seed, "downsample"))
+        if gen_cfg["generator"] != "mock":
+            raise PipelineError(f"unknown generator backend {gen_cfg['generator']!r}")
+        generator = mock_generator(corpus,
+                                   max_query_len=int(gen_cfg["max_query_len"]))
+        sampler = SamplerConfig(temperature=float(gen_cfg["temperature"]),
+                                top_k=int(gen_cfg["top_k"]),
+                                top_p=float(gen_cfg["top_p"]),
+                                seed=derive_seed(cfg.seed, "generate"),
+                                max_query_len=int(gen_cfg["max_query_len"]))
+        queries = generate_queries(generator, passages, budget, sampler)
+        save_queries(queries, out_dir / "gen-queries.jsonl")
+        write_gen_qrels(queries, out_dir / "gen-qrels.tsv")
 
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    passages = load_corpus(corpus_file)
-    gen_cfg = cfg["generate"]
-    budget = compute_budget(len(passages), int(gen_cfg["total_budget"]))
-    if budget.effective_corpus_size < len(passages):
-        passages = corpus_io.downsample_corpus(
-            passages, budget.effective_corpus_size,
-            derive_seed(cfg.seed, "downsample"))
-    if gen_cfg["generator"] != "mock":
-        raise PipelineError(f"unknown generator backend {gen_cfg['generator']!r}")
-    generator = mock_generator(load_corpus(corpus_file),
-                               max_query_len=int(gen_cfg["max_query_len"]))
-    sampler = SamplerConfig(temperature=float(gen_cfg["temperature"]),
-                            top_k=int(gen_cfg["top_k"]),
-                            top_p=float(gen_cfg["top_p"]),
-                            seed=derive_seed(cfg.seed, "generate"),
-                            max_query_len=int(gen_cfg["max_query_len"]))
-    queries = generate_queries(generator, passages, budget, sampler)
-    save_queries(queries, outputs[0])
-    write_gen_qrels(queries, outputs[1])
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record("generate", input_hash, config_hash, outputs)
-    return outputs
+    return _run_cached(cfg, "generate", cfg.stage_dir("generate"),
+                       _inputs(cfg, "ingest"),
+                       ["gen-queries.jsonl", "gen-qrels.tsv"],
+                       _stage_config_hash(cfg, "generate"), compute)
 
 
 def stage_mine(cfg: PipelineConfig) -> list[Path]:
-    corpus_file = _require(_ingested(cfg)["corpus"], "ingest")
-    queries_file = _require(cfg.stage_dir("generate") / "gen-queries.jsonl",
-                            "generate")
-    model_file = _require(cfg.stage_dir("ingest") / "model-initial.json", "ingest")
-    input_hash = sha256_files([corpus_file, queries_file, model_file])
-    config_hash = _stage_config_hash(cfg, "mine")
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    stage_dir = cfg.stage_dir("mine")
-    outputs = [stage_dir / "hard-negatives.jsonl"]
-    if manifest.resolve("mine", input_hash, config_hash):
-        logger.info("mine: cache hit")
-        return outputs
+    model_input = _start_checkpoint(cfg, None)
 
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    passages = load_corpus(corpus_file)
-    queries = load_queries(queries_file)
-    retrievers = []
-    for name in cfg["mine"]["retrievers"]:
-        if name == "bm25":
-            retrievers.append(BM25Retriever(build_bm25_index(passages)))
-        elif name == "dense":
-            retrievers.append(DenseRetriever(load_model(model_file), passages,
-                                             similarity="cosine"))
-        else:
-            raise PipelineError(f"unknown retriever {name!r}")
-    pools = mine_pools(queries, retrievers,
-                       n_per_retriever=int(cfg["mine"]["n_per_retriever"]),
-                       seed=derive_seed(cfg.seed, "mine"))
-    write_hard_negatives(pools, outputs[0])
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record("mine", input_hash, config_hash, outputs)
-    return outputs
+    def compute(out_dir: Path) -> None:
+        passages = load_corpus(_artifact(cfg, "ingest"))
+        retrievers = []
+        for name in cfg["mine"]["retrievers"]:
+            if name == "bm25":
+                retrievers.append(BM25Retriever(build_bm25_index(passages)))
+            elif name == "dense":
+                retrievers.append(DenseRetriever(load_model(model_input[0]),
+                                                 passages, similarity="cosine"))
+            else:
+                raise PipelineError(f"unknown retriever {name!r}")
+        pools = mine_pools(load_queries(_artifact(cfg, "generate")), retrievers,
+                           n_per_retriever=int(cfg["mine"]["n_per_retriever"]))
+        write_hard_negatives(pools, out_dir / "hard-negatives.jsonl")
+
+    return _run_cached(cfg, "mine", cfg.stage_dir("mine"),
+                       [*_inputs(cfg, "ingest", "generate"), model_input],
+                       ["hard-negatives.jsonl"],
+                       _stage_config_hash(cfg, "mine"), compute)
 
 
 def stage_label(cfg: PipelineConfig) -> list[Path]:
-    corpus_file = _require(_ingested(cfg)["corpus"], "ingest")
-    queries_file = _require(cfg.stage_dir("generate") / "gen-queries.jsonl",
-                            "generate")
-    negatives_file = _require(cfg.stage_dir("mine") / "hard-negatives.jsonl",
-                              "mine")
-    input_hash = sha256_files([corpus_file, queries_file, negatives_file])
     # One labelled tuple per GPL training example; only the schedule's
     # length enters the hash, so other train.gpl keys reuse the labels.
     gpl = cfg["train"]["gpl"]
     schedule = {"steps": gpl["steps"], "batch_size": gpl["batch_size"]}
-    config_hash = _stage_config_hash(cfg, "label",
-                                     extra={"gpl_schedule": schedule})
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    stage_dir = cfg.stage_dir("label")
-    outputs = [stage_dir / "gpl-training-data.tsv"]
-    if manifest.resolve("label", input_hash, config_hash):
-        logger.info("label: cache hit")
-        return outputs
 
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    n_tuples = None if schedule["steps"] is None else \
-        int(schedule["steps"]) * int(schedule["batch_size"])
-    dataset = build_dataset(load_queries(queries_file),
-                            read_hard_negatives(negatives_file),
-                            load_corpus(corpus_file), _cross_encoder(cfg),
-                            seed=derive_seed(cfg.seed, "label"),
-                            n_tuples=n_tuples)
-    write_dataset(dataset, outputs[0])
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record("label", input_hash, config_hash, outputs)
-    return outputs
+    def compute(out_dir: Path) -> None:
+        n_tuples = None if schedule["steps"] is None else \
+            int(schedule["steps"]) * int(schedule["batch_size"])
+        dataset = build_dataset(load_queries(_artifact(cfg, "generate")),
+                                read_hard_negatives(_artifact(cfg, "mine")),
+                                load_corpus(_artifact(cfg, "ingest")),
+                                _cross_encoder(cfg),
+                                seed=derive_seed(cfg.seed, "label"),
+                                n_tuples=n_tuples)
+        write_dataset(dataset, out_dir / "gpl-training-data.tsv")
+
+    return _run_cached(cfg, "label", cfg.stage_dir("label"),
+                       _inputs(cfg, "ingest", "generate", "mine"),
+                       ["gpl-training-data.tsv"],
+                       _stage_config_hash(cfg, "label",
+                                          extra={"gpl_schedule": schedule}),
+                       compute)
 
 
 def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
     if method not in PRETRAIN_METHODS:
         raise PipelineError(f"unknown pre-training method {method!r}")
-    corpus_file = _require(_ingested(cfg)["corpus"], "ingest")
-    input_hash = sha256_files([corpus_file])
-    config_hash = _stage_config_hash(cfg, "pretrain",
-                                     extra={"pretrain_method": method})
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    stage_dir = cfg.stage_dir(f"pretrain-{method}")
-    outputs = [stage_dir / "model-pretrained.json"]
-    if manifest.resolve(f"pretrain-{method}", input_hash, config_hash):
-        logger.info("pretrain-%s: cache hit", method)
-        return outputs
 
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    passages = load_corpus(corpus_file)
-    pooling = "cls" if method == "cd" else "mean"
-    model = _initial_model(cfg, passages, pooling=pooling)
-    section = cfg["pretrain"]
-    pre_cfg = PretrainConfig(method=method, steps=int(section["steps"]),
-                             batch_size=int(section["batch_size"]),
-                             learning_rate=float(section["learning_rate"]),
-                             seed=derive_seed(cfg.seed, "pretrain", method),
-                             deletion_ratio=float(section["deletion_ratio"]),
-                             mask_ratio=float(section["mask_ratio"]),
-                             ict_mask_prob=float(section["ict_mask_prob"]),
-                             dropout_rate=float(section["dropout_rate"]),
-                             tau=float(section["tau"]))
-    model = pretrain(model, passages, pre_cfg)
-    save_model(model, outputs[0])
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record(f"pretrain-{method}", input_hash, config_hash, outputs)
-    return outputs
+    def compute(out_dir: Path) -> None:
+        passages = load_corpus(_artifact(cfg, "ingest"))
+        model = _initial_model(cfg, passages,
+                               pooling="cls" if method == "cd" else "mean")
+        section = cfg["pretrain"]
+        pre_cfg = PretrainConfig(
+            method=method, steps=int(section["steps"]),
+            batch_size=int(section["batch_size"]),
+            seed=derive_seed(cfg.seed, "pretrain", method),
+            **{key: float(section[key]) for key in (
+                "learning_rate", "deletion_ratio", "mask_ratio",
+                "ict_mask_prob", "dropout_rate", "tau")})
+        save_model(pretrain(model, passages, pre_cfg),
+                   out_dir / "model-pretrained.json")
 
-
-def _load_start_model(cfg: PipelineConfig, pre: str | None,
-                      similarity: str) -> EncoderModel:
-    if pre is None:
-        model = load_model(cfg.stage_dir("ingest") / "model-initial.json")
-    else:
-        model = load_model(_require(
-            cfg.stage_dir(f"pretrain-{pre}") / "model-pretrained.json",
-            f"pretrain (method {pre})"))
-    model.similarity = similarity
-    return model
+    return _run_cached(cfg, f"pretrain-{method}",
+                       cfg.stage_dir(f"pretrain-{method}"),
+                       _inputs(cfg, "ingest"), ["model-pretrained.json"],
+                       _stage_config_hash(cfg, "pretrain",
+                                          extra={"pretrain_method": method}),
+                       compute)
 
 
 def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
     pre, final = parse_method(method)
     if final == "zero_shot":
         raise PipelineError("zero_shot has no train stage")
-    corpus_file = _require(_ingested(cfg)["corpus"], "ingest")
-    stage_dir = cfg.stage_dir("train", scope=method)
-    outputs = [stage_dir / "model-final.json", stage_dir / "loss-trace.csv"]
-
-    upstream = [corpus_file, cfg.stage_dir("ingest") / "model-initial.json"]
-    if pre is not None:
-        upstream.append(_require(
-            cfg.stage_dir(f"pretrain-{pre}") / "model-pretrained.json",
-            f"pretrain (method {pre})"))
-    if final == "gpl":
-        upstream.append(_require(cfg.stage_dir("label") / "gpl-training-data.tsv",
-                                 "label"))
-        upstream.append(_require(cfg.stage_dir("generate") / "gen-queries.jsonl",
-                                 "generate"))
-    elif final in ("qgen", "qgen_hard"):
-        upstream.append(_require(cfg.stage_dir("generate") / "gen-queries.jsonl",
-                                 "generate"))
-        if final == "qgen_hard":
-            upstream.append(_require(
-                cfg.stage_dir("mine") / "hard-negatives.jsonl", "mine"))
-    elif final == "udalm":
+    start = _start_checkpoint(cfg, pre)
+    inputs = [*_inputs(cfg, "ingest"), start,
+              *_inputs(cfg, *_SHARED_STAGES[final])]
+    if final == "udalm":
         for key in ("source_corpus", "source_queries", "source_tuples"):
             if not cfg["paths"].get(key):
                 raise PipelineError(f"udalm requires paths.{key}")
-            upstream.append(_require(Path(cfg["paths"][key]),
-                                     "nothing (external source data)"))
-    input_hash = sha256_files(upstream)
-    config_hash = _stage_config_hash(cfg, "train", "udalm",
-                                     extra={"method": method})
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    if manifest.resolve(f"train:{method}", input_hash, config_hash):
-        logger.info("train %s: cache hit", method)
-        return outputs
-
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    passages = load_corpus(corpus_file)
+            inputs.append((Path(cfg["paths"][key]),
+                           "nothing (external source data)"))
     train_seed = derive_seed(cfg.seed, "train", method)
 
-    if final == "gpl":
-        section = cfg["train"]["gpl"]
-        model = _load_start_model(cfg, pre, "dot")
-        dataset = read_dataset(cfg.stage_dir("label") / "gpl-training-data.tsv")
-        queries = load_queries(cfg.stage_dir("generate") / "gen-queries.jsonl")
-        run_cfg = TrainRunConfig(
-            steps=None if section["steps"] is None else int(section["steps"]),
-            batch_size=int(section["batch_size"]),
-            seed=train_seed, learning_rate=float(section["learning_rate"]),
-            method="gpl", log_every=int(section.get("log_every", 1)),
-            checkpoint_every=int(section.get("checkpoint_every", 0)))
-        model, trace = gpl_train(model, dataset, passages, queries, run_cfg,
-                                 checkpoint_dir=stage_dir)
-    elif final in ("qgen", "qgen_hard"):
-        section = cfg["train"]["qgen"]
-        model = _load_start_model(cfg, pre, "cosine")
-        queries = load_queries(cfg.stage_dir("generate") / "gen-queries.jsonl")
-        pools = None
-        if final == "qgen_hard":
-            pools = read_hard_negatives(cfg.stage_dir("mine")
-                                        / "hard-negatives.jsonl")
-        run_cfg = TrainRunConfig(
-            steps=None if section["steps"] is None else int(section["steps"]),
-            batch_size=int(section["batch_size"]),
-            seed=train_seed, learning_rate=float(section["learning_rate"]),
-            method="qgen", log_every=int(section.get("log_every", 1)))
-        model, trace = qgen_train(model, queries, passages, run_cfg,
-                                  negatives=pools,
-                                  loss_cfg=LossConfig(
-                                      tau=float(section["tau"]),
-                                      similarity="cosine"))
-    else:
-        model, trace = _udalm_train(cfg, pre, passages, train_seed)
+    def compute(out_dir: Path) -> None:
+        passages = load_corpus(_artifact(cfg, "ingest"))
+        model = load_model(start[0])
+        model.similarity = "cosine" if final.startswith("qgen") else "dot"
+        if final == "udalm":
+            model, trace = _udalm_train(cfg, model, passages, train_seed)
+        else:
+            section = cfg["train"]["gpl" if final == "gpl" else "qgen"]
+            run_cfg = TrainRunConfig(
+                steps=None if section["steps"] is None else int(section["steps"]),
+                batch_size=int(section["batch_size"]),
+                seed=train_seed, learning_rate=float(section["learning_rate"]),
+                log_every=int(section.get("log_every", 1)),
+                checkpoint_every=int(section.get("checkpoint_every", 0)))
+            queries = load_queries(_artifact(cfg, "generate"))
+            if final == "gpl":
+                model, trace = gpl_train(
+                    model, read_dataset(_artifact(cfg, "label")), passages,
+                    queries, run_cfg, checkpoint_dir=out_dir)
+            else:
+                pools = read_hard_negatives(_artifact(cfg, "mine")) \
+                    if final == "qgen_hard" else None
+                model, trace = qgen_train(
+                    model, queries, passages, run_cfg, negatives=pools,
+                    loss_cfg=LossConfig(tau=float(section["tau"]),
+                                        similarity="cosine"))
+        save_model(model, out_dir / "model-final.json")
+        write_loss_trace(trace, out_dir / "loss-trace.csv")
 
-    save_model(model, outputs[0])
-    write_loss_trace(trace, outputs[1])
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record(f"train:{method}", input_hash, config_hash, outputs)
-    return outputs
+    return _run_cached(cfg, f"train:{method}",
+                       cfg.stage_dir("train", scope=method), inputs,
+                       ["model-final.json", "loss-trace.csv"],
+                       _stage_config_hash(cfg, "train", "udalm",
+                                          extra={"method": method}),
+                       compute)
 
 
-def _udalm_train(cfg: PipelineConfig, pre: str | None,
+def _udalm_train(cfg: PipelineConfig, model: EncoderModel,
                  target_passages: Sequence[Passage], seed: int
                  ) -> tuple[EncoderModel, list[tuple[int, float]]]:
     """Multi-task schedule: masked prediction on the target corpus mixed
     with margin regression on labeled source tuples."""
-    section = cfg["udalm"]
-    model = _load_start_model(cfg, pre, "dot")
-    source_passages = load_corpus(cfg["paths"]["source_corpus"])
-    source_queries = load_queries(cfg["paths"]["source_queries"])
-    source_data = read_dataset(cfg["paths"]["source_tuples"])
-    source_texts = {p.id: passage_text(p) for p in source_passages}
-    query_texts = {q.id: q.text for q in source_queries}
+    section, paths = cfg["udalm"], cfg["paths"]
+    source_texts = {p.id: passage_text(p)
+                    for p in load_corpus(paths["source_corpus"])}
+    query_texts = {q.id: q.text for q in load_queries(paths["source_queries"])}
+    tuples = read_dataset(paths["source_tuples"]).tuples
     target_texts = [passage_text(p) for p in target_passages]
 
-    steps = int(section["steps"])
     batch_size = int(section["batch_size"])
     opt = OptimizerState(float(section["learning_rate"]))
     trace = []
-    tuples = source_data.tuples
-    for step in range(1, steps + 1):
+    for step in range(1, int(section["steps"]) + 1):
         rng = np.random.default_rng(derive_seed(seed, "udalm", step))
         target_batch = [target_texts[i] for i in
                         rng.choice(len(target_texts),
                                    size=min(batch_size, len(target_texts)),
                                    replace=False)]
-        picked = rng.choice(len(tuples), size=min(batch_size, len(tuples)),
-                            replace=False)
-        source_batch = (
-            [query_texts[tuples[i].query_id] for i in picked],
-            [source_texts[tuples[i].pos_id] for i in picked],
-            [source_texts[tuples[i].neg_id] for i in picked],
-            [tuples[i].margin for i in picked],
-        )
+        picked = [tuples[i] for i in rng.choice(
+            len(tuples), size=min(batch_size, len(tuples)), replace=False)]
+        source_batch = ([query_texts[t.query_id] for t in picked],
+                        [source_texts[t.pos_id] for t in picked],
+                        [source_texts[t.neg_id] for t in picked],
+                        [t.margin for t in picked])
         loss, grads = udalm_step(model, target_batch, source_batch,
                                  mix_weight=float(section["mix_weight"]),
                                  mask_ratio=float(section["mask_ratio"]),
@@ -609,120 +572,73 @@ def _udalm_train(cfg: PipelineConfig, pre: str | None,
     return model, trace
 
 
+def _scored_run(cfg: PipelineConfig, method: str, stage: str,
+                source: tuple[Path, str], config_hash: str,
+                rank: Callable[[list, list], RunRanking]) -> list[Path]:
+    """An evaluation stage: `rank(passages, queries)` ranks the ingested
+    test queries, report.json scores that run against the qrels and
+    run.trec keeps it. `source` is the (path, producer) it ranks from."""
+    ingested = [(cfg.stage_dir("ingest") / name, f"ingest (with paths.{key})")
+                for key, name in _INGESTED.items()]
+    tag = method if stage == "evaluate" else f"{method}+{stage}"
+
+    def compute(out_dir: Path) -> None:
+        passages = load_corpus(ingested[0][0])
+        queries = load_queries(ingested[1][0])
+        run = rank(passages, queries)
+        section = cfg["evaluate"]
+        report = evaluate(run, queries, passages, load_qrels(ingested[2][0]),
+                          metrics=tuple(section["metrics"]),
+                          cutoff=int(section["cutoff"]), gain=section["gain"])
+        report.config["method"] = tag
+        report.save(out_dir / "report.json")
+        write_trec_run(run, out_dir / "run.trec", tag=tag)
+
+    return _run_cached(cfg, f"{stage}:{method}",
+                       cfg.stage_dir(stage, scope=method), [*ingested, source],
+                       ["report.json", "run.trec"], config_hash, compute)
+
+
 def stage_evaluate(cfg: PipelineConfig, method: str) -> list[Path]:
-    ingested = _ingested(cfg)
-    corpus_file = _require(ingested["corpus"], "ingest")
-    queries_file = _require(ingested["queries"], "ingest (with paths.queries)")
-    qrels_file = _require(ingested["qrels"], "ingest (with paths.qrels)")
-    model_file = _require(_model_path_for(cfg, method),
-                          "train" if parse_method(method)[1] != "zero_shot"
-                          else "ingest/pretrain")
-    input_hash = sha256_files([corpus_file, queries_file, qrels_file, model_file])
-    config_hash = _stage_config_hash(cfg, "evaluate", extra={"method": method})
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    stage_dir = cfg.stage_dir("evaluate", scope=method)
-    outputs = [stage_dir / "report.json", stage_dir / "run.json",
-               stage_dir / "run.trec"]
-    if manifest.resolve(f"evaluate:{method}", input_hash, config_hash):
-        logger.info("evaluate %s: cache hit", method)
-        return outputs
-
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(model_file)
-    passages = load_corpus(corpus_file)
-    queries = load_queries(queries_file)
-    qrels = load_qrels(qrels_file)
-    section = cfg["evaluate"]
-    run = full_rank(model, queries, passages, int(section["cutoff"]))
-    report = evaluate(run, queries, passages, qrels,
-                      metrics=tuple(section["metrics"]),
-                      cutoff=int(section["cutoff"]), gain=section["gain"])
-    report.config["method"] = method
-    report.save(outputs[0])
-    _save_run(run, outputs[1])
-    write_trec_run(run, outputs[2], tag=method)
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record(f"evaluate:{method}", input_hash, config_hash, outputs)
-    return outputs
-
-
-def _save_run(run: RunRanking, path: Path) -> None:
-    doc = {"cutoff": run.cutoff,
-           "entries": {qid: [[pid, score] for pid, score in ranked]
-                       for qid, ranked in run.entries.items()}}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-
-
-def _load_run(path: Path) -> RunRanking:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return RunRanking({qid: [(pid, float(score)) for pid, score in ranked]
-                       for qid, ranked in doc["entries"].items()},
-                      cutoff=int(doc["cutoff"]))
+    pre, final = parse_method(method)
+    model_input = _start_checkpoint(cfg, pre) if final == "zero_shot" else \
+        (cfg.stage_dir("train", scope=method) / "model-final.json", "train")
+    return _scored_run(
+        cfg, method, "evaluate", model_input,
+        _stage_config_hash(cfg, "evaluate", extra={"method": method}),
+        lambda passages, queries: full_rank(
+            load_model(model_input[0]), queries, passages,
+            int(cfg["evaluate"]["cutoff"])))
 
 
 def stage_rerank(cfg: PipelineConfig, method: str) -> list[Path]:
-    ingested = _ingested(cfg)
-    corpus_file = _require(ingested["corpus"], "ingest")
-    queries_file = _require(ingested["queries"], "ingest (with paths.queries)")
-    qrels_file = _require(ingested["qrels"], "ingest (with paths.qrels)")
-    run_file = _require(cfg.stage_dir("evaluate", scope=method) / "run.json",
-                        "evaluate")
-    input_hash = sha256_files([corpus_file, queries_file, qrels_file, run_file])
-    config_hash = _stage_config_hash(cfg, "rerank", "label",
-                                     extra={"method": method})
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    stage_dir = cfg.stage_dir("rerank", scope=method)
-    outputs = [stage_dir / "report.json", stage_dir / "run.trec"]
-    if manifest.resolve(f"rerank:{method}", input_hash, config_hash):
-        logger.info("rerank %s: cache hit", method)
-        return outputs
-
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    passages = load_corpus(corpus_file)
-    queries = load_queries(queries_file)
-    qrels = load_qrels(qrels_file)
-    run = _load_run(run_file)
-    reranked = ce_rerank(run, _cross_encoder(cfg), queries, passages,
-                         top_n=int(cfg["rerank"]["top_n"]))
-    section = cfg["evaluate"]
-    report = evaluate(reranked, queries, passages, qrels,
-                      metrics=tuple(section["metrics"]),
-                      cutoff=int(section["cutoff"]), gain=section["gain"])
-    report.config["method"] = f"{method}+rerank"
-    report.save(outputs[0])
-    write_trec_run(reranked, outputs[1], tag=f"{method}+rerank")
-    _write_provenance(stage_dir, config_hash, input_hash, outputs)
-    manifest.record(f"rerank:{method}", input_hash, config_hash, outputs)
-    return outputs
+    run_file = cfg.stage_dir("evaluate", scope=method) / "run.trec"
+    return _scored_run(
+        cfg, method, "rerank", (run_file, "evaluate"),
+        _stage_config_hash(cfg, "rerank", "label", extra={"method": method}),
+        lambda passages, queries: ce_rerank(
+            read_trec_run(run_file), _cross_encoder(cfg), queries, passages,
+            top_n=int(cfg["rerank"]["top_n"])))
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> list[Path]:
-    """Run one named stage; method-scoped stages take the method from the
-    config. Raises an actionable error when upstream artifacts are missing."""
+    """Run one named stage under the run lock; method-scoped stages take the
+    method from the config. Raises an actionable error when upstream
+    artifacts are missing."""
+    if name not in STAGE_NAMES:
+        raise PipelineError(f"unknown stage {name!r}; valid stages: "
+                            + ", ".join(STAGE_NAMES))
     method = cfg.data.get("method", "gpl")
-    if name == "ingest":
-        return stage_ingest(cfg)
-    if name == "generate":
-        return stage_generate(cfg)
-    if name == "mine":
-        return stage_mine(cfg)
-    if name == "label":
-        return stage_label(cfg)
-    if name == "pretrain":
-        pre, _ = parse_method(method)
-        if pre is None:
-            raise PipelineError(f"method {method!r} has no pre-training stage")
-        return stage_pretrain(cfg, pre)
-    if name == "train":
-        return stage_train(cfg, method)
-    if name == "evaluate":
-        return stage_evaluate(cfg, method)
-    if name == "rerank":
-        return stage_rerank(cfg, method)
-    raise PipelineError(f"unknown stage {name!r}; valid stages: "
-                        + ", ".join(STAGE_NAMES))
+    with _run_lock(cfg.dataset_dir):
+        if name == "pretrain":
+            pre, _ = parse_method(method)
+            if pre is None:
+                raise PipelineError(f"method {method!r} has no pre-training stage")
+            return stage_pretrain(cfg, pre)
+        stage = globals()[f"stage_{name}"]
+        if name in ("train", "evaluate", "rerank"):
+            return stage(cfg, method)
+        return stage(cfg)
 
 
 def run_pipeline(cfg: PipelineConfig, method: str) -> EvalReport:
@@ -733,19 +649,9 @@ def run_pipeline(cfg: PipelineConfig, method: str) -> EvalReport:
         stage_ingest(cfg)
         if pre is not None:
             stage_pretrain(cfg, pre)
-        if final == "gpl":
-            stage_generate(cfg)
-            stage_mine(cfg)
-            stage_label(cfg)
-            stage_train(cfg, method)
-        elif final == "qgen":
-            stage_generate(cfg)
-            stage_train(cfg, method)
-        elif final == "qgen_hard":
-            stage_generate(cfg)
-            stage_mine(cfg)
-            stage_train(cfg, method)
-        elif final == "udalm":
+        for name in _SHARED_STAGES[final]:
+            globals()[f"stage_{name}"](cfg)
+        if final != "zero_shot":
             stage_train(cfg, method)
         report_path = stage_evaluate(cfg, method)[0]
     return load_report(report_path)

@@ -17,7 +17,7 @@ from .corpus import Passage, passage_text, tokenize
 from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, OOV_INDEX,
                      EncoderModel, OptimizerState, apply_gradients,
                      encode_backward, encode_ids, new_grads)
-from .training import LossConfig, margin_mse_loss, mnrl_loss
+from .training import LossConfig, margin_mse_step, mnrl_loss
 from .util import derive_seed
 
 PRETRAIN_METHODS = ("tsdae", "mlm", "ict", "simcse", "ct", "cd")
@@ -378,16 +378,11 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[str],
             grads[name] += grads_i[name] * (mix_weight / len(mlm_batch))
     mlm_avg = mlm_total / len(mlm_batch)
 
-    q_out, q_cache = encode_ids(model, [model.token_ids(t) for t in q_texts])
-    p_out, p_cache = encode_ids(model, [model.token_ids(t) for t in pos_texts])
-    n_out, n_cache = encode_ids(model, [model.token_ids(t) for t in neg_texts])
-    predicted = (q_out * p_out).sum(axis=1) - (q_out * n_out).sum(axis=1)
-    mse_loss, d_pred = margin_mse_loss(predicted, np.asarray(margins, dtype=float))
     scale = 1.0 - mix_weight
-    encode_backward(model, q_cache, scale * d_pred[:, None] * (p_out - n_out), grads)
-    encode_backward(model, p_cache, scale * d_pred[:, None] * q_out, grads)
-    encode_backward(model, n_cache, -scale * d_pred[:, None] * q_out, grads)
-
+    mse_loss = margin_mse_step(model, [model.token_ids(t) for t in q_texts],
+                               [model.token_ids(t) for t in pos_texts],
+                               [model.token_ids(t) for t in neg_texts],
+                               np.asarray(margins, dtype=float), grads, scale)
     return mix_weight * mlm_avg + scale * mse_loss, grads
 
 

@@ -5,7 +5,7 @@ on generated (query, passage) pairs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -44,7 +44,6 @@ class TrainRunConfig:
     batch_size: int = 32
     seed: int = 0
     learning_rate: float = DEFAULT_LEARNING_RATE
-    method: str = "gpl"
     log_every: int = 1
     checkpoint_every: int = 0
 
@@ -53,18 +52,6 @@ class TrainRunConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.method not in ("gpl", "qgen"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-def default_gpl_config(**overrides) -> TrainRunConfig:
-    cfg = TrainRunConfig(steps=140_000, batch_size=32, method="gpl")
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def default_qgen_config(**overrides) -> TrainRunConfig:
-    cfg = TrainRunConfig(steps=None, batch_size=75, method="qgen")
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def margin_mse_loss(predicted_margins: np.ndarray, target_margins: np.ndarray
@@ -83,6 +70,24 @@ def margin_mse_loss(predicted_margins: np.ndarray, target_margins: np.ndarray
     diff = pred - target
     loss = float(np.mean(diff * diff))
     return loss, 2.0 * diff / pred.size
+
+
+def margin_mse_step(model: EncoderModel, q_ids: Sequence[Sequence[int]],
+                    p_ids: Sequence[Sequence[int]],
+                    n_ids: Sequence[Sequence[int]], targets: np.ndarray,
+                    grads: dict[str, np.ndarray], scale: float) -> float:
+    """Margin-MSE of the dot-product margins of one batch of (query,
+    positive, negative) token-id lists: adds scale x its gradient into
+    `grads` and returns the unscaled loss."""
+    q_out, q_cache = encode_ids(model, q_ids)
+    p_out, p_cache = encode_ids(model, p_ids)
+    n_out, n_cache = encode_ids(model, n_ids)
+    predicted = (q_out * p_out).sum(axis=1) - (q_out * n_out).sum(axis=1)
+    loss, d_pred = margin_mse_loss(predicted, targets)
+    encode_backward(model, q_cache, scale * d_pred[:, None] * (p_out - n_out), grads)
+    encode_backward(model, p_cache, scale * d_pred[:, None] * q_out, grads)
+    encode_backward(model, n_cache, -scale * d_pred[:, None] * q_out, grads)
+    return loss
 
 
 def mnrl_loss(query_embs: np.ndarray, passage_embs: np.ndarray,
@@ -188,16 +193,11 @@ def gpl_train(model: EncoderModel, dataset: GPLDataset,
     batches = _epoch_batches(len(dataset.tuples), cfg.batch_size, cfg.seed)
     for step in range(1, steps + 1):
         batch = next(batches)
-        q_out, q_cache = encode_ids(model, [q_ids[i] for i in batch])
-        p_out, p_cache = encode_ids(model, [p_ids[i] for i in batch])
-        n_out, n_cache = encode_ids(model, [n_ids[i] for i in batch])
-        predicted = (q_out * p_out).sum(axis=1) - (q_out * n_out).sum(axis=1)
-        loss, d_pred = margin_mse_loss(predicted, targets[batch])
-
         grads = new_grads(model)
-        encode_backward(model, q_cache, d_pred[:, None] * (p_out - n_out), grads)
-        encode_backward(model, p_cache, d_pred[:, None] * q_out, grads)
-        encode_backward(model, n_cache, -d_pred[:, None] * q_out, grads)
+        loss = margin_mse_step(model, [q_ids[i] for i in batch],
+                               [p_ids[i] for i in batch],
+                               [n_ids[i] for i in batch], targets[batch],
+                               grads, 1.0)
         apply_gradients(model, grads, opt)
 
         if step % cfg.log_every == 0 or step == steps:

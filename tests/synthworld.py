@@ -122,7 +122,7 @@ def train_source_model(seed: int):
                     break
             margin = ce_margin(ce, " ".join(q_tokens), texts[p.id], texts[neg.id])
             tuples.append(TrainingTuple(qid, p.id, neg.id, margin))
-    cfg = TrainRunConfig(seed=derive_seed(seed, "srctrain"), method="gpl",
+    cfg = TrainRunConfig(seed=derive_seed(seed, "srctrain"),
                          log_every=SOURCE_TRAIN["steps"], **SOURCE_TRAIN)
     model, _ = gpl_train(model, GPLDataset(tuples, {}), src_passages,
                          train_queries, cfg)
@@ -178,7 +178,7 @@ def binary_labeled(dataset):
 
 def adapt_gpl(seed: int, model0, corpus, queries, dataset):
     model = copy.deepcopy(model0)
-    cfg = TrainRunConfig(seed=derive_seed(seed, "gpltrain"), method="gpl",
+    cfg = TrainRunConfig(seed=derive_seed(seed, "gpltrain"),
                          log_every=GPL_TRAIN["steps"], **GPL_TRAIN)
     model, _ = gpl_train(model, dataset, corpus, queries, cfg)
     return model
@@ -191,7 +191,7 @@ def adapt_qgen(seed: int, model0, corpus, queries):
     cfg = TrainRunConfig(steps=steps, batch_size=QGEN_TRAIN["batch_size"],
                          seed=derive_seed(seed, "qgentrain"),
                          learning_rate=QGEN_TRAIN["learning_rate"],
-                         method="qgen", log_every=steps)
+                         log_every=steps)
     model, _ = qgen_train(model, queries, corpus, cfg,
                           loss_cfg=LossConfig(tau=QGEN_TRAIN["tau"],
                                               similarity="cosine"))

@@ -9,6 +9,7 @@ import pytest
 from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, RunRanking,
                         ce_rerank, evaluate, full_rank, init_encoder,
                         mrr_at_k, ndcg_at_k, retrieve_top_k, write_trec_run)
+from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
 
 
@@ -258,3 +259,16 @@ class TestTrecRunOutput:
         lines = path.read_text().splitlines()
         assert lines[0] == "q1 Q0 d2 1 1.5 test"
         assert lines[1] == "q1 Q0 d1 2 0.5 test"
+
+    def test_read_inverts_write(self, tmp_path):
+        scores = [7.0, 7.0, 1 / 3, 0.1 + 0.2, -0.0, -2.5e-300]
+        run = RunRanking({"q2": [(f"d{i}", s) for i, s in enumerate(scores)],
+                          "q1": [("d9", math.pi)]})
+        path = tmp_path / "run.trec"
+        write_trec_run(run, path, tag="test")
+        back = read_trec_run(path)
+        assert back.entries == {"q1": run.entries["q1"],
+                                "q2": run.entries["q2"]}
+        assert list(back.entries) == ["q1", "q2"]
+        assert all(math.copysign(1.0, a[1]) == math.copysign(1.0, b[1])
+                   for a, b in zip(back.entries["q2"], run.entries["q2"]))

@@ -2,13 +2,16 @@
 ordering errors, method registry, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from denseadapt import (PipelineConfig, PipelineError, load_corpus,
-                        parse_method, run_pipeline, run_stage)
+                        parse_method, pipeline, run_pipeline, run_stage)
 from denseadapt.cli import main as cli_main
 from denseadapt.pipeline import CacheManifest, stage_generate, stage_ingest
 
@@ -233,9 +236,56 @@ class TestCache:
         cfg = small_config(tmp_path, tmp_path / "out")
         lock_dir = cfg.dataset_dir
         lock_dir.mkdir(parents=True)
-        (lock_dir / ".lock").write_text("12345")
+        (lock_dir / ".lock").write_text(str(os.getppid()))
         with pytest.raises(PipelineError, match="locked"):
             run_pipeline(cfg, "gpl")
+
+    def test_dead_runs_lock_is_reclaimed(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        cfg.dataset_dir.mkdir(parents=True)
+        (cfg.dataset_dir / ".lock").write_text(str(child.pid))
+        run_pipeline(cfg, "zero_shot")
+        assert not (cfg.dataset_dir / ".lock").exists()
+
+    @pytest.mark.parametrize("holder", ["live pid", "empty", "not a pid"])
+    def test_run_stage_refuses_held_lock(self, tmp_path, holder):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        cfg.dataset_dir.mkdir(parents=True)
+        content = {"live pid": str(os.getppid()), "empty": "",
+                   "not a pid": "x"}[holder]
+        (cfg.dataset_dir / ".lock").write_text(content)
+        with pytest.raises(PipelineError, match="locked"):
+            run_stage("ingest", cfg)
+        assert not cfg.stage_dir("ingest").exists()
+
+    def test_crashed_stage_is_recomputed(self, tmp_path, monkeypatch):
+        """A stage that crashes mid-write under one config leaves nothing
+        that a rerun under an earlier config takes for a cache hit."""
+        cfg_x = small_config(tmp_path, tmp_path / "out")
+        cfg_y = small_config(tmp_path, tmp_path / "out",
+                             mine={"n_per_retriever": 3})
+        for name in ("ingest", "generate", "mine"):
+            run_stage(name, cfg_x)
+        negatives = cfg_x.stage_dir("mine") / "hard-negatives.jsonl"
+        original, inode = negatives.read_bytes(), negatives.stat().st_ino
+
+        def crash(pools, path):
+            with open(path, "w") as f:
+                f.write('{"qid": "trunc')
+            raise RuntimeError("killed mid-write")
+
+        monkeypatch.setattr(pipeline, "write_hard_negatives", crash)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            run_stage("mine", cfg_y)
+        monkeypatch.undo()
+
+        assert run_stage("mine", cfg_x) == [negatives]
+        assert negatives.stat().st_ino != inode  # recomputed, not a hit
+        assert negatives.read_bytes() == original
+        assert not list(cfg_x.dataset_dir.rglob("*.tmp"))
+        run_stage("label", cfg_x)
 
     def test_provenance_sidecars_written(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out")
