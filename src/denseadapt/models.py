@@ -62,12 +62,15 @@ class EncoderModel:
     def vocab_size(self) -> int:
         return self.embedding.shape[0]
 
-    def token_ids(self, text: str) -> list[int]:
-        """Token ids for a text, truncated; zero-token texts map to [OOV]."""
-        tokens = tokenize(text)[: self.max_seq_len]
+    def token_ids(self, text: str | Sequence[str]) -> np.ndarray:
+        """Token ids of a text, or of its tokens, truncated to max_seq_len;
+        no tokens map to [OOV]."""
+        tokens = (tokenize(text) if isinstance(text, str)
+                  else list(text))[: self.max_seq_len]
         if not tokens:
-            return [OOV_INDEX]
-        return [self.vocab.get(t, OOV_INDEX) for t in tokens]
+            return np.array([OOV_INDEX], dtype=np.intp)
+        return np.fromiter((self.vocab.get(t, OOV_INDEX) for t in tokens),
+                           dtype=np.intp, count=len(tokens))
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "projection": self.projection}
@@ -84,13 +87,51 @@ def init_encoder(tokens: Iterable[str], dim: int = 32, seed: int = 0,
     return EncoderModel(vocab, embedding, projection, pooling, similarity, max_seq_len)
 
 
+# Tokens per block in the forward and backward passes: neither holds more
+# than one block of (tokens x d) values at a time, so a corpus-wide encode
+# needs no more memory than a training batch.
+_GATHER_TOKENS = 1024
+
+
 @dataclass
 class ForwardCache:
-    """State saved by a forward pass, consumed by encode_backward."""
+    """State saved by a forward pass, consumed by encode_backward: the
+    batch's token ids row after row, and each row's length."""
 
-    id_lists: list[list[int]]
+    ids: np.ndarray
+    lengths: np.ndarray
     pooled: np.ndarray
     dropout_mask: np.ndarray | None = None
+
+
+def _pack(id_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """One flat id array and the row lengths of a batch of id lists."""
+    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
+    if not lengths.all():
+        raise ValueError("every row needs at least one token id")
+    if not lengths.size:
+        return np.zeros(0, dtype=np.intp), lengths
+    return np.concatenate(id_lists).astype(np.intp, copy=False), lengths
+
+
+def _pool(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray
+          ) -> np.ndarray:
+    """Mean of each row's embedding rows, or its first token's row (CLS)."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    if model.pooling == "cls":
+        return model.embedding[ids[starts]]
+    sums = np.empty((lengths.size, model.dim))
+    row = 0
+    while row < lengths.size:
+        # Whole rows, at most _GATHER_TOKENS tokens unless one row is longer.
+        stop = max(row + 1, int(np.searchsorted(
+            ends, starts[row] + _GATHER_TOKENS, side="right")))
+        lo, hi = starts[row], ends[stop - 1]
+        sums[row:stop] = np.add.reduceat(model.embedding[ids[lo:hi]],
+                                         starts[row:stop] - lo, axis=0)
+        row = stop
+    return sums / lengths[:, None]
 
 
 def encode_ids(model: EncoderModel, id_lists: Sequence[Sequence[int]],
@@ -101,33 +142,44 @@ def encode_ids(model: EncoderModel, id_lists: Sequence[Sequence[int]],
     dropout_mask, when given, multiplies the pooled vectors elementwise
     (inverted-dropout convention: mask values are 0 or 1/keep_prob).
     """
-    d = model.dim
-    pooled = np.zeros((len(id_lists), d))
-    for i, ids in enumerate(id_lists):
-        rows = model.embedding[list(ids)]
-        pooled[i] = rows.mean(axis=0) if model.pooling == "mean" else rows[0]
+    ids, lengths = _pack(id_lists)
+    pooled = _pool(model, ids, lengths)
     if dropout_mask is not None:
         pooled = pooled * dropout_mask
-    out = pooled @ model.projection
-    return out, ForwardCache([list(ids) for ids in id_lists], pooled, dropout_mask)
+    return pooled @ model.projection, ForwardCache(ids, lengths, pooled,
+                                                   dropout_mask)
 
 
 def encode_backward(model: EncoderModel, cache: ForwardCache,
                     d_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate gradients of a scalar loss into grads, given dL/d(output)."""
+    """Accumulate gradients of a scalar loss into grads, given dL/d(output).
+
+    Token gradients are added row after row and token after token, the
+    order of a row-by-row loop, so the embedding gradient is bit-identical
+    to that loop's."""
     grads["projection"] += cache.pooled.T @ d_out
     d_pooled = d_out @ model.projection.T
     if cache.dropout_mask is not None:
         d_pooled = d_pooled * cache.dropout_mask
-    for i, ids in enumerate(cache.id_lists):
-        if model.pooling == "mean":
-            np.add.at(grads["embedding"], ids, d_pooled[i] / len(ids))
-        else:
-            grads["embedding"][ids[0]] += d_pooled[i]
+    if model.pooling == "mean":
+        ids = cache.ids
+        row_of = np.repeat(np.arange(cache.lengths.size), cache.lengths)
+        d_pooled = d_pooled / cache.lengths[:, None]
+    else:
+        ids = cache.ids[np.cumsum(cache.lengths) - cache.lengths]
+        row_of = np.arange(cache.lengths.size)
+    target = grads["embedding"]
+    if not target.flags.c_contiguous:
+        raise ValueError("embedding gradient must be C-contiguous")
+    flat, d = target.reshape(-1), model.dim
+    for lo in range(0, ids.size, _GATHER_TOKENS):
+        block = slice(lo, lo + _GATHER_TOKENS)
+        np.add.at(flat, (ids[block, None] * d + np.arange(d)).ravel(),
+                  d_pooled[row_of[block]].ravel())
 
 
 def new_grads(model: EncoderModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(p) for name, p in model.parameters().items()}
+    return {name: np.zeros(p.shape) for name, p in model.parameters().items()}
 
 
 def encode_batch(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:

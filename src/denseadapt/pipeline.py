@@ -269,9 +269,10 @@ def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
 
     `inputs` are (path, producing stage) pairs that must exist; `outputs`
     are file names in `stage_dir`. On a miss the manifest entry `key` is
-    dropped, then `compute(out_dir)` writes into a scratch directory whose
-    files move into `stage_dir` once it returns: a crash leaves no partial
-    file there and no entry vouching for an older one."""
+    dropped, then `compute(out_dir)` writes into a scratch directory that
+    replaces `stage_dir` once it returns: a crash leaves no partial file
+    there and no entry vouching for an older one, and no file of an
+    earlier run stays beside the new ones."""
     for path, producer in inputs:
         if not os.path.exists(path):
             raise PipelineError(f"missing artifact {path}; run {producer} first")
@@ -292,9 +293,12 @@ def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
         with open(scratch / "provenance.json", "w", encoding="utf-8") as f:
             json.dump({"config_hash": config_hash, "input_hash": input_hash,
                        "files": sorted(outputs)}, f, sort_keys=True, indent=2)
-        stage_dir.mkdir(exist_ok=True)
-        for produced in scratch.iterdir():
-            os.replace(produced, stage_dir / produced.name)
+        retired = stage_dir.with_name(stage_dir.name + ".old")
+        shutil.rmtree(retired, ignore_errors=True)
+        if stage_dir.exists():
+            os.replace(stage_dir, retired)
+        os.replace(scratch, stage_dir)
+        shutil.rmtree(retired, ignore_errors=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     manifest.record(key, input_hash, config_hash, paths)
@@ -345,6 +349,13 @@ def _initial_model(cfg: PipelineConfig, passages: Sequence[Passage],
                         max_seq_len=int(cfg["encoder"]["max_seq_len"]))
 
 
+def _init_model_input(cfg: PipelineConfig) -> list[tuple[str, str]]:
+    """paths.init_model, when set, as an input of the stages that start
+    from it (ingest and pretrain)."""
+    path = cfg["paths"].get("init_model")
+    return [(path, "nothing (external checkpoint)")] if path else []
+
+
 def _cross_encoder(cfg: PipelineConfig):
     backend = cfg["label"]["cross_encoder"]
     if backend == "lexical":
@@ -374,8 +385,8 @@ def stage_ingest(cfg: PipelineConfig) -> list[Path]:
         save_model(_initial_model(cfg, passages), out_dir / "model-initial.json")
 
     return _run_cached(cfg, "ingest", cfg.stage_dir("ingest"),
-                       [(paths[key], "nothing (external source data)")
-                        for key in given],
+                       [*((paths[key], "nothing (external source data)")
+                          for key in given), *_init_model_input(cfg)],
                        [*(_INGESTED[key] for key in given), "model-initial.json"],
                        _stage_config_hash(cfg, "ingest"), compute)
 
@@ -478,7 +489,8 @@ def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
 
     return _run_cached(cfg, f"pretrain-{method}",
                        cfg.stage_dir(f"pretrain-{method}"),
-                       _inputs(cfg, "ingest"), ["model-pretrained.json"],
+                       [*_inputs(cfg, "ingest"), *_init_model_input(cfg)],
+                       ["model-pretrained.json"],
                        _stage_config_hash(cfg, "pretrain",
                                           extra={"pretrain_method": method}),
                        compute)

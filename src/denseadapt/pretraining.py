@@ -14,9 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Passage, passage_text, tokenize
-from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, OOV_INDEX,
-                     EncoderModel, OptimizerState, apply_gradients,
-                     encode_backward, encode_ids, new_grads)
+from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, EncoderModel,
+                     OptimizerState, apply_gradients, encode_backward,
+                     encode_ids, new_grads)
 from .training import LossConfig, margin_mse_step, mnrl_loss
 from .util import derive_seed
 
@@ -49,13 +49,6 @@ class PretrainConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-
-
-def _ids_of_tokens(model: EncoderModel, tokens: Sequence[str]) -> list[int]:
-    tokens = list(tokens)[: model.max_seq_len]
-    if not tokens:
-        return [OOV_INDEX]
-    return [model.vocab.get(t, OOV_INDEX) for t in tokens]
 
 
 def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]
@@ -127,8 +120,8 @@ def tsdae_loss(model: EncoderModel, decoder: TsdaeDecoder,
     if not original:
         raise ValueError("original sequence must be non-empty")
     d = model.dim
-    o_ids = np.asarray(_ids_of_tokens(model, original), dtype=int)
-    c_ids = _ids_of_tokens(model, corrupted_tokens)
+    o_ids = model.token_ids(original)
+    c_ids = model.token_ids(corrupted_tokens)
 
     z_mat, cache = encode_ids(model, [c_ids])
     z = z_mat[0]
@@ -212,7 +205,7 @@ def mlm_loss(model: EncoderModel, original_ids: Sequence[int],
 def mlm_corrupt_and_loss(model: EncoderModel, tokens: Sequence[str],
                          mask_ratio: float = 0.15, rng=0
                          ) -> tuple[float, dict[str, np.ndarray]]:
-    ids = _ids_of_tokens(model, tokens)
+    ids = model.token_ids(tokens)
     if not list(tokens):
         raise ValueError("cannot mask an empty sequence")
     corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
@@ -323,7 +316,7 @@ def condensor_loss(model: EncoderModel, head: np.ndarray, tokens: Sequence[str],
     if model.pooling != "cls":
         raise ValueError("this objective requires CLS pooling")
     d = model.dim
-    ids = _ids_of_tokens(model, tokens)
+    ids = model.token_ids(tokens)
     if not list(tokens):
         raise ValueError("cannot mask an empty sequence")
     corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
@@ -331,7 +324,7 @@ def condensor_loss(model: EncoderModel, head: np.ndarray, tokens: Sequence[str],
     corrupted = np.asarray(corrupted, dtype=int)
     sel = np.asarray(positions, dtype=int)
 
-    cls_mat, cache = encode_ids(model, [corrupted.tolist()])
+    cls_mat, cache = encode_ids(model, [corrupted])
     cls_out = cls_mat[0]
     x = np.concatenate([np.tile(cls_out, (sel.size, 1)),
                         model.embedding[corrupted[sel]]], axis=1)

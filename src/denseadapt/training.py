@@ -235,14 +235,16 @@ def qgen_train(model: EncoderModel, queries: Sequence[Query],
     if not usable:
         raise ValueError("no usable training queries")
 
-    q_ids, p_ids, n_ids = [], [], []
-    for q in usable:
-        q_ids.append(model.token_ids(q.text))
-        p_ids.append(model.token_ids(passage_texts[q.source_passage_id]))
-        if negatives is not None:
-            from .labeling import sample_tuple  # local import avoids a cycle
-            _, neg_id = sample_tuple(q, negatives[q.id], cfg.seed)
-            n_ids.append(model.token_ids(passage_texts[neg_id]))
+    neg_ids = []
+    if negatives is not None:
+        from .labeling import sample_tuple  # local import avoids a cycle
+        neg_ids = [sample_tuple(q, negatives[q.id], cfg.seed)[1] for q in usable]
+    # Tokenize each distinct passage once; queries share source passages.
+    passage_tokens = {pid: model.token_ids(passage_texts[pid]) for pid in
+                      {q.source_passage_id for q in usable} | set(neg_ids)}
+    q_ids = [model.token_ids(q.text) for q in usable]
+    p_ids = [passage_tokens[q.source_passage_id] for q in usable]
+    n_ids = [passage_tokens[pid] for pid in neg_ids]
 
     steps = cfg.steps if cfg.steps is not None else \
         math.ceil(len(usable) / cfg.batch_size)

@@ -1,5 +1,7 @@
 """Reference encoder, similarity, SGD, gradcheck, and checkpoint round-trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from denseadapt import (LossConfig, OptimizerState,
                         apply_gradients, encode_batch, finite_diff_gradcheck,
                         init_encoder, lexical_overlap_ce, load_model,
                         margin_mse_loss, mnrl_loss, save_model, similarity)
+from denseadapt import models
 from denseadapt.models import (OOV_INDEX, encode_backward,
                                encode_ids, new_grads)
 
@@ -60,6 +63,125 @@ class TestEncodeBatch:
         m = init_encoder(TOKENS, dim=4, seed=2, pooling="cls", init_scale=0.3)
         np.testing.assert_array_equal(encode_batch(m, ["alpha beta gamma"]),
                                       encode_batch(m, ["alpha"]))
+
+
+def reference_encode_ids(model, id_lists, dropout_mask=None):
+    """The encoder's forward pass written one row at a time."""
+    pooled = np.zeros((len(id_lists), model.dim))
+    for i, ids in enumerate(id_lists):
+        rows = model.embedding[list(ids)]
+        pooled[i] = rows.mean(axis=0) if model.pooling == "mean" else rows[0]
+    if dropout_mask is not None:
+        pooled = pooled * dropout_mask
+    return pooled @ model.projection, pooled
+
+
+def reference_encode_backward(model, id_lists, pooled, dropout_mask, d_out,
+                              grads):
+    """The encoder's backward pass written one row at a time."""
+    grads["projection"] += pooled.T @ d_out
+    d_pooled = d_out @ model.projection.T
+    if dropout_mask is not None:
+        d_pooled = d_pooled * dropout_mask
+    for i, ids in enumerate(id_lists):
+        if model.pooling == "mean":
+            np.add.at(grads["embedding"], list(ids), d_pooled[i] / len(ids))
+        else:
+            grads["embedding"][ids[0]] += d_pooled[i]
+
+
+def _random_batch(rng, model, lengths):
+    return [rng.integers(0, model.vocab_size, size=n).tolist() for n in lengths]
+
+
+# Rows with repeated ids, one-token rows and OOV-only rows; the last batch
+# spans several gather blocks and holds one row longer than a block.
+_BATCHES = {
+    "mixed": lambda rng, m: [[4, 4, 4, 7], [5], [OOV_INDEX], [OOV_INDEX] * 3,
+                             [9, 3, 9, 3, 9]] + _random_batch(rng, m, [2, 7, 1]),
+    "one row": lambda rng, m: [[6, 6]],
+    "blocks": lambda rng, m: _random_batch(
+        rng, m, [*rng.integers(1, 60, size=500), models._GATHER_TOKENS + 5, 3]),
+}
+
+
+@pytest.fixture(params=["mean", "cls"])
+def wide_model(request):
+    return init_encoder([f"w{i}" for i in range(40)], dim=5, seed=3,
+                        pooling=request.param, init_scale=0.3)
+
+
+class TestEncoderCore:
+    """The flat-id core against the row-at-a-time reference above."""
+
+    @pytest.mark.parametrize("batch", sorted(_BATCHES))
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_forward_matches_reference(self, wide_model, batch, dropout):
+        rng = np.random.default_rng(0)
+        wide_model.projection = rng.normal(size=wide_model.projection.shape)
+        id_lists = _BATCHES[batch](rng, wide_model)
+        mask = (rng.random((len(id_lists), wide_model.dim)) >= 0.3) / 0.7 \
+            if dropout else None
+        out, cache = encode_ids(wide_model, id_lists, dropout_mask=mask)
+        want, pooled = reference_encode_ids(wide_model, id_lists, mask)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.pooled, pooled, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", sorted(_BATCHES))
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_backward_bit_identical_over_three_calls(self, wide_model, batch,
+                                                     dropout):
+        rng = np.random.default_rng(1)
+        got, want = new_grads(wide_model), new_grads(wide_model)
+        for call in range(3):
+            id_lists = _BATCHES[batch](rng, wide_model)
+            mask = (rng.random((len(id_lists), wide_model.dim)) >= 0.3) / 0.7 \
+                if dropout else None
+            _, cache = encode_ids(wide_model, id_lists, dropout_mask=mask)
+            d_out = rng.normal(size=(len(id_lists), wide_model.dim))
+            encode_backward(wide_model, cache, d_out, got)
+            reference_encode_backward(wide_model, id_lists, cache.pooled, mask,
+                                      d_out, want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_empty_batch(self, wide_model):
+        out, cache = encode_ids(wide_model, [])
+        assert out.shape == (0, wide_model.dim)
+        grads = new_grads(wide_model)
+        encode_backward(wide_model, cache, np.zeros((0, wide_model.dim)), grads)
+        assert not grads["embedding"].any() and not grads["projection"].any()
+
+    def test_row_without_ids_rejected(self, wide_model):
+        with pytest.raises(ValueError):
+            encode_ids(wide_model, [[3], []])
+
+    def test_token_ids_of_text_and_of_tokens_agree(self):
+        m = init_encoder(TOKENS, dim=4, seed=0, max_seq_len=3)
+        text = "alpha omega beta gamma delta"
+        assert m.token_ids(text).tolist() == [m.vocab["alpha"], OOV_INDEX,
+                                              m.vocab["beta"]]
+        assert np.array_equal(m.token_ids(text.split()), m.token_ids(text))
+        assert m.token_ids([]).tolist() == m.token_ids("!!!").tolist() \
+            == [OOV_INDEX]
+
+
+def test_corpus_encode_memory_is_bounded():
+    """A corpus-wide encode gathers embedding rows one block at a time:
+    5,000 texts x 50 tokens at d=32 would need 64 MB gathered at once."""
+    rng = np.random.default_rng(0)
+    words = [f"t{i}" for i in range(30_000)]
+    model = init_encoder(words, dim=32, seed=0)
+    texts = [" ".join(words[j] for j in rng.integers(0, len(words), size=50))
+             for _ in range(5_000)]
+    tracemalloc.start()
+    try:
+        out = encode_batch(model, texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (5_000, 32)
+    assert peak < 32 * 2**20
 
 
 class TestSimilarity:

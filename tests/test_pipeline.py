@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from denseadapt import (PipelineConfig, PipelineError, load_corpus,
-                        parse_method, pipeline, run_pipeline, run_stage)
+from denseadapt import (PipelineConfig, PipelineError, init_encoder,
+                        load_corpus, load_model, parse_method, pipeline,
+                        run_pipeline, run_stage, save_model)
 from denseadapt.cli import main as cli_main
 from denseadapt.pipeline import CacheManifest, stage_generate, stage_ingest
 
@@ -286,6 +287,42 @@ class TestCache:
         assert negatives.read_bytes() == original
         assert not list(cfg_x.dataset_dir.rglob("*.tmp"))
         run_stage("label", cfg_x)
+
+    def test_changed_init_model_busts_ingest_and_pretrain(self, tmp_path):
+        """paths.init_model is an input of the stages that load it: new
+        weights at the same path recompute ingest and pretrain."""
+        init = tmp_path / "init-model.json"
+        words = [f"t{i:02d}" for i in range(24)]
+        save_model(init_encoder(words, dim=8, seed=1), init)
+        cfg = small_config(tmp_path, tmp_path / "out", method="tsdae+gpl")
+        cfg.data["paths"]["init_model"] = str(init)
+        run_stage("ingest", cfg)
+        run_stage("pretrain", cfg)
+        pretrained = cfg.stage_dir("pretrain-tsdae") / "model-pretrained.json"
+        first = pretrained.read_bytes()
+
+        seed_2 = init_encoder(words, dim=8, seed=2)
+        save_model(seed_2, init)
+        run_stage("ingest", cfg)
+        copied = load_model(cfg.stage_dir("ingest") / "model-initial.json")
+        assert (copied.embedding == seed_2.embedding).all()
+        run_stage("pretrain", cfg)
+        assert pretrained.read_bytes() != first
+
+    def test_miss_leaves_only_the_new_files(self, tmp_path):
+        """A recomputed stage keeps no file of the run it replaces."""
+        train = tmp_path / "out" / "toy" / "gpl" / "train"
+        checkpoints = {"gpl": {"steps": 25, "batch_size": 4,
+                               "learning_rate": 0.01, "log_every": 5}}
+        run_pipeline(small_config(tmp_path, tmp_path / "out", train={
+            "gpl": {**checkpoints["gpl"], "checkpoint_every": 10}}), "gpl")
+        assert sorted(p.name for p in train.glob("ckpt-*.json")) == \
+            ["ckpt-10.json", "ckpt-20.json"]
+        run_pipeline(small_config(tmp_path, tmp_path / "out", train={
+            "gpl": {**checkpoints["gpl"], "checkpoint_every": 0}}), "gpl")
+        assert sorted(p.name for p in train.iterdir()) == \
+            ["loss-trace.csv", "model-final.json", "provenance.json"]
+        assert not list(train.parent.glob("train.*"))
 
     def test_provenance_sidecars_written(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out")
