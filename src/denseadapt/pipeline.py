@@ -38,13 +38,13 @@ from .evaluation import EvalReport, RunRanking, ce_rerank, evaluate, \
 from .labeling import build_dataset, read_dataset, write_dataset
 from .mining import BM25Retriever, DenseRetriever, build_bm25_index, \
     mine_pools, read_hard_negatives, write_hard_negatives
-from .models import EncoderModel, OptimizerState, apply_gradients, \
-    init_encoder, lexical_overlap_ce, load_model, save_model
+from .models import EncoderModel, init_encoder, lexical_overlap_ce, \
+    load_model, save_model
 from .pretraining import PRETRAIN_METHODS, PretrainConfig, pretrain, udalm_step
 from .qgen import SamplerConfig, compute_budget, \
     generate_queries, mock_generator, write_gen_qrels
-from .training import TrainRunConfig, LossConfig, gpl_train, qgen_train, \
-    write_loss_trace
+from .training import TrainRunConfig, LossConfig, fit, gpl_train, \
+    qgen_train, write_loss_trace
 from .util import canonical_json, derive_seed, sha256_bytes, sha256_files
 
 logger = logging.getLogger(__name__)
@@ -515,28 +515,29 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
         passages = load_corpus(_artifact(cfg, "ingest"))
         model = load_model(start[0])
         model.similarity = "cosine" if final.startswith("qgen") else "dot"
+        section = cfg["udalm"] if final == "udalm" else \
+            cfg["train"]["gpl" if final == "gpl" else "qgen"]
+        run_cfg = TrainRunConfig(
+            steps=None if section["steps"] is None else int(section["steps"]),
+            batch_size=int(section["batch_size"]),
+            seed=train_seed, learning_rate=float(section["learning_rate"]),
+            log_every=int(section.get("log_every", 1)),
+            checkpoint_every=int(section.get("checkpoint_every", 0)))
         if final == "udalm":
-            model, trace = _udalm_train(cfg, model, passages, train_seed)
+            model, trace = _udalm_train(cfg, model, passages, run_cfg, out_dir)
+        elif final == "gpl":
+            model, trace = gpl_train(
+                model, read_dataset(_artifact(cfg, "label")), passages,
+                load_queries(_artifact(cfg, "generate")), run_cfg,
+                checkpoint_dir=out_dir)
         else:
-            section = cfg["train"]["gpl" if final == "gpl" else "qgen"]
-            run_cfg = TrainRunConfig(
-                steps=None if section["steps"] is None else int(section["steps"]),
-                batch_size=int(section["batch_size"]),
-                seed=train_seed, learning_rate=float(section["learning_rate"]),
-                log_every=int(section.get("log_every", 1)),
-                checkpoint_every=int(section.get("checkpoint_every", 0)))
-            queries = load_queries(_artifact(cfg, "generate"))
-            if final == "gpl":
-                model, trace = gpl_train(
-                    model, read_dataset(_artifact(cfg, "label")), passages,
-                    queries, run_cfg, checkpoint_dir=out_dir)
-            else:
-                pools = read_hard_negatives(_artifact(cfg, "mine")) \
-                    if final == "qgen_hard" else None
-                model, trace = qgen_train(
-                    model, queries, passages, run_cfg, negatives=pools,
-                    loss_cfg=LossConfig(tau=float(section["tau"]),
-                                        similarity="cosine"))
+            pools = read_hard_negatives(_artifact(cfg, "mine")) \
+                if final == "qgen_hard" else None
+            model, trace = qgen_train(
+                model, load_queries(_artifact(cfg, "generate")), passages,
+                run_cfg, negatives=pools,
+                loss_cfg=LossConfig(tau=float(section["tau"])),
+                checkpoint_dir=out_dir)
         save_model(model, out_dir / "model-final.json")
         write_loss_trace(trace, out_dir / "loss-trace.csv")
 
@@ -549,7 +550,8 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
 
 
 def _udalm_train(cfg: PipelineConfig, model: EncoderModel,
-                 target_passages: Sequence[Passage], seed: int
+                 target_passages: Sequence[Passage], run_cfg: TrainRunConfig,
+                 checkpoint_dir: Path
                  ) -> tuple[EncoderModel, list[tuple[int, float]]]:
     """Multi-task schedule: masked prediction on the target corpus mixed
     with margin regression on labeled source tuples."""
@@ -560,28 +562,22 @@ def _udalm_train(cfg: PipelineConfig, model: EncoderModel,
     tuples = read_dataset(paths["source_tuples"]).tuples
     target_texts = [passage_text(p) for p in target_passages]
 
-    batch_size = int(section["batch_size"])
-    opt = OptimizerState(float(section["learning_rate"]))
-    trace = []
-    for step in range(1, int(section["steps"]) + 1):
-        rng = np.random.default_rng(derive_seed(seed, "udalm", step))
-        target_batch = [target_texts[i] for i in
-                        rng.choice(len(target_texts),
-                                   size=min(batch_size, len(target_texts)),
-                                   replace=False)]
-        picked = [tuples[i] for i in rng.choice(
-            len(tuples), size=min(batch_size, len(tuples)), replace=False)]
+    def draw(items: Sequence, rng: np.random.Generator) -> list:
+        return [items[i] for i in rng.choice(
+            len(items), size=min(run_cfg.batch_size, len(items)), replace=False)]
+
+    def step_fn(step: int):
+        rng = np.random.default_rng(derive_seed(run_cfg.seed, "udalm", step))
+        target_batch, picked = draw(target_texts, rng), draw(tuples, rng)
         source_batch = ([query_texts[t.query_id] for t in picked],
                         [source_texts[t.pos_id] for t in picked],
                         [source_texts[t.neg_id] for t in picked],
                         [t.margin for t in picked])
-        loss, grads = udalm_step(model, target_batch, source_batch,
-                                 mix_weight=float(section["mix_weight"]),
-                                 mask_ratio=float(section["mask_ratio"]),
-                                 rng=rng)
-        apply_gradients(model, grads, opt)
-        trace.append((step, loss))
-    return model, trace
+        return udalm_step(model, target_batch, source_batch,
+                          mix_weight=float(section["mix_weight"]),
+                          mask_ratio=float(section["mask_ratio"]), rng=rng)
+
+    return fit(model, step_fn, run_cfg.steps, run_cfg, checkpoint_dir)
 
 
 def _scored_run(cfg: PipelineConfig, method: str, stage: str,

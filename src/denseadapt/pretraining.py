@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .corpus import Passage, passage_text, tokenize
 from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, EncoderModel,
                      OptimizerState, apply_gradients, encode_backward,
                      encode_ids, new_grads)
-from .training import LossConfig, margin_mse_step, mnrl_loss
+from .training import (LossConfig, TrainRunConfig, fit, margin_mse_step,
+                       mnrl_loss, mnrl_step)
 from .util import derive_seed
 
 PRETRAIN_METHODS = ("tsdae", "mlm", "ict", "simcse", "ct", "cd")
@@ -37,12 +38,15 @@ class PretrainConfig:
     ict_mask_prob: float = 0.9
     dropout_rate: float = 0.1
     tau: float = 20.0
-    similarity: str = "cosine"
 
     def __post_init__(self):
         if self.method not in PRETRAIN_METHODS:
             raise ValueError(f"unknown pre-training method {self.method!r}; "
                              f"expected one of {PRETRAIN_METHODS}")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         for name in ("deletion_ratio", "mask_ratio", "ict_mask_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -69,6 +73,31 @@ def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]
     d_logits = exp / denom
     d_logits[np.arange(targets.size), targets] -= 1.0
     return loss, d_logits / targets.size
+
+
+def _pooled_head_loss(model: EncoderModel, weight: np.ndarray, name: str,
+                      encoded_ids: np.ndarray, input_ids: np.ndarray,
+                      target_ids: np.ndarray
+                      ) -> tuple[float, dict[str, np.ndarray]]:
+    """Cross-entropy of predicting target_ids from [pooled vector of
+    encoded_ids (+) embedding of input_ids] through `weight` (d x 2d) and
+    the tied embedding table. Gradients cover every embedding occurrence,
+    the projection, and `weight` under `name`."""
+    d = model.dim
+    pooled, cache = encode_ids(model, [encoded_ids])
+    x = np.concatenate([np.tile(pooled[0], (len(input_ids), 1)),
+                        model.embedding[input_ids]], axis=1)
+    hidden = x @ weight.T
+    loss, d_logits = token_cross_entropy(hidden @ model.embedding.T, target_ids)
+
+    grads = new_grads(model)
+    d_hidden = d_logits @ model.embedding
+    grads["embedding"] += d_logits.T @ hidden
+    grads[name] = d_hidden.T @ x
+    d_x = d_hidden @ weight
+    np.add.at(grads["embedding"], input_ids, d_x[:, d:])
+    encode_backward(model, cache, d_x[:, :d].sum(axis=0, keepdims=True), grads)
+    return loss, grads
 
 
 # --- denoising autoencoder ----------------------------------------------------
@@ -119,28 +148,10 @@ def tsdae_loss(model: EncoderModel, decoder: TsdaeDecoder,
     original = list(original_tokens)
     if not original:
         raise ValueError("original sequence must be non-empty")
-    d = model.dim
     o_ids = model.token_ids(original)
-    c_ids = model.token_ids(corrupted_tokens)
-
-    z_mat, cache = encode_ids(model, [c_ids])
-    z = z_mat[0]
-    prev_ids = np.concatenate([[BOS_INDEX], o_ids[:-1]])
-    x = np.concatenate([np.tile(z, (o_ids.size, 1)),
-                        model.embedding[prev_ids]], axis=1)
-    hidden = x @ decoder.weight.T
-    logits = hidden @ model.embedding.T
-    loss, d_logits = token_cross_entropy(logits, o_ids)
-
-    grads = new_grads(model)
-    grads["decoder"] = np.zeros_like(decoder.weight)
-    d_hidden = d_logits @ model.embedding
-    grads["embedding"] += d_logits.T @ hidden
-    grads["decoder"] += d_hidden.T @ x
-    d_x = d_hidden @ decoder.weight
-    np.add.at(grads["embedding"], prev_ids, d_x[:, d:])
-    encode_backward(model, cache, d_x[:, :d].sum(axis=0, keepdims=True), grads)
-    return loss, grads
+    return _pooled_head_loss(model, decoder.weight, "decoder",
+                             model.token_ids(corrupted_tokens),
+                             np.concatenate([[BOS_INDEX], o_ids[:-1]]), o_ids)
 
 
 # --- masked-token prediction --------------------------------------------------
@@ -315,32 +326,13 @@ def condensor_loss(model: EncoderModel, head: np.ndarray, tokens: Sequence[str],
     token-embedding state at position i]; requires CLS pooling."""
     if model.pooling != "cls":
         raise ValueError("this objective requires CLS pooling")
-    d = model.dim
     ids = model.token_ids(tokens)
     if not list(tokens):
         raise ValueError("cannot mask an empty sequence")
     corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
-    original = np.asarray(ids, dtype=int)
     corrupted = np.asarray(corrupted, dtype=int)
-    sel = np.asarray(positions, dtype=int)
-
-    cls_mat, cache = encode_ids(model, [corrupted])
-    cls_out = cls_mat[0]
-    x = np.concatenate([np.tile(cls_out, (sel.size, 1)),
-                        model.embedding[corrupted[sel]]], axis=1)
-    hidden = x @ head.T
-    logits = hidden @ model.embedding.T
-    loss, d_logits = token_cross_entropy(logits, original[sel])
-
-    grads = new_grads(model)
-    grads["head"] = np.zeros_like(head)
-    d_hidden = d_logits @ model.embedding
-    grads["embedding"] += d_logits.T @ hidden
-    grads["head"] += d_hidden.T @ x
-    d_x = d_hidden @ head
-    np.add.at(grads["embedding"], corrupted[sel], d_x[:, d:])
-    encode_backward(model, cache, d_x[:, :d].sum(axis=0, keepdims=True), grads)
-    return loss, grads
+    return _pooled_head_loss(model, head, "head", corrupted,
+                             corrupted[positions], ids[positions])
 
 
 # --- multi-task schedule -------------------------------------------------------
@@ -365,7 +357,10 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[str],
     grads = new_grads(model)
     mlm_total = 0.0
     for text in mlm_batch:
-        loss_i, grads_i = mlm_corrupt_and_loss(model, tokenize(text), mask_ratio, rng)
+        tokens = tokenize(text)
+        if not tokens:  # nothing to mask; still counts in the mean
+            continue
+        loss_i, grads_i = mlm_corrupt_and_loss(model, tokens, mask_ratio, rng)
         mlm_total += loss_i
         for name in grads:
             grads[name] += grads_i[name] * (mix_weight / len(mlm_batch))
@@ -381,12 +376,92 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[str],
 
 # --- training loop -------------------------------------------------------------
 
+StepFn = Callable[[int, np.ndarray], tuple[float, dict[str, np.ndarray]]]
+
 
 def _clone_fresh(model: EncoderModel, seed: int) -> EncoderModel:
     rng = np.random.default_rng(seed)
     embedding = rng.normal(0.0, 0.05, size=model.embedding.shape)
     return EncoderModel(dict(model.vocab), embedding, np.eye(model.dim),
                         model.pooling, model.similarity, model.max_seq_len)
+
+
+def _item_step(model: EncoderModel, texts: Sequence[str], cfg: PretrainConfig,
+               item_loss: Callable, aux: dict[str, np.ndarray]) -> StepFn:
+    """A step averaging a per-item loss over the batch's non-empty texts
+    (the divisor stays the batch size). `item_loss(tokens, seed)` returns
+    (loss, grads); `aux` holds the objective's own weights by gradient
+    name, which the step updates in place."""
+
+    def step_fn(step: int, batch: np.ndarray):
+        grads = new_grads(model)
+        grads.update((name, np.zeros_like(w)) for name, w in aux.items())
+        total = 0.0
+        for j, i in enumerate(batch):
+            tokens = tokenize(texts[i])
+            if not tokens:
+                continue
+            loss, g = item_loss(tokens, derive_seed(cfg.seed, "item", step, j))
+            total += loss
+            for name in g:
+                grads[name] += g[name] / len(batch)
+        for name, w in aux.items():
+            w -= cfg.learning_rate * grads.pop(name)
+        return total / len(batch), grads
+
+    return step_fn
+
+
+def _objective_step(model: EncoderModel, texts: Sequence[str],
+                    cfg: PretrainConfig) -> StepFn:
+    """The objective's step: (step, batch of text indices) -> (loss, grads)."""
+    loss_cfg = LossConfig(tau=cfg.tau)
+    if cfg.method == "tsdae":
+        decoder = init_tsdae_decoder(model.dim, derive_seed(cfg.seed, "decoder"))
+        return _item_step(model, texts, cfg, lambda tokens, seed: tsdae_loss(
+            model, decoder, tokens,
+            tsdae_corrupt(tokens, cfg.deletion_ratio, seed)),
+            {"decoder": decoder.weight})
+    if cfg.method == "mlm":
+        return _item_step(model, texts, cfg, lambda tokens, seed:
+                          mlm_corrupt_and_loss(model, tokens, cfg.mask_ratio,
+                                               seed), {})
+    if cfg.method == "cd":
+        if model.pooling != "cls":
+            raise ValueError("this objective requires CLS pooling")
+        head = init_condensor_head(model.dim, derive_seed(cfg.seed, "head"))
+        return _item_step(model, texts, cfg, lambda tokens, seed: condensor_loss(
+            model, head, tokens, cfg.mask_ratio, seed), {"head": head})
+    if cfg.method == "simcse":
+        return lambda step, batch: simcse_step(
+            model, [texts[i] for i in batch], loss_cfg, cfg.dropout_rate,
+            derive_seed(cfg.seed, "item", step))
+    if cfg.method == "ct":
+        peer = _clone_fresh(model, derive_seed(cfg.seed, "peer"))
+        peer_opt = OptimizerState(cfg.learning_rate)
+
+        def ct_step_fn(step: int, batch: np.ndarray):
+            loss, grads, peer_grads = ct_step(
+                [(texts[i], texts[i]) for i in batch], model, peer, loss_cfg)
+            apply_gradients(peer, peer_grads, peer_opt)
+            return loss, grads
+
+        return ct_step_fn
+
+    sentences = [split_sentences(t) for t in texts]
+    if not any(sentences):
+        raise ValueError("no passages with sentences")
+
+    def ict_step_fn(step: int, batch: np.ndarray):
+        examples = [ict_example(sentences[i], cfg.ict_mask_prob,
+                                derive_seed(cfg.seed, "item", step, j))
+                    for j, i in enumerate(batch) if sentences[i]]
+        if not examples:  # no passage of the batch has a sentence
+            return 0.0, {}
+        return mnrl_step(model, [model.token_ids(q) for q, _ in examples],
+                         [[model.token_ids(c) for _, c in examples]], loss_cfg)
+
+    return ict_step_fn
 
 
 def pretrain(model: EncoderModel, passages: Sequence[Passage],
@@ -400,94 +475,12 @@ def pretrain(model: EncoderModel, passages: Sequence[Passage],
     texts = [passage_text(p) for p in passages]
     if not texts:
         raise ValueError("empty corpus")
-    loss_cfg = LossConfig(tau=cfg.tau, similarity=cfg.similarity)
-    opt = OptimizerState(cfg.learning_rate)
+    step_fn = _objective_step(model, texts, cfg)
+    size = min(cfg.batch_size, len(texts))
 
-    decoder = head = model_b = opt_b = None
-    if cfg.method == "tsdae":
-        decoder = init_tsdae_decoder(model.dim, derive_seed(cfg.seed, "decoder"))
-    elif cfg.method == "cd":
-        if model.pooling != "cls":
-            raise ValueError("this objective requires CLS pooling")
-        head = init_condensor_head(model.dim, derive_seed(cfg.seed, "head"))
-    elif cfg.method == "ct":
-        model_b = _clone_fresh(model, derive_seed(cfg.seed, "peer"))
-        opt_b = OptimizerState(cfg.learning_rate)
-
-    sentences = None
-    if cfg.method == "ict":
-        sentences = [split_sentences(t) for t in texts]
-        usable = [i for i, s in enumerate(sentences) if s]
-        if not usable:
-            raise ValueError("no passages with sentences")
-
-    n = len(texts)
-    for step in range(1, cfg.steps + 1):
+    def batch_step(step: int) -> tuple[float, dict[str, np.ndarray]]:
         rng = np.random.default_rng(derive_seed(cfg.seed, "batch", step))
-        batch = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        return step_fn(step, rng.choice(len(texts), size=size, replace=False))
 
-        if cfg.method in ("tsdae", "mlm", "cd"):
-            grads = new_grads(model)
-            if cfg.method == "tsdae":
-                grads["decoder"] = np.zeros_like(decoder.weight)
-            elif cfg.method == "cd":
-                grads["head"] = np.zeros_like(head)
-            for j, i in enumerate(batch):
-                tokens = tokenize(texts[i])
-                if not tokens:
-                    continue
-                item_rng = np.random.default_rng(
-                    derive_seed(cfg.seed, "item", step, j))
-                if cfg.method == "tsdae":
-                    corrupted = tsdae_corrupt(tokens, cfg.deletion_ratio, item_rng)
-                    _, g = tsdae_loss(model, decoder, tokens, corrupted)
-                elif cfg.method == "mlm":
-                    _, g = mlm_corrupt_and_loss(model, tokens, cfg.mask_ratio,
-                                                item_rng)
-                else:
-                    _, g = condensor_loss(model, head, tokens, cfg.mask_ratio,
-                                          item_rng)
-                for name in g:
-                    grads[name] += g[name] / len(batch)
-            aux = {name: grads.pop(name) for name in ("decoder", "head")
-                   if name in grads}
-            apply_gradients(model, grads, opt)
-            if "decoder" in aux:
-                decoder.weight -= cfg.learning_rate * aux["decoder"]
-            if "head" in aux:
-                head -= cfg.learning_rate * aux["head"]
-
-        elif cfg.method == "ict":
-            examples = []
-            for j, i in enumerate(batch):
-                if not sentences[i]:
-                    continue
-                item_rng = np.random.default_rng(
-                    derive_seed(cfg.seed, "item", step, j))
-                examples.append(ict_example(sentences[i], cfg.ict_mask_prob,
-                                            item_rng))
-            if not examples:
-                continue
-            q_texts = [q for q, _ in examples]
-            c_texts = [c for _, c in examples]
-            q_out, q_cache = encode_ids(model, [model.token_ids(t) for t in q_texts])
-            c_out, c_cache = encode_ids(model, [model.token_ids(t) for t in c_texts])
-            loss, grad_q, grad_c = mnrl_loss(q_out, c_out, loss_cfg)
-            grads = new_grads(model)
-            encode_backward(model, q_cache, grad_q, grads)
-            encode_backward(model, c_cache, grad_c, grads)
-            apply_gradients(model, grads, opt)
-
-        elif cfg.method == "simcse":
-            step_rng = np.random.default_rng(derive_seed(cfg.seed, "item", step))
-            _, grads = simcse_step(model, [texts[i] for i in batch], loss_cfg,
-                                   cfg.dropout_rate, step_rng)
-            apply_gradients(model, grads, opt)
-
-        elif cfg.method == "ct":
-            pairs = [(texts[i], texts[i]) for i in batch]
-            _, grads_a, grads_b = ct_step(pairs, model, model_b, loss_cfg)
-            apply_gradients(model, grads_a, opt)
-            apply_gradients(model_b, grads_b, opt_b)
-
-    return model
+    return fit(model, batch_step, cfg.steps,
+               TrainRunConfig(learning_rate=cfg.learning_rate))[0]

@@ -1,32 +1,30 @@
-"""Distillation and contrastive losses plus the two fine-tuning loops:
-margin regression on pseudo-labeled tuples, and in-batch softmax ranking
-on generated (query, passage) pairs."""
+"""Distillation and contrastive losses, their batch steps, and the one
+training loop `fit` that every trainer runs: margin regression on
+pseudo-labeled tuples, in-batch softmax ranking on generated (query,
+passage) pairs, and (in `pretraining`) the pre-training objectives."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Passage, Query, passage_text
-from .labeling import GPLDataset
+from .labeling import GPLDataset, sample_tuple
 from .mining import PoolEntry
 from .models import (EncoderModel, OptimizerState, apply_gradients,
                      encode_backward, encode_ids, new_grads, save_model)
 from .util import derive_seed
-
-DEFAULT_TAU = 20.0
-DEFAULT_LEARNING_RATE = 2e-3
 
 
 @dataclass(frozen=True)
 class LossConfig:
     """Softmax-ranking loss knobs: sharpness scale tau and similarity."""
 
-    tau: float = DEFAULT_TAU
+    tau: float = 20.0
     similarity: str = "cosine"
 
     def __post_init__(self):
@@ -43,7 +41,7 @@ class TrainRunConfig:
     steps: int | None = None
     batch_size: int = 32
     seed: int = 0
-    learning_rate: float = DEFAULT_LEARNING_RATE
+    learning_rate: float = 2e-3
     log_every: int = 1
     checkpoint_every: int = 0
 
@@ -52,6 +50,10 @@ class TrainRunConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 def margin_mse_loss(predicted_margins: np.ndarray, target_margins: np.ndarray
@@ -90,6 +92,23 @@ def margin_mse_step(model: EncoderModel, q_ids: Sequence[Sequence[int]],
     return loss
 
 
+def mnrl_step(model: EncoderModel, q_ids: Sequence[Sequence[int]],
+              groups: Sequence[Sequence[Sequence[int]]], loss_cfg: LossConfig
+              ) -> tuple[float, dict[str, np.ndarray]]:
+    """In-batch ranking loss of one batch of query token-id lists against
+    the candidates of every group, stacked in order; each group holds one
+    candidate per query, and group 0 holds the positives. Returns (loss,
+    gradients)."""
+    q_out, q_cache = encode_ids(model, q_ids)
+    outs, caches = zip(*(encode_ids(model, ids) for ids in groups))
+    loss, grad_q, grad_c = mnrl_loss(q_out, np.vstack(outs), loss_cfg)
+    grads = new_grads(model)
+    encode_backward(model, q_cache, grad_q, grads)
+    for cache, grad in zip(caches, np.split(grad_c, len(groups))):
+        encode_backward(model, cache, grad, grads)
+    return loss, grads
+
+
 def mnrl_loss(query_embs: np.ndarray, passage_embs: np.ndarray,
               cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """In-batch softmax ranking loss with scale tau.
@@ -107,16 +126,14 @@ def mnrl_loss(query_embs: np.ndarray, passage_embs: np.ndarray,
     if m < 1 or n < m:
         raise ValueError("need at least one query and a candidate per query")
 
-    if cfg.similarity == "dot":
-        sims = q @ p.T
-    else:
+    q_in, p_in = q, p
+    if cfg.similarity == "cosine":
         qn = np.linalg.norm(q, axis=1)
         pn = np.linalg.norm(p, axis=1)
         if np.any(qn == 0.0) or np.any(pn == 0.0):
             raise ValueError("cosine similarity undefined for zero embeddings")
-        q_unit = q / qn[:, None]
-        p_unit = p / pn[:, None]
-        sims = q_unit @ p_unit.T
+        q_in, p_in = q / qn[:, None], p / pn[:, None]
+    sims = q_in @ p_in.T
 
     scaled = cfg.tau * sims
     shift = scaled - scaled.max(axis=1, keepdims=True)
@@ -131,17 +148,36 @@ def mnrl_loss(query_embs: np.ndarray, passage_embs: np.ndarray,
     d_scaled[np.arange(m), np.arange(m)] -= 1.0 / m
     d_sims = cfg.tau * d_scaled
 
-    if cfg.similarity == "dot":
-        grad_q = d_sims @ p
-        grad_p = d_sims.T @ q
-    else:
-        g_qu = d_sims @ p_unit
-        g_pu = d_sims.T @ q_unit
-        grad_q = (g_qu - (g_qu * q_unit).sum(axis=1, keepdims=True) * q_unit) \
+    grad_q, grad_p = d_sims @ p_in, d_sims.T @ q_in
+    if cfg.similarity == "cosine":  # project out each unit vector's direction
+        grad_q = (grad_q - (grad_q * q_in).sum(axis=1, keepdims=True) * q_in) \
             / qn[:, None]
-        grad_p = (g_pu - (g_pu * p_unit).sum(axis=1, keepdims=True) * p_unit) \
+        grad_p = (grad_p - (grad_p * p_in).sum(axis=1, keepdims=True) * p_in) \
             / pn[:, None]
     return loss, grad_q, grad_p
+
+
+def fit(model: EncoderModel,
+        step_fn: Callable[[int], tuple[float, dict[str, np.ndarray]]],
+        steps: int, cfg: TrainRunConfig,
+        checkpoint_dir: str | Path | None = None
+        ) -> tuple[EncoderModel, list[tuple[int, float]]]:
+    """The training loop: for step 1..steps, `step_fn(step)` returns
+    (loss, gradients) and one SGD update applies them. Logs (step, loss)
+    at multiples of log_every and at the last step, and writes
+    ckpt-<step>.json into checkpoint_dir at multiples of checkpoint_every."""
+    opt = OptimizerState(cfg.learning_rate)
+    trace: list[tuple[int, float]] = []
+    for step in range(1, steps + 1):
+        loss, grads = step_fn(step)
+        apply_gradients(model, grads, opt)
+        del grads  # free them before the next step allocates its own
+        if step % cfg.log_every == 0 or step == steps:
+            trace.append((step, loss))
+        if checkpoint_dir and cfg.checkpoint_every and \
+                step % cfg.checkpoint_every == 0:
+            save_model(model, Path(checkpoint_dir) / f"ckpt-{step}.json")
+    return model, trace
 
 
 def _epoch_batches(n_items: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:
@@ -152,10 +188,6 @@ def _epoch_batches(n_items: int, batch_size: int, seed: int) -> Iterator[np.ndar
         for start in range(0, n_items, batch_size):
             yield order[start:start + batch_size]
         epoch += 1
-
-
-def _texts_by_id(corpus: Sequence[Passage]) -> dict[str, str]:
-    return {p.id: passage_text(p) for p in corpus}
 
 
 def gpl_train(model: EncoderModel, dataset: GPLDataset,
@@ -175,7 +207,7 @@ def gpl_train(model: EncoderModel, dataset: GPLDataset,
     steps = cfg.steps if cfg.steps is not None else \
         math.ceil(len(dataset.tuples) / cfg.batch_size)
 
-    passage_texts = _texts_by_id(corpus)
+    passage_texts = {p.id: passage_text(p) for p in corpus}
     query_texts = {q.id: q.text for q in queries}
     # Tokenize each distinct text once; a stream repeats queries and passages.
     query_tokens = {qid: model.token_ids(query_texts[qid])
@@ -187,31 +219,25 @@ def gpl_train(model: EncoderModel, dataset: GPLDataset,
     p_ids = [passage_tokens[t.pos_id] for t in dataset.tuples]
     n_ids = [passage_tokens[t.neg_id] for t in dataset.tuples]
     targets = np.asarray([t.margin for t in dataset.tuples], dtype=float)
-
-    opt = OptimizerState(cfg.learning_rate)
-    trace: list[tuple[int, float]] = []
     batches = _epoch_batches(len(dataset.tuples), cfg.batch_size, cfg.seed)
-    for step in range(1, steps + 1):
+
+    def step_fn(step: int) -> tuple[float, dict[str, np.ndarray]]:
         batch = next(batches)
         grads = new_grads(model)
         loss = margin_mse_step(model, [q_ids[i] for i in batch],
                                [p_ids[i] for i in batch],
                                [n_ids[i] for i in batch], targets[batch],
                                grads, 1.0)
-        apply_gradients(model, grads, opt)
+        return loss, grads
 
-        if step % cfg.log_every == 0 or step == steps:
-            trace.append((step, loss))
-        if checkpoint_dir and cfg.checkpoint_every and \
-                step % cfg.checkpoint_every == 0:
-            save_model(model, Path(checkpoint_dir) / f"ckpt-{step}.json")
-    return model, trace
+    return fit(model, step_fn, steps, cfg, checkpoint_dir)
 
 
 def qgen_train(model: EncoderModel, queries: Sequence[Query],
                corpus: Sequence[Passage], cfg: TrainRunConfig,
                negatives: Mapping[str, PoolEntry] | None = None,
-               loss_cfg: LossConfig | None = None
+               loss_cfg: LossConfig | None = None,
+               checkpoint_dir: str | Path | None = None
                ) -> tuple[EncoderModel, list[tuple[int, float]]]:
     """In-batch softmax fine-tuning on (generated query, source passage) pairs.
 
@@ -225,9 +251,9 @@ def qgen_train(model: EncoderModel, queries: Sequence[Query],
     if cfg.batch_size < 2:
         raise ValueError("batch_size must be >= 2: a single-pair batch has "
                          "zero loss by construction")
-    loss_cfg = loss_cfg or LossConfig(similarity="cosine")
+    loss_cfg = loss_cfg or LossConfig()
 
-    passage_texts = _texts_by_id(corpus)
+    passage_texts = {p.id: passage_text(p) for p in corpus}
     usable = [q for q in queries if q.source_passage_id is not None]
     if negatives is not None:
         usable = [q for q in usable
@@ -237,41 +263,25 @@ def qgen_train(model: EncoderModel, queries: Sequence[Query],
 
     neg_ids = []
     if negatives is not None:
-        from .labeling import sample_tuple  # local import avoids a cycle
         neg_ids = [sample_tuple(q, negatives[q.id], cfg.seed)[1] for q in usable]
     # Tokenize each distinct passage once; queries share source passages.
     passage_tokens = {pid: model.token_ids(passage_texts[pid]) for pid in
                       {q.source_passage_id for q in usable} | set(neg_ids)}
     q_ids = [model.token_ids(q.text) for q in usable]
-    p_ids = [passage_tokens[q.source_passage_id] for q in usable]
-    n_ids = [passage_tokens[pid] for pid in neg_ids]
+    groups = [[passage_tokens[q.source_passage_id] for q in usable]]
+    if negatives is not None:
+        groups.append([passage_tokens[pid] for pid in neg_ids])
 
     steps = cfg.steps if cfg.steps is not None else \
         math.ceil(len(usable) / cfg.batch_size)
-    opt = OptimizerState(cfg.learning_rate)
-    trace: list[tuple[int, float]] = []
     batches = _epoch_batches(len(usable), cfg.batch_size, cfg.seed)
-    for step in range(1, steps + 1):
+
+    def step_fn(step: int) -> tuple[float, dict[str, np.ndarray]]:
         batch = next(batches)
-        q_out, q_cache = encode_ids(model, [q_ids[i] for i in batch])
-        p_out, p_cache = encode_ids(model, [p_ids[i] for i in batch])
-        if negatives is not None:
-            n_out, n_cache = encode_ids(model, [n_ids[i] for i in batch])
-            candidates = np.vstack([p_out, n_out])
-            loss, grad_q, grad_c = mnrl_loss(q_out, candidates, loss_cfg)
-            grads = new_grads(model)
-            encode_backward(model, q_cache, grad_q, grads)
-            encode_backward(model, p_cache, grad_c[: len(batch)], grads)
-            encode_backward(model, n_cache, grad_c[len(batch):], grads)
-        else:
-            loss, grad_q, grad_p = mnrl_loss(q_out, p_out, loss_cfg)
-            grads = new_grads(model)
-            encode_backward(model, q_cache, grad_q, grads)
-            encode_backward(model, p_cache, grad_p, grads)
-        apply_gradients(model, grads, opt)
-        if step % cfg.log_every == 0 or step == steps:
-            trace.append((step, loss))
-    return model, trace
+        return mnrl_step(model, [q_ids[i] for i in batch],
+                         [[ids[i] for i in batch] for ids in groups], loss_cfg)
+
+    return fit(model, step_fn, steps, cfg, checkpoint_dir)
 
 
 def write_loss_trace(trace: Sequence[tuple[int, float]], path: str | Path) -> None:

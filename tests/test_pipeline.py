@@ -324,6 +324,14 @@ class TestCache:
             ["loss-trace.csv", "model-final.json", "provenance.json"]
         assert not list(train.parent.glob("train.*"))
 
+    def test_qgen_checkpoints_written(self, tmp_path):
+        run_pipeline(small_config(tmp_path, tmp_path / "out", train={
+            "qgen": {"steps": 10, "batch_size": 4, "learning_rate": 0.01,
+                     "tau": 20.0, "checkpoint_every": 5}}), "qgen")
+        train = tmp_path / "out" / "toy" / "qgen" / "train"
+        assert sorted(p.name for p in train.glob("ckpt-*.json")) == \
+            ["ckpt-10.json", "ckpt-5.json"]
+
     def test_provenance_sidecars_written(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")

@@ -9,7 +9,8 @@ import pytest
 from denseadapt import (LossConfig, Passage, finite_diff_gradcheck,
                         init_encoder, mnrl_loss)
 from denseadapt.models import NUM_RESERVED, encode_ids, new_grads
-from denseadapt.pretraining import (PretrainConfig, condensor_loss, ct_step,
+from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig,
+                                    condensor_loss, ct_step,
                                     ict_example, init_condensor_head,
                                     init_tsdae_decoder, mlm_corrupt,
                                     mlm_corrupt_and_loss, pretrain,
@@ -310,6 +311,18 @@ class TestUdalm:
                                  mix_weight=0.0, rng=5)
         assert half == pytest.approx(0.5 * mlm_part + 0.5 * mse_part)
 
+    def test_empty_target_text_adds_nothing(self, model):
+        # an empty passage has nothing to mask: it adds no loss and no
+        # gradient, and the masked part still divides by the batch size
+        loss_one, grads_one = udalm_step(model, ["w0 w1 w2"], self.source_batch(),
+                                         mix_weight=1.0, rng=5)
+        loss_two, grads_two = udalm_step(model, ["w0 w1 w2", ""],
+                                         self.source_batch(), mix_weight=1.0,
+                                         rng=5)
+        assert loss_two == pytest.approx(loss_one / 2)
+        for name in grads_one:
+            np.testing.assert_allclose(grads_two[name], grads_one[name] / 2)
+
     def test_gradcheck(self, model):
         def loss_fn(m):
             return udalm_step(m, ["w0 w1 w2", "w3 w4"], self.source_batch(),
@@ -348,15 +361,25 @@ class TestPretrainLoop:
         pretrain(model, self.corpus(), cfg)
         assert np.any(model.embedding != before)
 
-    def test_deterministic(self):
-        cfg = PretrainConfig(method="tsdae", steps=4, batch_size=4,
+    @pytest.mark.parametrize("method", PRETRAIN_METHODS)
+    def test_deterministic(self, method):
+        cfg = PretrainConfig(method=method, steps=4, batch_size=4,
                              learning_rate=0.05, seed=8)
-        m1 = init_encoder(TOKENS, dim=6, seed=1, init_scale=0.2)
-        m2 = init_encoder(TOKENS, dim=6, seed=1, init_scale=0.2)
+        pooling = "cls" if method == "cd" else "mean"
+        m1 = init_encoder(TOKENS, dim=6, seed=1, init_scale=0.2, pooling=pooling)
+        m2 = init_encoder(TOKENS, dim=6, seed=1, init_scale=0.2, pooling=pooling)
+        before = m1.embedding.copy()
         pretrain(m1, self.corpus(), cfg)
         pretrain(m2, self.corpus(), cfg)
+        assert np.any(m1.embedding != before)
         np.testing.assert_array_equal(m1.embedding, m2.embedding)
+        np.testing.assert_array_equal(m1.projection, m2.projection)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             PretrainConfig(method="nope")
+
+    @pytest.mark.parametrize("field", ["steps", "batch_size"])
+    def test_empty_schedule_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            PretrainConfig(**{field: 0})

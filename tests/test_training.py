@@ -11,6 +11,8 @@ from denseadapt import (LossConfig, Passage, Query, TrainRunConfig,
                         margin_mse_loss, mnrl_loss, qgen_train)
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import PoolEntry
+from denseadapt.models import new_grads
+from denseadapt.training import fit
 
 TOKENS = [f"w{i}" for i in range(20)]
 
@@ -120,6 +122,42 @@ class TestMNRL:
         loss_plain, _, _ = mnrl_loss(q, p, cfg)
         loss_hard, _, _ = mnrl_loss(q, np.vstack([p, extra]), cfg)
         assert loss_hard > loss_plain
+
+
+class TestFit:
+    def test_logged_and_checkpoint_steps(self, tmp_path):
+        model = init_encoder(TOKENS, dim=4, seed=0)
+        calls = []
+
+        def step_fn(step):
+            calls.append(step)
+            return float(step), new_grads(model)
+
+        cfg = TrainRunConfig(log_every=4, checkpoint_every=3)
+        out, trace = fit(model, step_fn, 10, cfg, checkpoint_dir=tmp_path)
+        assert out is model
+        assert calls == list(range(1, 11))
+        # multiples of log_every, then the last step
+        assert trace == [(4, 4.0), (8, 8.0), (10, 10.0)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ckpt-3.json", "ckpt-6.json", "ckpt-9.json"]
+
+    def test_no_checkpoint_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        model = init_encoder(TOKENS, dim=4, seed=0)
+        _, trace = fit(model, lambda step: (0.5, new_grads(model)), 4,
+                       TrainRunConfig(log_every=2, checkpoint_every=1))
+        assert trace == [(2, 0.5), (4, 0.5)]
+        assert not list(tmp_path.iterdir())
+
+
+class TestTrainRunConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("log_every", 0), ("checkpoint_every", -3), ("steps", 0),
+        ("batch_size", 0)])
+    def test_bad_schedule_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainRunConfig(**{field: value})
 
 
 def tuple_dataset(tuples):
@@ -254,6 +292,14 @@ class TestQgenTrain:
         assert float(q[0] @ shifted[2]) < float(q[0] @ candidates[2])
         loss1, _, _ = mnrl_loss(q, shifted, cfg)
         assert loss1 < loss0
+
+    def test_checkpoints_written(self, tmp_path):
+        corpus, queries = self.make_world()
+        model = init_encoder(TOKENS, dim=4, seed=0, similarity="cosine")
+        cfg = TrainRunConfig(steps=6, batch_size=2, checkpoint_every=3)
+        qgen_train(model, queries, corpus, cfg, checkpoint_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ckpt-3.json", "ckpt-6.json"]
 
     def test_hard_negative_mode_trains_and_uses_pools(self):
         corpus, queries = self.make_world()
