@@ -22,7 +22,7 @@ from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolEntry,
 from .models import (CrossEncoderScorer, EncoderModel, GradCheckReport,
                      OptimizerState, QueryGenerator, apply_gradients,
                      encode_batch, finite_diff_gradcheck, init_encoder,
-                     lexical_overlap_ce, load_model, save_model, similarity)
+                     lexical_overlap_ce, load_model, save_model)
 from .pipeline import (CacheManifest, PipelineConfig, PipelineError,
                        parse_method, run_pipeline, run_stage)
 from .pretraining import (PretrainConfig, condensor_loss, ct_step,

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,47 +24,59 @@ DEFAULT_N_PER_RETRIEVER = 50
 
 @dataclass
 class BM25Index:
-    """Inverted index with the statistics BM25 needs.
+    """Inverted index in CSR form with the statistics BM25 needs.
 
+    The postings of term t are rows indptr[terms[t]] : indptr[terms[t] + 1]
+    of `doc` (passage positions in corpus order, ascending) and `tf`.
+    `ids` are the passage ids in corpus order and
+    norm[i] = k1 * (1 - b + b * dl_i / avgdl) for passage i of length dl_i.
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which keeps idf >= 0.
     """
 
-    postings: dict[str, list[tuple[str, int]]]
-    doc_len: dict[str, int]
+    terms: dict[str, int]
+    indptr: np.ndarray
+    doc: np.ndarray
+    tf: np.ndarray
+    ids: list[str]
+    norm: np.ndarray
     avgdl: float
     n_docs: int
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    _tf: dict[str, dict[str, int]] = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not self._tf:
-            self._tf = {t: dict(pairs) for t, pairs in self.postings.items()}
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (doc, tf) slices of a term; empty for an unknown term."""
+        row = self.terms.get(term)
+        lo, hi = (0, 0) if row is None else (self.indptr[row], self.indptr[row + 1])
+        return self.doc[lo:hi], self.tf[lo:hi]
 
     def idf(self, term: str) -> float:
-        pairs = self.postings.get(term)
-        if not pairs:
-            return 0.0
-        df = len(pairs)
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        df = len(self.postings(term)[0])
+        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5)) if df else 0.0
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {pid: i for i, pid in enumerate(self.ids)}
 
 
 def build_bm25_index(passages: Sequence[Passage], k1: float = DEFAULT_K1,
                      b: float = DEFAULT_B) -> BM25Index:
     if not passages:
         raise ValueError("cannot index an empty corpus")
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_len: dict[str, int] = {}
-    for p in passages:
+    terms: dict[str, int] = {}
+    postings, lengths = array("i"), []  # (term row, passage, tf) triples
+    for i, p in enumerate(passages):
         tokens = tokenize(passage_text(p))
-        doc_len[p.id] = len(tokens)
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for t, c in counts.items():
-            postings.setdefault(t, []).append((p.id, c))
-    avgdl = sum(doc_len.values()) / len(doc_len)
-    return BM25Index(postings, doc_len, avgdl, len(passages), k1, b)
+        lengths.append(len(tokens))
+        for t, c in Counter(tokens).items():
+            postings.extend((terms.setdefault(t, len(terms)), i, c))
+    rows, docs, tfs = np.frombuffer(postings, dtype=np.int32).reshape(-1, 3).T
+    order = np.argsort(rows, kind="stable")  # each term's docs stay ascending
+    avgdl = sum(lengths) / len(lengths)
+    norm = k1 * (1.0 - b + b * np.asarray(lengths, dtype=np.float64) / avgdl)
+    return BM25Index(terms, np.searchsorted(rows[order], np.arange(len(terms) + 1)),
+                     docs[order], tfs[order].astype(np.float64),
+                     [p.id for p in passages], norm, avgdl, len(passages), k1, b)
 
 
 def bm25_score(index: BM25Index, query_tokens: Sequence[str],
@@ -71,43 +86,48 @@ def bm25_score(index: BM25Index, query_tokens: Sequence[str],
     Repeated query terms contribute once per occurrence in the query; terms
     absent from the passage contribute 0.
     """
-    if passage_id not in index.doc_len:
+    i = index.position.get(passage_id)
+    if i is None:
         raise KeyError(f"unknown passage id {passage_id!r}")
-    dl = index.doc_len[passage_id]
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
+    norm = float(index.norm[i])
     score = 0.0
     for term in query_tokens:
-        tf = index._tf.get(term, {}).get(passage_id, 0)
-        if tf == 0:
-            continue
-        score += index.idf(term) * tf * (index.k1 + 1.0) / (tf + norm)
+        doc, tf = index.postings(term)
+        j = doc.searchsorted(i)
+        if j < len(doc) and doc[j] == i:
+            t = float(tf[j])
+            score += index.idf(term) * t * (index.k1 + 1.0) / (t + norm)
     return score
 
 
+def _id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each position's rank in ascending id order."""
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+
+
 class BM25Retriever:
-    """Full-scan BM25 scorer; unmatched passages score 0."""
+    """Full-scan BM25 scores over the CSR index; unmatched passages score 0."""
 
     def __init__(self, index: BM25Index, name: str = "bm25"):
         self.index = index
         self.name = name
+        self.ids = index.ids
+        self.id_rank = _id_rank(index.ids)
 
-    def score_all(self, query_text: str) -> dict[str, float]:
+    def scores(self, query_text: str) -> np.ndarray:
+        """Scores in corpus order, summed token by token as bm25_score sums."""
         index = self.index
-        scores = dict.fromkeys(index.doc_len, 0.0)
+        scores = np.zeros(index.n_docs)
         for term in tokenize(query_text):
-            pairs = index._tf.get(term)
-            if not pairs:
-                continue
-            idf = index.idf(term)
-            for pid, tf in pairs.items():
-                dl = index.doc_len[pid]
-                norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-                scores[pid] += idf * tf * (index.k1 + 1.0) / (tf + norm)
+            doc, tf = index.postings(term)
+            if len(doc):
+                scores[doc] += index.idf(term) * tf * (index.k1 + 1.0) / \
+                    (tf + index.norm[doc])
         return scores
 
 
 class DenseRetriever:
-    """Exact brute-force dense scorer over a precomputed passage matrix."""
+    """Exact brute-force dense scores from a precomputed passage matrix."""
 
     def __init__(self, model: EncoderModel, passages: Sequence[Passage],
                  similarity: str | None = None, name: str = "dense"):
@@ -117,6 +137,7 @@ class DenseRetriever:
         if self.similarity not in ("dot", "cosine"):
             raise ValueError(f"unknown similarity {self.similarity!r}")
         self.ids = [p.id for p in passages]
+        self.id_rank = _id_rank(self.ids)
         self.matrix = encode_batch(model, [passage_text(p) for p in passages])
         if self.similarity == "cosine":
             norms = np.linalg.norm(self.matrix, axis=1)
@@ -124,30 +145,38 @@ class DenseRetriever:
                 raise ValueError("cosine similarity undefined for zero embeddings")
             self._unit = self.matrix / norms[:, None]
 
-    def score_all(self, query_text: str) -> dict[str, float]:
+    def scores(self, query_text: str) -> np.ndarray:
+        """One score per passage in corpus order: a matrix-vector product
+        with the query's embedding (unit-normalized under cosine)."""
         q = encode_batch(self.model, [query_text])[0]
         if self.similarity == "dot":
-            scores = self.matrix @ q
-        else:
-            qn = np.linalg.norm(q)
-            if qn == 0.0:
-                raise ValueError("cosine similarity undefined for zero embeddings")
-            scores = self._unit @ (q / qn)
-        return dict(zip(self.ids, scores.tolist()))
+            return self.matrix @ q
+        qn = np.linalg.norm(q)
+        if qn == 0.0:
+            raise ValueError("cosine similarity undefined for zero embeddings")
+        return self._unit @ (q / qn)
 
 
-def retrieve_top_k(source, query_text: str, k: int) -> list[tuple[str, float]]:
+def retrieve_top_k(retriever, query_text: str, k: int
+                   ) -> list[tuple[str, float]]:
     """Exact top-k by score descending, ties broken by passage id ascending.
 
-    `source` is a BM25Index or any object exposing score_all(query_text).
-    Fewer than k results are returned when the corpus is smaller than k.
+    `retriever` is a BM25Index, a BM25Retriever or a DenseRetriever. Every
+    passage scoring at least the k-th largest score is kept, so a tie
+    across the cut is settled by id like any other; the kept passages are
+    then sorted and cut at k. Fewer than k results are returned when the
+    corpus is smaller than k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    retriever = BM25Retriever(source) if isinstance(source, BM25Index) else source
-    scores = retriever.score_all(query_text)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    if isinstance(retriever, BM25Index):
+        retriever = BM25Retriever(retriever)
+    scores = retriever.scores(query_text)
+    kept = np.arange(len(scores)) if k >= len(scores) else \
+        np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+    top = kept[np.lexsort((retriever.id_rank[kept], -scores[kept]))][:k]
+    return list(zip([retriever.ids[i] for i in top.tolist()],
+                    scores[top].tolist()))
 
 
 @dataclass

@@ -188,19 +188,6 @@ def encode_batch(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     return out
 
 
-def similarity(model: EncoderModel, u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (model.dim,) or v.shape != (model.dim,):
-        raise ValueError("vectors must be 1-d of the model dimension")
-    if model.similarity == "dot":
-        return float(u @ v)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(u @ v / (nu * nv))
-
-
 @dataclass
 class OptimizerState:
     """Plain SGD state."""

@@ -180,7 +180,8 @@ def parse_method(method: str) -> tuple[str | None, str]:
 
 class CacheManifest:
     """Per-dataset record of completed stages: input hash, config hash,
-    output file list, and timestamp. A stage is a cache hit only when both
+    output files (relative to the manifest's directory, so a moved cache
+    keeps its hits), and timestamp. A stage is a cache hit only when both
     hashes match and every output file still exists."""
 
     def __init__(self, path: Path):
@@ -207,7 +208,8 @@ class CacheManifest:
         self.entries[key] = {
             "input_hash": input_hash,
             "config_hash": config_hash,
-            "outputs": sorted(str(p) for p in outputs),
+            "outputs": sorted(Path(p).relative_to(self.path.parent).as_posix()
+                              for p in outputs),
             "timestamp": time.time(),
         }
         self.save()
@@ -218,7 +220,7 @@ class CacheManifest:
             return False
         if entry["input_hash"] != input_hash or entry["config_hash"] != config_hash:
             return False
-        return all(Path(p).exists() for p in entry["outputs"])
+        return all((self.path.parent / p).exists() for p in entry["outputs"])
 
 
 def _lock_is_stale(lock: Path) -> bool:
@@ -276,7 +278,14 @@ def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
     for path, producer in inputs:
         if not os.path.exists(path):
             raise PipelineError(f"missing artifact {path}; run {producer} first")
-    input_hash = sha256_files([path for path, _ in inputs])
+    # Each input is hashed under a role that survives moving the cache: its
+    # path under the dataset directory, or the `paths` key that names it.
+    keys = {Path(v): f"paths.{k}" for k, v in cfg["paths"].items() if v}
+    input_hash = sha256_files(
+        [path for path, _ in inputs],
+        [Path(p).relative_to(cfg.dataset_dir).as_posix()
+         if Path(p).is_relative_to(cfg.dataset_dir) else keys[Path(p)]
+         for p, _ in inputs])
     paths = [stage_dir / name for name in outputs]
     manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
     if manifest.resolve(key, input_hash, config_hash):

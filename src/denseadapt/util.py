@@ -35,10 +35,15 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def sha256_files(paths) -> str:
-    """Combined hash over a list of files (order-independent)."""
+def sha256_files(paths, roles) -> str:
+    """Combined hash over a list of files, each named by its role rather
+    than its path, so the hash stays put when the files move
+    (order-independent)."""
+    named = sorted(zip(roles, map(str, paths)))
+    if len({role for role, _ in named}) != len(named):
+        raise ValueError(f"two inputs share a role: {[r for r, _ in named]}")
     h = hashlib.sha256()
-    for p in sorted(str(p) for p in paths):
-        h.update(p.encode("utf-8"))
+    for role, p in named:
+        h.update(role.encode("utf-8"))
         h.update(sha256_file(p).encode("ascii"))
     return h.hexdigest()

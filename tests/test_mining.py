@@ -2,14 +2,18 @@
 tie rule, and negative-pool construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denseadapt import (BM25Retriever, DenseRetriever, Passage, Query,
-                        bm25_score, build_bm25_index, init_encoder,
-                        mine_negatives, mine_pools, read_hard_negatives,
-                        retrieve_top_k, tokenize, write_hard_negatives)
+                        bm25_score, build_bm25_index, encode_batch, full_rank,
+                        init_encoder, mine_negatives, mine_pools,
+                        read_hard_negatives, retrieve_top_k, tokenize,
+                        write_hard_negatives)
 
 TWO_DOCS = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
 
@@ -17,7 +21,11 @@ TWO_DOCS = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
 class TestBuildIndex:
     def test_postings_and_avgdl(self):
         index = build_bm25_index(TWO_DOCS)
-        assert index.postings["a"] == [("d1", 2)]
+        row = index.terms["a"]
+        lo, hi = index.indptr[row], index.indptr[row + 1]
+        assert [(index.ids[i], t) for i, t in
+                zip(index.doc[lo:hi].tolist(), index.tf[lo:hi].tolist())] == \
+            [("d1", 2)]
         assert index.avgdl == pytest.approx(2.5)
         assert index.n_docs == 2
 
@@ -28,8 +36,30 @@ class TestBuildIndex:
     def test_rebuild_identical(self):
         a = build_bm25_index(TWO_DOCS)
         b = build_bm25_index(TWO_DOCS)
-        assert a.postings == b.postings
-        assert a.doc_len == b.doc_len
+        assert a.terms == b.terms
+        assert a.ids == b.ids
+        for name in ("indptr", "doc", "tf", "norm"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    def test_memory_is_bounded(self):
+        """The index holds flat arrays, not an object per posting or term
+        list: 4,000 passages x 50 tokens over a 30,000-word vocabulary is
+        about 200,000 postings, at most 64 bytes each."""
+        rng = np.random.default_rng(0)
+        words = [f"t{i}" for i in range(30_000)]
+        passages = [Passage(f"p{i:04d}", "", " ".join(
+            words[j] for j in rng.integers(0, len(words), size=50)))
+            for i in range(4_000)]
+        n_postings = sum(len(set(tokenize(p.body))) for p in passages)
+        tracemalloc.start()
+        try:
+            retriever = BM25Retriever(build_bm25_index(passages))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retriever.index.indptr[-1] == n_postings
+        assert held < 64 * n_postings
 
 
 class TestBM25Score:
@@ -132,6 +162,81 @@ class TestRetrieveTopK:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             retrieve_top_k(build_bm25_index(TWO_DOCS), "a", 0)
+
+
+def by_score_then_id(pairs, k):
+    return sorted(pairs, key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+# Distinct ids whose corpus order is not their sorted order.
+shuffled_ids = st.lists(st.text("abc", min_size=1, max_size=4), min_size=1,
+                        max_size=30, unique=True)
+
+
+class TestTopKTies:
+    """retrieve_top_k against a full sort on (-score, id), with ties that
+    straddle the k-th position."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_ids, st.data())
+    def test_integer_scores_match_sorted_oracle(self, ids, data):
+        # One token per passage and a d=1 identity encoder: each passage's
+        # dot score with the query "q" is exactly its token's integer.
+        values = data.draw(st.lists(st.integers(0, 3), min_size=len(ids),
+                                    max_size=len(ids)))
+        k = data.draw(st.integers(1, len(ids) + 3))
+        model = init_encoder(["q", *(f"t{i}" for i in range(len(ids)))],
+                             dim=1, seed=0)
+        model.embedding[model.vocab["q"]] = 1.0
+        for i, v in enumerate(values):
+            model.embedding[model.vocab[f"t{i}"]] = float(v)
+        passages = [Passage(pid, "", f"t{i}") for i, pid in enumerate(ids)]
+        got = retrieve_top_k(DenseRetriever(model, passages), "q", k)
+        assert got == by_score_then_id(zip(ids, map(float, values)), k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_ids, st.data())
+    def test_bm25_matches_scalar_oracle(self, ids, data):
+        words = ["x", "y", "z"]
+        bodies = data.draw(st.lists(st.lists(st.sampled_from(words), min_size=1,
+                                             max_size=3),
+                                    min_size=len(ids), max_size=len(ids)))
+        query = data.draw(st.lists(st.sampled_from([*words, "unseen"]),
+                                   min_size=1, max_size=3))
+        k = data.draw(st.integers(1, len(ids) + 3))
+        passages = [Passage(pid, "", " ".join(b)) for pid, b in zip(ids, bodies)]
+        index = build_bm25_index(passages)
+        got = retrieve_top_k(BM25Retriever(index), " ".join(query), k)
+        assert got == by_score_then_id(
+            [(pid, bm25_score(index, query, pid)) for pid in ids], k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_ids, st.integers(1, 40))
+    def test_unknown_terms_give_smallest_ids_at_zero(self, ids, k):
+        passages = [Passage(pid, "", "x y") for pid in ids]
+        got = retrieve_top_k(build_bm25_index(passages), "nope never", k)
+        assert got == [(pid, 0.0) for pid in sorted(ids)[:k]]
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_ids, st.data())
+    def test_full_rank_below_n_with_identical_passages(self, ids, data):
+        # Small integer embeddings and at most two tokens per text keep
+        # every score exact, so identical passages tie exactly.
+        words = ["w0", "w1", "w2", "w3"]
+        model = init_encoder(words, dim=2, seed=0)
+        model.embedding = np.random.default_rng(len(ids)).integers(
+            -2, 3, size=model.embedding.shape).astype(float)
+        bodies = ["w0 w1", "w2", "w1 w3"]
+        passages = [Passage(pid, "", data.draw(st.sampled_from(bodies)))
+                    for pid in ids]
+        cutoff = data.draw(st.integers(1, len(ids)))
+        queries = [Query("q0", "w0"), Query("q1", "w1 w2"), Query("q2", "zz")]
+        run = full_rank(model, queries, passages, cutoff=cutoff)
+        matrix = encode_batch(model, [p.body for p in passages])
+        for q in queries:
+            scores = (matrix @ encode_batch(model, [q.text])[0]).tolist()
+            assert run.entries[q.id] == by_score_then_id(zip(ids, scores),
+                                                         cutoff)
 
 
 class TestMineNegatives:

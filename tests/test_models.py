@@ -1,4 +1,4 @@
-"""Reference encoder, similarity, SGD, gradcheck, and checkpoint round-trip."""
+"""Reference encoder, SGD, gradcheck, and checkpoint round-trip."""
 
 import tracemalloc
 
@@ -8,7 +8,7 @@ import pytest
 from denseadapt import (LossConfig, OptimizerState,
                         apply_gradients, encode_batch, finite_diff_gradcheck,
                         init_encoder, lexical_overlap_ce, load_model,
-                        margin_mse_loss, mnrl_loss, save_model, similarity)
+                        margin_mse_loss, mnrl_loss, save_model)
 from denseadapt import models
 from denseadapt.models import (OOV_INDEX, encode_backward,
                                encode_ids, new_grads)
@@ -182,26 +182,6 @@ def test_corpus_encode_memory_is_bounded():
         tracemalloc.stop()
     assert out.shape == (5_000, 32)
     assert peak < 32 * 2**20
-
-
-class TestSimilarity:
-    def test_dot(self, model):
-        m = init_encoder(TOKENS, dim=2, seed=0)
-        assert similarity(m, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_cosine_self_is_one(self):
-        m = init_encoder(TOKENS, dim=3, seed=0, similarity="cosine")
-        u = np.array([1.0, 2.0, -1.0])
-        assert similarity(m, u, u) == pytest.approx(1.0)
-
-    def test_cosine_orthogonal(self):
-        m = init_encoder(TOKENS, dim=2, seed=0, similarity="cosine")
-        assert similarity(m, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_cosine_zero_vector_rejected(self):
-        m = init_encoder(TOKENS, dim=2, seed=0, similarity="cosine")
-        with pytest.raises(ValueError):
-            similarity(m, np.zeros(2), np.array([1.0, 0.0]))
 
 
 class TestApplyGradients:

@@ -3,6 +3,7 @@ ordering errors, method registry, and the CLI surface."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from denseadapt import (PipelineConfig, PipelineError, init_encoder,
                         run_pipeline, run_stage, save_model)
 from denseadapt.cli import main as cli_main
 from denseadapt.pipeline import CacheManifest, stage_generate, stage_ingest
+from denseadapt.util import sha256_files
 
 
 def write_world(root, n_passages=12):
@@ -224,6 +226,24 @@ class TestCache:
         run_pipeline(cfg, "gpl")
         assert gen.exists()
 
+    def test_moved_cache_keeps_its_hits(self, tmp_path):
+        """Input hashes and recorded outputs do not depend on where the
+        cache lives: after a move every stage is a hit."""
+        cfg = small_config(tmp_path, tmp_path / "out")
+        stages = ("ingest", "generate", "mine", "label")
+        for name in stages:
+            run_stage(name, cfg)
+        moved = tmp_path / "elsewhere" / "cache"
+        shutil.move(tmp_path / "out", moved)
+        files = {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
+                 for p in sorted(moved.rglob("*")) if p.is_file()}
+        assert len([f for f in files if f.endswith("provenance.json")]) == 4
+        cfg.data["paths"]["output"] = str(moved)
+        for name in stages:
+            run_stage(name, cfg)
+        assert {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in sorted(moved.rglob("*")) if p.is_file()} == files
+
     def test_corrupt_manifest_rebuilt(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")
@@ -338,6 +358,17 @@ class TestCache:
         prov = tmp_path / "out" / "toy" / "shared" / "generate" / "provenance.json"
         doc = json.loads(prov.read_text())
         assert "config_hash" in doc and "gen-queries.jsonl" in doc["files"]
+
+
+def test_input_hash_names_files_by_role(tmp_path):
+    here, there = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
+    there.parent.mkdir()
+    here.write_text("same bytes")
+    there.write_text("same bytes")
+    assert sha256_files([here], ["corpus"]) == sha256_files([there], ["corpus"])
+    assert sha256_files([here], ["corpus"]) != sha256_files([here], ["queries"])
+    with pytest.raises(ValueError, match="share a role"):
+        sha256_files([here, there], ["corpus", "corpus"])
 
 
 class TestDeterminism:
