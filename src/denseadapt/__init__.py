@@ -7,10 +7,10 @@ regress those margins. Also ships the in-batch ranking baseline, six
 pre-training objectives, and trec-style evaluation.
 """
 
-from .corpus import (CorpusStats, DuplicateIdError, ParseError, Passage,
-                     Qrels, Query, compute_corpus_stats, downsample_corpus,
-                     load_corpus, load_qrels, load_queries, passage_text,
-                     save_corpus, save_qrels, save_queries, tokenize)
+from .corpus import (DuplicateIdError, ParseError, Passage, Qrels, Query,
+                     downsample_corpus, load_corpus, load_qrels, load_queries,
+                     passage_text, save_corpus, save_qrels, save_queries,
+                     tokenize)
 from .evaluation import (EvalReport, RunRanking, ce_rerank, evaluate,
                          full_rank, mrr_at_k, ndcg_at_k, write_trec_run)
 from .labeling import (GPLDataset, TrainingTuple, binary_relevance_labels,
@@ -19,10 +19,9 @@ from .labeling import (GPLDataset, TrainingTuple, binary_relevance_labels,
 from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolEntry,
                      bm25_score, build_bm25_index, mine_negatives, mine_pools,
                      read_hard_negatives, retrieve_top_k, write_hard_negatives)
-from .models import (CrossEncoderScorer, EncoderModel, GradCheckReport,
-                     OptimizerState, QueryGenerator, apply_gradients,
-                     encode_batch, finite_diff_gradcheck, init_encoder,
-                     lexical_overlap_ce, load_model, save_model)
+from .models import (CrossEncoderScorer, EncoderModel, OptimizerState,
+                     QueryGenerator, apply_gradients, encode_batch,
+                     init_encoder, lexical_overlap_ce, load_model, save_model)
 from .pipeline import (CacheManifest, PipelineConfig, PipelineError,
                        parse_method, run_pipeline, run_stage)
 from .pretraining import (PretrainConfig, condensor_loss, ct_step,

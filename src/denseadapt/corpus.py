@@ -55,13 +55,6 @@ class Qrels:
         self.judgments.setdefault(query_id, {})[passage_id] = grade
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n_passages: int
-    avg_doc_len: float
-    doc_freq: dict[str, int]
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip surrounding punctuation.
 
@@ -196,14 +189,3 @@ def downsample_corpus(passages: Sequence[Passage], target_size: int,
     keep = np.sort(rng.choice(n, size=target_size, replace=False))
     return [passages[i] for i in keep]
 
-
-def compute_corpus_stats(passages: Sequence[Passage]) -> CorpusStats:
-    doc_freq: dict[str, int] = {}
-    total_len = 0
-    for p in passages:
-        tokens = tokenize(passage_text(p))
-        total_len += len(tokens)
-        for term in set(tokens):
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    n = len(passages)
-    return CorpusStats(n, total_len / n if n else 0.0, doc_freq)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Passage, Qrels, Query, passage_text
+from .corpus import ParseError, Passage, Qrels, Query, passage_text
 from .mining import DenseRetriever, retrieve_top_k
 from .models import CrossEncoderScorer, EncoderModel
 
@@ -179,7 +179,12 @@ def read_trec_run(path: str | Path) -> RunRanking:
     scores exact (17 significant digits round-trip float64)."""
     run = RunRanking()
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            qid, _, pid, _, score, _ = line.split()
-            run.entries.setdefault(qid, []).append((pid, float(score)))
+        for lineno, line in enumerate(f, start=1):
+            try:
+                qid, _, pid, _, score, _ = line.split()
+                entry = (pid, float(score))
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: expected 'qid Q0 pid rank "
+                                 f"score tag' ({e})") from e
+            run.entries.setdefault(qid, []).append(entry)
     return run

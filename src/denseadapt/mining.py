@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Passage, Query, passage_text, tokenize
+from .corpus import ParseError, Passage, Query, passage_text, tokenize
 from .models import EncoderModel, encode_batch
 
 DEFAULT_K1 = 1.2
@@ -161,7 +161,7 @@ def retrieve_top_k(retriever, query_text: str, k: int
                    ) -> list[tuple[str, float]]:
     """Exact top-k by score descending, ties broken by passage id ascending.
 
-    `retriever` is a BM25Index, a BM25Retriever or a DenseRetriever. Every
+    `retriever` is a BM25Retriever or a DenseRetriever. Every
     passage scoring at least the k-th largest score is kept, so a tie
     across the cut is settled by id like any other; the kept passages are
     then sorted and cut at k. Fewer than k results are returned when the
@@ -169,8 +169,6 @@ def retrieve_top_k(retriever, query_text: str, k: int
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(retriever, BM25Index):
-        retriever = BM25Retriever(retriever)
     scores = retriever.scores(query_text)
     kept = np.arange(len(scores)) if k >= len(scores) else \
         np.flatnonzero(scores >= np.partition(scores, -k)[-k])
@@ -248,9 +246,13 @@ def read_hard_negatives(path: str | Path) -> dict[str, PoolEntry]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            entry = _union_entry(record["qid"], record["pos"][0],
-                                 {name: list(pids)
-                                  for name, pids in record["neg"].items()})
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+            try:
+                entry = _union_entry(record["qid"], record["pos"][0],
+                                     {name: list(pids)
+                                      for name, pids in record["neg"].items()})
+            except (KeyError, IndexError) as e:
+                raise ParseError(f"{path}:{lineno}: record needs 'qid', a "
+                                 f"non-empty 'pos' and 'neg' ({e!r})") from e
             pools[entry.query_id] = entry
     return pools

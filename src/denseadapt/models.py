@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -72,6 +73,10 @@ class EncoderModel:
         return np.fromiter((self.vocab.get(t, OOV_INDEX) for t in tokens),
                            dtype=np.intp, count=len(tokens))
 
+    def tokens(self, texts: Sequence[str]) -> "Tokens":
+        """The packed token ids of a list of texts, one row per text."""
+        return Tokens.of([self.token_ids(t) for t in texts])
+
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "projection": self.projection}
 
@@ -93,34 +98,55 @@ def init_encoder(tokens: Iterable[str], dim: int = 32, seed: int = 0,
 _GATHER_TOKENS = 1024
 
 
-@dataclass
-class ForwardCache:
-    """State saved by a forward pass, consumed by encode_backward: the
-    batch's token ids row after row, and each row's length."""
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """Token-id rows packed flat: `ids` holds the rows one after another,
+    row i has lengths[i] >= 1 ids, and len() is the row count."""
 
     ids: np.ndarray
     lengths: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[int]]) -> "Tokens":
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        if not lengths.all():
+            raise ValueError("every row needs at least one token id")
+        ids = np.concatenate(rows) if len(rows) else np.zeros(0)
+        return cls(ids.astype(np.intp, copy=False), lengths)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    def take(self, rows: Sequence[int]) -> "Tokens":
+        """The given rows, in the given order (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = self.lengths[rows]
+        # A position in a gathered row sits at its row's source start minus
+        # its row's output start further on in `ids`.
+        shift = np.repeat(self.starts[rows] - (np.cumsum(lengths) - lengths),
+                          lengths)
+        return Tokens(self.ids[np.arange(shift.size) + shift], lengths)
+
+
+@dataclass
+class ForwardCache:
+    """State saved by a forward pass, consumed by encode_backward."""
+
+    tokens: Tokens
     pooled: np.ndarray
     dropout_mask: np.ndarray | None = None
 
 
-def _pack(id_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """One flat id array and the row lengths of a batch of id lists."""
-    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
-    if not lengths.all():
-        raise ValueError("every row needs at least one token id")
-    if not lengths.size:
-        return np.zeros(0, dtype=np.intp), lengths
-    return np.concatenate(id_lists).astype(np.intp, copy=False), lengths
-
-
-def _pool(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray
-          ) -> np.ndarray:
+def _pool(model: EncoderModel, tokens: Tokens) -> np.ndarray:
     """Mean of each row's embedding rows, or its first token's row (CLS)."""
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    ids, lengths, starts = tokens.ids, tokens.lengths, tokens.starts
     if model.pooling == "cls":
         return model.embedding[ids[starts]]
+    ends = starts + lengths
     sums = np.empty((lengths.size, model.dim))
     row = 0
     while row < lengths.size:
@@ -134,20 +160,18 @@ def _pool(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray
     return sums / lengths[:, None]
 
 
-def encode_ids(model: EncoderModel, id_lists: Sequence[Sequence[int]],
+def encode_ids(model: EncoderModel, tokens: Tokens,
                dropout_mask: np.ndarray | None = None
                ) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass over pre-tokenized inputs; returns embeddings and cache.
+    """Forward pass over a packed batch; returns embeddings and cache.
 
     dropout_mask, when given, multiplies the pooled vectors elementwise
     (inverted-dropout convention: mask values are 0 or 1/keep_prob).
     """
-    ids, lengths = _pack(id_lists)
-    pooled = _pool(model, ids, lengths)
+    pooled = _pool(model, tokens)
     if dropout_mask is not None:
         pooled = pooled * dropout_mask
-    return pooled @ model.projection, ForwardCache(ids, lengths, pooled,
-                                                   dropout_mask)
+    return pooled @ model.projection, ForwardCache(tokens, pooled, dropout_mask)
 
 
 def encode_backward(model: EncoderModel, cache: ForwardCache,
@@ -161,13 +185,14 @@ def encode_backward(model: EncoderModel, cache: ForwardCache,
     d_pooled = d_out @ model.projection.T
     if cache.dropout_mask is not None:
         d_pooled = d_pooled * cache.dropout_mask
+    tokens = cache.tokens
     if model.pooling == "mean":
-        ids = cache.ids
-        row_of = np.repeat(np.arange(cache.lengths.size), cache.lengths)
-        d_pooled = d_pooled / cache.lengths[:, None]
+        ids = tokens.ids
+        row_of = np.repeat(np.arange(len(tokens)), tokens.lengths)
+        d_pooled = d_pooled / tokens.lengths[:, None]
     else:
-        ids = cache.ids[np.cumsum(cache.lengths) - cache.lengths]
-        row_of = np.arange(cache.lengths.size)
+        ids = tokens.ids[tokens.starts]
+        row_of = np.arange(len(tokens))
     target = grads["embedding"]
     if not target.flags.c_contiguous:
         raise ValueError("embedding gradient must be C-contiguous")
@@ -184,8 +209,7 @@ def new_grads(model: EncoderModel) -> dict[str, np.ndarray]:
 
 def encode_batch(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     """Encode texts into a (batch, d) matrix. Empty batch gives (0, d)."""
-    out, _ = encode_ids(model, [model.token_ids(t) for t in texts])
-    return out
+    return encode_ids(model, model.tokens(texts))[0]
 
 
 @dataclass
@@ -213,55 +237,6 @@ def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
         params[name] -= opt.learning_rate * g
     opt.step_count += 1
     return model, opt
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_err: float
-    passed: bool
-    n_coords: int
-
-
-def finite_diff_gradcheck(loss_fn, model, epsilon: float = 1e-4,
-                          tolerance: float = 1e-4, n_coords: int = 128,
-                          seed: int = 0) -> GradCheckReport:
-    """Central-difference check of analytic gradients.
-
-    loss_fn(model) must return (loss, grads) where grads maps parameter
-    names to arrays. `model` is either an EncoderModel or a plain dict of
-    parameter arrays, which are perturbed in place and restored. Relative
-    error is measured against the largest analytic gradient magnitude, so
-    coordinates with near-zero gradients do not blow up on rounding noise.
-    """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError("epsilon must be in [1e-6, 1e-3]")
-    params = model if isinstance(model, dict) else model.parameters()
-    loss0, grads = loss_fn(model)
-    if not np.isfinite(loss0):
-        raise ValueError(f"loss is not finite: {loss0}")
-
-    coords = [(name, i) for name in sorted(grads) for i in range(params[name].size)]
-    rng = np.random.default_rng(seed)
-    k = min(len(coords), max(100, n_coords))
-    picked = rng.choice(len(coords), size=k, replace=False)
-
-    scale = max(max(np.max(np.abs(g)) for g in grads.values()), 1e-8)
-    max_rel = 0.0
-    for ci in picked:
-        name, i = coords[ci]
-        flat = params[name].reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        loss_plus, _ = loss_fn(model)
-        flat[i] = orig - epsilon
-        loss_minus, _ = loss_fn(model)
-        flat[i] = orig
-        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-            raise ValueError("loss is not finite under perturbation")
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        analytic = grads[name].reshape(-1)[i]
-        max_rel = max(max_rel, abs(analytic - numeric) / scale)
-    return GradCheckReport(float(max_rel), bool(max_rel <= tolerance), int(k))
 
 
 # --- cross-encoder / generator contracts ------------------------------------

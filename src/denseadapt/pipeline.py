@@ -44,7 +44,7 @@ from .pretraining import PRETRAIN_METHODS, PretrainConfig, pretrain, udalm_step
 from .qgen import SamplerConfig, compute_budget, \
     generate_queries, mock_generator, write_gen_qrels
 from .training import TrainRunConfig, LossConfig, fit, gpl_train, \
-    qgen_train, write_loss_trace
+    qgen_train, tuple_batches, write_loss_trace
 from .util import canonical_json, derive_seed, sha256_bytes, sha256_files
 
 logger = logging.getLogger(__name__)
@@ -182,7 +182,8 @@ class CacheManifest:
     """Per-dataset record of completed stages: input hash, config hash,
     output files (relative to the manifest's directory, so a moved cache
     keeps its hits), and timestamp. A stage is a cache hit only when both
-    hashes match and every output file still exists."""
+    hashes match and the entry lists exactly the stage's output files (an
+    older version of a stage may have written fewer), all still present."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -203,20 +204,24 @@ class CacheManifest:
             json.dump(self.entries, f, sort_keys=True, indent=2)
         os.replace(tmp, self.path)
 
+    def _names(self, outputs: Sequence[Path]) -> list[str]:
+        return sorted(Path(p).relative_to(self.path.parent).as_posix()
+                      for p in outputs)
+
     def record(self, key: str, input_hash: str, config_hash: str,
                outputs: Sequence[Path]) -> None:
         self.entries[key] = {
             "input_hash": input_hash,
             "config_hash": config_hash,
-            "outputs": sorted(Path(p).relative_to(self.path.parent).as_posix()
-                              for p in outputs),
+            "outputs": self._names(outputs),
             "timestamp": time.time(),
         }
         self.save()
 
-    def resolve(self, key: str, input_hash: str, config_hash: str) -> bool:
+    def resolve(self, key: str, input_hash: str, config_hash: str,
+                outputs: Sequence[Path]) -> bool:
         entry = self.entries.get(key)
-        if entry is None:
+        if entry is None or entry["outputs"] != self._names(outputs):
             return False
         if entry["input_hash"] != input_hash or entry["config_hash"] != config_hash:
             return False
@@ -288,7 +293,7 @@ def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
          for p, _ in inputs])
     paths = [stage_dir / name for name in outputs]
     manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    if manifest.resolve(key, input_hash, config_hash):
+    if manifest.resolve(key, input_hash, config_hash, paths):
         logger.info("%s: cache hit", key)
         return paths
 
@@ -493,13 +498,14 @@ def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
             **{key: float(section[key]) for key in (
                 "learning_rate", "deletion_ratio", "mask_ratio",
                 "ict_mask_prob", "dropout_rate", "tau")})
-        save_model(pretrain(model, passages, pre_cfg),
-                   out_dir / "model-pretrained.json")
+        model, trace = pretrain(model, passages, pre_cfg)
+        save_model(model, out_dir / "model-pretrained.json")
+        write_loss_trace(trace, out_dir / "loss-trace.csv")
 
     return _run_cached(cfg, f"pretrain-{method}",
                        cfg.stage_dir(f"pretrain-{method}"),
                        [*_inputs(cfg, "ingest"), *_init_model_input(cfg)],
-                       ["model-pretrained.json"],
+                       ["model-pretrained.json", "loss-trace.csv"],
                        _stage_config_hash(cfg, "pretrain",
                                           extra={"pretrain_method": method}),
                        compute)
@@ -565,24 +571,22 @@ def _udalm_train(cfg: PipelineConfig, model: EncoderModel,
     """Multi-task schedule: masked prediction on the target corpus mixed
     with margin regression on labeled source tuples."""
     section, paths = cfg["udalm"], cfg["paths"]
-    source_texts = {p.id: passage_text(p)
-                    for p in load_corpus(paths["source_corpus"])}
-    query_texts = {q.id: q.text for q in load_queries(paths["source_queries"])}
     tuples = read_dataset(paths["source_tuples"]).tuples
-    target_texts = [passage_text(p) for p in target_passages]
+    source = tuple_batches(
+        model, tuples,
+        {q.id: q.text for q in load_queries(paths["source_queries"])},
+        {p.id: passage_text(p) for p in load_corpus(paths["source_corpus"])})
+    # Each target text's ids; one without tokens has nothing to mask.
+    target = [model.token_ids(tokens) if tokens else [] for tokens in
+              map(tokenize, map(passage_text, target_passages))]
 
-    def draw(items: Sequence, rng: np.random.Generator) -> list:
-        return [items[i] for i in rng.choice(
-            len(items), size=min(run_cfg.batch_size, len(items)), replace=False)]
+    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(n, size=min(run_cfg.batch_size, n), replace=False)
 
     def step_fn(step: int):
         rng = np.random.default_rng(derive_seed(run_cfg.seed, "udalm", step))
-        target_batch, picked = draw(target_texts, rng), draw(tuples, rng)
-        source_batch = ([query_texts[t.query_id] for t in picked],
-                        [source_texts[t.pos_id] for t in picked],
-                        [source_texts[t.neg_id] for t in picked],
-                        [t.margin for t in picked])
-        return udalm_step(model, target_batch, source_batch,
+        target_batch = [target[i] for i in draw(len(target), rng)]
+        return udalm_step(model, target_batch, source(draw(len(tuples), rng)),
                           mix_weight=float(section["mix_weight"]),
                           mask_ratio=float(section["mask_ratio"]), rng=rng)
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .corpus import Passage, passage_text, tokenize
 from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, EncoderModel,
-                     OptimizerState, apply_gradients, encode_backward,
-                     encode_ids, new_grads)
+                     OptimizerState, Tokens, apply_gradients,
+                     encode_backward, encode_ids, new_grads)
 from .training import (LossConfig, TrainRunConfig, fit, margin_mse_step,
                        mnrl_loss, mnrl_step)
 from .util import derive_seed
@@ -84,7 +84,7 @@ def _pooled_head_loss(model: EncoderModel, weight: np.ndarray, name: str,
     the tied embedding table. Gradients cover every embedding occurrence,
     the projection, and `weight` under `name`."""
     d = model.dim
-    pooled, cache = encode_ids(model, [encoded_ids])
+    pooled, cache = encode_ids(model, Tokens.of([encoded_ids]))
     x = np.concatenate([np.tile(pooled[0], (len(input_ids), 1)),
                         model.embedding[input_ids]], axis=1)
     hidden = x @ weight.T
@@ -149,9 +149,10 @@ def tsdae_loss(model: EncoderModel, decoder: TsdaeDecoder,
     if not original:
         raise ValueError("original sequence must be non-empty")
     o_ids = model.token_ids(original)
+    shifted = np.roll(o_ids, 1)  # teacher forcing: BOS, then o_ids[:-1]
+    shifted[0] = BOS_INDEX
     return _pooled_head_loss(model, decoder.weight, "decoder",
-                             model.token_ids(corrupted_tokens),
-                             np.concatenate([[BOS_INDEX], o_ids[:-1]]), o_ids)
+                             model.token_ids(corrupted_tokens), shifted, o_ids)
 
 
 # --- masked-token prediction --------------------------------------------------
@@ -272,11 +273,11 @@ def simcse_pairs(model: EncoderModel, texts: Sequence[str],
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must be in [0, 1)")
     rng = np.random.default_rng(rng)
-    id_lists = [model.token_ids(t) for t in texts]
+    tokens = model.tokens(texts)
     shape = (len(texts), model.dim)
-    q_out, q_cache = encode_ids(model, id_lists,
+    q_out, q_cache = encode_ids(model, tokens,
                                 dropout_mask=_dropout_mask(shape, dropout_rate, rng))
-    p_out, p_cache = encode_ids(model, id_lists,
+    p_out, p_cache = encode_ids(model, tokens,
                                 dropout_mask=_dropout_mask(shape, dropout_rate, rng))
     return q_out, p_out, q_cache, p_cache
 
@@ -299,10 +300,8 @@ def ct_step(pair_batch: Sequence[tuple[str, str]], model_a: EncoderModel,
     texts through encoder B, in-batch softmax between them. Gradients are
     returned for both parameter sets; by convention encoder A is the one
     retained after pre-training."""
-    left = [a for a, _ in pair_batch]
-    right = [b for _, b in pair_batch]
-    a_out, a_cache = encode_ids(model_a, [model_a.token_ids(t) for t in left])
-    b_out, b_cache = encode_ids(model_b, [model_b.token_ids(t) for t in right])
+    a_out, a_cache = encode_ids(model_a, model_a.tokens([a for a, _ in pair_batch]))
+    b_out, b_cache = encode_ids(model_b, model_b.tokens([b for _, b in pair_batch]))
     loss, grad_a, grad_b = mnrl_loss(a_out, b_out, loss_cfg)
     grads_a = new_grads(model_a)
     grads_b = new_grads(model_b)
@@ -338,38 +337,38 @@ def condensor_loss(model: EncoderModel, head: np.ndarray, tokens: Sequence[str],
 # --- multi-task schedule -------------------------------------------------------
 
 
-def udalm_step(model: EncoderModel, mlm_batch: Sequence[str],
-               marginmse_batch: tuple, mix_weight: float = 0.5,
-               mask_ratio: float = 0.15, rng=0
+def udalm_step(model: EncoderModel, mlm_batch: Sequence[Sequence[int]],
+               marginmse_batch: tuple[Tokens, Tokens, Tokens, np.ndarray],
+               mix_weight: float = 0.5, mask_ratio: float = 0.15, rng=0
                ) -> tuple[float, dict[str, np.ndarray]]:
-    """One combined update: mix_weight * masked-prediction loss on target
-    texts + (1 - mix_weight) * margin regression on a labeled source batch
-    (query texts, positive texts, negative texts, target margins)."""
+    """One combined update: mix_weight * masked-prediction loss on the token
+    ids of target texts (an empty row has nothing to mask but counts in the
+    mean) + (1 - mix_weight) * margin regression on a labeled source batch
+    (query, positive and negative rows, target margins)."""
     if not 0.0 <= mix_weight <= 1.0:
         raise ValueError("mix_weight must be in [0, 1]")
-    if not mlm_batch:
+    if not len(mlm_batch):
         raise ValueError("empty target batch")
-    q_texts, pos_texts, neg_texts, margins = marginmse_batch
-    if not q_texts:
+    q, pos, neg, margins = marginmse_batch
+    if not len(q):
         raise ValueError("empty source batch")
     rng = np.random.default_rng(rng)
 
     grads = new_grads(model)
     mlm_total = 0.0
-    for text in mlm_batch:
-        tokens = tokenize(text)
-        if not tokens:  # nothing to mask; still counts in the mean
+    for ids in mlm_batch:
+        if not len(ids):
             continue
-        loss_i, grads_i = mlm_corrupt_and_loss(model, tokens, mask_ratio, rng)
+        corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size,
+                                              mask_ratio, rng)
+        loss_i, grads_i = mlm_loss(model, ids, corrupted, positions)
         mlm_total += loss_i
         for name in grads:
             grads[name] += grads_i[name] * (mix_weight / len(mlm_batch))
     mlm_avg = mlm_total / len(mlm_batch)
 
     scale = 1.0 - mix_weight
-    mse_loss = margin_mse_step(model, [model.token_ids(t) for t in q_texts],
-                               [model.token_ids(t) for t in pos_texts],
-                               [model.token_ids(t) for t in neg_texts],
+    mse_loss = margin_mse_step(model, q, pos, neg,
                                np.asarray(margins, dtype=float), grads, scale)
     return mix_weight * mlm_avg + scale * mse_loss, grads
 
@@ -458,15 +457,17 @@ def _objective_step(model: EncoderModel, texts: Sequence[str],
                     for j, i in enumerate(batch) if sentences[i]]
         if not examples:  # no passage of the batch has a sentence
             return 0.0, {}
-        return mnrl_step(model, [model.token_ids(q) for q, _ in examples],
-                         [[model.token_ids(c) for _, c in examples]], loss_cfg)
+        return mnrl_step(model, model.tokens([q for q, _ in examples]),
+                         [model.tokens([c for _, c in examples])], loss_cfg)
 
     return ict_step_fn
 
 
 def pretrain(model: EncoderModel, passages: Sequence[Passage],
-             cfg: PretrainConfig) -> EncoderModel:
-    """Run one pre-training objective over the corpus and return the model.
+             cfg: PretrainConfig
+             ) -> tuple[EncoderModel, list[tuple[int, float]]]:
+    """Run one pre-training objective over the corpus; return the model and
+    its (step, loss) trace, one entry per step.
 
     Stochastic choices are keyed by (seed, step, item) so results are
     independent of scheduling. The two-encoder objective trains a fresh
@@ -483,4 +484,4 @@ def pretrain(model: EncoderModel, passages: Sequence[Passage],
         return step_fn(step, rng.choice(len(texts), size=size, replace=False))
 
     return fit(model, batch_step, cfg.steps,
-               TrainRunConfig(learning_rate=cfg.learning_rate))[0]
+               TrainRunConfig(learning_rate=cfg.learning_rate))

@@ -13,9 +13,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import Passage, Query, passage_text
-from .labeling import GPLDataset, sample_tuple
+from .labeling import GPLDataset, TrainingTuple, sample_tuple
 from .mining import PoolEntry
-from .models import (EncoderModel, OptimizerState, apply_gradients,
+from .models import (EncoderModel, OptimizerState, Tokens, apply_gradients,
                      encode_backward, encode_ids, new_grads, save_model)
 from .util import derive_seed
 
@@ -74,16 +74,15 @@ def margin_mse_loss(predicted_margins: np.ndarray, target_margins: np.ndarray
     return loss, 2.0 * diff / pred.size
 
 
-def margin_mse_step(model: EncoderModel, q_ids: Sequence[Sequence[int]],
-                    p_ids: Sequence[Sequence[int]],
-                    n_ids: Sequence[Sequence[int]], targets: np.ndarray,
-                    grads: dict[str, np.ndarray], scale: float) -> float:
+def margin_mse_step(model: EncoderModel, q: Tokens, pos: Tokens, neg: Tokens,
+                    targets: np.ndarray, grads: dict[str, np.ndarray],
+                    scale: float) -> float:
     """Margin-MSE of the dot-product margins of one batch of (query,
-    positive, negative) token-id lists: adds scale x its gradient into
-    `grads` and returns the unscaled loss."""
-    q_out, q_cache = encode_ids(model, q_ids)
-    p_out, p_cache = encode_ids(model, p_ids)
-    n_out, n_cache = encode_ids(model, n_ids)
+    positive, negative) rows: adds scale x its gradient into `grads` and
+    returns the unscaled loss."""
+    q_out, q_cache = encode_ids(model, q)
+    p_out, p_cache = encode_ids(model, pos)
+    n_out, n_cache = encode_ids(model, neg)
     predicted = (q_out * p_out).sum(axis=1) - (q_out * n_out).sum(axis=1)
     loss, d_pred = margin_mse_loss(predicted, targets)
     encode_backward(model, q_cache, scale * d_pred[:, None] * (p_out - n_out), grads)
@@ -92,15 +91,14 @@ def margin_mse_step(model: EncoderModel, q_ids: Sequence[Sequence[int]],
     return loss
 
 
-def mnrl_step(model: EncoderModel, q_ids: Sequence[Sequence[int]],
-              groups: Sequence[Sequence[Sequence[int]]], loss_cfg: LossConfig
-              ) -> tuple[float, dict[str, np.ndarray]]:
-    """In-batch ranking loss of one batch of query token-id lists against
-    the candidates of every group, stacked in order; each group holds one
+def mnrl_step(model: EncoderModel, q: Tokens, groups: Sequence[Tokens],
+              loss_cfg: LossConfig) -> tuple[float, dict[str, np.ndarray]]:
+    """In-batch ranking loss of one batch of query rows against the
+    candidates of every group, stacked in order; each group holds one
     candidate per query, and group 0 holds the positives. Returns (loss,
     gradients)."""
-    q_out, q_cache = encode_ids(model, q_ids)
-    outs, caches = zip(*(encode_ids(model, ids) for ids in groups))
+    q_out, q_cache = encode_ids(model, q)
+    outs, caches = zip(*(encode_ids(model, group) for group in groups))
     loss, grad_q, grad_c = mnrl_loss(q_out, np.vstack(outs), loss_cfg)
     grads = new_grads(model)
     encode_backward(model, q_cache, grad_q, grads)
@@ -190,6 +188,30 @@ def _epoch_batches(n_items: int, batch_size: int, seed: int) -> Iterator[np.ndar
         epoch += 1
 
 
+def _table(model: EncoderModel, keys: Sequence[str],
+           texts: Mapping[str, str]) -> tuple[Tokens, np.ndarray]:
+    """One row per distinct key, its text tokenized once, and each key's row."""
+    row_of: dict[str, int] = {}
+    rows = np.fromiter((row_of.setdefault(k, len(row_of)) for k in keys),
+                       dtype=np.intp, count=len(keys))
+    return model.tokens([texts[k] for k in row_of]), rows
+
+
+def tuple_batches(model: EncoderModel, tuples: Sequence[TrainingTuple],
+                  query_texts: Mapping[str, str],
+                  passage_texts: Mapping[str, str]) -> Callable:
+    """Tokenize each distinct query and passage of the tuples once; return
+    a function giving the (query, positive, negative, margin) batch of an
+    array of tuple indices, gathered from those tables by row."""
+    q_table, q_rows = _table(model, [t.query_id for t in tuples], query_texts)
+    pids = [pid for t in tuples for pid in (t.pos_id, t.neg_id)]
+    p_table, p_rows = _table(model, pids, passage_texts)
+    pos_rows, neg_rows = p_rows.reshape(-1, 2).T
+    margins = np.array([t.margin for t in tuples], dtype=float)
+    return lambda i: (q_table.take(q_rows[i]), p_table.take(pos_rows[i]),
+                      p_table.take(neg_rows[i]), margins[i])
+
+
 def gpl_train(model: EncoderModel, dataset: GPLDataset,
               corpus: Sequence[Passage], queries: Sequence[Query],
               cfg: TrainRunConfig, checkpoint_dir: str | Path | None = None
@@ -207,27 +229,14 @@ def gpl_train(model: EncoderModel, dataset: GPLDataset,
     steps = cfg.steps if cfg.steps is not None else \
         math.ceil(len(dataset.tuples) / cfg.batch_size)
 
-    passage_texts = {p.id: passage_text(p) for p in corpus}
-    query_texts = {q.id: q.text for q in queries}
-    # Tokenize each distinct text once; a stream repeats queries and passages.
-    query_tokens = {qid: model.token_ids(query_texts[qid])
-                    for qid in {t.query_id for t in dataset.tuples}}
-    passage_tokens = {pid: model.token_ids(passage_texts[pid])
-                      for pid in {p for t in dataset.tuples
-                                  for p in (t.pos_id, t.neg_id)}}
-    q_ids = [query_tokens[t.query_id] for t in dataset.tuples]
-    p_ids = [passage_tokens[t.pos_id] for t in dataset.tuples]
-    n_ids = [passage_tokens[t.neg_id] for t in dataset.tuples]
-    targets = np.asarray([t.margin for t in dataset.tuples], dtype=float)
+    batch_of = tuple_batches(model, dataset.tuples,
+                             {q.id: q.text for q in queries},
+                             {p.id: passage_text(p) for p in corpus})
     batches = _epoch_batches(len(dataset.tuples), cfg.batch_size, cfg.seed)
 
     def step_fn(step: int) -> tuple[float, dict[str, np.ndarray]]:
-        batch = next(batches)
         grads = new_grads(model)
-        loss = margin_mse_step(model, [q_ids[i] for i in batch],
-                               [p_ids[i] for i in batch],
-                               [n_ids[i] for i in batch], targets[batch],
-                               grads, 1.0)
+        loss = margin_mse_step(model, *batch_of(next(batches)), grads, 1.0)
         return loss, grads
 
     return fit(model, step_fn, steps, cfg, checkpoint_dir)
@@ -261,16 +270,14 @@ def qgen_train(model: EncoderModel, queries: Sequence[Query],
     if not usable:
         raise ValueError("no usable training queries")
 
-    neg_ids = []
+    candidates = [q.source_passage_id for q in usable]
     if negatives is not None:
-        neg_ids = [sample_tuple(q, negatives[q.id], cfg.seed)[1] for q in usable]
-    # Tokenize each distinct passage once; queries share source passages.
-    passage_tokens = {pid: model.token_ids(passage_texts[pid]) for pid in
-                      {q.source_passage_id for q in usable} | set(neg_ids)}
-    q_ids = [model.token_ids(q.text) for q in usable]
-    groups = [[passage_tokens[q.source_passage_id] for q in usable]]
-    if negatives is not None:
-        groups.append([passage_tokens[pid] for pid in neg_ids])
+        candidates += [sample_tuple(q, negatives[q.id], cfg.seed)[1]
+                       for q in usable]
+    # Group 0 holds the positives' rows, group 1 the sampled negatives'.
+    p_table, rows = _table(model, candidates, passage_texts)
+    groups = rows.reshape(-1, len(usable))
+    q_table = model.tokens([q.text for q in usable])
 
     steps = cfg.steps if cfg.steps is not None else \
         math.ceil(len(usable) / cfg.batch_size)
@@ -278,8 +285,9 @@ def qgen_train(model: EncoderModel, queries: Sequence[Query],
 
     def step_fn(step: int) -> tuple[float, dict[str, np.ndarray]]:
         batch = next(batches)
-        return mnrl_step(model, [q_ids[i] for i in batch],
-                         [[ids[i] for i in batch] for ids in groups], loss_cfg)
+        return mnrl_step(model, q_table.take(batch),
+                         [p_table.take(group[batch]) for group in groups],
+                         loss_cfg)
 
     return fit(model, step_fn, steps, cfg, checkpoint_dir)
 

@@ -15,8 +15,7 @@ import pytest
 import synthworld
 from denseadapt import (CrossEncoderScorer, LossConfig, Passage,
                         bm25_score, build_bm25_index, ce_rerank, compute_budget,
-                        finite_diff_gradcheck, full_rank,
-                        init_encoder, margin_mse_loss, mnrl_loss, mrr_at_k,
+                        full_rank, init_encoder, margin_mse_loss, mnrl_loss, mrr_at_k,
                         ndcg_at_k, retrieve_top_k, tokenize)
 from denseadapt.mining import BM25Retriever, DenseRetriever
 from denseadapt.models import encode_backward, encode_ids, new_grads
@@ -25,6 +24,7 @@ from denseadapt.pretraining import (condensor_loss, ct_step, ict_example,
                                     mlm_corrupt, mlm_corrupt_and_loss,
                                     simcse_step, split_sentences,
                                     tsdae_corrupt, tsdae_loss)
+from gradcheck import finite_diff_gradcheck
 
 SEEDS = (0, 4, 6)
 
@@ -77,9 +77,9 @@ def test_criterion_2_loss_gradients():
         targets = rng.normal(scale=2.0, size=2)
 
         def margin_fn(m):
-            q, qc = encode_ids(m, [m.token_ids(t) for t in texts[:2]])
-            p, pc = encode_ids(m, [m.token_ids(t) for t in texts[2:]])
-            n, nc = encode_ids(m, [m.token_ids(t) for t in texts[::-2]])
+            q, qc = encode_ids(m, m.tokens(texts[:2]))
+            p, pc = encode_ids(m, m.tokens(texts[2:]))
+            n, nc = encode_ids(m, m.tokens(texts[::-2]))
             loss, d = margin_mse_loss((q * p).sum(1) - (q * n).sum(1), targets)
             grads = new_grads(m)
             encode_backward(m, qc, d[:, None] * (p - n), grads)
@@ -88,8 +88,8 @@ def test_criterion_2_loss_gradients():
             return loss, grads
 
         def mnrl_fn(m):
-            q, qc = encode_ids(m, [m.token_ids(t) for t in texts])
-            p, pc = encode_ids(m, [m.token_ids(t) for t in texts[::-1]])
+            q, qc = encode_ids(m, m.tokens(texts))
+            p, pc = encode_ids(m, m.tokens(texts[::-1]))
             loss, gq, gp = mnrl_loss(q, p, LossConfig(tau=20.0,
                                                       similarity="cosine"))
             grads = new_grads(m)
@@ -300,8 +300,8 @@ def test_criterion_8_pretraining_objectives():
     cfg = LossConfig(tau=10.0, similarity="cosine")
 
     def ict_fn(m):
-        q, qc = encode_ids(m, [m.token_ids(t) for t, _ in pairs])
-        c, cc = encode_ids(m, [m.token_ids(t) for _, t in pairs])
+        q, qc = encode_ids(m, m.tokens([t for t, _ in pairs]))
+        c, cc = encode_ids(m, m.tokens([t for _, t in pairs]))
         loss, gq, gc = mnrl_loss(q, c, cfg)
         grads = new_grads(m)
         encode_backward(m, qc, gq, grads)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denseadapt import (DuplicateIdError, ParseError, Passage, Query,
-                        compute_corpus_stats, downsample_corpus, load_corpus,
-                        load_qrels, load_queries, passage_text, save_corpus,
-                        save_queries, tokenize)
+                        downsample_corpus, load_corpus, load_qrels,
+                        load_queries, passage_text, save_corpus, save_queries,
+                        tokenize)
 
 
 def write_lines(path, lines):
@@ -160,12 +160,3 @@ class TestDownsample:
         assert len(sample) == target
         assert downsample_corpus(passages, target, seed_a) == sample
 
-
-class TestCorpusStats:
-    def test_counts(self):
-        passages = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
-        stats = compute_corpus_stats(passages)
-        assert stats.n_passages == 2
-        assert stats.avg_doc_len == pytest.approx(2.5)
-        assert stats.doc_freq == {"a": 1, "b": 2, "c": 1}
-        assert all(df <= stats.n_passages for df in stats.doc_freq.values())

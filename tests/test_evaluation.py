@@ -9,6 +9,7 @@ import pytest
 from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, RunRanking,
                         ce_rerank, evaluate, full_rank, init_encoder,
                         mrr_at_k, ndcg_at_k, retrieve_top_k, write_trec_run)
+from denseadapt.corpus import ParseError
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
 
@@ -272,3 +273,9 @@ class TestTrecRunOutput:
         assert list(back.entries) == ["q1", "q2"]
         assert all(math.copysign(1.0, a[1]) == math.copysign(1.0, b[1])
                    for a, b in zip(back.entries["q2"], run.entries["q2"]))
+
+    def test_short_line_names_its_location(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d2 1 1.5 test\nq1 Q0 d1 2\n")
+        with pytest.raises(ParseError, match=f"{path}:2:"):
+            read_trec_run(path)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denseadapt import (BM25Retriever, DenseRetriever, Passage, Query,
-                        bm25_score, build_bm25_index, encode_batch, full_rank,
-                        init_encoder, mine_negatives, mine_pools,
+from denseadapt import (BM25Retriever, DenseRetriever, ParseError, Passage,
+                        Query, bm25_score, build_bm25_index, encode_batch,
+                        full_rank, init_encoder, mine_negatives, mine_pools,
                         read_hard_negatives, retrieve_top_k, tokenize,
                         write_hard_negatives)
 
@@ -120,22 +120,23 @@ class TestRetrieveTopK:
         passages = [Passage("b", "", "x y"), Passage("a", "", "x y"),
                     Passage("c", "", "z")]
         index = build_bm25_index(passages)
-        top = retrieve_top_k(index, "x", 2)
+        top = retrieve_top_k(BM25Retriever(index), "x", 2)
         assert [pid for pid, _ in top] == ["a", "b"]
 
-    def test_accepts_raw_index(self):
+    def test_only_match_ranks_first(self):
         index = build_bm25_index(TWO_DOCS)
-        assert retrieve_top_k(index, "c", 1)[0][0] == "d2"
+        assert retrieve_top_k(BM25Retriever(index), "c", 1)[0][0] == "d2"
 
     def test_scores_non_increasing(self):
         passages = toy_corpus(60, seed=3)
-        top = retrieve_top_k(build_bm25_index(passages), "w1 w2 w3", 20)
+        top = retrieve_top_k(BM25Retriever(build_bm25_index(passages)),
+                             "w1 w2 w3", 20)
         scores = [s for _, s in top]
         assert scores == sorted(scores, reverse=True)
 
     def test_small_corpus_returns_fewer(self):
         index = build_bm25_index(TWO_DOCS)
-        assert len(retrieve_top_k(index, "a b c", 50)) == 2
+        assert len(retrieve_top_k(BM25Retriever(index), "a b c", 50)) == 2
 
     def test_bm25_matches_brute_force(self):
         passages = toy_corpus(80, seed=1)
@@ -161,7 +162,7 @@ class TestRetrieveTopK:
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            retrieve_top_k(build_bm25_index(TWO_DOCS), "a", 0)
+            retrieve_top_k(BM25Retriever(build_bm25_index(TWO_DOCS)), "a", 0)
 
 
 def by_score_then_id(pairs, k):
@@ -214,7 +215,8 @@ class TestTopKTies:
     @given(shuffled_ids, st.integers(1, 40))
     def test_unknown_terms_give_smallest_ids_at_zero(self, ids, k):
         passages = [Passage(pid, "", "x y") for pid in ids]
-        got = retrieve_top_k(build_bm25_index(passages), "nope never", k)
+        got = retrieve_top_k(BM25Retriever(build_bm25_index(passages)),
+                             "nope never", k)
         assert got == [(pid, 0.0) for pid in sorted(ids)[:k]]
 
     @settings(max_examples=50, deadline=None)
@@ -288,6 +290,17 @@ class TestMineNegatives:
         _, retrievers = self.make_world()
         with pytest.raises(ValueError):
             mine_negatives(Query("q1", "w1"), retrievers)
+
+    @pytest.mark.parametrize("record", [
+        '{"qid": "q1", "neg": {"bm25": ["d2"]}}',
+        '{"qid": "q1", "pos": [], "neg": {"bm25": ["d2"]}}',
+    ], ids=["no pos", "empty pos"])
+    def test_record_without_positive_names_its_location(self, tmp_path, record):
+        path = tmp_path / "hard-negatives.jsonl"
+        path.write_text('{"qid": "q0", "pos": ["d1"], "neg": {"bm25": []}}\n'
+                        + record + "\n")
+        with pytest.raises(ParseError, match=f"{path}:2:"):
+            read_hard_negatives(path)
 
     def test_file_round_trip(self, tmp_path):
         passages, retrievers = self.make_world()

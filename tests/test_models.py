@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from denseadapt import (LossConfig, OptimizerState,
-                        apply_gradients, encode_batch, finite_diff_gradcheck,
-                        init_encoder, lexical_overlap_ce, load_model,
-                        margin_mse_loss, mnrl_loss, save_model)
+from denseadapt import (LossConfig, OptimizerState, apply_gradients,
+                        encode_batch, init_encoder, lexical_overlap_ce,
+                        load_model, margin_mse_loss, mnrl_loss, save_model)
 from denseadapt import models
-from denseadapt.models import (OOV_INDEX, encode_backward,
+from denseadapt.models import (OOV_INDEX, Tokens, encode_backward,
                                encode_ids, new_grads)
+from gradcheck import finite_diff_gradcheck
 
 TOKENS = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
 
@@ -122,7 +124,8 @@ class TestEncoderCore:
         id_lists = _BATCHES[batch](rng, wide_model)
         mask = (rng.random((len(id_lists), wide_model.dim)) >= 0.3) / 0.7 \
             if dropout else None
-        out, cache = encode_ids(wide_model, id_lists, dropout_mask=mask)
+        out, cache = encode_ids(wide_model, Tokens.of(id_lists),
+                                dropout_mask=mask)
         want, pooled = reference_encode_ids(wide_model, id_lists, mask)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.pooled, pooled, rtol=0, atol=1e-12)
@@ -137,7 +140,8 @@ class TestEncoderCore:
             id_lists = _BATCHES[batch](rng, wide_model)
             mask = (rng.random((len(id_lists), wide_model.dim)) >= 0.3) / 0.7 \
                 if dropout else None
-            _, cache = encode_ids(wide_model, id_lists, dropout_mask=mask)
+            _, cache = encode_ids(wide_model, Tokens.of(id_lists),
+                                  dropout_mask=mask)
             d_out = rng.normal(size=(len(id_lists), wide_model.dim))
             encode_backward(wide_model, cache, d_out, got)
             reference_encode_backward(wide_model, id_lists, cache.pooled, mask,
@@ -146,7 +150,7 @@ class TestEncoderCore:
             assert np.array_equal(got[name], want[name]), name
 
     def test_empty_batch(self, wide_model):
-        out, cache = encode_ids(wide_model, [])
+        out, cache = encode_ids(wide_model, Tokens.of([]))
         assert out.shape == (0, wide_model.dim)
         grads = new_grads(wide_model)
         encode_backward(wide_model, cache, np.zeros((0, wide_model.dim)), grads)
@@ -154,7 +158,7 @@ class TestEncoderCore:
 
     def test_row_without_ids_rejected(self, wide_model):
         with pytest.raises(ValueError):
-            encode_ids(wide_model, [[3], []])
+            Tokens.of([[3], []])
 
     def test_token_ids_of_text_and_of_tokens_agree(self):
         m = init_encoder(TOKENS, dim=4, seed=0, max_seq_len=3)
@@ -164,6 +168,41 @@ class TestEncoderCore:
         assert np.array_equal(m.token_ids(text.split()), m.token_ids(text))
         assert m.token_ids([]).tolist() == m.token_ids("!!!").tolist() \
             == [OOV_INDEX]
+
+
+class TestTokensTake:
+    """take(rows) against packing the selected id rows afresh."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["mean", "cls"]))
+    def test_take_equals_packing_the_rows(self, data, pooling):
+        table_rows = data.draw(st.lists(
+            st.lists(st.integers(0, 39), min_size=1, max_size=9),
+            min_size=1, max_size=12))
+        # repeated, shuffled or no rows at all
+        picked = data.draw(st.lists(st.integers(0, len(table_rows) - 1),
+                                    max_size=20))
+        model = init_encoder([f"w{i}" for i in range(37)], dim=5, seed=3,
+                             pooling=pooling, init_scale=0.3)
+        got = Tokens.of(table_rows).take(picked)
+        want = Tokens.of([table_rows[i] for i in picked])
+        assert len(got) == len(picked)
+        assert got.ids.dtype == want.ids.dtype == np.intp
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.lengths, want.lengths)
+
+        rng = np.random.default_rng(len(picked))
+        d_out = rng.normal(size=(len(picked), model.dim))
+        grads = []
+        for tokens in (got, want):
+            out, cache = encode_ids(model, tokens)
+            g = new_grads(model)
+            encode_backward(model, cache, d_out, g)
+            grads.append((out, g))
+        (out_got, g_got), (out_want, g_want) = grads
+        assert np.array_equal(out_got, out_want)
+        for name in g_want:
+            assert np.array_equal(g_got[name], g_want[name]), name
 
 
 def test_corpus_encode_memory_is_bounded():
@@ -245,9 +284,9 @@ class TestGradCheck:
         targets = np.array([1.0, -2.0])
 
         def loss_fn(model_):
-            q, qc = encode_ids(model_, [model_.token_ids(t) for t in texts])
-            p, pc = encode_ids(model_, [model_.token_ids(t) for t in pos])
-            n, nc = encode_ids(model_, [model_.token_ids(t) for t in neg])
+            q, qc = encode_ids(model_, model_.tokens(texts))
+            p, pc = encode_ids(model_, model_.tokens(pos))
+            n, nc = encode_ids(model_, model_.tokens(neg))
             pred = (q * p).sum(1) - (q * n).sum(1)
             loss, d = margin_mse_loss(pred, targets)
             grads = new_grads(model_)
@@ -265,8 +304,8 @@ class TestGradCheck:
         cfg = LossConfig(tau=20.0, similarity="cosine")
 
         def loss_fn(model_):
-            q, qc = encode_ids(model_, [model_.token_ids(t) for t in texts])
-            p, pc = encode_ids(model_, [model_.token_ids(t) for t in texts[::-1]])
+            q, qc = encode_ids(model_, model_.tokens(texts))
+            p, pc = encode_ids(model_, model_.tokens(texts[::-1]))
             loss, gq, gp = mnrl_loss(q, p, cfg)
             grads = new_grads(model_)
             encode_backward(model_, qc, gq, grads)

@@ -116,6 +116,16 @@ class TestStages:
         assert (base / "shared" / "pretrain-tsdae" / "model-pretrained.json").exists()
         assert (base / "tsdae+gpl" / "train" / "model-final.json").exists()
 
+    def test_pretrain_stage_writes_loss_trace(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "out", method="tsdae+gpl")
+        run_stage("ingest", cfg)
+        run_stage("pretrain", cfg)
+        lines = (cfg.stage_dir("pretrain-tsdae") / "loss-trace.csv") \
+            .read_text().splitlines()
+        assert lines[0] == "step,loss"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
+        assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
+
     def test_rerank_stage(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out",
                            method="zero_shot")
@@ -225,6 +235,30 @@ class TestCache:
         gen.unlink()
         run_pipeline(cfg, "gpl")
         assert gen.exists()
+
+    def test_entry_with_fewer_outputs_is_a_miss(self, tmp_path):
+        """An entry an older version of a stage recorded, listing fewer
+        files than the stage now writes, is recomputed, not returned."""
+        cfg = small_config(tmp_path, tmp_path / "out", method="tsdae+gpl")
+        run_stage("ingest", cfg)
+        run_stage("pretrain", cfg)
+        manifest_path = cfg.dataset_dir / "cache-manifest.json"
+        entries = json.loads(manifest_path.read_text())
+        trace = cfg.stage_dir("pretrain-tsdae") / "loss-trace.csv"
+        entries["pretrain-tsdae"]["outputs"].remove(
+            "shared/pretrain-tsdae/loss-trace.csv")
+        manifest_path.write_text(json.dumps(entries))
+        trace.unlink()
+        outputs = run_stage("pretrain", cfg)
+        assert trace in outputs and trace.exists()
+
+        manifest = CacheManifest(manifest_path)
+        entry = manifest.entries["pretrain-tsdae"]
+        paths = [cfg.dataset_dir / name for name in entry["outputs"]]
+        assert manifest.resolve("pretrain-tsdae", entry["input_hash"],
+                                entry["config_hash"], paths)
+        assert not manifest.resolve("pretrain-tsdae", entry["input_hash"],
+                                    entry["config_hash"], paths[:1])
 
     def test_moved_cache_keeps_its_hits(self, tmp_path):
         """Input hashes and recorded outputs do not depend on where the
@@ -450,7 +484,7 @@ class TestUdalmMethod:
         with pytest.raises(PipelineError, match="source"):
             run_pipeline(cfg, "udalm")
 
-    def test_udalm_runs_with_source(self, tmp_path):
+    def udalm_config(self, tmp_path):
         # source world: reuse the toy world generator plus labeled tuples
         src_dir = tmp_path / "src"
         src_dir.mkdir()
@@ -475,7 +509,7 @@ class TestUdalmMethod:
         from denseadapt import save_queries
         save_queries(queries, src_queries_path)
 
-        cfg = small_config(tmp_path, tmp_path / "out", paths={
+        return small_config(tmp_path, tmp_path / "out", paths={
             "corpus": str(tmp_path / "corpus.jsonl"),
             "queries": str(tmp_path / "queries.jsonl"),
             "qrels": str(tmp_path / "qrels.tsv"),
@@ -484,5 +518,41 @@ class TestUdalmMethod:
             "source_queries": str(src_queries_path),
             "source_tuples": str(tuples_path),
         })
+
+    def test_udalm_runs_with_source(self, tmp_path):
+        cfg = self.udalm_config(tmp_path)
         report = run_pipeline(cfg, "udalm")
         assert 0.0 <= report.averages["ndcg@10"] <= 1.0
+
+    def test_udalm_tokenizes_each_distinct_text_once(self, tmp_path,
+                                                     monkeypatch):
+        """Training tokenizes every target passage and every source query
+        and passage its tuples name once, however many steps run."""
+        from denseadapt import load_queries, read_dataset
+        from denseadapt.models import EncoderModel
+        cfg = self.udalm_config(tmp_path)
+        cfg.data["udalm"]["steps"] = 40
+        calls = []
+        token_ids, udalm_train = EncoderModel.token_ids, pipeline._udalm_train
+
+        def counted(self, text):
+            calls.append(text if isinstance(text, str) else " ".join(text))
+            return token_ids(self, text)
+
+        def train(*args):
+            with monkeypatch.context() as m:
+                m.setattr(EncoderModel, "token_ids", counted)
+                return udalm_train(*args)
+
+        monkeypatch.setattr(pipeline, "_udalm_train", train)
+        run_pipeline(cfg, "udalm")
+
+        paths = cfg["paths"]
+        tuples = read_dataset(paths["source_tuples"]).tuples
+        sources = {p.id: p.body for p in load_corpus(paths["source_corpus"])}
+        queries = {q.id: q.text for q in load_queries(paths["source_queries"])}
+        want = [p.body for p in load_corpus(paths["corpus"])]
+        want += [queries[qid] for qid in {t.query_id for t in tuples}]
+        want += [sources[pid] for pid in
+                 {pid for t in tuples for pid in (t.pos_id, t.neg_id)}]
+        assert sorted(calls) == sorted(want)

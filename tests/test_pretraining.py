@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from denseadapt import (LossConfig, Passage, finite_diff_gradcheck,
-                        init_encoder, mnrl_loss)
+from denseadapt import LossConfig, Passage, init_encoder, mnrl_loss, tokenize
 from denseadapt.models import NUM_RESERVED, encode_ids, new_grads
 from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig,
                                     condensor_loss, ct_step,
@@ -17,6 +16,7 @@ from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig,
                                     simcse_pairs, simcse_step, split_sentences,
                                     token_cross_entropy, tsdae_corrupt,
                                     tsdae_loss, udalm_step)
+from gradcheck import finite_diff_gradcheck
 
 TOKENS = [f"w{i}" for i in range(24)]
 
@@ -168,8 +168,8 @@ class TestIct:
         cfg = LossConfig(tau=10.0, similarity="cosine")
 
         def loss_fn(m):
-            q, qc = encode_ids(m, [m.token_ids(t) for t, _ in pairs])
-            c, cc = encode_ids(m, [m.token_ids(t) for _, t in pairs])
+            q, qc = encode_ids(m, m.tokens([t for t, _ in pairs]))
+            c, cc = encode_ids(m, m.tokens([t for _, t in pairs]))
             loss, gq, gc = mnrl_loss(q, c, cfg)
             grads = new_grads(m)
             from denseadapt.models import encode_backward
@@ -271,30 +271,42 @@ class TestCondensor:
         assert finite_diff_gradcheck(loss_fn, params, tolerance=1e-4).passed
 
 
+def target_rows(model, texts):
+    """The target texts' token ids as UDALM's masked part takes them."""
+    return [model.token_ids(t) if tokenize(t) else [] for t in texts]
+
+
 class TestUdalm:
-    def source_batch(self):
+    def source_texts(self):
         return (["w0 w1", "w2"], ["w0 w1 w3", "w2 w4"], ["w5", "w6 w7"],
                 [1.0, -0.5])
 
+    def source_batch(self, model):
+        q, p, n, margins = self.source_texts()
+        return (model.tokens(q), model.tokens(p), model.tokens(n),
+                np.asarray(margins))
+
     def test_mix_weight_validation(self, model):
         with pytest.raises(ValueError):
-            udalm_step(model, ["w0"], self.source_batch(), mix_weight=1.5)
+            udalm_step(model, target_rows(model, ["w0"]),
+                       self.source_batch(model), mix_weight=1.5)
 
     def test_pure_endpoints(self, model):
         from denseadapt import margin_mse_loss
         from denseadapt.models import encode_batch
 
-        loss_mse_only, _ = udalm_step(model, ["w0 w1"], self.source_batch(),
+        loss_mse_only, _ = udalm_step(model, target_rows(model, ["w0 w1"]),
+                                      self.source_batch(model),
                                       mix_weight=0.0, rng=3)
-        q, p, n, margins = self.source_batch()
+        q, p, n, margins = self.source_texts()
         q_e = encode_batch(model, q)
         pred = (q_e * encode_batch(model, p)).sum(1) \
             - (q_e * encode_batch(model, n)).sum(1)
         expected, _ = margin_mse_loss(pred, np.asarray(margins))
         assert loss_mse_only == pytest.approx(expected)
 
-        loss_mlm_only, _ = udalm_step(model, ["w0 w1 w2 w3"],
-                                      self.source_batch(), mix_weight=1.0,
+        loss_mlm_only, _ = udalm_step(model, target_rows(model, ["w0 w1 w2 w3"]),
+                                      self.source_batch(model), mix_weight=1.0,
                                       rng=3)
         loss_mlm_direct, _ = mlm_corrupt_and_loss(
             model, ["w0", "w1", "w2", "w3"], 0.15,
@@ -303,30 +315,34 @@ class TestUdalm:
 
     def test_convex_combination(self, model):
         # with both sub-losses equal, any mix weight returns that value
-        half, _ = udalm_step(model, ["w0 w1 w2"], self.source_batch(),
+        target = target_rows(model, ["w0 w1 w2"])
+        half, _ = udalm_step(model, target, self.source_batch(model),
                              mix_weight=0.5, rng=5)
-        mlm_part, _ = udalm_step(model, ["w0 w1 w2"], self.source_batch(),
+        mlm_part, _ = udalm_step(model, target, self.source_batch(model),
                                  mix_weight=1.0, rng=5)
-        mse_part, _ = udalm_step(model, ["w0 w1 w2"], self.source_batch(),
+        mse_part, _ = udalm_step(model, target, self.source_batch(model),
                                  mix_weight=0.0, rng=5)
         assert half == pytest.approx(0.5 * mlm_part + 0.5 * mse_part)
 
     def test_empty_target_text_adds_nothing(self, model):
         # an empty passage has nothing to mask: it adds no loss and no
         # gradient, and the masked part still divides by the batch size
-        loss_one, grads_one = udalm_step(model, ["w0 w1 w2"], self.source_batch(),
+        loss_one, grads_one = udalm_step(model, target_rows(model, ["w0 w1 w2"]),
+                                         self.source_batch(model),
                                          mix_weight=1.0, rng=5)
-        loss_two, grads_two = udalm_step(model, ["w0 w1 w2", ""],
-                                         self.source_batch(), mix_weight=1.0,
-                                         rng=5)
+        loss_two, grads_two = udalm_step(model,
+                                         target_rows(model, ["w0 w1 w2", ""]),
+                                         self.source_batch(model),
+                                         mix_weight=1.0, rng=5)
         assert loss_two == pytest.approx(loss_one / 2)
         for name in grads_one:
             np.testing.assert_allclose(grads_two[name], grads_one[name] / 2)
 
     def test_gradcheck(self, model):
         def loss_fn(m):
-            return udalm_step(m, ["w0 w1 w2", "w3 w4"], self.source_batch(),
-                              mix_weight=0.5, mask_ratio=0.3, rng=17)
+            return udalm_step(m, target_rows(m, ["w0 w1 w2", "w3 w4"]),
+                              self.source_batch(m), mix_weight=0.5,
+                              mask_ratio=0.3, rng=17)
 
         assert finite_diff_gradcheck(loss_fn, model, tolerance=1e-4).passed
 
@@ -342,8 +358,9 @@ class TestPretrainLoop:
         before = model.embedding.copy()
         cfg = PretrainConfig(method=method, steps=5, batch_size=4,
                              learning_rate=0.05, seed=2)
-        out = pretrain(model, self.corpus(), cfg)
+        out, trace = pretrain(model, self.corpus(), cfg)
         assert out is model
+        assert [step for step, _ in trace] == list(range(1, 6))
         assert np.any(out.embedding != before)
 
     def test_cd_requires_cls(self):

@@ -2,6 +2,7 @@
 fine-tuning loops."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,10 +12,24 @@ from denseadapt import (LossConfig, Passage, Query, TrainRunConfig,
                         margin_mse_loss, mnrl_loss, qgen_train)
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import PoolEntry
-from denseadapt.models import new_grads
+from denseadapt.models import EncoderModel, new_grads
 from denseadapt.training import fit
 
 TOKENS = [f"w{i}" for i in range(20)]
+
+
+def count_token_ids(monkeypatch) -> Counter:
+    """Count EncoderModel.token_ids calls by the text (or the joined tokens)
+    they were given."""
+    calls: Counter = Counter()
+    original = EncoderModel.token_ids
+
+    def counted(self, text):
+        calls[text if isinstance(text, str) else " ".join(text)] += 1
+        return original(self, text)
+
+    monkeypatch.setattr(EncoderModel, "token_ids", counted)
+    return calls
 
 
 class TestMarginMSE:
@@ -224,6 +239,20 @@ class TestGplTrain:
         with pytest.raises(KeyError):
             gpl_train(model, dataset, corpus, queries, TrainRunConfig(steps=1))
 
+    @pytest.mark.parametrize("steps", [1, 40])
+    def test_tokenizes_each_distinct_text_once(self, monkeypatch, steps):
+        corpus, queries = self.make_world()
+        dataset = tuple_dataset([
+            TrainingTuple("q0", "p0", "p1", 2.0),
+            TrainingTuple("q0", "p0", "p2", 1.0),
+            TrainingTuple("q1", "p1", "p0", -0.5),
+            TrainingTuple("q1", "p1", "p2", 0.5),
+        ] * 3)
+        calls = count_token_ids(monkeypatch)
+        gpl_train(init_encoder(TOKENS, dim=4, seed=0), dataset, corpus,
+                  queries, TrainRunConfig(steps=steps, batch_size=3))
+        assert calls == Counter(["w0", "w2", "w0 w1", "w2 w3", "w4 w5"])
+
     def test_checkpoints_written(self, tmp_path):
         corpus, queries = self.make_world()
         dataset = tuple_dataset([TrainingTuple("q0", "p0", "p1", 1.0),
@@ -300,6 +329,21 @@ class TestQgenTrain:
         qgen_train(model, queries, corpus, cfg, checkpoint_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["ckpt-3.json", "ckpt-6.json"]
+
+    @pytest.mark.parametrize("steps", [1, 40])
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_tokenizes_each_distinct_text_once(self, monkeypatch, steps, hard):
+        corpus, queries = self.make_world()
+        pools = {q.id: PoolEntry(q.id, q.source_passage_id, {"bm25": ["p4"]},
+                                 ["p4"], {"p4": ["bm25"]}, usable=True)
+                 for q in queries} if hard else None
+        calls = count_token_ids(monkeypatch)
+        qgen_train(init_encoder(TOKENS, dim=4, seed=0, similarity="cosine"),
+                   queries, corpus, TrainRunConfig(steps=steps, batch_size=2),
+                   negatives=pools)
+        want = Counter([q.text for q in queries] +
+                       [f"w{2*i} w{2*i+1}" for i in range(5 if hard else 4)])
+        assert calls == want
 
     def test_hard_negative_mode_trains_and_uses_pools(self):
         corpus, queries = self.make_world()
