@@ -13,11 +13,10 @@ from .corpus import (DuplicateIdError, ParseError, Passage, Qrels, Query,
                      tokenize)
 from .evaluation import (EvalReport, RunRanking, ce_rerank, evaluate,
                          full_rank, mrr_at_k, ndcg_at_k, write_trec_run)
-from .labeling import (GPLDataset, TrainingTuple, binary_relevance_labels,
-                       build_dataset, ce_margin, read_dataset, sample_tuple,
-                       write_dataset)
+from .labeling import (GPLDataset, TrainingTuple, build_dataset, read_dataset,
+                       sample_tuple, write_dataset)
 from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolEntry,
-                     bm25_score, build_bm25_index, mine_negatives, mine_pools,
+                     build_bm25_index, mine_negatives, mine_pools,
                      read_hard_negatives, retrieve_top_k, write_hard_negatives)
 from .models import (CrossEncoderScorer, EncoderModel, OptimizerState,
                      QueryGenerator, apply_gradients, encode_batch,

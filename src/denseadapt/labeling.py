@@ -38,20 +38,6 @@ class GPLDataset:
     manifest: dict = field(default_factory=dict)
 
 
-def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,
-              neg_text: str) -> float:
-    """Teacher margin: score(query, positive) - score(query, negative).
-
-    A negative margin means the cross-encoder prefers the mined "negative",
-    i.e. a likely false negative.
-    """
-    pos_score = ce(query_text, pos_text)
-    neg_score = ce(query_text, neg_text)
-    if not (math.isfinite(pos_score) and math.isfinite(neg_score)):
-        raise ValueError("cross-encoder produced a non-finite score")
-    return pos_score - neg_score
-
-
 def sample_tuple(query: Query, pool: PoolEntry, seed: int,
                  draw: int = 0) -> tuple[str, str]:
     """Pick (positive, negative) ids for one query.
@@ -122,19 +108,6 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
     return GPLDataset(tuples, manifest)
 
 
-def binary_relevance_labels(dataset: GPLDataset) -> list[tuple[str, str, int]]:
-    """Companion 0/1 labels over the same tuples: positives 1, negatives 0.
-
-    This is the label set a generation-only baseline would train on; it
-    cannot express a false negative, where the margin label is near zero.
-    """
-    labels: list[tuple[str, str, int]] = []
-    for t in dataset.tuples:
-        labels.append((t.query_id, t.pos_id, 1))
-        labels.append((t.query_id, t.neg_id, 0))
-    return labels
-
-
 def write_dataset(dataset: GPLDataset, path: str | Path) -> None:
     """TSV `qid <TAB> pos <TAB> neg <TAB> margin` with margins at 17
     significant digits (exact float64 round-trip); manifest as a JSON
@@ -164,7 +137,10 @@ def read_dataset(path: str | Path) -> GPLDataset:
                 margin = float(margin_str)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: bad margin {margin_str!r}") from e
-            tuples.append(TrainingTuple(qid, pos_id, neg_id, margin))
+            try:
+                tuples.append(TrainingTuple(qid, pos_id, neg_id, margin))
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from e
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     manifest = {}
     if manifest_path.exists():

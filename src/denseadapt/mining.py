@@ -8,7 +8,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,10 +53,6 @@ class BM25Index:
         df = len(self.postings(term)[0])
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5)) if df else 0.0
 
-    @cached_property
-    def position(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.ids)}
-
 
 def build_bm25_index(passages: Sequence[Passage], k1: float = DEFAULT_K1,
                      b: float = DEFAULT_B) -> BM25Index:
@@ -79,27 +74,6 @@ def build_bm25_index(passages: Sequence[Passage], k1: float = DEFAULT_K1,
                      [p.id for p in passages], norm, avgdl, len(passages), k1, b)
 
 
-def bm25_score(index: BM25Index, query_tokens: Sequence[str],
-               passage_id: str) -> float:
-    """Okapi BM25 for one (query, passage) pair.
-
-    Repeated query terms contribute once per occurrence in the query; terms
-    absent from the passage contribute 0.
-    """
-    i = index.position.get(passage_id)
-    if i is None:
-        raise KeyError(f"unknown passage id {passage_id!r}")
-    norm = float(index.norm[i])
-    score = 0.0
-    for term in query_tokens:
-        doc, tf = index.postings(term)
-        j = doc.searchsorted(i)
-        if j < len(doc) and doc[j] == i:
-            t = float(tf[j])
-            score += index.idf(term) * t * (index.k1 + 1.0) / (t + norm)
-    return score
-
-
 def _id_rank(ids: Sequence[str]) -> np.ndarray:
     """Each position's rank in ascending id order."""
     return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
@@ -115,7 +89,7 @@ class BM25Retriever:
         self.id_rank = _id_rank(index.ids)
 
     def scores(self, query_text: str) -> np.ndarray:
-        """Scores in corpus order, summed token by token as bm25_score sums."""
+        """Scores in corpus order, summed token by token in query order."""
         index = self.index
         scores = np.zeros(index.n_docs)
         for term in tokenize(query_text):

@@ -96,38 +96,75 @@ def nucleus_filter(logits: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     whose cumulative mass reaches top_p survives; if the set's total mass
     stays below top_p, the whole set survives. Ties break by ascending
     token index.
+
+    Exact: the output is bit-for-bit that of a dense softmax, a stable
+    full-vocabulary argsort cut at top_k and a dense renormalization.
+    Only finite logits are exponentiated (exp(-inf) is 0) and only they
+    are ranked, on the k-th largest probability and every entry tied with
+    it; both sums stay over the dense vector, because numpy's pairwise
+    summation rounds by element position. A finite logit that overflows
+    when divided by the temperature is rejected, where the dense softmax
+    gave NaN.
     """
     logits = np.asarray(logits, dtype=float)
     if logits.ndim != 1 or logits.size == 0:
         raise ValueError("logits must be a non-empty vector")
-    if np.isnan(logits).any() or np.isposinf(logits).any():
+    top = np.max(logits)  # NaN if any entry is NaN
+    if np.isnan(top) or top == np.inf:
         raise ValueError("logits must not contain NaN or +inf")
-    if np.all(np.isneginf(logits)):
+    if top == -np.inf:
         raise ValueError("all logits are -inf")
 
-    scaled = logits / cfg.temperature
-    scaled = scaled - np.max(scaled)
-    probs = np.exp(scaled)
-    probs /= probs.sum()
+    # Division rounds monotonically, so this is the largest scaled logit.
+    scaled_top = float(top) / cfg.temperature
+    if scaled_top == math.inf:
+        raise ValueError("logits / temperature overflows to +inf")
 
-    order = np.argsort(-probs, kind="stable")[: cfg.top_k]
+    finite = np.flatnonzero(logits > -np.inf)
+    probs = np.zeros(len(logits))
+    probs[finite] = np.exp(logits[finite] / cfg.temperature - scaled_top)
+    probs[finite] /= probs.sum()
+
+    # Top-k among the finite entries; the rest have probability 0, rank
+    # after every positive entry and add nothing to the cumulative mass.
+    p = probs[finite]
+    candidates = finite
+    if cfg.top_k < len(p):
+        kth = np.partition(p, len(p) - cfg.top_k)[len(p) - cfg.top_k]
+        candidates = finite[p >= kth]
+    # `candidates` ascend, so a stable sort on descending probability
+    # breaks ties by ascending index.
+    order = candidates[np.argsort(-probs[candidates], kind="stable")[: cfg.top_k]]
     cumulative = np.cumsum(probs[order])
     cut = int(np.searchsorted(cumulative, cfg.top_p - 1e-12)) + 1
     keep = order[: min(cut, len(order))]
 
-    out = np.zeros_like(probs)
-    out[keep] = probs[keep]
-    out /= out.sum()
-    return out
+    # The output reuses the dense buffer: zero all but the kept entries.
+    kept = probs[keep]
+    probs[finite] = 0.0
+    probs[keep] = kept
+    probs[keep] /= probs.sum()
+    return probs
 
 
 def _decode(gen: QueryGenerator, source_text: str, cfg: SamplerConfig,
             rng: np.random.Generator, limit: int) -> list[str]:
+    """Sample up to `limit` tokens, stopping at eos.
+
+    Each token is exactly `rng.choice(len(probs), p=probs)`: one double
+    from the stream against the cumulative sum of the filtered
+    distribution, searched on the right. The sum runs over the non-zero
+    entries only; a zero adds exactly, so their cdf values are the
+    full-vector ones.
+    """
     tokens: list[str] = []
     while len(tokens) < limit:
         logits = gen.next_token_logits(source_text, tuple(tokens))
         probs = nucleus_filter(logits, cfg)
-        idx = int(rng.choice(len(probs), p=probs))
+        support = np.flatnonzero(probs > 0)
+        cdf = np.cumsum(probs[support])
+        cdf /= cdf[-1]
+        idx = int(support[np.searchsorted(cdf, rng.random(), side="right")])
         token = gen.vocab[idx]
         if token == gen.eos_token:
             break

@@ -1,0 +1,69 @@
+"""Scalar reference implementations the tests hold the package to: Okapi
+BM25 for one (query, passage) pair, the teacher margin of one tuple, and
+the binary labels a generation-only baseline would train on."""
+
+import math
+from typing import Sequence
+
+from denseadapt.labeling import GPLDataset
+from denseadapt.mining import BM25Index
+from denseadapt.models import CrossEncoderScorer
+
+# The last index scored and its passage positions: a test scores one index
+# many times in a row.
+_positions: tuple[BM25Index | None, dict[str, int]] = (None, {})
+
+
+def _position(index: BM25Index) -> dict[str, int]:
+    global _positions
+    if _positions[0] is not index:
+        _positions = (index, {pid: i for i, pid in enumerate(index.ids)})
+    return _positions[1]
+
+
+def bm25_score(index: BM25Index, query_tokens: Sequence[str],
+               passage_id: str) -> float:
+    """Okapi BM25 for one (query, passage) pair.
+
+    Repeated query terms contribute once per occurrence in the query; terms
+    absent from the passage contribute 0.
+    """
+    i = _position(index).get(passage_id)
+    if i is None:
+        raise KeyError(f"unknown passage id {passage_id!r}")
+    norm = float(index.norm[i])
+    score = 0.0
+    for term in query_tokens:
+        doc, tf = index.postings(term)
+        j = doc.searchsorted(i)
+        if j < len(doc) and doc[j] == i:
+            t = float(tf[j])
+            score += index.idf(term) * t * (index.k1 + 1.0) / (t + norm)
+    return score
+
+
+def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,
+              neg_text: str) -> float:
+    """Teacher margin: score(query, positive) - score(query, negative).
+
+    A negative margin means the cross-encoder prefers the mined "negative",
+    i.e. a likely false negative.
+    """
+    pos_score = ce(query_text, pos_text)
+    neg_score = ce(query_text, neg_text)
+    if not (math.isfinite(pos_score) and math.isfinite(neg_score)):
+        raise ValueError("cross-encoder produced a non-finite score")
+    return pos_score - neg_score
+
+
+def binary_relevance_labels(dataset: GPLDataset) -> list[tuple[str, str, int]]:
+    """Companion 0/1 labels over the same tuples: positives 1, negatives 0.
+
+    This is the label set a generation-only baseline would train on; it
+    cannot express a false negative, where the margin label is near zero.
+    """
+    labels: list[tuple[str, str, int]] = []
+    for t in dataset.tuples:
+        labels.append((t.query_id, t.pos_id, 1))
+        labels.append((t.query_id, t.neg_id, 0))
+    return labels

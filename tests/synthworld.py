@@ -26,15 +26,15 @@ import numpy as np
 
 from denseadapt import (BM25Retriever, DenseRetriever, LossConfig, Passage,
                         Qrels, Query, SamplerConfig, TrainRunConfig,
-                        binary_relevance_labels, build_bm25_index,
-                        build_dataset, compute_budget, evaluate,
+                        build_bm25_index, build_dataset, compute_budget, evaluate,
                         generate_queries, gpl_train, init_encoder,
                         lexical_overlap_ce, mine_pools, mock_generator,
                         qgen_train)
 from denseadapt.corpus import passage_text, tokenize
-from denseadapt.labeling import GPLDataset, TrainingTuple, ce_margin
+from denseadapt.labeling import GPLDataset, TrainingTuple
 from denseadapt.mining import PoolEntry
 from denseadapt.util import derive_seed
+from oracles import binary_relevance_labels, ce_margin
 
 N_GENERAL = 8
 N_TOPICS = 8

@@ -1,17 +1,18 @@
 """Cross-encoder margins, negative sampling, dataset assembly and round-trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from denseadapt import (CrossEncoderScorer, Passage, Query, TrainingTuple,
-                        binary_relevance_labels, build_dataset, ce_margin,
-                        lexical_overlap_ce, read_dataset, sample_tuple,
-                        write_dataset)
+                        build_dataset, lexical_overlap_ce, read_dataset,
+                        sample_tuple, write_dataset)
 from denseadapt.corpus import ParseError, passage_text
 from denseadapt.mining import PoolEntry
 from denseadapt.util import derive_seed
+from oracles import binary_relevance_labels, ce_margin
 
 
 def fixed_ce(scores: dict) -> CrossEncoderScorer:
@@ -301,4 +302,19 @@ class TestDatasetIO:
         path = tmp_path / "data.tsv"
         path.write_text("q1\tp1\tn1\tnot-a-float\n")
         with pytest.raises(ParseError):
+            read_dataset(path)
+
+    def test_positive_equal_to_negative_names_its_location(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("q0\tp0\tn0\t1.5\nq1\tp1\tp1\t0.5\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "
+                                             "pos_id == neg_id"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+    def test_non_finite_margin_names_its_location(self, tmp_path, margin):
+        path = tmp_path / "data.tsv"
+        path.write_text(f"q0\tp0\tn0\t1.5\n\nq1\tp1\tp2\t{margin}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "
+                                             "non-finite margin"):
             read_dataset(path)
