@@ -18,16 +18,15 @@ from .labeling import (GPLDataset, TrainingTuple, build_dataset, read_dataset,
 from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolEntry,
                      build_bm25_index, mine_negatives, mine_pools,
                      read_hard_negatives, retrieve_top_k, write_hard_negatives)
-from .models import (CrossEncoderScorer, EncoderModel, OptimizerState,
-                     QueryGenerator, apply_gradients, encode_batch,
-                     init_encoder, lexical_overlap_ce, load_model, save_model)
+from .models import (CrossEncoderScorer, EncoderModel, QueryGenerator,
+                     apply_gradients, encode_batch, init_encoder,
+                     lexical_overlap_ce, load_model, save_model)
 from .pipeline import (CacheManifest, PipelineConfig, PipelineError,
                        parse_method, run_pipeline, run_stage)
 from .pretraining import (PretrainConfig, condensor_loss, ct_step,
-                          ict_example, mlm_corrupt, mlm_corrupt_and_loss,
-                          pretrain, simcse_pairs, simcse_step,
-                          split_sentences, tsdae_corrupt, tsdae_loss,
-                          udalm_step)
+                          ict_example, mlm_corrupt, pretrain,
+                          simcse_pairs, simcse_step, split_sentences,
+                          tsdae_corrupt, tsdae_loss, udalm_step)
 from .qgen import (GenerationBudget, SamplerConfig, compute_budget,
                    generate_queries, mock_generator, nucleus_filter,
                    write_gen_qrels)

@@ -39,9 +39,8 @@ def main(verbose: bool) -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def run(config_path: str, method: str, seed: int | None) -> None:
     """Run a method's full stage sequence and print the eval averages."""
-    cfg = _load_config(config_path, seed, method)
     try:
-        report = run_pipeline(cfg, method)
+        report = run_pipeline(_load_config(config_path, seed, method), method)
     except PipelineError as e:
         raise click.ClickException(str(e)) from e
     click.echo(json.dumps({"method": method, "averages": report.averages},
@@ -58,9 +57,8 @@ def run(config_path: str, method: str, seed: int | None) -> None:
 def stage(name: str, config_path: str, method: str | None, seed: int | None
           ) -> None:
     """Run a single pipeline stage."""
-    cfg = _load_config(config_path, seed, method)
     try:
-        outputs = run_stage(name, cfg)
+        outputs = run_stage(name, _load_config(config_path, seed, method))
     except PipelineError as e:
         raise click.ClickException(str(e)) from e
     for path in outputs:

@@ -63,19 +63,16 @@ class EncoderModel:
     def vocab_size(self) -> int:
         return self.embedding.shape[0]
 
-    def token_ids(self, text: str | Sequence[str]) -> np.ndarray:
-        """Token ids of a text, or of its tokens, truncated to max_seq_len;
-        no tokens map to [OOV]."""
-        tokens = (tokenize(text) if isinstance(text, str)
-                  else list(text))[: self.max_seq_len]
-        if not tokens:
-            return np.array([OOV_INDEX], dtype=np.intp)
+    def token_ids(self, text: str) -> np.ndarray:
+        """Token ids of a text, truncated to max_seq_len; none for a text
+        without tokens."""
+        tokens = tokenize(text)[: self.max_seq_len]
         return np.fromiter((self.vocab.get(t, OOV_INDEX) for t in tokens),
                            dtype=np.intp, count=len(tokens))
 
     def tokens(self, texts: Sequence[str]) -> "Tokens":
         """The packed token ids of a list of texts, one row per text."""
-        return Tokens.of([self.token_ids(t) for t in texts])
+        return Tokens.of_text_ids([self.token_ids(t) for t in texts])
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "projection": self.projection}
@@ -113,6 +110,12 @@ class Tokens:
             raise ValueError("every row needs at least one token id")
         ids = np.concatenate(rows) if len(rows) else np.zeros(0)
         return cls(ids.astype(np.intp, copy=False), lengths)
+
+    @classmethod
+    def of_text_ids(cls, rows: Sequence[np.ndarray]) -> "Tokens":
+        """Pack texts' id rows (`EncoderModel.token_ids`); a text without
+        tokens is encoded as one [OOV] id."""
+        return cls.of([row if len(row) else [OOV_INDEX] for row in rows])
 
     def __len__(self) -> int:
         return self.lengths.size
@@ -212,20 +215,8 @@ def encode_batch(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     return encode_ids(model, model.tokens(texts))[0]
 
 
-@dataclass
-class OptimizerState:
-    """Plain SGD state."""
-
-    learning_rate: float
-    step_count: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-
-
 def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
-                    opt: OptimizerState) -> tuple[EncoderModel, OptimizerState]:
+                    learning_rate: float) -> None:
     """In-place SGD step: p <- p - lr * g for every parameter."""
     params = model.parameters()
     for name, g in grads.items():
@@ -234,9 +225,7 @@ def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
         if params[name].shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{params[name].shape} for {name!r}")
-        params[name] -= opt.learning_rate * g
-    opt.step_count += 1
-    return model, opt
+        params[name] -= learning_rate * g
 
 
 # --- cross-encoder / generator contracts ------------------------------------

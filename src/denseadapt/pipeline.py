@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import corpus as corpus_io
 from .corpus import Passage, load_corpus, load_qrels, load_queries, \
     passage_text, save_corpus, save_queries, tokenize
@@ -40,11 +38,12 @@ from .mining import BM25Retriever, DenseRetriever, build_bm25_index, \
     mine_pools, read_hard_negatives, write_hard_negatives
 from .models import EncoderModel, init_encoder, lexical_overlap_ce, \
     load_model, save_model
-from .pretraining import PRETRAIN_METHODS, PretrainConfig, pretrain, udalm_step
+from .pretraining import PRETRAIN_METHODS, PretrainConfig, pretrain, \
+    udalm_train
 from .qgen import SamplerConfig, compute_budget, \
     generate_queries, mock_generator, write_gen_qrels
-from .training import TrainRunConfig, LossConfig, fit, gpl_train, \
-    qgen_train, tuple_batches, write_loss_trace
+from .training import TrainRunConfig, LossConfig, gpl_train, qgen_train, \
+    write_loss_trace
 from .util import canonical_json, derive_seed, sha256_bytes, sha256_files
 
 logger = logging.getLogger(__name__)
@@ -98,13 +97,14 @@ DEFAULTS: dict = {
         "gpl": {"steps": 140_000, "batch_size": 32, "learning_rate": 2e-3,
                 "log_every": 100, "checkpoint_every": 0},
         "qgen": {"steps": None, "batch_size": 75, "learning_rate": 2e-3,
-                 "tau": 20.0, "log_every": 100},
+                 "tau": 20.0, "log_every": 100, "checkpoint_every": 0},
     },
     "pretrain": {"steps": 100_000, "batch_size": 8, "learning_rate": 2e-3,
                  "deletion_ratio": 0.6, "mask_ratio": 0.15,
                  "ict_mask_prob": 0.9, "dropout_rate": 0.1, "tau": 20.0},
     "udalm": {"mix_weight": 0.5, "steps": 1000, "batch_size": 8,
-              "learning_rate": 2e-3, "mask_ratio": 0.15},
+              "learning_rate": 2e-3, "mask_ratio": 0.15, "log_every": 1,
+              "checkpoint_every": 0},
     "evaluate": {"metrics": ["ndcg@10", "mrr@10"], "cutoff": 1000,
                  "gain": "linear"},
     "rerank": {"top_n": 100},
@@ -115,11 +115,15 @@ class PipelineError(RuntimeError):
     pass
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, where: str) -> dict:
+    """base with override's values put in. A key that base lacks is an
+    error naming its dotted path; `where` is the path of base."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        if key not in out:
+            raise PipelineError(f"unknown config key {where}{key}")
+        if isinstance(value, dict) and isinstance(out[key], dict):
+            out[key] = _deep_merge(out[key], value, f"{where}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -127,7 +131,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 @dataclass
 class PipelineConfig:
-    """Merged configuration tree; see DEFAULTS for the full key set."""
+    """Merged configuration tree; DEFAULTS names the full key set, and a
+    key it does not name is rejected."""
 
     data: dict
 
@@ -135,15 +140,12 @@ class PipelineConfig:
     def from_file(cls, path: str | Path, overrides: dict | None = None
                   ) -> "PipelineConfig":
         with open(path, encoding="utf-8") as f:
-            loaded = json.load(f)
-        merged = _deep_merge(DEFAULTS, loaded)
-        if overrides:
-            merged = _deep_merge(merged, overrides)
-        return cls(merged)
+            merged = _deep_merge(DEFAULTS, json.load(f), "")
+        return cls(_deep_merge(merged, overrides or {}, ""))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(_deep_merge(DEFAULTS, data))
+        return cls(_deep_merge(DEFAULTS, data, ""))
 
     def __getitem__(self, key: str):
         return self.data[key]
@@ -525,21 +527,28 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
             inputs.append((Path(cfg["paths"][key]),
                            "nothing (external source data)"))
     train_seed = derive_seed(cfg.seed, "train", method)
+    # The one config section the method reads, and the only one it hashes.
+    section = cfg["udalm"] if final == "udalm" else \
+        cfg["train"]["gpl" if final == "gpl" else "qgen"]
 
     def compute(out_dir: Path) -> None:
         passages = load_corpus(_artifact(cfg, "ingest"))
         model = load_model(start[0])
         model.similarity = "cosine" if final.startswith("qgen") else "dot"
-        section = cfg["udalm"] if final == "udalm" else \
-            cfg["train"]["gpl" if final == "gpl" else "qgen"]
         run_cfg = TrainRunConfig(
             steps=None if section["steps"] is None else int(section["steps"]),
             batch_size=int(section["batch_size"]),
             seed=train_seed, learning_rate=float(section["learning_rate"]),
-            log_every=int(section.get("log_every", 1)),
-            checkpoint_every=int(section.get("checkpoint_every", 0)))
+            log_every=int(section["log_every"]),
+            checkpoint_every=int(section["checkpoint_every"]))
         if final == "udalm":
-            model, trace = _udalm_train(cfg, model, passages, run_cfg, out_dir)
+            paths = cfg["paths"]
+            model, trace = udalm_train(
+                model, passages, read_dataset(paths["source_tuples"]),
+                load_corpus(paths["source_corpus"]),
+                load_queries(paths["source_queries"]), run_cfg,
+                float(section["mix_weight"]), float(section["mask_ratio"]),
+                checkpoint_dir=out_dir)
         elif final == "gpl":
             model, trace = gpl_train(
                 model, read_dataset(_artifact(cfg, "label")), passages,
@@ -559,38 +568,9 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
     return _run_cached(cfg, f"train:{method}",
                        cfg.stage_dir("train", scope=method), inputs,
                        ["model-final.json", "loss-trace.csv"],
-                       _stage_config_hash(cfg, "train", "udalm",
-                                          extra={"method": method}),
+                       _stage_config_hash(cfg, extra={"method": method,
+                                                      "train": section}),
                        compute)
-
-
-def _udalm_train(cfg: PipelineConfig, model: EncoderModel,
-                 target_passages: Sequence[Passage], run_cfg: TrainRunConfig,
-                 checkpoint_dir: Path
-                 ) -> tuple[EncoderModel, list[tuple[int, float]]]:
-    """Multi-task schedule: masked prediction on the target corpus mixed
-    with margin regression on labeled source tuples."""
-    section, paths = cfg["udalm"], cfg["paths"]
-    tuples = read_dataset(paths["source_tuples"]).tuples
-    source = tuple_batches(
-        model, tuples,
-        {q.id: q.text for q in load_queries(paths["source_queries"])},
-        {p.id: passage_text(p) for p in load_corpus(paths["source_corpus"])})
-    # Each target text's ids; one without tokens has nothing to mask.
-    target = [model.token_ids(tokens) if tokens else [] for tokens in
-              map(tokenize, map(passage_text, target_passages))]
-
-    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(n, size=min(run_cfg.batch_size, n), replace=False)
-
-    def step_fn(step: int):
-        rng = np.random.default_rng(derive_seed(run_cfg.seed, "udalm", step))
-        target_batch = [target[i] for i in draw(len(target), rng)]
-        return udalm_step(model, target_batch, source(draw(len(tuples), rng)),
-                          mix_weight=float(section["mix_weight"]),
-                          mask_ratio=float(section["mask_ratio"]), rng=rng)
-
-    return fit(model, step_fn, run_cfg.steps, run_cfg, checkpoint_dir)
 
 
 def _scored_run(cfg: PipelineConfig, method: str, stage: str,
@@ -649,7 +629,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> list[Path]:
     if name not in STAGE_NAMES:
         raise PipelineError(f"unknown stage {name!r}; valid stages: "
                             + ", ".join(STAGE_NAMES))
-    method = cfg.data.get("method", "gpl")
+    method = cfg["method"]
     with _run_lock(cfg.dataset_dir):
         if name == "pretrain":
             pre, _ = parse_method(method)
@@ -665,7 +645,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> list[Path]:
 def run_pipeline(cfg: PipelineConfig, method: str) -> EvalReport:
     """Execute the method's full stage sequence and return the eval report."""
     pre, final = parse_method(method)
-    cfg = PipelineConfig(_deep_merge(cfg.data, {"method": method}))
+    cfg = PipelineConfig(_deep_merge(cfg.data, {"method": method}, ""))
     with _run_lock(cfg.dataset_dir):
         stage_ingest(cfg)
         if pre is not None:

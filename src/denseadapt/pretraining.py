@@ -9,16 +9,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Passage, passage_text, tokenize
+from .corpus import Passage, Query, passage_text
+from .labeling import GPLDataset
 from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, EncoderModel,
-                     OptimizerState, Tokens, apply_gradients,
-                     encode_backward, encode_ids, new_grads)
+                     Tokens, apply_gradients, encode_backward, encode_ids,
+                     new_grads)
 from .training import (LossConfig, TrainRunConfig, fit, margin_mse_step,
-                       mnrl_loss, mnrl_step)
+                       mnrl_loss, mnrl_step, tuple_batches)
 from .util import derive_seed
 
 PRETRAIN_METHODS = ("tsdae", "mlm", "ict", "simcse", "ct", "cd")
@@ -47,6 +49,8 @@ class PretrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
         for name in ("deletion_ratio", "mask_ratio", "ict_mask_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -100,59 +104,52 @@ def _pooled_head_loss(model: EncoderModel, weight: np.ndarray, name: str,
     return loss, grads
 
 
+def init_condensor_head(dim: int, seed: int = 0, scale: float = 0.05) -> np.ndarray:
+    """A (d, 2d) weight for `_pooled_head_loss`: the Condenser head, and
+    the linear decoder that reconstructs TSDAE's input."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, scale, size=(dim, 2 * dim))
+
+
 # --- denoising autoencoder ----------------------------------------------------
 
 
-def tsdae_corrupt(tokens: Sequence[str], deletion_ratio: float = 0.6,
-                  rng=0) -> list[str]:
-    """Delete floor(ratio * n) tokens uniformly without replacement.
+def tsdae_corrupt(ids: Sequence, deletion_ratio: float = 0.6,
+                  rng=0) -> list:
+    """Delete floor(ratio * n) ids (or tokens) uniformly without
+    replacement.
 
-    Survivor order is preserved and at least one token survives when the
+    Survivor order is preserved and at least one id survives when the
     input is non-empty.
     """
     if not 0.0 <= deletion_ratio <= 1.0:
         raise ValueError("deletion_ratio must be in [0, 1]")
-    tokens = list(tokens)
-    n = len(tokens)
+    ids = list(ids)
+    n = len(ids)
     if n == 0:
         return []
     rng = np.random.default_rng(rng)
     n_delete = min(math.floor(deletion_ratio * n), n - 1)
     drop = set(rng.choice(n, size=n_delete, replace=False).tolist())
-    return [t for i, t in enumerate(tokens) if i not in drop]
+    return [t for i, t in enumerate(ids) if i not in drop]
 
 
-@dataclass
-class TsdaeDecoder:
-    """Linear reconstruction decoder: maps [bottleneck (+) previous-token
-    embedding] to a hidden state scored against the tied embedding table."""
-
-    weight: np.ndarray  # (d, 2d)
-
-
-def init_tsdae_decoder(dim: int, seed: int = 0, scale: float = 0.05) -> TsdaeDecoder:
-    rng = np.random.default_rng(seed)
-    return TsdaeDecoder(rng.normal(0.0, scale, size=(dim, 2 * dim)))
-
-
-def tsdae_loss(model: EncoderModel, decoder: TsdaeDecoder,
-               original_tokens: Sequence[str], corrupted_tokens: Sequence[str]
+def tsdae_loss(model: EncoderModel, decoder: np.ndarray,
+               original_ids: np.ndarray, corrupted_ids: Sequence[int]
                ) -> tuple[float, dict[str, np.ndarray]]:
-    """Token-level cross-entropy of reconstructing the original sequence.
+    """Token-level cross-entropy of reconstructing the original id row.
 
     The decoder sees only the pooled bottleneck vector of the corrupted
-    input plus the gold previous token (teacher forcing); output logits use
+    row plus the gold previous token (teacher forcing); output logits use
     the tied embedding table. Gradients cover the embedding table (all
     three occurrences), the projection, and the decoder weight.
     """
-    original = list(original_tokens)
-    if not original:
+    if not len(original_ids):
         raise ValueError("original sequence must be non-empty")
-    o_ids = model.token_ids(original)
-    shifted = np.roll(o_ids, 1)  # teacher forcing: BOS, then o_ids[:-1]
+    shifted = np.roll(original_ids, 1)  # teacher forcing: BOS, then ids[:-1]
     shifted[0] = BOS_INDEX
-    return _pooled_head_loss(model, decoder.weight, "decoder",
-                             model.token_ids(corrupted_tokens), shifted, o_ids)
+    return _pooled_head_loss(model, decoder, "decoder", corrupted_ids,
+                             shifted, original_ids)
 
 
 # --- masked-token prediction --------------------------------------------------
@@ -214,29 +211,20 @@ def mlm_loss(model: EncoderModel, original_ids: Sequence[int],
     return loss, grads
 
 
-def mlm_corrupt_and_loss(model: EncoderModel, tokens: Sequence[str],
-                         mask_ratio: float = 0.15, rng=0
-                         ) -> tuple[float, dict[str, np.ndarray]]:
-    ids = model.token_ids(tokens)
-    if not list(tokens):
-        raise ValueError("cannot mask an empty sequence")
-    corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
-    return mlm_loss(model, ids, corrupted, positions)
-
-
 # --- inverse cloze ------------------------------------------------------------
 
 
 def split_sentences(text: str) -> list[str]:
-    """Period/question/exclamation-delimited spans, punctuation kept."""
-    parts = _SENTENCE_SPLIT.split(text.strip())
-    return [p for p in parts if tokenize(p)]
+    """Period/question/exclamation-delimited spans, punctuation kept (a
+    span of punctuation alone holds no token)."""
+    return [p for p in _SENTENCE_SPLIT.split(text.strip()) if p]
 
 
-def ict_example(sentences: Sequence[str], mask_prob: float = 0.9,
-                rng=0) -> tuple[str, str]:
+def ict_example(sentences: Sequence, mask_prob: float = 0.9,
+                rng=0) -> tuple[object, list]:
     """Pick one sentence as the pseudo query; with probability mask_prob
-    remove it from the context, else keep the full passage.
+    the context is the other sentences, else all of them. Returns (query,
+    context sentences); sentences are texts or id rows.
 
     A single-sentence passage keeps the full passage as context regardless
     of the coin (removal would empty it).
@@ -247,12 +235,9 @@ def ict_example(sentences: Sequence[str], mask_prob: float = 0.9,
     rng = np.random.default_rng(rng)
     pick = int(rng.integers(len(sentences)))
     remove = rng.random() < mask_prob
-    query = sentences[pick]
     if remove and len(sentences) > 1:
-        context = " ".join(s for i, s in enumerate(sentences) if i != pick)
-    else:
-        context = " ".join(sentences)
-    return query, context
+        return sentences[pick], sentences[:pick] + sentences[pick + 1:]
+    return sentences[pick], sentences
 
 
 # --- dropout / two-encoder contrastive ----------------------------------------
@@ -266,15 +251,14 @@ def _dropout_mask(shape: tuple[int, int], rate: float,
     return keep / (1.0 - rate)
 
 
-def simcse_pairs(model: EncoderModel, texts: Sequence[str],
+def simcse_pairs(model: EncoderModel, tokens: Tokens,
                  dropout_rate: float = 0.1, rng=0):
-    """Encode each text twice with independent multiplicative dropout on the
+    """Encode each row twice with independent multiplicative dropout on the
     pooled vector; returns (query embs, passage embs, caches for both)."""
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must be in [0, 1)")
     rng = np.random.default_rng(rng)
-    tokens = model.tokens(texts)
-    shape = (len(texts), model.dim)
+    shape = (len(tokens), model.dim)
     q_out, q_cache = encode_ids(model, tokens,
                                 dropout_mask=_dropout_mask(shape, dropout_rate, rng))
     p_out, p_cache = encode_ids(model, tokens,
@@ -282,10 +266,10 @@ def simcse_pairs(model: EncoderModel, texts: Sequence[str],
     return q_out, p_out, q_cache, p_cache
 
 
-def simcse_step(model: EncoderModel, texts: Sequence[str], loss_cfg: LossConfig,
+def simcse_step(model: EncoderModel, tokens: Tokens, loss_cfg: LossConfig,
                 dropout_rate: float = 0.1, rng=0
                 ) -> tuple[float, dict[str, np.ndarray]]:
-    q_out, p_out, q_cache, p_cache = simcse_pairs(model, texts, dropout_rate, rng)
+    q_out, p_out, q_cache, p_cache = simcse_pairs(model, tokens, dropout_rate, rng)
     loss, grad_q, grad_p = mnrl_loss(q_out, p_out, loss_cfg)
     grads = new_grads(model)
     encode_backward(model, q_cache, grad_q, grads)
@@ -293,15 +277,15 @@ def simcse_step(model: EncoderModel, texts: Sequence[str], loss_cfg: LossConfig,
     return loss, grads
 
 
-def ct_step(pair_batch: Sequence[tuple[str, str]], model_a: EncoderModel,
-            model_b: EncoderModel, loss_cfg: LossConfig
+def ct_step(tokens: Tokens, model_a: EncoderModel, model_b: EncoderModel,
+            loss_cfg: LossConfig
             ) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Two-encoder contrastive step: left texts through encoder A, right
-    texts through encoder B, in-batch softmax between them. Gradients are
-    returned for both parameter sets; by convention encoder A is the one
-    retained after pre-training."""
-    a_out, a_cache = encode_ids(model_a, model_a.tokens([a for a, _ in pair_batch]))
-    b_out, b_cache = encode_ids(model_b, model_b.tokens([b for _, b in pair_batch]))
+    """Two-encoder contrastive step: the rows through encoder A and through
+    encoder B (the two share a vocabulary), in-batch softmax between them.
+    Gradients are returned for both parameter sets; by convention encoder
+    A is the one retained after pre-training."""
+    a_out, a_cache = encode_ids(model_a, tokens)
+    b_out, b_cache = encode_ids(model_b, tokens)
     loss, grad_a, grad_b = mnrl_loss(a_out, b_out, loss_cfg)
     grads_a = new_grads(model_a)
     grads_b = new_grads(model_b)
@@ -313,21 +297,13 @@ def ct_step(pair_batch: Sequence[tuple[str, str]], model_a: EncoderModel,
 # --- CLS-focused masked prediction --------------------------------------------
 
 
-def init_condensor_head(dim: int, seed: int = 0, scale: float = 0.05) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, scale, size=(dim, 2 * dim))
-
-
-def condensor_loss(model: EncoderModel, head: np.ndarray, tokens: Sequence[str],
+def condensor_loss(model: EncoderModel, head: np.ndarray, ids: np.ndarray,
                    mask_ratio: float = 0.15, rng=0
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Masked prediction where the head consumes [final CLS state (+)
     token-embedding state at position i]; requires CLS pooling."""
     if model.pooling != "cls":
         raise ValueError("this objective requires CLS pooling")
-    ids = model.token_ids(tokens)
-    if not list(tokens):
-        raise ValueError("cannot mask an empty sequence")
     corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
     corrupted = np.asarray(corrupted, dtype=int)
     return _pooled_head_loss(model, head, "head", corrupted,
@@ -373,9 +349,50 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[Sequence[int]],
     return mix_weight * mlm_avg + scale * mse_loss, grads
 
 
+def _drawn_rows(texts: Sequence[str], draws: np.ndarray,
+                rows_of: Callable[[str], object]) -> tuple[list, np.ndarray]:
+    """`rows_of` of each distinct text the schedule draws, computed once,
+    and the place of each draw's rows in that list (shaped like draws)."""
+    distinct, place = np.unique(draws, return_inverse=True)
+    return [rows_of(texts[i]) for i in distinct], place.reshape(draws.shape)
+
+
+def udalm_train(model: EncoderModel, target: Sequence[Passage],
+                source: GPLDataset, source_corpus: Sequence[Passage],
+                source_queries: Sequence[Query], cfg: TrainRunConfig,
+                mix_weight: float, mask_ratio: float,
+                checkpoint_dir: str | Path | None
+                ) -> tuple[EncoderModel, list[tuple[int, float]]]:
+    """Multi-task schedule: masked prediction on the target corpus mixed
+    with margin regression on labeled source tuples. Each step draws its
+    target batch, then its source batch, then its masks from one stream."""
+    tuples = source.tuples
+    source_batch = tuple_batches(
+        model, tuples, {q.id: q.text for q in source_queries},
+        {p.id: passage_text(p) for p in source_corpus})
+    texts = [passage_text(p) for p in target]
+
+    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, "udalm", step))
+            for step in range(1, cfg.steps + 1)]
+    rows, place = _drawn_rows(
+        texts, np.array([draw(len(texts), rng) for rng in rngs]),
+        model.token_ids)
+
+    def step_fn(step: int):
+        rng = rngs[step - 1]
+        return udalm_step(model, [rows[i] for i in place[step - 1]],
+                          source_batch(draw(len(tuples), rng)),
+                          mix_weight, mask_ratio, rng)
+
+    return fit(model, step_fn, cfg.steps, cfg, checkpoint_dir)
+
+
 # --- training loop -------------------------------------------------------------
 
-StepFn = Callable[[int, np.ndarray], tuple[float, dict[str, np.ndarray]]]
+StepFn = Callable[[int], tuple[float, dict[str, np.ndarray]]]
 
 
 def _clone_fresh(model: EncoderModel, seed: int) -> EncoderModel:
@@ -385,82 +402,89 @@ def _clone_fresh(model: EncoderModel, seed: int) -> EncoderModel:
                         model.pooling, model.similarity, model.max_seq_len)
 
 
-def _item_step(model: EncoderModel, texts: Sequence[str], cfg: PretrainConfig,
-               item_loss: Callable, aux: dict[str, np.ndarray]) -> StepFn:
-    """A step averaging a per-item loss over the batch's non-empty texts
-    (the divisor stays the batch size). `item_loss(tokens, seed)` returns
-    (loss, grads); `aux` holds the objective's own weights by gradient
-    name, which the step updates in place."""
+def _item_step(model: EncoderModel, rows: Sequence[np.ndarray],
+               place: np.ndarray, cfg: PretrainConfig, item_loss: Callable,
+               aux: dict[str, np.ndarray]) -> StepFn:
+    """A step averaging a per-item loss over the batch's id rows; a text
+    without tokens adds nothing, and the divisor stays the batch size.
+    `item_loss(ids, seed)` returns (loss, grads); `aux` holds the
+    objective's own weights by gradient name, which the step updates in
+    place."""
 
-    def step_fn(step: int, batch: np.ndarray):
+    def step_fn(step: int):
         grads = new_grads(model)
         grads.update((name, np.zeros_like(w)) for name, w in aux.items())
         total = 0.0
-        for j, i in enumerate(batch):
-            tokens = tokenize(texts[i])
-            if not tokens:
+        for j, i in enumerate(place[step - 1]):
+            if not rows[i].size:
                 continue
-            loss, g = item_loss(tokens, derive_seed(cfg.seed, "item", step, j))
+            loss, g = item_loss(rows[i], derive_seed(cfg.seed, "item", step, j))
             total += loss
             for name in g:
-                grads[name] += g[name] / len(batch)
+                grads[name] += g[name] / place.shape[1]
         for name, w in aux.items():
             w -= cfg.learning_rate * grads.pop(name)
-        return total / len(batch), grads
+        return total / place.shape[1], grads
 
     return step_fn
 
 
 def _objective_step(model: EncoderModel, texts: Sequence[str],
-                    cfg: PretrainConfig) -> StepFn:
-    """The objective's step: (step, batch of text indices) -> (loss, grads)."""
+                    draws: np.ndarray, cfg: PretrainConfig) -> StepFn:
+    """The objective's step over the schedule's draws (one row of text
+    indices per step): step -> (loss, grads)."""
+    if cfg.method == "cd" and model.pooling != "cls":
+        raise ValueError("this objective requires CLS pooling")
     loss_cfg = LossConfig(tau=cfg.tau)
+    if cfg.method == "ict":
+        # A query is one sentence row, a context the kept rows run together
+        # and cut at max_seq_len: the ids of the kept sentences' joined text.
+        sentences, place = _drawn_rows(texts, draws, lambda text: [
+            ids for ids in map(model.token_ids, split_sentences(text))
+            if ids.size])
+        if not any(sentences):
+            raise ValueError("no drawn passage has a sentence")
+
+        def ict_step_fn(step: int):
+            examples = [ict_example(sentences[i], cfg.ict_mask_prob,
+                                    derive_seed(cfg.seed, "item", step, j))
+                        for j, i in enumerate(place[step - 1]) if sentences[i]]
+            if not examples:  # no passage of the batch has a sentence
+                return 0.0, {}
+            return mnrl_step(model, Tokens.of([q for q, _ in examples]), [
+                Tokens.of([np.concatenate(kept)[:model.max_seq_len]
+                           for _, kept in examples])], loss_cfg)
+
+        return ict_step_fn
+    rows, place = _drawn_rows(texts, draws, model.token_ids)
     if cfg.method == "tsdae":
-        decoder = init_tsdae_decoder(model.dim, derive_seed(cfg.seed, "decoder"))
-        return _item_step(model, texts, cfg, lambda tokens, seed: tsdae_loss(
-            model, decoder, tokens,
-            tsdae_corrupt(tokens, cfg.deletion_ratio, seed)),
-            {"decoder": decoder.weight})
+        decoder = init_condensor_head(model.dim, derive_seed(cfg.seed, "decoder"))
+        return _item_step(model, rows, place, cfg, lambda ids, seed: tsdae_loss(
+            model, decoder, ids, tsdae_corrupt(ids, cfg.deletion_ratio, seed)),
+            {"decoder": decoder})
     if cfg.method == "mlm":
-        return _item_step(model, texts, cfg, lambda tokens, seed:
-                          mlm_corrupt_and_loss(model, tokens, cfg.mask_ratio,
-                                               seed), {})
+        return _item_step(model, rows, place, cfg, lambda ids, seed: mlm_loss(
+            model, ids, *mlm_corrupt(ids, model.vocab_size, cfg.mask_ratio,
+                                     seed)[:2]), {})
     if cfg.method == "cd":
-        if model.pooling != "cls":
-            raise ValueError("this objective requires CLS pooling")
         head = init_condensor_head(model.dim, derive_seed(cfg.seed, "head"))
-        return _item_step(model, texts, cfg, lambda tokens, seed: condensor_loss(
-            model, head, tokens, cfg.mask_ratio, seed), {"head": head})
+        return _item_step(model, rows, place, cfg, lambda ids, seed:
+                          condensor_loss(model, head, ids, cfg.mask_ratio,
+                                         seed), {"head": head})
+    table = Tokens.of_text_ids(rows)
     if cfg.method == "simcse":
-        return lambda step, batch: simcse_step(
-            model, [texts[i] for i in batch], loss_cfg, cfg.dropout_rate,
+        return lambda step: simcse_step(
+            model, table.take(place[step - 1]), loss_cfg, cfg.dropout_rate,
             derive_seed(cfg.seed, "item", step))
-    if cfg.method == "ct":
-        peer = _clone_fresh(model, derive_seed(cfg.seed, "peer"))
-        peer_opt = OptimizerState(cfg.learning_rate)
+    peer = _clone_fresh(model, derive_seed(cfg.seed, "peer"))
 
-        def ct_step_fn(step: int, batch: np.ndarray):
-            loss, grads, peer_grads = ct_step(
-                [(texts[i], texts[i]) for i in batch], model, peer, loss_cfg)
-            apply_gradients(peer, peer_grads, peer_opt)
-            return loss, grads
+    def ct_step_fn(step: int):
+        loss, grads, peer_grads = ct_step(table.take(place[step - 1]), model,
+                                          peer, loss_cfg)
+        apply_gradients(peer, peer_grads, cfg.learning_rate)
+        return loss, grads
 
-        return ct_step_fn
-
-    sentences = [split_sentences(t) for t in texts]
-    if not any(sentences):
-        raise ValueError("no passages with sentences")
-
-    def ict_step_fn(step: int, batch: np.ndarray):
-        examples = [ict_example(sentences[i], cfg.ict_mask_prob,
-                                derive_seed(cfg.seed, "item", step, j))
-                    for j, i in enumerate(batch) if sentences[i]]
-        if not examples:  # no passage of the batch has a sentence
-            return 0.0, {}
-        return mnrl_step(model, model.tokens([q for q, _ in examples]),
-                         [model.tokens([c for _, c in examples])], loss_cfg)
-
-    return ict_step_fn
+    return ct_step_fn
 
 
 def pretrain(model: EncoderModel, passages: Sequence[Passage],
@@ -470,18 +494,17 @@ def pretrain(model: EncoderModel, passages: Sequence[Passage],
     its (step, loss) trace, one entry per step.
 
     Stochastic choices are keyed by (seed, step, item) so results are
-    independent of scheduling. The two-encoder objective trains a fresh
-    peer encoder and retains this one.
+    independent of scheduling. The schedule's batches are drawn first, and
+    each text they draw is tokenized once. The two-encoder objective trains
+    a fresh peer encoder and retains this one.
     """
     texts = [passage_text(p) for p in passages]
     if not texts:
         raise ValueError("empty corpus")
-    step_fn = _objective_step(model, texts, cfg)
     size = min(cfg.batch_size, len(texts))
-
-    def batch_step(step: int) -> tuple[float, dict[str, np.ndarray]]:
-        rng = np.random.default_rng(derive_seed(cfg.seed, "batch", step))
-        return step_fn(step, rng.choice(len(texts), size=size, replace=False))
-
-    return fit(model, batch_step, cfg.steps,
+    draws = np.array([
+        np.random.default_rng(derive_seed(cfg.seed, "batch", step)).choice(
+            len(texts), size=size, replace=False)
+        for step in range(1, cfg.steps + 1)])
+    return fit(model, _objective_step(model, texts, draws, cfg), cfg.steps,
                TrainRunConfig(learning_rate=cfg.learning_rate))

@@ -15,8 +15,8 @@ import numpy as np
 from .corpus import Passage, Query, passage_text
 from .labeling import GPLDataset, TrainingTuple, sample_tuple
 from .mining import PoolEntry
-from .models import (EncoderModel, OptimizerState, Tokens, apply_gradients,
-                     encode_backward, encode_ids, new_grads, save_model)
+from .models import (EncoderModel, Tokens, apply_gradients, encode_backward,
+                     encode_ids, new_grads, save_model)
 from .util import derive_seed
 
 
@@ -50,6 +50,8 @@ class TrainRunConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
         if self.checkpoint_every < 0:
@@ -164,11 +166,10 @@ def fit(model: EncoderModel,
     (loss, gradients) and one SGD update applies them. Logs (step, loss)
     at multiples of log_every and at the last step, and writes
     ckpt-<step>.json into checkpoint_dir at multiples of checkpoint_every."""
-    opt = OptimizerState(cfg.learning_rate)
     trace: list[tuple[int, float]] = []
     for step in range(1, steps + 1):
         loss, grads = step_fn(step)
-        apply_gradients(model, grads, opt)
+        apply_gradients(model, grads, cfg.learning_rate)
         del grads  # free them before the next step allocates its own
         if step % cfg.log_every == 0 or step == steps:
             trace.append((step, loss))

@@ -20,9 +20,8 @@ from denseadapt import (CrossEncoderScorer, LossConfig, Passage,
 from denseadapt.mining import BM25Retriever, DenseRetriever
 from denseadapt.models import encode_backward, encode_ids, new_grads
 from denseadapt.pretraining import (condensor_loss, ct_step, ict_example,
-                                    init_condensor_head, init_tsdae_decoder,
-                                    mlm_corrupt, mlm_corrupt_and_loss,
-                                    simcse_step, split_sentences,
+                                    init_condensor_head, mlm_corrupt,
+                                    mlm_loss, simcse_step, split_sentences,
                                     tsdae_corrupt, tsdae_loss)
 from gradcheck import finite_diff_gradcheck
 from oracles import bm25_score
@@ -277,24 +276,25 @@ def test_criterion_8_pretraining_objectives():
     start = time.time()
     tokens = [f"w{i}" for i in range(20)]
     model = init_encoder(tokens, dim=6, seed=3, init_scale=0.3)
-    sample = ["w0", "w3", "w5", "w7", "w9", "w11", "w13"]
+    sample = model.token_ids("w0 w3 w5 w7 w9 w11 w13")
     checks = {}
 
-    decoder = init_tsdae_decoder(model.dim, seed=1)
+    decoder = init_condensor_head(model.dim, seed=1)
     corrupted = tsdae_corrupt(sample, 0.6, rng=2)
     params = {"embedding": model.embedding, "projection": model.projection,
-              "decoder": decoder.weight}
+              "decoder": decoder}
 
     def tsdae_fn(p):
         model.embedding, model.projection = p["embedding"], p["projection"]
-        decoder.weight = p["decoder"]
-        return tsdae_loss(model, decoder, sample, corrupted)
+        return tsdae_loss(model, p["decoder"], sample, corrupted)
 
     checks["tsdae"] = finite_diff_gradcheck(tsdae_fn, params, tolerance=1e-4)
 
-    checks["mlm"] = finite_diff_gradcheck(
-        lambda m: mlm_corrupt_and_loss(m, sample, 0.3, rng=5), model,
-        tolerance=1e-4)
+    def mlm_fn(m):
+        masked, positions, _ = mlm_corrupt(sample, m.vocab_size, 0.3, rng=5)
+        return mlm_loss(m, sample, masked, positions)
+
+    checks["mlm"] = finite_diff_gradcheck(mlm_fn, model, tolerance=1e-4)
 
     sentences = ["w0 w1 w2.", "w3 w4.", "w5 w6 w7."]
     pairs = [ict_example(sentences, rng=s) for s in range(3)]
@@ -302,7 +302,7 @@ def test_criterion_8_pretraining_objectives():
 
     def ict_fn(m):
         q, qc = encode_ids(m, m.tokens([t for t, _ in pairs]))
-        c, cc = encode_ids(m, m.tokens([t for _, t in pairs]))
+        c, cc = encode_ids(m, m.tokens([" ".join(t) for _, t in pairs]))
         loss, gq, gc = mnrl_loss(q, c, cfg)
         grads = new_grads(m)
         encode_backward(m, qc, gq, grads)
@@ -312,18 +312,19 @@ def test_criterion_8_pretraining_objectives():
     checks["ict"] = finite_diff_gradcheck(ict_fn, model, tolerance=1e-4)
 
     checks["simcse"] = finite_diff_gradcheck(
-        lambda m: simcse_step(m, ["w0 w1", "w2 w3", "w4 w5"], cfg, 0.1, rng=7),
+        lambda m: simcse_step(m, m.tokens(["w0 w1", "w2 w3", "w4 w5"]), cfg,
+                              0.1, rng=7),
         model, tolerance=1e-4)
 
     other = init_encoder(tokens, dim=6, seed=9, init_scale=0.3)
-    ct_pairs = [("w0 w1", "w0 w1"), ("w2 w3", "w2 w3"), ("w4", "w4")]
+    ct_tokens = model.tokens(["w0 w1", "w2 w3", "w4"])
     ct_params = {"a_emb": model.embedding, "a_proj": model.projection,
                  "b_emb": other.embedding, "b_proj": other.projection}
 
     def ct_fn(p):
         model.embedding, model.projection = p["a_emb"], p["a_proj"]
         other.embedding, other.projection = p["b_emb"], p["b_proj"]
-        loss, ga, gb = ct_step(ct_pairs, model, other, cfg)
+        loss, ga, gb = ct_step(ct_tokens, model, other, cfg)
         return loss, {"a_emb": ga["embedding"], "a_proj": ga["projection"],
                       "b_emb": gb["embedding"], "b_proj": gb["projection"]}
 
@@ -361,8 +362,8 @@ def test_criterion_8_pretraining_objectives():
     removed = 0
     three = ["a one.", "b two.", "c three."]
     for i in range(10_000):
-        _, context = ict_example(three, mask_prob=0.9, rng=i)
-        removed += len(split_sentences(context)) == 2
+        _, kept = ict_example(three, mask_prob=0.9, rng=i)
+        removed += len(split_sentences(" ".join(kept))) == 2
     removal_ok = abs(removed - 9000) <= 3 * math.sqrt(10_000 * 0.9 * 0.1)
 
     elapsed = time.time() - start

@@ -1,8 +1,10 @@
 """Stage orchestration: artifact production, cache hits and busts, stage
 ordering errors, method registry, and the CLI surface."""
 
+import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from denseadapt import (PipelineConfig, PipelineError, init_encoder,
                         load_corpus, load_model, parse_method, pipeline,
                         run_pipeline, run_stage, save_model)
 from denseadapt.cli import main as cli_main
-from denseadapt.pipeline import CacheManifest, stage_generate, stage_ingest
+from denseadapt.pipeline import (DEFAULTS, CacheManifest, stage_generate,
+                                 stage_ingest)
 from denseadapt.util import sha256_files
 
 
@@ -228,6 +231,35 @@ class TestCache:
         assert after_steps[mine] == before[mine]
         assert len(Path(label).read_text().splitlines()) == 30 * 4
 
+    def test_train_stage_hashes_only_its_own_section(self, tmp_path):
+        """A train stage hashes the config section its method reads, so
+        editing another method's section keeps it a hit."""
+        cfg = small_config(tmp_path, tmp_path / "out")
+        run_pipeline(cfg, "gpl")
+        run_pipeline(cfg, "qgen")
+        base = tmp_path / "out" / "toy"
+        gpl_model = str(base / "gpl" / "train" / "model-final.json")
+        qgen_model = str(base / "qgen" / "train" / "model-final.json")
+        before = self.mtimes(base)
+        gpl, qgen = cfg["train"]["gpl"], cfg["train"]["qgen"]
+
+        def train(method, **edit):
+            run_stage("train", small_config(tmp_path, tmp_path / "out",
+                                            method=method, **edit))
+            return self.mtimes(base)
+
+        for edit in ({"train": {"gpl": gpl, "qgen": dict(qgen, tau=10.0)}},
+                     {"train": {"gpl": gpl,
+                                "qgen": dict(qgen, learning_rate=0.02)}},
+                     {"udalm": dict(cfg["udalm"], mix_weight=0.3)}):
+            assert train("gpl", **edit)[gpl_model] == before[gpl_model], edit
+        assert train("gpl", train={"gpl": dict(gpl, learning_rate=0.005),
+                                   "qgen": qgen})[gpl_model] != \
+            before[gpl_model]
+        assert train("qgen", train={"gpl": dict(gpl, steps=30),
+                                    "qgen": qgen})[qgen_model] == \
+            before[qgen_model]
+
     def test_deleted_output_is_a_miss(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")
@@ -423,6 +455,48 @@ class TestDeterminism:
         assert report_a.per_query == report_b.per_query
 
 
+class TestConfig:
+    @pytest.mark.parametrize("data, path", [
+        ({"train": {"gpl": {"step": 10}}}, "train.gpl.step"),
+        ({"sede": 3}, "sede"),
+        ({"paths": {"corpora": "c.jsonl"}}, "paths.corpora"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, data, path):
+        with pytest.raises(PipelineError,
+                           match=f"^unknown config key {re.escape(path)}$"):
+            PipelineConfig.from_dict(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        with pytest.raises(PipelineError, match=re.escape(path)):
+            PipelineConfig.from_file(config_path)
+
+    def test_cli_reports_unknown_key_without_traceback(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"train": {"gpl": {"step": 10}}}))
+        result = CliRunner().invoke(cli_main, ["stage", "ingest", "--config",
+                                               str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: unknown config key train.gpl.step" in result.output
+
+    def test_benchmark_configs_load(self, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = workloads
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules["workloads"]
+        inputs = {key: tmp_path / key for key in ("corpus", "queries", "qrels")}
+        for w in workloads.WORKLOADS.values():
+            config_path = tmp_path / f"{w.name}.json"
+            workloads.write_config(w, inputs, tmp_path / "out", 7, config_path)
+            cfg = PipelineConfig.from_file(config_path)
+            assert cfg["train"]["gpl"] == dict(DEFAULTS["train"]["gpl"],
+                                               **w.config["train"]["gpl"])
+
+
 class TestCli:
     def test_run_and_report(self, tmp_path):
         corpus, queries, qrels = write_world(tmp_path)
@@ -526,25 +600,26 @@ class TestUdalmMethod:
 
     def test_udalm_tokenizes_each_distinct_text_once(self, tmp_path,
                                                      monkeypatch):
-        """Training tokenizes every target passage and every source query
-        and passage its tuples name once, however many steps run."""
+        """Training tokenizes every target passage its schedule draws (at
+        40 steps, all of them) and every source query and passage its
+        tuples name once, however many steps run."""
         from denseadapt import load_queries, read_dataset
         from denseadapt.models import EncoderModel
         cfg = self.udalm_config(tmp_path)
         cfg.data["udalm"]["steps"] = 40
         calls = []
-        token_ids, udalm_train = EncoderModel.token_ids, pipeline._udalm_train
+        token_ids, udalm_train = EncoderModel.token_ids, pipeline.udalm_train
 
         def counted(self, text):
-            calls.append(text if isinstance(text, str) else " ".join(text))
+            calls.append(text)
             return token_ids(self, text)
 
-        def train(*args):
+        def train(*args, **kwargs):
             with monkeypatch.context() as m:
                 m.setattr(EncoderModel, "token_ids", counted)
-                return udalm_train(*args)
+                return udalm_train(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_udalm_train", train)
+        monkeypatch.setattr(pipeline, "udalm_train", train)
         run_pipeline(cfg, "udalm")
 
         paths = cfg["paths"]

@@ -6,19 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from denseadapt import LossConfig, Passage, init_encoder, mnrl_loss, tokenize
-from denseadapt.models import NUM_RESERVED, encode_ids, new_grads
+from denseadapt import LossConfig, Passage, init_encoder, mnrl_loss, pretraining
+from denseadapt.models import NUM_RESERVED, EncoderModel, encode_ids, new_grads
 from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig,
                                     condensor_loss, ct_step,
                                     ict_example, init_condensor_head,
-                                    init_tsdae_decoder, mlm_corrupt,
-                                    mlm_corrupt_and_loss, pretrain,
+                                    mlm_corrupt, mlm_loss, pretrain,
                                     simcse_pairs, simcse_step, split_sentences,
                                     token_cross_entropy, tsdae_corrupt,
                                     tsdae_loss, udalm_step)
+from denseadapt.training import TrainRunConfig
+from denseadapt.util import derive_seed
 from gradcheck import finite_diff_gradcheck
 
 TOKENS = [f"w{i}" for i in range(24)]
+
+
+def mlm_item_loss(model, text, mask_ratio, rng):
+    """Masked prediction on one text's id row, as `pretrain` scores it."""
+    ids = model.token_ids(text)
+    corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
+    return mlm_loss(model, ids, corrupted, positions)
 
 
 @pytest.fixture
@@ -74,21 +82,20 @@ class TestTsdaeCorrupt:
 
 class TestTsdaeLoss:
     def test_empty_original_rejected(self, model):
-        decoder = init_tsdae_decoder(model.dim, seed=1)
+        decoder = init_condensor_head(model.dim, seed=1)
         with pytest.raises(ValueError):
             tsdae_loss(model, decoder, [], [])
 
     def test_gradcheck(self, model):
-        decoder = init_tsdae_decoder(model.dim, seed=1)
-        original = ["w0", "w3", "w5", "w7", "w9", "w11"]
+        decoder = init_condensor_head(model.dim, seed=1)
+        original = model.token_ids("w0 w3 w5 w7 w9 w11")
         corrupted = tsdae_corrupt(original, 0.6, rng=4)
         params = {"embedding": model.embedding, "projection": model.projection,
-                  "decoder": decoder.weight}
+                  "decoder": decoder}
 
         def loss_fn(p):
             model.embedding, model.projection = p["embedding"], p["projection"]
-            decoder.weight = p["decoder"]
-            return tsdae_loss(model, decoder, original, corrupted)
+            return tsdae_loss(model, p["decoder"], original, corrupted)
 
         report = finite_diff_gradcheck(loss_fn, params, tolerance=1e-4)
         assert report.passed, report
@@ -119,10 +126,10 @@ class TestMlm:
             assert abs(counts[action] - total * p) <= 3 * sigma, (action, counts)
 
     def test_gradcheck(self, model):
-        tokens = ["w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8"]
+        text = "w1 w2 w3 w4 w5 w6 w7 w8"
 
         def loss_fn(m):
-            return mlm_corrupt_and_loss(m, tokens, mask_ratio=0.3, rng=11)
+            return mlm_item_loss(m, text, mask_ratio=0.3, rng=11)
 
         assert finite_diff_gradcheck(loss_fn, model, tolerance=1e-4).passed
 
@@ -134,7 +141,8 @@ class TestIct:
                                          "Third?", "Trailing"]
 
     def test_single_sentence_keeps_context(self):
-        query, context = ict_example(["only sentence here."], rng=0)
+        query, kept = ict_example(["only sentence here."], rng=0)
+        context = " ".join(kept)
         assert query == "only sentence here."
         assert context == "only sentence here."
 
@@ -142,7 +150,8 @@ class TestIct:
         sentences = ["one.", "two.", "three."]
         removed = 0
         for seed in range(200):
-            query, context = ict_example(sentences, mask_prob=1.0, rng=seed)
+            query, kept = ict_example(sentences, mask_prob=1.0, rng=seed)
+            context = " ".join(kept)
             assert query not in split_sentences(context)
             assert len(split_sentences(context)) == 2
             removed += 1
@@ -153,7 +162,8 @@ class TestIct:
         draws = 10_000
         removed = 0
         for seed in range(draws):
-            _, context = ict_example(sentences, mask_prob=0.9, rng=seed)
+            _, kept = ict_example(sentences, mask_prob=0.9, rng=seed)
+            context = " ".join(kept)
             removed += len(split_sentences(context)) == 2
         sigma = math.sqrt(draws * 0.9 * 0.1)
         assert abs(removed - draws * 0.9) <= 3 * sigma
@@ -169,7 +179,7 @@ class TestIct:
 
         def loss_fn(m):
             q, qc = encode_ids(m, m.tokens([t for t, _ in pairs]))
-            c, cc = encode_ids(m, m.tokens([t for _, t in pairs]))
+            c, cc = encode_ids(m, m.tokens([" ".join(t) for _, t in pairs]))
             loss, gq, gc = mnrl_loss(q, c, cfg)
             grads = new_grads(m)
             from denseadapt.models import encode_backward
@@ -183,31 +193,33 @@ class TestIct:
 class TestSimcse:
     def test_rate_zero_identical_views(self, model):
         texts = ["w0 w1", "w2 w3"]
-        q, p, _, _ = simcse_pairs(model, texts, dropout_rate=0.0, rng=0)
+        q, p, _, _ = simcse_pairs(model, model.tokens(texts), dropout_rate=0.0,
+                                  rng=0)
         np.testing.assert_array_equal(q, p)
 
     def test_same_seed_identical_pairs(self, model):
         texts = ["w0 w1", "w2 w3", "w4"]
-        a = simcse_pairs(model, texts, dropout_rate=0.1, rng=5)
-        b = simcse_pairs(model, texts, dropout_rate=0.1, rng=5)
+        a = simcse_pairs(model, model.tokens(texts), dropout_rate=0.1, rng=5)
+        b = simcse_pairs(model, model.tokens(texts), dropout_rate=0.1, rng=5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_invalid_rate_rejected(self, model):
         with pytest.raises(ValueError):
-            simcse_pairs(model, ["w0"], dropout_rate=1.0, rng=0)
+            simcse_pairs(model, model.tokens(["w0"]), dropout_rate=1.0, rng=0)
 
     def test_regression_anchor_finite_positive(self, model):
         texts = [f"w{i} w{i+1}" for i in range(8)]
         cfg = LossConfig(tau=20.0, similarity="cosine")
-        loss, _ = simcse_step(model, texts, cfg, dropout_rate=0.1, rng=7)
+        loss, _ = simcse_step(model, model.tokens(texts), cfg,
+                              dropout_rate=0.1, rng=7)
         assert np.isfinite(loss) and loss > 0
 
     def test_gradcheck(self, model):
         cfg = LossConfig(tau=10.0, similarity="cosine")
 
         def loss_fn(m):
-            return simcse_step(m, ["w0 w1", "w2 w3", "w4 w5"], cfg,
+            return simcse_step(m, m.tokens(["w0 w1", "w2 w3", "w4 w5"]), cfg,
                                dropout_rate=0.1, rng=13)
 
         assert finite_diff_gradcheck(loss_fn, model, tolerance=1e-4).passed
@@ -217,22 +229,22 @@ class TestCt:
     def test_equal_encoders_match_simcse_rate_zero(self, model):
         texts = ["w0 w1", "w2 w3", "w4 w5"]
         cfg = LossConfig(tau=10.0, similarity="cosine")
-        pairs = [(t, t) for t in texts]
-        loss_ct, _, _ = ct_step(pairs, model, model, cfg)
-        loss_simcse, _ = simcse_step(model, texts, cfg, dropout_rate=0.0, rng=0)
+        loss_ct, _, _ = ct_step(model.tokens(texts), model, model, cfg)
+        loss_simcse, _ = simcse_step(model, model.tokens(texts), cfg,
+                                     dropout_rate=0.0, rng=0)
         assert loss_ct == pytest.approx(loss_simcse, abs=1e-12)
 
     def test_gradients_flow_to_both(self, model):
         other = init_encoder(TOKENS, dim=6, seed=9, init_scale=0.3)
-        pairs = [("w0 w1", "w0 w1"), ("w2", "w2"), ("w4 w5", "w4 w5")]
+        tokens = model.tokens(["w0 w1", "w2", "w4 w5"])
         cfg = LossConfig(tau=10.0, similarity="cosine")
-        _, grads_a, grads_b = ct_step(pairs, model, other, cfg)
+        _, grads_a, grads_b = ct_step(tokens, model, other, cfg)
         assert np.any(grads_a["embedding"] != 0)
         assert np.any(grads_b["embedding"] != 0)
 
     def test_gradcheck_both_parameter_sets(self, model):
         other = init_encoder(TOKENS, dim=6, seed=9, init_scale=0.3)
-        pairs = [("w0 w1", "w0 w1"), ("w2 w3", "w2 w3"), ("w4", "w4")]
+        tokens = model.tokens(["w0 w1", "w2 w3", "w4"])
         cfg = LossConfig(tau=10.0, similarity="cosine")
         params = {"a_emb": model.embedding, "a_proj": model.projection,
                   "b_emb": other.embedding, "b_proj": other.projection}
@@ -240,7 +252,7 @@ class TestCt:
         def loss_fn(p):
             model.embedding, model.projection = p["a_emb"], p["a_proj"]
             other.embedding, other.projection = p["b_emb"], p["b_proj"]
-            loss, ga, gb = ct_step(pairs, model, other, cfg)
+            loss, ga, gb = ct_step(tokens, model, other, cfg)
             return loss, {"a_emb": ga["embedding"], "a_proj": ga["projection"],
                           "b_emb": gb["embedding"], "b_proj": gb["projection"]}
 
@@ -251,20 +263,20 @@ class TestCondensor:
     def test_mean_pooling_rejected(self, model):
         head = init_condensor_head(model.dim, seed=0)
         with pytest.raises(ValueError):
-            condensor_loss(model, head, ["w0", "w1"], rng=0)
+            condensor_loss(model, head, model.token_ids("w0 w1"), rng=0)
 
     def test_gradcheck(self):
         cls_model = init_encoder(TOKENS, dim=6, seed=3, pooling="cls",
                                  init_scale=0.3)
         head = init_condensor_head(6, seed=4)
-        tokens = ["w0", "w2", "w4", "w6", "w8", "w10"]
+        ids = cls_model.token_ids("w0 w2 w4 w6 w8 w10")
         params = {"embedding": cls_model.embedding,
                   "projection": cls_model.projection, "head": head}
 
         def loss_fn(p):
             cls_model.embedding = p["embedding"]
             cls_model.projection = p["projection"]
-            loss, grads = condensor_loss(cls_model, p["head"], tokens,
+            loss, grads = condensor_loss(cls_model, p["head"], ids,
                                          mask_ratio=0.3, rng=21)
             return loss, grads
 
@@ -273,7 +285,7 @@ class TestCondensor:
 
 def target_rows(model, texts):
     """The target texts' token ids as UDALM's masked part takes them."""
-    return [model.token_ids(t) if tokenize(t) else [] for t in texts]
+    return [model.token_ids(t) for t in texts]
 
 
 class TestUdalm:
@@ -308,9 +320,8 @@ class TestUdalm:
         loss_mlm_only, _ = udalm_step(model, target_rows(model, ["w0 w1 w2 w3"]),
                                       self.source_batch(model), mix_weight=1.0,
                                       rng=3)
-        loss_mlm_direct, _ = mlm_corrupt_and_loss(
-            model, ["w0", "w1", "w2", "w3"], 0.15,
-            np.random.default_rng(3))
+        loss_mlm_direct, _ = mlm_item_loss(model, "w0 w1 w2 w3", 0.15,
+                                           np.random.default_rng(3))
         assert loss_mlm_only == pytest.approx(loss_mlm_direct)
 
     def test_convex_combination(self, model):
@@ -391,6 +402,90 @@ class TestPretrainLoop:
         assert np.any(m1.embedding != before)
         np.testing.assert_array_equal(m1.embedding, m2.embedding)
         np.testing.assert_array_equal(m1.projection, m2.projection)
+
+    @pytest.mark.parametrize("steps", [1, 5, 50])
+    @pytest.mark.parametrize("method", PRETRAIN_METHODS)
+    def test_tokenizes_each_drawn_text_once(self, monkeypatch, method, steps):
+        """Each passage the schedule draws is tokenized once (ICT: each of
+        its sentences), however many steps run; an undrawn one never."""
+        calls = []
+        token_ids = EncoderModel.token_ids
+
+        def counted(self, text):
+            calls.append(text)
+            return token_ids(self, text)
+
+        monkeypatch.setattr(EncoderModel, "token_ids", counted)
+        model = init_encoder(TOKENS, dim=6, seed=1, init_scale=0.2,
+                             pooling="cls" if method == "cd" else "mean")
+        passages = self.corpus()
+        pretrain(model, passages, PretrainConfig(
+            method=method, steps=steps, batch_size=4, learning_rate=0.05,
+            seed=2))
+        texts = [p.body for p in passages]
+        if method == "ict":  # every passage here has two sentences
+            texts = [s for t in texts for s in split_sentences(t)]
+        assert len(calls) == len(set(calls)) and set(calls) <= set(texts)
+        # One step draws 4 of the 8 passages; by step 5 all have been drawn.
+        drawn = 4 if steps == 1 else len(passages)
+        assert len(calls) == drawn * len(texts) // len(passages)
+
+    # The loss traces of five steps before the objectives moved to id rows.
+    TRACES = {
+        ("tsdae", "plain"): [3.296773792937154, 3.29282352660086, 3.2959078039455525, 3.29663456567409, 3.300183037915674],
+        ("mlm", "plain"): [3.365294718884588, 3.290277600537666, 3.311383582259862, 3.258835176266321, 3.3015490762983988],
+        ("ict", "plain"): [11.364798837480599, 0.9900193974373087, 0.9172328504539609, 1.153659870995603, 0.8989301656187012],
+        ("simcse", "plain"): [0.0010834969051500016, 1.4824487571637017, 1.2654251018151115, 0.04634340446300105, 0.8569570254182907],
+        ("ct", "plain"): [5.1984024942481355, 2.299115212365349, 2.5669514455756755, 2.192777479915557, 3.0248939251816234],
+        ("cd", "plain"): [3.303069142677916, 3.3013194268315957, 3.2970256270110365, 3.304027895834247, 3.294426397905399],
+        ("tsdae", "empty"): [3.300655930669157, 2.1939232272287743, 3.2979838324934794, 3.2948884341264075, 3.306716805011956],
+        ("mlm", "empty"): [3.281073844755241, 2.195505180832837, 3.314057329695983, 3.278249515700322, 3.291296034484052],
+        ("ict", "empty"): [7.155096552094556, 0.5350919381862849, 1.5313102790459965, 1.4981404683925048, 0.8365988664643647],
+        ("simcse", "empty"): [0.1902383715471141, 0.6531197121495209, 0.3686142938621204, 0.022626398643183544, 0.021732031780107148],
+        ("ct", "empty"): [7.9273847764412695, 3.403749633577974, 2.2149648561659885, 1.2929683928007107, 1.1226908379951652],
+        ("cd", "empty"): [3.290407520667012, 2.1968974351276036, 3.2972987193984236, 3.289809559744013, 3.2973688894929025],
+    }
+
+    @pytest.mark.parametrize("corpus", ["plain", "empty"])
+    @pytest.mark.parametrize("method", PRETRAIN_METHODS)
+    def test_loss_trace_pinned(self, method, corpus):
+        """Batch size 4, or 3 on a corpus with an empty passage (drawn at
+        step 2, where the masked objectives divide its zero by three)."""
+        passages = self.corpus()
+        if corpus == "empty":
+            passages.insert(3, Passage("p-empty", "", ""))
+        model = init_encoder(TOKENS, dim=6, seed=1, init_scale=0.2,
+                             pooling="cls" if method == "cd" else "mean")
+        _, trace = pretrain(model, passages, PretrainConfig(
+            method=method, steps=5, batch_size=4 if corpus == "plain" else 3,
+            learning_rate=0.05, seed=2))
+        assert [loss for _, loss in trace] == pytest.approx(
+            self.TRACES[method, corpus], rel=1e-12, abs=0)
+
+    def test_tsdae_deletes_from_the_encoded_row(self, monkeypatch):
+        """A text longer than max_seq_len: TSDAE corrupts and reconstructs
+        its first max_seq_len ids, the row the encoder sees."""
+        seen = []
+        loss = pretraining.tsdae_loss
+
+        def recorded(model, decoder, original, corrupted):
+            seen.append((list(original), list(corrupted)))
+            return loss(model, decoder, original, corrupted)
+
+        monkeypatch.setattr(pretraining, "tsdae_loss", recorded)
+        model = init_encoder(TOKENS, dim=6, seed=1, max_seq_len=4)
+        text = " ".join(f"w{i}" for i in range(10))
+        cfg = PretrainConfig(method="tsdae", steps=1, batch_size=1, seed=2)
+        pretrain(model, [Passage("p0", "", text)], cfg)
+        row = [model.vocab[f"w{i}"] for i in range(4)]
+        assert seen == [(row, tsdae_corrupt(
+            row, 0.6, derive_seed(cfg.seed, "item", 1, 0)))]
+        assert len(seen[0][1]) == 2
+
+    @pytest.mark.parametrize("config", [PretrainConfig, TrainRunConfig])
+    def test_negative_learning_rate_rejected(self, config):
+        with pytest.raises(ValueError, match="learning_rate"):
+            config(learning_rate=-0.01)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
