@@ -357,7 +357,7 @@ def _initial_model(cfg: PipelineConfig, passages: Sequence[Passage],
     init_path = cfg["paths"].get("init_model")
     if init_path:
         return load_model(init_path)
-    tokens = [t for p in passages for t in tokenize(passage_text(p))]
+    tokens = {t for p in passages for t in tokenize(passage_text(p))}
     return init_encoder(tokens, dim=int(cfg["encoder"]["dim"]),
                         seed=derive_seed(cfg.seed, "init-encoder"),
                         pooling=pooling,

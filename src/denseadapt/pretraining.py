@@ -63,20 +63,29 @@ def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]
                         ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over positions; returns (loss, dL/dlogits).
 
-    Uniform logits over a vocabulary of V cost ln(V) per position.
+    Uniform logits over a vocabulary of V cost ln(V) per position. The
+    (positions, V) logits are worked on in place, and a float64 array
+    becomes the returned gradient: pass one the caller no longer reads.
     """
-    logits = np.asarray(logits, dtype=float)
+    out = np.asarray(logits, dtype=float)
     targets = np.asarray(target_ids, dtype=int)
-    if logits.ndim != 2 or logits.shape[0] != targets.size or targets.size == 0:
+    if out.ndim != 2 or out.shape[0] != targets.size or targets.size == 0:
         raise ValueError("logits must be (positions, vocab) matching targets")
-    shift = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_probs = shift - np.log(denom)
-    loss = float(-np.mean(log_probs[np.arange(targets.size), targets]))
-    d_logits = exp / denom
-    d_logits[np.arange(targets.size), targets] -= 1.0
-    return loss, d_logits / targets.size
+    if targets.min() < 0 or targets.max() >= out.shape[1]:
+        raise ValueError(f"target ids must be in [0, {out.shape[1]}); got "
+                         f"{targets.min()}..{targets.max()}")
+    rows = np.arange(targets.size)
+    out -= out.max(axis=1, keepdims=True)
+    picked = out[rows, targets]
+    np.exp(out, out=out)
+    denom = out.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(picked - np.log(denom[:, 0])))
+    if not math.isfinite(loss):
+        raise ValueError(f"cross-entropy is {loss} (non-finite logits)")
+    out /= denom
+    out[rows, targets] -= 1.0
+    out /= targets.size
+    return loss, out
 
 
 def _pooled_head_loss(model: EncoderModel, weight: np.ndarray, name: str,
@@ -94,10 +103,10 @@ def _pooled_head_loss(model: EncoderModel, weight: np.ndarray, name: str,
     hidden = x @ weight.T
     loss, d_logits = token_cross_entropy(hidden @ model.embedding.T, target_ids)
 
-    grads = new_grads(model)
     d_hidden = d_logits @ model.embedding
-    grads["embedding"] += d_logits.T @ hidden
-    grads[name] = d_hidden.T @ x
+    grads = {"embedding": d_logits.T @ hidden,
+             "projection": np.zeros_like(model.projection),
+             name: d_hidden.T @ x}
     d_x = d_hidden @ weight
     np.add.at(grads["embedding"], input_ids, d_x[:, d:])
     encode_backward(model, cache, d_x[:, :d].sum(axis=0, keepdims=True), grads)
@@ -200,13 +209,10 @@ def mlm_loss(model: EncoderModel, original_ids: Sequence[int],
     sel = np.asarray(positions, dtype=int)
     e_sel = model.embedding[corrupted[sel]]
     h_sel = e_sel @ model.projection
-    logits = h_sel @ model.embedding.T
-    loss, d_logits = token_cross_entropy(logits, original[sel])
-
-    grads = new_grads(model)
-    grads["embedding"] += d_logits.T @ h_sel
+    loss, d_logits = token_cross_entropy(h_sel @ model.embedding.T,
+                                         original[sel])
     d_h = d_logits @ model.embedding
-    grads["projection"] += e_sel.T @ d_h
+    grads = {"embedding": d_logits.T @ h_sel, "projection": e_sel.T @ d_h}
     np.add.at(grads["embedding"], corrupted[sel], d_h @ model.projection.T)
     return loss, grads
 
@@ -340,7 +346,8 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[Sequence[int]],
         loss_i, grads_i = mlm_loss(model, ids, corrupted, positions)
         mlm_total += loss_i
         for name in grads:
-            grads[name] += grads_i[name] * (mix_weight / len(mlm_batch))
+            grads_i[name] *= mix_weight / len(mlm_batch)
+            grads[name] += grads_i[name]
     mlm_avg = mlm_total / len(mlm_batch)
 
     scale = 1.0 - mix_weight
@@ -421,7 +428,8 @@ def _item_step(model: EncoderModel, rows: Sequence[np.ndarray],
             loss, g = item_loss(rows[i], derive_seed(cfg.seed, "item", step, j))
             total += loss
             for name in g:
-                grads[name] += g[name] / place.shape[1]
+                g[name] /= place.shape[1]
+                grads[name] += g[name]
         for name, w in aux.items():
             w -= cfg.learning_rate * grads.pop(name)
         return total / place.shape[1], grads

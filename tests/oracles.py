@@ -1,9 +1,12 @@
-"""Scalar reference implementations the tests hold the package to: Okapi
-BM25 for one (query, passage) pair, the teacher margin of one tuple, and
-the binary labels a generation-only baseline would train on."""
+"""Reference implementations the tests hold the package to: Okapi BM25
+for one (query, passage) pair, the teacher margin of one tuple, the binary
+labels a generation-only baseline would train on, and the token
+cross-entropy of tied-output losses written out array by array."""
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import BM25Index
@@ -67,3 +70,20 @@ def binary_relevance_labels(dataset: GPLDataset) -> list[tuple[str, str, int]]:
         labels.append((t.query_id, t.pos_id, 1))
         labels.append((t.query_id, t.neg_id, 0))
     return labels
+
+
+def token_cross_entropy(logits, target_ids) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over positions and dL/dlogits, each intermediate
+    its own (positions x V) array: the shift, its exp, the log-probabilities,
+    the softmax and the scaled gradient."""
+    logits = np.asarray(logits, dtype=float)
+    targets = np.asarray(target_ids, dtype=int)
+    rows = np.arange(targets.size)
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shift)
+    denom = exp.sum(axis=1, keepdims=True)
+    log_probs = shift - np.log(denom)
+    loss = float(-np.mean(log_probs[rows, targets]))
+    d_logits = exp / denom
+    d_logits[rows, targets] -= 1.0
+    return loss, d_logits / targets.size

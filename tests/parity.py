@@ -1,0 +1,138 @@
+"""Result digests for checking that a change alters no trained result.
+
+For each case the script trains from a fixed seed and prints one line:
+the case name, the sha256 of the final weights (embedding then
+projection, float64 bytes) and the sha256 of the loss trace (each step and
+the float64 bytes of its loss). Run it on two checkouts and compare:
+
+    PYTHONPATH=<checkout>/src python tests/parity.py [case ...]
+
+Identical lines mean bit-identical weights and loss traces. The cases are
+the six pre-training objectives (Condenser on CLS pooling), `gpl_train`,
+`qgen_train` with and without mined negatives, and UDALM through
+`run_pipeline` on the world of `tests/test_pipeline.py`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from denseadapt import (Passage, PretrainConfig, Query, TrainRunConfig,
+                        build_dataset, gpl_train, init_encoder,
+                        lexical_overlap_ce, load_model, pretrain, qgen_train,
+                        run_pipeline)
+from denseadapt.mining import PoolEntry
+
+WORDS = [f"w{i:02d}" for i in range(40)]
+
+
+def toy_corpus(n: int = 30) -> list[Passage]:
+    """Passages of two to four sentences; every seventh has no body."""
+    rng = np.random.default_rng(5)
+    passages = []
+    for i in range(n):
+        sentences = [" ".join(rng.choice(WORDS, size=int(rng.integers(2, 9))))
+                     + "." for _ in range(int(rng.integers(2, 5)))]
+        passages.append(Passage(f"p{i:02d}", "", "" if i % 7 == 3
+                                else " ".join(sentences)))
+    return passages
+
+
+def toy_queries(passages) -> list[Query]:
+    return [Query(f"q{p.id}", " ".join(p.body.split()[:2]), p.id)
+            for p in passages if p.body]
+
+
+def toy_pools(passages, queries) -> dict[str, PoolEntry]:
+    ids = [p.id for p in passages if p.body]
+    pools = {}
+    for i, q in enumerate(queries):
+        negs = sorted({ids[(i + k) % len(ids)] for k in (1, 2, 5)})
+        pools[q.id] = PoolEntry(q.id, q.source_passage_id, {"bm25": negs},
+                                negs, {n: ["bm25"] for n in negs}, usable=True)
+    return pools
+
+
+def model_for(pooling: str = "mean", similarity: str = "dot"):
+    model = init_encoder(WORDS, dim=8, seed=3, pooling=pooling,
+                         init_scale=0.3)
+    model.similarity = similarity
+    return model
+
+
+def pretrain_case(method: str):
+    def run():
+        passages = toy_corpus()
+        model = model_for("cls" if method == "cd" else "mean")
+        return pretrain(model, passages, PretrainConfig(
+            method=method, steps=12, batch_size=4, learning_rate=0.05, seed=2))
+    return run
+
+
+def gpl_case():
+    passages = toy_corpus()
+    queries = toy_queries(passages)
+    dataset = build_dataset(queries, toy_pools(passages, queries), passages,
+                            lexical_overlap_ce(), seed=1, n_tuples=96)
+    return gpl_train(model_for(), dataset, passages, queries,
+                     TrainRunConfig(steps=24, batch_size=4, seed=4,
+                                    learning_rate=0.05))
+
+
+def qgen_case(with_negatives: bool):
+    def run():
+        passages = toy_corpus()
+        queries = toy_queries(passages)
+        pools = toy_pools(passages, queries) if with_negatives else None
+        return qgen_train(model_for(similarity="cosine"), queries,
+                          passages, TrainRunConfig(steps=12, batch_size=4,
+                                                   seed=4, learning_rate=0.05),
+                          negatives=pools)
+    return run
+
+
+def udalm_case():
+    from test_pipeline import TestUdalmMethod
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = TestUdalmMethod().udalm_config(Path(tmp))
+        run_pipeline(cfg, "udalm")
+        train_dir = cfg.stage_dir("train", scope="udalm")
+        model = load_model(train_dir / "model-final.json")
+        rows = (train_dir / "loss-trace.csv").read_text().splitlines()[1:]
+    trace = [(int(step), float(loss))
+             for step, loss in (row.split(",") for row in rows)]
+    return model, trace
+
+
+CASES = {**{m: pretrain_case(m) for m in
+            ("tsdae", "mlm", "ict", "simcse", "ct", "cd")},
+         "gpl_train": gpl_case,
+         "qgen_train": qgen_case(False),
+         "qgen_train_negatives": qgen_case(True),
+         "udalm": udalm_case}
+
+
+def digest(model, trace) -> tuple[str, str]:
+    """(sha256 of the weights, sha256 of the loss trace)."""
+    weights = hashlib.sha256()
+    for array in (model.embedding, model.projection):
+        weights.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    losses = hashlib.sha256()
+    for step, loss in trace:
+        losses.update(struct.pack("<qd", step, loss))
+    return weights.hexdigest(), losses.hexdigest()
+
+
+def main(names) -> None:
+    for name in names or CASES:
+        print(name, *digest(*CASES[name]()))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -8,17 +8,18 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from denseadapt import (PipelineConfig, PipelineError, init_encoder,
+from denseadapt import (Passage, PipelineConfig, PipelineError, init_encoder,
                         load_corpus, load_model, parse_method, pipeline,
                         run_pipeline, run_stage, save_model)
 from denseadapt.cli import main as cli_main
-from denseadapt.pipeline import (DEFAULTS, CacheManifest, stage_generate,
-                                 stage_ingest)
+from denseadapt.pipeline import (DEFAULTS, CacheManifest, _initial_model,
+                                 stage_generate, stage_ingest)
 from denseadapt.util import sha256_files
 
 
@@ -435,6 +436,23 @@ def test_input_hash_names_files_by_role(tmp_path):
     assert sha256_files([here], ["corpus"]) != sha256_files([here], ["queries"])
     with pytest.raises(ValueError, match="share a role"):
         sha256_files([here, there], ["corpus", "corpus"])
+
+
+def test_initial_model_holds_distinct_tokens_only(tmp_path):
+    """400,000 occurrences of four words: the fresh encoder's vocabulary is
+    collected without a list of every occurrence (3.2 MB of references
+    alone)."""
+    cfg = small_config(tmp_path, tmp_path / "out")
+    passages = [Passage(f"p{i}", "", "alpha beta gamma delta " * 25)
+                for i in range(4_000)]
+    tracemalloc.start()
+    try:
+        model = _initial_model(cfg, passages)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(model.vocab) == ["alpha", "beta", "delta", "gamma"]
+    assert peak < 2**20
 
 
 class TestDeterminism:

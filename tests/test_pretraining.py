@@ -2,6 +2,7 @@
 gradient checks, and degenerate-case guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig,
 from denseadapt.training import TrainRunConfig
 from denseadapt.util import derive_seed
 from gradcheck import finite_diff_gradcheck
+import oracles
 
 TOKENS = [f"w{i}" for i in range(24)]
 
@@ -47,6 +49,54 @@ class TestTokenCrossEntropy:
             logits[i, t] = 1000.0
         loss, _ = token_cross_entropy(logits, targets)
         assert loss == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("positions, vocab, scale", [
+        (1, 1, 1.0), (1, 20_000, 900.0), (7, 2, 0.01), (33, 17, 900.0),
+        (64, 8_400, 30.0), (100, 500, 1.0), (130, 20_000, 1.0),
+        (130, 20_000, 900.0)])
+    def test_bytes_equal_the_array_by_array_formula(self, positions, vocab,
+                                                    scale):
+        """At scale 900 exp underflows to 0 for most of a row; half the
+        target rows repeat three ids."""
+        rng = np.random.default_rng(positions * vocab)
+        logits = rng.normal(0.0, scale, size=(positions, vocab))
+        targets = np.where(np.arange(positions) % 2,
+                           rng.integers(0, vocab, size=positions),
+                           rng.integers(0, min(vocab, 3), size=positions))
+        want_loss, want_grad = oracles.token_cross_entropy(logits, targets)
+        loss, grad = token_cross_entropy(logits, targets)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("targets", [[-1, 2], [0, 5]])
+    def test_rejects_target_outside_vocabulary(self, targets):
+        with pytest.raises(ValueError, match=r"target ids must be in \[0, 5\)"):
+            token_cross_entropy(np.zeros((2, 5)), targets)
+
+    def test_rejects_non_finite_loss(self):
+        logits = np.zeros((2, 5))
+        logits[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            token_cross_entropy(logits, [0, 1])
+
+
+def test_tsdae_item_holds_one_logits_buffer():
+    """One item at 120 positions over 20k tokens (d=32) holds a single
+    (positions x V) float64 array besides a few V x d ones; six copies of
+    the logits would need about 115 MB."""
+    positions, vocab, dim = 120, 20_000, 32
+    model = init_encoder([f"t{i}" for i in range(vocab - NUM_RESERVED)],
+                         dim=dim, seed=0)
+    decoder = init_condensor_head(dim, seed=1)
+    ids = np.random.default_rng(2).integers(NUM_RESERVED, vocab, size=positions)
+    corrupted = tsdae_corrupt(ids, 0.6, rng=3)
+    tracemalloc.start()
+    try:
+        tsdae_loss(model, decoder, ids, corrupted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * positions * vocab * 8 + 4 * vocab * dim * 8
 
 
 class TestTsdaeCorrupt:
