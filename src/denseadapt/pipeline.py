@@ -18,6 +18,7 @@ in-batch baselines by construction).
 from __future__ import annotations
 
 import copy
+import fcntl
 import json
 import logging
 import os
@@ -116,14 +117,21 @@ class PipelineError(RuntimeError):
 
 
 def _deep_merge(base: dict, override: dict, where: str) -> dict:
-    """base with override's values put in. A key that base lacks is an
-    error naming its dotted path; `where` is the path of base."""
+    """base with override's values put in. A key that base lacks, an object
+    where base holds a value, or the reverse, is an error naming its dotted
+    path; `where` is the path of base."""
+    if not isinstance(override, dict):
+        raise PipelineError(f"config {f'key {where[:-1]} ' if where else ''}"
+                            f"must be an object; got {type(override).__name__}")
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
             raise PipelineError(f"unknown config key {where}{key}")
-        if isinstance(value, dict) and isinstance(out[key], dict):
+        if isinstance(out[key], dict):
             out[key] = _deep_merge(out[key], value, f"{where}{key}.")
+        elif isinstance(value, dict):
+            raise PipelineError(f"config key {where}{key} takes a value, "
+                                "not an object")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -139,9 +147,13 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None
                   ) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as f:
-            merged = _deep_merge(DEFAULTS, json.load(f), "")
-        return cls(_deep_merge(merged, overrides or {}, ""))
+        try:
+            with open(path, encoding="utf-8") as f:
+                data = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise PipelineError(f"config {path} is not valid JSON: {e}") from None
+        return cls(_deep_merge(_deep_merge(DEFAULTS, data, ""),
+                               overrides or {}, ""))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -185,7 +197,9 @@ class CacheManifest:
     output files (relative to the manifest's directory, so a moved cache
     keeps its hits), and timestamp. A stage is a cache hit only when both
     hashes match and the entry lists exactly the stage's output files (an
-    older version of a stage may have written fewer), all still present."""
+    older version of a stage may have written fewer), all still present.
+    A manifest that is not a JSON object is rebuilt, and an entry of the
+    wrong shape is a miss."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -193,10 +207,13 @@ class CacheManifest:
         if path.exists():
             try:
                 with open(path, encoding="utf-8") as f:
-                    self.entries = json.load(f)
-            except (json.JSONDecodeError, OSError):
+                    entries = json.load(f)
+            except (ValueError, OSError):
+                entries = None
+            if isinstance(entries, dict):
+                self.entries = entries
+            else:
                 logger.warning("corrupt cache manifest at %s; rebuilding", path)
-                self.entries = {}
 
     def save(self) -> None:
         """Write atomically: a crash leaves the old manifest or the new one."""
@@ -223,48 +240,30 @@ class CacheManifest:
     def resolve(self, key: str, input_hash: str, config_hash: str,
                 outputs: Sequence[Path]) -> bool:
         entry = self.entries.get(key)
-        if entry is None or entry["outputs"] != self._names(outputs):
-            return False
-        if entry["input_hash"] != input_hash or entry["config_hash"] != config_hash:
+        if not isinstance(entry, dict) or \
+                entry.get("outputs") != self._names(outputs) or \
+                entry.get("input_hash") != input_hash or \
+                entry.get("config_hash") != config_hash:
             return False
         return all((self.path.parent / p).exists() for p in entry["outputs"])
 
 
-def _lock_is_stale(lock: Path) -> bool:
-    """Whether the pid in a lock file names no process, so the run that
-    took the lock is dead. A lock without a readable pid counts as held:
-    its run may not have written the pid yet."""
-    try:
-        os.kill(int(lock.read_text(encoding="utf-8")), 0)
-    except (ProcessLookupError, FileNotFoundError):
-        return True
-    except (PermissionError, ValueError):
-        return False
-    return False
-
-
 @contextmanager
 def _run_lock(directory: Path):
-    """Hold `<directory>/.lock` for one run; take over a dead run's lock."""
+    """Hold the kernel lock on `<directory>/.lock` for one run. The kernel
+    drops it when the process exits or is killed, so no lock outlives its
+    run. The file stays in place and empty: every run locks one inode."""
     directory.mkdir(parents=True, exist_ok=True)
-    lock = directory / ".lock"
-    for attempt in range(2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _lock_is_stale(lock):
-                raise PipelineError(
-                    f"output directory {directory} is locked by another run "
-                    f"(remove {lock} if that run is dead)") from None
-            logger.warning("removing %s: the run that took it is dead", lock)
-            lock.unlink(missing_ok=True)
+    fd = os.open(directory / ".lock", os.O_CREAT | os.O_RDWR)
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineError(f"output directory {directory} is locked by "
+                                "another run") from None
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 # --- the stage runner -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Stage orchestration: artifact production, cache hits and busts, stage
 ordering errors, method registry, and the CLI surface."""
 
+import fcntl
 import importlib.util
 import json
 import os
@@ -21,6 +22,59 @@ from denseadapt.cli import main as cli_main
 from denseadapt.pipeline import (DEFAULTS, CacheManifest, _initial_model,
                                  stage_generate, stage_ingest)
 from denseadapt.util import sha256_files
+
+
+# The tree the `denseadapt` under test was imported from, for child runs.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(pipeline.__file__).resolve().parents[1]),
+     *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+# A child that takes the run lock of the directory in argv[1] and holds it
+# until it is killed or its stdin is closed.
+HOLD = """import fcntl, os, sys
+fd = os.open(os.path.join(sys.argv[1], ".lock"), os.O_CREAT | os.O_RDWR)
+fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+print("held", flush=True)
+sys.stdin.read()
+"""
+
+# A child run of `run_stage("ingest")` on the config file in argv[1] whose
+# stage waits for stdin to close; it prints whether it took the lock.
+RACE = """import sys
+from denseadapt import pipeline
+def wait(cfg):
+    print("took the lock", flush=True)
+    sys.stdin.read()
+    return []
+pipeline.stage_ingest = wait
+try:
+    pipeline.run_stage("ingest", pipeline.PipelineConfig.from_file(sys.argv[1]))
+except pipeline.PipelineError as e:
+    print(e, flush=True)
+"""
+
+
+@pytest.fixture
+def lock_holder():
+    """Start a child holding a dataset directory's run lock; every child
+    is killed at teardown."""
+    children = []
+
+    def start(directory: Path) -> subprocess.Popen:
+        directory.mkdir(parents=True, exist_ok=True)
+        child = subprocess.Popen([sys.executable, "-c", HOLD, str(directory)],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 text=True)
+        children.append(child)
+        assert child.stdout.readline() == "held\n"
+        return child
+
+    yield start
+    for child in children:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdin.close()
+        child.stdout.close()
 
 
 def write_world(root, n_passages=12):
@@ -311,42 +365,85 @@ class TestCache:
         assert {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
                 for p in sorted(moved.rglob("*")) if p.is_file()} == files
 
-    def test_corrupt_manifest_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("text, entries", [
+        pytest.param(b"{not json", {}, id="not-json"),
+        pytest.param(b"\xff\xfe", {}, id="not-utf8"),
+        pytest.param(b"[]", {}, id="list"),
+        pytest.param(b"null", {}, id="null"),
+        pytest.param(b'{"ingest": 5}', {"ingest": 5}, id="entry-not-object"),
+        pytest.param(b'{"ingest": {"input_hash": "x", "config_hash": "y"}}',
+                     {"ingest": {"input_hash": "x", "config_hash": "y"}},
+                     id="entry-without-outputs"),
+    ])
+    def test_corrupt_manifest_rebuilt(self, tmp_path, text, entries):
+        """A manifest that is not a JSON object is rebuilt, and an entry
+        of the wrong shape is a miss: the next run recomputes and goes
+        through."""
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")
         manifest_path = tmp_path / "out" / "toy" / "cache-manifest.json"
-        manifest_path.write_text("{not json")
-        manifest = CacheManifest(manifest_path)
-        assert manifest.entries == {}
+        manifest_path.write_bytes(text)
+        assert CacheManifest(manifest_path).entries == entries
+        corpus = cfg.stage_dir("ingest") / "corpus.jsonl"
+        inode = corpus.stat().st_ino
         run_pipeline(cfg, "gpl")  # runs through cleanly
+        assert corpus.stat().st_ino != inode  # recomputed, not a hit
+        assert sorted(CacheManifest(manifest_path).entries) == [
+            "evaluate:gpl", "generate", "ingest", "label", "mine", "train:gpl"]
 
     def test_lock_file_blocks_concurrent_runs(self, tmp_path):
+        """Two runs that take the lock together: each holds what it got
+        until both have tried, and exactly one is refused."""
         cfg = small_config(tmp_path, tmp_path / "out")
-        lock_dir = cfg.dataset_dir
-        lock_dir.mkdir(parents=True)
-        (lock_dir / ".lock").write_text(str(os.getppid()))
-        with pytest.raises(PipelineError, match="locked"):
-            run_pipeline(cfg, "gpl")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        children = [subprocess.Popen(
+            [sys.executable, "-c", RACE, str(config_path)], env=CHILD_ENV,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            for _ in range(2)]
+        try:
+            said = sorted(child.stdout.readline().strip() for child in children)
+        finally:
+            for child in children:
+                child.communicate(timeout=60)  # closes stdin: the holder ends
+        assert said == [f"output directory {cfg.dataset_dir} is locked by "
+                        "another run", "took the lock"]
+        assert [child.returncode for child in children] == [0, 0]
 
-    def test_dead_runs_lock_is_reclaimed(self, tmp_path):
+    def test_dead_runs_lock_is_reclaimed(self, tmp_path, lock_holder):
+        """The kernel drops a SIGKILLed run's lock: the next run goes
+        ahead, and the lock file stays in place, empty."""
         cfg = small_config(tmp_path, tmp_path / "out")
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        cfg.dataset_dir.mkdir(parents=True)
-        (cfg.dataset_dir / ".lock").write_text(str(child.pid))
+        holder = lock_holder(cfg.dataset_dir)
+        holder.kill()
+        holder.wait(timeout=60)
         run_pipeline(cfg, "zero_shot")
-        assert not (cfg.dataset_dir / ".lock").exists()
+        lock = cfg.dataset_dir / ".lock"
+        assert lock.read_bytes() == b""
+        with open(lock, "rb") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)  # free again
 
     @pytest.mark.parametrize("holder", ["live pid", "empty", "not a pid"])
-    def test_run_stage_refuses_held_lock(self, tmp_path, holder):
+    def test_run_stage_refuses_held_lock(self, tmp_path, lock_holder, holder):
+        """Only the kernel lock counts, not what the file holds (such as a
+        pid an older run wrote): held, every run is refused and creates no
+        stage directory; once its holder is SIGKILLed, the run proceeds."""
         cfg = small_config(tmp_path, tmp_path / "out")
         cfg.dataset_dir.mkdir(parents=True)
         content = {"live pid": str(os.getppid()), "empty": "",
                    "not a pid": "x"}[holder]
         (cfg.dataset_dir / ".lock").write_text(content)
+        child = lock_holder(cfg.dataset_dir)
         with pytest.raises(PipelineError, match="locked"):
             run_stage("ingest", cfg)
-        assert not cfg.stage_dir("ingest").exists()
+        with pytest.raises(PipelineError, match="locked"):
+            run_pipeline(cfg, "zero_shot")
+        assert os.listdir(cfg.dataset_dir) == [".lock"]
+        child.kill()
+        child.wait(timeout=60)
+        run_stage("ingest", cfg)
+        assert cfg.stage_dir("ingest").is_dir()
+        assert (cfg.dataset_dir / ".lock").read_text() == content
 
     def test_crashed_stage_is_recomputed(self, tmp_path, monkeypatch):
         """A stage that crashes mid-write under one config leaves nothing
@@ -478,24 +575,45 @@ class TestConfig:
         ({"train": {"gpl": {"step": 10}}}, "train.gpl.step"),
         ({"sede": 3}, "sede"),
         ({"paths": {"corpora": "c.jsonl"}}, "paths.corpora"),
+        ({"train": 5}, "train"),
+        ({"paths": None}, "paths"),
+        ({"seed": {"a": 1}}, "seed"),
+        ([{"seed": 1}], ""),
     ])
     def test_unknown_key_rejected(self, tmp_path, data, path):
-        with pytest.raises(PipelineError,
-                           match=f"^unknown config key {re.escape(path)}$"):
+        """An unknown key, an object where a value belongs or the reverse
+        is an error naming the key's dotted path."""
+        message = {"train": "config key train must be an object; got int",
+                   "paths": "config key paths must be an object; got NoneType",
+                   "seed": "config key seed takes a value, not an object",
+                   "": "config must be an object; got list"
+                   }.get(path, f"unknown config key {path}")
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_dict(data)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
-        with pytest.raises(PipelineError, match=re.escape(path)):
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_file(config_path)
 
-    def test_cli_reports_unknown_key_without_traceback(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ('{"train": {"gpl": {"step": 10}}}', "unknown config key train.gpl.step"),
+        ('{"train": 5}', "config key train must be an object; got int"),
+        ('{"paths": null}', "config key paths must be an object; got NoneType"),
+        ('{"seed": {"a": 1}}', "config key seed takes a value, not an object"),
+        ("[]", "config must be an object; got list"),
+        ("{not json", "is not valid JSON: "),
+    ], ids=["unknown-key", "object-is-int", "object-is-null", "value-is-object",
+            "top-level-list", "not-json"])
+    def test_cli_reports_unknown_key_without_traceback(self, tmp_path, text,
+                                                       message):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"train": {"gpl": {"step": 10}}}))
+        config_path.write_text(text)
         result = CliRunner().invoke(cli_main, ["stage", "ingest", "--config",
                                                str(config_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "Error: unknown config key train.gpl.step" in result.output
+        assert result.output.startswith("Error: ")
+        assert message in result.output
 
     def test_benchmark_configs_load(self, tmp_path):
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -556,6 +674,19 @@ class TestCli:
                                           "--config", str(config_path)])
         assert result.exit_code == 0, result.output
         assert "corpus.jsonl" in result.output
+
+    def test_held_lock_reported_without_traceback(self, tmp_path,
+                                                  lock_holder):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        lock_holder(cfg.dataset_dir)
+        result = CliRunner().invoke(cli_main, ["stage", "ingest", "--config",
+                                               str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: output directory {cfg.dataset_dir} "
+                                 "is locked by another run\n")
 
     def test_missing_upstream_is_actionable(self, tmp_path):
         corpus, queries, qrels = write_world(tmp_path)
