@@ -9,6 +9,7 @@ from pathlib import Path
 
 import click
 
+from .corpus import DuplicateIdError, ParseError
 from .pipeline import (PipelineConfig, PipelineError, run_pipeline, run_stage,
                        STAGE_NAMES)
 
@@ -41,7 +42,7 @@ def run(config_path: str, method: str, seed: int | None) -> None:
     """Run a method's full stage sequence and print the eval averages."""
     try:
         report = run_pipeline(_load_config(config_path, seed, method), method)
-    except PipelineError as e:
+    except (PipelineError, ParseError, DuplicateIdError) as e:
         raise click.ClickException(str(e)) from e
     click.echo(json.dumps({"method": method, "averages": report.averages},
                           sort_keys=True, indent=2))
@@ -59,7 +60,7 @@ def stage(name: str, config_path: str, method: str | None, seed: int | None
     """Run a single pipeline stage."""
     try:
         outputs = run_stage(name, _load_config(config_path, seed, method))
-    except PipelineError as e:
+    except (PipelineError, ParseError, DuplicateIdError) as e:
         raise click.ClickException(str(e)) from e
     for path in outputs:
         click.echo(str(path))

@@ -26,7 +26,6 @@ class RunRanking:
     scores non-increasing, no duplicate passages within a query."""
 
     entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    cutoff: int = DEFAULT_CUTOFF
 
 
 @dataclass
@@ -56,7 +55,7 @@ def full_rank(model: EncoderModel, queries: Sequence[Query],
     """Exact brute-force top-cutoff ranking of the whole corpus per query
     under the model's similarity; same tie rule as retrieve_top_k."""
     retriever = DenseRetriever(model, corpus)
-    run = RunRanking(cutoff=cutoff)
+    run = RunRanking()
     for q in queries:
         run.entries[q.id] = retrieve_top_k(retriever, q.text, cutoff)
     return run
@@ -155,7 +154,7 @@ def ce_rerank(first_stage: RunRanking, ce: CrossEncoderScorer,
     by the new score (ties by passage id) and drop the rest."""
     texts = {p.id: passage_text(p) for p in corpus}
     query_texts = {q.id: q.text for q in queries}
-    out = RunRanking(cutoff=top_n)
+    out = RunRanking()
     for qid, ranking in first_stage.entries.items():
         if qid not in query_texts:
             continue

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import ParseError, tokenize
 
 OOV_INDEX = 0
 MASK_INDEX = 1
@@ -264,13 +264,13 @@ class QueryGenerator:
     """Autoregressive generator contract.
 
     next_token_logits(passage text, generated prefix) returns a logits
-    vector over `vocab`; decoding stops at eos_token or max_query_len.
+    vector over `vocab`; decoding stops at eos_token or at the sampler's
+    max_query_len.
     """
 
     vocab: tuple[str, ...]
     next_token_logits: Callable[[str, tuple[str, ...]], np.ndarray]
     eos_token: str
-    max_query_len: int = 12
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -304,7 +304,10 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EncoderModel:
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"{path}: not a JSON checkpoint ({e})") from None
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")

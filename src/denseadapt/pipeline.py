@@ -1,9 +1,10 @@
 """Stage-based pipeline runner with on-disk caching.
 
 Each stage produces its artifacts once and is skipped on re-run when both
-its input hash and its config hash match the cache manifest and all output
-files still exist. Every stage runs through `_run_cached`, so its outputs
-appear only once it completes. Stage layout under the output root:
+its input hash and its config hash match the cache record in its directory
+(`cache-manifest.json`) and all output files still exist. Every stage runs
+through `_run_cached`, so its outputs and its record appear only once it
+completes. Stage layout under the output root:
 
     <out>/<dataset>/shared/<stage>/...     ingest, generate, mine, label,
                                            pretrain-<method>
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import fcntl
+import functools
 import json
 import logging
 import os
@@ -50,6 +52,7 @@ from .util import canonical_json, derive_seed, sha256_bytes, sha256_files
 logger = logging.getLogger(__name__)
 
 CACHE_ROOT_ENV = "PIPELINE_CACHE_ROOT"
+MANIFEST = "cache-manifest.json"
 
 STAGE_NAMES = ("ingest", "generate", "mine", "label", "train", "pretrain",
                "evaluate", "rerank")
@@ -116,10 +119,38 @@ class PipelineError(RuntimeError):
     pass
 
 
+# The leaves that also take null, with the type of their other values: an
+# input path left unset, or a training schedule of one pass over the data.
+_NULLABLE = {**{f"paths.{k}": str for k, v in DEFAULTS["paths"].items()
+                if v is None}, "train.gpl.steps": int, "train.qgen.steps": int}
+
+_KINDS = {bool: "a bool", int: "an int", float: "a number", str: "a string",
+          list: "a list of strings"}
+
+
+def _check_value(key: str, value) -> None:
+    """Raise unless `value` has the type of the DEFAULTS leaf at dotted
+    `key`. A float takes an int too; a bool stands for nothing but a bool."""
+    kind = _NULLABLE.get(key) or \
+        type(functools.reduce(dict.__getitem__, key.split("."), DEFAULTS))
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind) or \
+            value is None and key in _NULLABLE
+    if not ok:
+        raise PipelineError(f"config key {key} must be {_KINDS[kind]}"
+                            f"{' or null' if key in _NULLABLE else ''}; "
+                            f"got {value!r}")
+
+
 def _deep_merge(base: dict, override: dict, where: str) -> dict:
     """base with override's values put in. A key that base lacks, an object
-    where base holds a value, or the reverse, is an error naming its dotted
-    path; `where` is the path of base."""
+    where base holds a value or the reverse, or a value of another type
+    than its DEFAULTS leaf, is an error naming its dotted path; `where` is
+    the path of base."""
     if not isinstance(override, dict):
         raise PipelineError(f"config {f'key {where[:-1]} ' if where else ''}"
                             f"must be an object; got {type(override).__name__}")
@@ -133,6 +164,7 @@ def _deep_merge(base: dict, override: dict, where: str) -> dict:
             raise PipelineError(f"config key {where}{key} takes a value, "
                                 "not an object")
         else:
+            _check_value(f"{where}{key}", value)
             out[key] = copy.deepcopy(value)
     return out
 
@@ -163,10 +195,6 @@ class PipelineConfig:
         return self.data[key]
 
     @property
-    def seed(self) -> int:
-        return int(self.data["seed"])
-
-    @property
     def dataset_dir(self) -> Path:
         root = os.environ.get(CACHE_ROOT_ENV) or self.data["paths"]["output"]
         return Path(root) / self.data["dataset"]
@@ -189,63 +217,38 @@ def parse_method(method: str) -> tuple[str | None, str]:
                         + ", ".join(valid))
 
 
-# --- cache manifest and run lock ----------------------------------------------
+# --- cache record and run lock ------------------------------------------------
 
 
+@dataclass(frozen=True)
 class CacheManifest:
-    """Per-dataset record of completed stages: input hash, config hash,
-    output files (relative to the manifest's directory, so a moved cache
-    keeps its hits), and timestamp. A stage is a cache hit only when both
-    hashes match and the entry lists exactly the stage's output files (an
-    older version of a stage may have written fewer), all still present.
-    A manifest that is not a JSON object is rebuilt, and an entry of the
-    wrong shape is a miss."""
+    """One stage's cache record, `cache-manifest.json` in the stage's own
+    directory: input hash, config hash, the sorted names of its output
+    files and a timestamp. A stage writes it into its scratch directory
+    after its outputs, so the rename that publishes them commits it too.
+    A stage is a cache hit only when its directory holds a record with
+    both hashes and exactly its output files (an older version of a stage
+    may have written fewer), all still present; a record that cannot be
+    read or is not a JSON object is a miss."""
 
-    def __init__(self, path: Path):
-        self.path = path
-        self.entries: dict[str, dict] = {}
-        if path.exists():
-            try:
-                with open(path, encoding="utf-8") as f:
-                    entries = json.load(f)
-            except (ValueError, OSError):
-                entries = None
-            if isinstance(entries, dict):
-                self.entries = entries
-            else:
-                logger.warning("corrupt cache manifest at %s; rebuilding", path)
+    input_hash: str
+    config_hash: str
+    outputs: list[str]
 
-    def save(self) -> None:
-        """Write atomically: a crash leaves the old manifest or the new one."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(self.entries, f, sort_keys=True, indent=2)
-        os.replace(tmp, self.path)
+    def save(self, directory: Path) -> None:
+        with open(directory / MANIFEST, "w", encoding="utf-8") as f:
+            json.dump(dict(vars(self), timestamp=time.time()), f,
+                      sort_keys=True, indent=2)
 
-    def _names(self, outputs: Sequence[Path]) -> list[str]:
-        return sorted(Path(p).relative_to(self.path.parent).as_posix()
-                      for p in outputs)
-
-    def record(self, key: str, input_hash: str, config_hash: str,
-               outputs: Sequence[Path]) -> None:
-        self.entries[key] = {
-            "input_hash": input_hash,
-            "config_hash": config_hash,
-            "outputs": self._names(outputs),
-            "timestamp": time.time(),
-        }
-        self.save()
-
-    def resolve(self, key: str, input_hash: str, config_hash: str,
-                outputs: Sequence[Path]) -> bool:
-        entry = self.entries.get(key)
-        if not isinstance(entry, dict) or \
-                entry.get("outputs") != self._names(outputs) or \
-                entry.get("input_hash") != input_hash or \
-                entry.get("config_hash") != config_hash:
+    def resolve(self, directory: Path) -> bool:
+        try:
+            with open(directory / MANIFEST, encoding="utf-8") as f:
+                record = json.load(f)
+        except (ValueError, OSError):  # missing, or not JSON or UTF-8
             return False
-        return all((self.path.parent / p).exists() for p in entry["outputs"])
+        return isinstance(record, dict) and \
+            all(record.get(key) == value for key, value in vars(self).items()) \
+            and all((directory / name).exists() for name in self.outputs)
 
 
 @contextmanager
@@ -269,18 +272,19 @@ def _run_lock(directory: Path):
 # --- the stage runner -----------------------------------------------------------
 
 
-def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
+def _run_cached(cfg: PipelineConfig, stage_dir: Path,
                 inputs: Sequence[tuple[str | Path, str]],
                 outputs: Sequence[str], config_hash: str,
                 compute: Callable[[Path], None]) -> list[Path]:
     """Run one stage through the cache; return its output paths.
 
     `inputs` are (path, producing stage) pairs that must exist; `outputs`
-    are file names in `stage_dir`. On a miss the manifest entry `key` is
-    dropped, then `compute(out_dir)` writes into a scratch directory that
-    replaces `stage_dir` once it returns: a crash leaves no partial file
-    there and no entry vouching for an older one, and no file of an
-    earlier run stays beside the new ones."""
+    are file names in `stage_dir`. On a miss `compute(out_dir)` writes
+    into a scratch directory, the stage's record is added, and the
+    scratch directory replaces `stage_dir`: a crash leaves no partial file
+    there and no record vouching for one, and no file of an earlier run
+    stays beside the new ones. Each lookup first removes the scratch or
+    retired directory of a run killed before it cleaned up."""
     for path, producer in inputs:
         if not os.path.exists(path):
             raise PipelineError(f"missing artifact {path}; run {producer} first")
@@ -292,31 +296,26 @@ def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
         [Path(p).relative_to(cfg.dataset_dir).as_posix()
          if Path(p).is_relative_to(cfg.dataset_dir) else keys[Path(p)]
          for p, _ in inputs])
+    scratch = stage_dir.with_name(stage_dir.name + ".tmp")
+    retired = stage_dir.with_name(stage_dir.name + ".old")
+    shutil.rmtree(scratch, ignore_errors=True)
+    shutil.rmtree(retired, ignore_errors=True)
     paths = [stage_dir / name for name in outputs]
-    manifest = CacheManifest(cfg.dataset_dir / "cache-manifest.json")
-    if manifest.resolve(key, input_hash, config_hash, paths):
-        logger.info("%s: cache hit", key)
+    manifest = CacheManifest(input_hash, config_hash, sorted(outputs))
+    if manifest.resolve(stage_dir):
+        logger.info("%s: cache hit", stage_dir.relative_to(cfg.dataset_dir))
         return paths
 
-    manifest.entries.pop(key, None)
-    manifest.save()
-    scratch = stage_dir.with_name(stage_dir.name + ".tmp")
-    shutil.rmtree(scratch, ignore_errors=True)
     scratch.mkdir(parents=True)
     try:
         compute(scratch)
-        with open(scratch / "provenance.json", "w", encoding="utf-8") as f:
-            json.dump({"config_hash": config_hash, "input_hash": input_hash,
-                       "files": sorted(outputs)}, f, sort_keys=True, indent=2)
-        retired = stage_dir.with_name(stage_dir.name + ".old")
-        shutil.rmtree(retired, ignore_errors=True)
+        manifest.save(scratch)
         if stage_dir.exists():
             os.replace(stage_dir, retired)
         os.replace(scratch, stage_dir)
         shutil.rmtree(retired, ignore_errors=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    manifest.record(key, input_hash, config_hash, paths)
     return paths
 
 
@@ -325,7 +324,7 @@ def _run_cached(cfg: PipelineConfig, key: str, stage_dir: Path,
 
 def _stage_config_hash(cfg: PipelineConfig, *sections: str, extra: dict | None = None
                        ) -> str:
-    payload = {"seed": cfg.seed, "encoder": cfg["encoder"]}
+    payload = {"seed": cfg["seed"], "encoder": cfg["encoder"]}
     for section in sections:
         payload[section] = cfg.data[section]
     if extra:
@@ -357,11 +356,11 @@ def _initial_model(cfg: PipelineConfig, passages: Sequence[Passage],
     if init_path:
         return load_model(init_path)
     tokens = {t for p in passages for t in tokenize(passage_text(p))}
-    return init_encoder(tokens, dim=int(cfg["encoder"]["dim"]),
-                        seed=derive_seed(cfg.seed, "init-encoder"),
+    return init_encoder(tokens, dim=cfg["encoder"]["dim"],
+                        seed=derive_seed(cfg["seed"], "init-encoder"),
                         pooling=pooling,
                         init_scale=float(cfg["encoder"]["init_scale"]),
-                        max_seq_len=int(cfg["encoder"]["max_seq_len"]))
+                        max_seq_len=cfg["encoder"]["max_seq_len"])
 
 
 def _init_model_input(cfg: PipelineConfig) -> list[tuple[str, str]]:
@@ -388,8 +387,8 @@ def stage_ingest(cfg: PipelineConfig) -> list[Path]:
     given = [key for key in _INGESTED if paths.get(key)]
 
     def compute(out_dir: Path) -> None:
-        passages = load_corpus(paths["corpus"], drop_missing_body=bool(
-            cfg["ingest"]["drop_missing_body"]))
+        passages = load_corpus(
+            paths["corpus"], drop_missing_body=cfg["ingest"]["drop_missing_body"])
         if not passages:
             raise PipelineError("corpus is empty after ingestion")
         save_corpus(passages, out_dir / "corpus.jsonl")
@@ -399,7 +398,7 @@ def stage_ingest(cfg: PipelineConfig) -> list[Path]:
             corpus_io.save_qrels(load_qrels(paths["qrels"]), out_dir / "qrels.tsv")
         save_model(_initial_model(cfg, passages), out_dir / "model-initial.json")
 
-    return _run_cached(cfg, "ingest", cfg.stage_dir("ingest"),
+    return _run_cached(cfg, cfg.stage_dir("ingest"),
                        [*((paths[key], "nothing (external source data)")
                           for key in given), *_init_model_input(cfg)],
                        [*(_INGESTED[key] for key in given), "model-initial.json"],
@@ -410,25 +409,24 @@ def stage_generate(cfg: PipelineConfig) -> list[Path]:
     def compute(out_dir: Path) -> None:
         corpus = passages = load_corpus(_artifact(cfg, "ingest"))
         gen_cfg = cfg["generate"]
-        budget = compute_budget(len(passages), int(gen_cfg["total_budget"]))
+        budget = compute_budget(len(passages), gen_cfg["total_budget"])
         if budget.effective_corpus_size < len(passages):
             passages = corpus_io.downsample_corpus(
                 passages, budget.effective_corpus_size,
-                derive_seed(cfg.seed, "downsample"))
+                derive_seed(cfg["seed"], "downsample"))
         if gen_cfg["generator"] != "mock":
             raise PipelineError(f"unknown generator backend {gen_cfg['generator']!r}")
-        generator = mock_generator(corpus,
-                                   max_query_len=int(gen_cfg["max_query_len"]))
+        generator = mock_generator(corpus)
         sampler = SamplerConfig(temperature=float(gen_cfg["temperature"]),
-                                top_k=int(gen_cfg["top_k"]),
+                                top_k=gen_cfg["top_k"],
                                 top_p=float(gen_cfg["top_p"]),
-                                seed=derive_seed(cfg.seed, "generate"),
-                                max_query_len=int(gen_cfg["max_query_len"]))
+                                seed=derive_seed(cfg["seed"], "generate"),
+                                max_query_len=gen_cfg["max_query_len"])
         queries = generate_queries(generator, passages, budget, sampler)
         save_queries(queries, out_dir / "gen-queries.jsonl")
         write_gen_qrels(queries, out_dir / "gen-qrels.tsv")
 
-    return _run_cached(cfg, "generate", cfg.stage_dir("generate"),
+    return _run_cached(cfg, cfg.stage_dir("generate"),
                        _inputs(cfg, "ingest"),
                        ["gen-queries.jsonl", "gen-qrels.tsv"],
                        _stage_config_hash(cfg, "generate"), compute)
@@ -449,10 +447,10 @@ def stage_mine(cfg: PipelineConfig) -> list[Path]:
             else:
                 raise PipelineError(f"unknown retriever {name!r}")
         pools = mine_pools(load_queries(_artifact(cfg, "generate")), retrievers,
-                           n_per_retriever=int(cfg["mine"]["n_per_retriever"]))
+                           n_per_retriever=cfg["mine"]["n_per_retriever"])
         write_hard_negatives(pools, out_dir / "hard-negatives.jsonl")
 
-    return _run_cached(cfg, "mine", cfg.stage_dir("mine"),
+    return _run_cached(cfg, cfg.stage_dir("mine"),
                        [*_inputs(cfg, "ingest", "generate"), model_input],
                        ["hard-negatives.jsonl"],
                        _stage_config_hash(cfg, "mine"), compute)
@@ -466,18 +464,19 @@ def stage_label(cfg: PipelineConfig) -> list[Path]:
 
     def compute(out_dir: Path) -> None:
         n_tuples = None if schedule["steps"] is None else \
-            int(schedule["steps"]) * int(schedule["batch_size"])
+            schedule["steps"] * schedule["batch_size"]
         dataset = build_dataset(load_queries(_artifact(cfg, "generate")),
                                 read_hard_negatives(_artifact(cfg, "mine")),
                                 load_corpus(_artifact(cfg, "ingest")),
                                 _cross_encoder(cfg),
-                                seed=derive_seed(cfg.seed, "label"),
+                                seed=derive_seed(cfg["seed"], "label"),
                                 n_tuples=n_tuples)
         write_dataset(dataset, out_dir / "gpl-training-data.tsv")
 
-    return _run_cached(cfg, "label", cfg.stage_dir("label"),
+    return _run_cached(cfg, cfg.stage_dir("label"),
                        _inputs(cfg, "ingest", "generate", "mine"),
-                       ["gpl-training-data.tsv"],
+                       ["gpl-training-data.tsv",
+                        "gpl-training-data.tsv.manifest.json"],
                        _stage_config_hash(cfg, "label",
                                           extra={"gpl_schedule": schedule}),
                        compute)
@@ -493,9 +492,9 @@ def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
                                pooling="cls" if method == "cd" else "mean")
         section = cfg["pretrain"]
         pre_cfg = PretrainConfig(
-            method=method, steps=int(section["steps"]),
-            batch_size=int(section["batch_size"]),
-            seed=derive_seed(cfg.seed, "pretrain", method),
+            method=method, steps=section["steps"],
+            batch_size=section["batch_size"],
+            seed=derive_seed(cfg["seed"], "pretrain", method),
             **{key: float(section[key]) for key in (
                 "learning_rate", "deletion_ratio", "mask_ratio",
                 "ict_mask_prob", "dropout_rate", "tau")})
@@ -503,8 +502,7 @@ def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
         save_model(model, out_dir / "model-pretrained.json")
         write_loss_trace(trace, out_dir / "loss-trace.csv")
 
-    return _run_cached(cfg, f"pretrain-{method}",
-                       cfg.stage_dir(f"pretrain-{method}"),
+    return _run_cached(cfg, cfg.stage_dir(f"pretrain-{method}"),
                        [*_inputs(cfg, "ingest"), *_init_model_input(cfg)],
                        ["model-pretrained.json", "loss-trace.csv"],
                        _stage_config_hash(cfg, "pretrain",
@@ -525,7 +523,7 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
                 raise PipelineError(f"udalm requires paths.{key}")
             inputs.append((Path(cfg["paths"][key]),
                            "nothing (external source data)"))
-    train_seed = derive_seed(cfg.seed, "train", method)
+    train_seed = derive_seed(cfg["seed"], "train", method)
     # The one config section the method reads, and the only one it hashes.
     section = cfg["udalm"] if final == "udalm" else \
         cfg["train"]["gpl" if final == "gpl" else "qgen"]
@@ -535,11 +533,10 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
         model = load_model(start[0])
         model.similarity = "cosine" if final.startswith("qgen") else "dot"
         run_cfg = TrainRunConfig(
-            steps=None if section["steps"] is None else int(section["steps"]),
-            batch_size=int(section["batch_size"]),
+            steps=section["steps"], batch_size=section["batch_size"],
             seed=train_seed, learning_rate=float(section["learning_rate"]),
-            log_every=int(section["log_every"]),
-            checkpoint_every=int(section["checkpoint_every"]))
+            log_every=section["log_every"],
+            checkpoint_every=section["checkpoint_every"])
         if final == "udalm":
             paths = cfg["paths"]
             model, trace = udalm_train(
@@ -564,8 +561,7 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
         save_model(model, out_dir / "model-final.json")
         write_loss_trace(trace, out_dir / "loss-trace.csv")
 
-    return _run_cached(cfg, f"train:{method}",
-                       cfg.stage_dir("train", scope=method), inputs,
+    return _run_cached(cfg, cfg.stage_dir("train", scope=method), inputs,
                        ["model-final.json", "loss-trace.csv"],
                        _stage_config_hash(cfg, extra={"method": method,
                                                       "train": section}),
@@ -589,14 +585,14 @@ def _scored_run(cfg: PipelineConfig, method: str, stage: str,
         section = cfg["evaluate"]
         report = evaluate(run, queries, passages, load_qrels(ingested[2][0]),
                           metrics=tuple(section["metrics"]),
-                          cutoff=int(section["cutoff"]), gain=section["gain"])
+                          cutoff=section["cutoff"], gain=section["gain"])
         report.config["method"] = tag
         report.save(out_dir / "report.json")
         write_trec_run(run, out_dir / "run.trec", tag=tag)
 
-    return _run_cached(cfg, f"{stage}:{method}",
-                       cfg.stage_dir(stage, scope=method), [*ingested, source],
-                       ["report.json", "run.trec"], config_hash, compute)
+    return _run_cached(cfg, cfg.stage_dir(stage, scope=method),
+                       [*ingested, source], ["report.json", "run.trec"],
+                       config_hash, compute)
 
 
 def stage_evaluate(cfg: PipelineConfig, method: str) -> list[Path]:
@@ -608,7 +604,7 @@ def stage_evaluate(cfg: PipelineConfig, method: str) -> list[Path]:
         _stage_config_hash(cfg, "evaluate", extra={"method": method}),
         lambda passages, queries: full_rank(
             load_model(model_input[0]), queries, passages,
-            int(cfg["evaluate"]["cutoff"])))
+            cfg["evaluate"]["cutoff"]))
 
 
 def stage_rerank(cfg: PipelineConfig, method: str) -> list[Path]:
@@ -618,7 +614,7 @@ def stage_rerank(cfg: PipelineConfig, method: str) -> list[Path]:
         _stage_config_hash(cfg, "rerank", "label", extra={"method": method}),
         lambda passages, queries: ce_rerank(
             read_trec_run(run_file), _cross_encoder(cfg), queries, passages,
-            top_n=int(cfg["rerank"]["top_n"])))
+            top_n=cfg["rerank"]["top_n"]))
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> list[Path]:

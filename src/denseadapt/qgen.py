@@ -184,15 +184,14 @@ def generate_queries(gen: QueryGenerator, passages: Sequence[Passage],
         raise ValueError(
             f"budget was computed for {budget.effective_corpus_size} passages, "
             f"got {len(passages)}")
-    limit = min(cfg.max_query_len, gen.max_query_len)
     queries: list[Query] = []
     for p in passages:
         source_text = passage_text(p)
         for n in range(1, budget.qpp + 1):
             rng = np.random.default_rng(derive_seed(cfg.seed, "genq", p.id, n))
-            tokens = _decode(gen, source_text, cfg, rng, limit)
+            tokens = _decode(gen, source_text, cfg, rng, cfg.max_query_len)
             if not tokens:
-                tokens = _decode(gen, source_text, cfg, rng, limit)
+                tokens = _decode(gen, source_text, cfg, rng, cfg.max_query_len)
             if not tokens:
                 logger.warning("empty generation for passage %s (#%d); "
                                "keeping placeholder", p.id, n)
@@ -203,7 +202,6 @@ def generate_queries(gen: QueryGenerator, passages: Sequence[Passage],
 
 def mock_generator(passages: Iterable[Passage], content_logit: float = 8.0,
                    noise_logit: float = 0.0, eos_logit: float = 6.0,
-                   max_query_len: int = 12,
                    noise_vocab: tuple[str, ...] = NOISE_VOCAB) -> QueryGenerator:
     """Test double for a trained query generator.
 
@@ -233,7 +231,7 @@ def mock_generator(passages: Iterable[Passage], content_logit: float = 8.0,
                 logits[index[token]] = content_logit + math.log(count)
         return logits
 
-    return QueryGenerator(vocab, next_token_logits, EOS_TOKEN, max_query_len)
+    return QueryGenerator(vocab, next_token_logits, EOS_TOKEN)
 
 
 def write_gen_qrels(queries: Iterable[Query], path: str | Path) -> None:

@@ -5,8 +5,8 @@ killed by `tests/crashpoint.py` at its k-th `os.replace`, `shutil.rmtree`
 or write-mode `open`, for every k. A second run then goes to completion,
 and the sweep checks that
 
-  - every file is byte-identical to a clean run's, `cache-manifest.json`
-    aside (it holds timestamps);
+  - every file is byte-identical to a clean run's, each stage's record
+    `cache-manifest.json` aside (it holds a timestamp);
   - no `*.tmp` or `*.old` is left;
   - the run lock on `.lock` is free.
 

@@ -45,8 +45,7 @@ CE_SCALE = 10.0
 QPP = 8
 N_PER_RETRIEVER = 20
 
-GENERATOR_KW = dict(content_logit=8.0, noise_logit=0.0, eos_logit=5.5,
-                    max_query_len=5)
+GENERATOR_KW = dict(content_logit=8.0, noise_logit=0.0, eos_logit=5.5)
 SAMPLER_KW = dict(top_k=50, top_p=0.95, max_query_len=5)
 
 SOURCE_TRAIN = dict(steps=2500, batch_size=32, learning_rate=0.01)

@@ -7,16 +7,17 @@ import pytest
 import crash_sweep
 
 POINTS = [
-    # ingest's second output opened and truncated, in `ingest.tmp`
+    # ingest's third output opened and truncated, in `ingest.tmp`
     ("fresh", 5, "open"),
-    # ingest's manifest entry half written to `cache-manifest.json.tmp`
-    ("fresh", 13, "open"),
+    # ingest's record half written to `ingest.tmp/cache-manifest.json`
+    ("fresh", 7, "open"),
     # an older ingest moved to `ingest.old`; the new one not yet in place
-    ("rebuild", 10, "replace"),
-    # the new ingest in place beside `ingest.old`; no entry recorded
-    ("rebuild", 11, "replace"),
-    # `ingest.old` removed; no entry recorded
-    ("rebuild", 12, "rmtree"),
+    ("rebuild", 8, "replace"),
+    # the new ingest and its record in place beside `ingest.old`: the next
+    # run is a hit and still removes `ingest.old`
+    ("rebuild", 9, "replace"),
+    # `ingest.old` removed; the scratch directory is already gone
+    ("rebuild", 10, "rmtree"),
 ]
 
 

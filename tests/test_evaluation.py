@@ -254,7 +254,7 @@ class TestCeRerank:
 
 class TestTrecRunOutput:
     def test_format(self, tmp_path):
-        run = RunRanking({"q1": [("d2", 1.5), ("d1", 0.5)]}, cutoff=10)
+        run = RunRanking({"q1": [("d2", 1.5), ("d1", 0.5)]})
         path = tmp_path / "run.trec"
         write_trec_run(run, path, tag="test")
         lines = path.read_text().splitlines()

@@ -19,8 +19,8 @@ from denseadapt import (Passage, PipelineConfig, PipelineError, init_encoder,
                         load_corpus, load_model, parse_method, pipeline,
                         run_pipeline, run_stage, save_model)
 from denseadapt.cli import main as cli_main
-from denseadapt.pipeline import (DEFAULTS, CacheManifest, _initial_model,
-                                 stage_generate, stage_ingest)
+from denseadapt.pipeline import (DEFAULTS, MANIFEST, CacheManifest,
+                                 _initial_model, stage_generate, stage_ingest)
 from denseadapt.util import sha256_files
 
 
@@ -216,6 +216,10 @@ class TestCache:
         return {str(p): p.stat().st_mtime_ns
                 for p in sorted(base.rglob("*")) if p.is_file()}
 
+    def inodes(self, base):
+        return {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in sorted(base.rglob("*")) if p.is_file()}
+
     def test_rerun_hits_cache(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")
@@ -324,28 +328,25 @@ class TestCache:
         assert gen.exists()
 
     def test_entry_with_fewer_outputs_is_a_miss(self, tmp_path):
-        """An entry an older version of a stage recorded, listing fewer
-        files than the stage now writes, is recomputed, not returned."""
+        """A record an older version of a stage wrote, listing fewer files
+        than the stage now writes, is recomputed, not returned."""
         cfg = small_config(tmp_path, tmp_path / "out", method="tsdae+gpl")
         run_stage("ingest", cfg)
         run_stage("pretrain", cfg)
-        manifest_path = cfg.dataset_dir / "cache-manifest.json"
-        entries = json.loads(manifest_path.read_text())
-        trace = cfg.stage_dir("pretrain-tsdae") / "loss-trace.csv"
-        entries["pretrain-tsdae"]["outputs"].remove(
-            "shared/pretrain-tsdae/loss-trace.csv")
-        manifest_path.write_text(json.dumps(entries))
+        stage = cfg.stage_dir("pretrain-tsdae")
+        record_path, trace = stage / MANIFEST, stage / "loss-trace.csv"
+        record = json.loads(record_path.read_text())
+        record["outputs"].remove("loss-trace.csv")
+        record_path.write_text(json.dumps(record))
         trace.unlink()
         outputs = run_stage("pretrain", cfg)
         assert trace in outputs and trace.exists()
 
-        manifest = CacheManifest(manifest_path)
-        entry = manifest.entries["pretrain-tsdae"]
-        paths = [cfg.dataset_dir / name for name in entry["outputs"]]
-        assert manifest.resolve("pretrain-tsdae", entry["input_hash"],
-                                entry["config_hash"], paths)
-        assert not manifest.resolve("pretrain-tsdae", entry["input_hash"],
-                                    entry["config_hash"], paths[:1])
+        record = json.loads(record_path.read_text())
+        assert record["outputs"] == ["loss-trace.csv", "model-pretrained.json"]
+        hashes = record["input_hash"], record["config_hash"]
+        assert CacheManifest(*hashes, record["outputs"]).resolve(stage)
+        assert not CacheManifest(*hashes, record["outputs"][1:]).resolve(stage)
 
     def test_moved_cache_keeps_its_hits(self, tmp_path):
         """Input hashes and recorded outputs do not depend on where the
@@ -356,40 +357,45 @@ class TestCache:
             run_stage(name, cfg)
         moved = tmp_path / "elsewhere" / "cache"
         shutil.move(tmp_path / "out", moved)
-        files = {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
-                 for p in sorted(moved.rglob("*")) if p.is_file()}
-        assert len([f for f in files if f.endswith("provenance.json")]) == 4
+        files = self.inodes(moved)
+        assert sorted(Path(f).relative_to(moved).as_posix() for f in files
+                      if f.endswith(MANIFEST)) == \
+            [f"toy/shared/{name}/{MANIFEST}" for name in sorted(stages)]
         cfg.data["paths"]["output"] = str(moved)
         for name in stages:
             run_stage(name, cfg)
-        assert {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
-                for p in sorted(moved.rglob("*")) if p.is_file()} == files
+        assert self.inodes(moved) == files
 
-    @pytest.mark.parametrize("text, entries", [
-        pytest.param(b"{not json", {}, id="not-json"),
-        pytest.param(b"\xff\xfe", {}, id="not-utf8"),
-        pytest.param(b"[]", {}, id="list"),
-        pytest.param(b"null", {}, id="null"),
-        pytest.param(b'{"ingest": 5}', {"ingest": 5}, id="entry-not-object"),
-        pytest.param(b'{"ingest": {"input_hash": "x", "config_hash": "y"}}',
-                     {"ingest": {"input_hash": "x", "config_hash": "y"}},
-                     id="entry-without-outputs"),
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda record: b"{not json", id="not-json"),
+        pytest.param(lambda record: b"\xff\xfe", id="not-utf8"),
+        pytest.param(lambda record: b"[]", id="list"),
+        pytest.param(lambda record: b"null", id="null"),
+        pytest.param(lambda record: b"5", id="entry-not-object"),
+        pytest.param(lambda record: json.dumps(
+            {k: v for k, v in record.items() if k != "outputs"}).encode(),
+            id="entry-without-outputs"),
     ])
-    def test_corrupt_manifest_rebuilt(self, tmp_path, text, entries):
-        """A manifest that is not a JSON object is rebuilt, and an entry
-        of the wrong shape is a miss: the next run recomputes and goes
-        through."""
+    def test_corrupt_manifest_rebuilt(self, tmp_path, damage):
+        """A stage record that cannot be read, is not a JSON object or
+        lacks a field is a miss: the stage is recomputed, and as its
+        outputs come back byte-identical, every later stage is a hit."""
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")
-        manifest_path = tmp_path / "out" / "toy" / "cache-manifest.json"
-        manifest_path.write_bytes(text)
-        assert CacheManifest(manifest_path).entries == entries
-        corpus = cfg.stage_dir("ingest") / "corpus.jsonl"
-        inode = corpus.stat().st_ino
+        ingest = cfg.stage_dir("ingest")
+        record = ingest / MANIFEST
+        record.write_bytes(damage(json.loads(record.read_text())))
+        before = self.inodes(cfg.dataset_dir)
+        contents = {p: Path(p).read_bytes() for p in before}
         run_pipeline(cfg, "gpl")  # runs through cleanly
-        assert corpus.stat().st_ino != inode  # recomputed, not a hit
-        assert sorted(CacheManifest(manifest_path).entries) == [
-            "evaluate:gpl", "generate", "ingest", "label", "mine", "train:gpl"]
+        after = self.inodes(cfg.dataset_dir)
+        assert sorted(after) == sorted(before)
+        changed = {p for p in after if after[p] != before[p]}
+        assert changed == {p for p in after if Path(p).parent == ingest}
+        assert all(Path(p).read_bytes() == contents[p]
+                   for p in after if Path(p) != record)
+        assert json.loads(record.read_text())["outputs"] == [
+            "corpus.jsonl", "model-initial.json", "qrels.tsv", "queries.jsonl"]
 
     def test_lock_file_blocks_concurrent_runs(self, tmp_path):
         """Two runs that take the lock together: each holds what it got
@@ -446,15 +452,23 @@ class TestCache:
         assert (cfg.dataset_dir / ".lock").read_text() == content
 
     def test_crashed_stage_is_recomputed(self, tmp_path, monkeypatch):
-        """A stage that crashes mid-write under one config leaves nothing
-        that a rerun under an earlier config takes for a cache hit."""
+        """A stage that crashes mid-write under one config leaves the
+        directory and record of an earlier config untouched: a rerun under
+        that config is a hit, and one under the crashed config recomputes."""
         cfg_x = small_config(tmp_path, tmp_path / "out")
         cfg_y = small_config(tmp_path, tmp_path / "out",
                              mine={"n_per_retriever": 3})
         for name in ("ingest", "generate", "mine"):
             run_stage(name, cfg_x)
-        negatives = cfg_x.stage_dir("mine") / "hard-negatives.jsonl"
-        original, inode = negatives.read_bytes(), negatives.stat().st_ino
+        stage = cfg_x.stage_dir("mine")
+        negatives = stage / "hard-negatives.jsonl"
+
+        def files():
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns,
+                             p.read_bytes()) for p in stage.iterdir()}
+
+        before = files()
+        assert sorted(before) == [MANIFEST, "hard-negatives.jsonl"]
 
         def crash(pools, path):
             with open(path, "w") as f:
@@ -465,12 +479,30 @@ class TestCache:
         with pytest.raises(RuntimeError, match="mid-write"):
             run_stage("mine", cfg_y)
         monkeypatch.undo()
+        assert files() == before
+        assert not list(cfg_x.dataset_dir.rglob("*.tmp"))
 
         assert run_stage("mine", cfg_x) == [negatives]
-        assert negatives.stat().st_ino != inode  # recomputed, not a hit
-        assert negatives.read_bytes() == original
-        assert not list(cfg_x.dataset_dir.rglob("*.tmp"))
-        run_stage("label", cfg_x)
+        assert files() == before  # a hit: same inodes, same bytes
+        assert run_stage("mine", cfg_y) == [negatives]
+        assert negatives.stat().st_ino != before["hard-negatives.jsonl"][0]
+        assert negatives.read_bytes() != before["hard-negatives.jsonl"][2]
+        run_stage("label", cfg_y)
+
+    def test_hit_removes_a_killed_runs_leftovers(self, tmp_path):
+        """A `<stage>.tmp` or `<stage>.old` that a killed run left beside
+        a stage is removed by the next lookup, a cache hit included."""
+        cfg = small_config(tmp_path, tmp_path / "out")
+        run_stage("ingest", cfg)
+        ingest = cfg.stage_dir("ingest")
+        before = self.inodes(ingest)
+        for suffix in (".tmp", ".old"):
+            leftover = ingest.with_name("ingest" + suffix)
+            leftover.mkdir()
+            (leftover / "corpus.jsonl").write_text("partial")
+        run_stage("ingest", cfg)
+        assert os.listdir(ingest.parent) == ["ingest"]
+        assert self.inodes(ingest) == before
 
     def test_changed_init_model_busts_ingest_and_pretrain(self, tmp_path):
         """paths.init_model is an input of the stages that load it: new
@@ -505,7 +537,7 @@ class TestCache:
         run_pipeline(small_config(tmp_path, tmp_path / "out", train={
             "gpl": {**checkpoints["gpl"], "checkpoint_every": 0}}), "gpl")
         assert sorted(p.name for p in train.iterdir()) == \
-            ["loss-trace.csv", "model-final.json", "provenance.json"]
+            [MANIFEST, "loss-trace.csv", "model-final.json"]
         assert not list(train.parent.glob("train.*"))
 
     def test_qgen_checkpoints_written(self, tmp_path):
@@ -517,11 +549,27 @@ class TestCache:
             ["ckpt-10.json", "ckpt-5.json"]
 
     def test_provenance_sidecars_written(self, tmp_path):
+        """Each stage directory holds its outputs and one record naming
+        them; nothing else records a stage."""
         cfg = small_config(tmp_path, tmp_path / "out")
         run_pipeline(cfg, "gpl")
-        prov = tmp_path / "out" / "toy" / "shared" / "generate" / "provenance.json"
-        doc = json.loads(prov.read_text())
-        assert "config_hash" in doc and "gen-queries.jsonl" in doc["files"]
+        stages = {"shared/ingest": ["corpus.jsonl", "model-initial.json",
+                                    "qrels.tsv", "queries.jsonl"],
+                  "shared/generate": ["gen-qrels.tsv", "gen-queries.jsonl"],
+                  "shared/mine": ["hard-negatives.jsonl"],
+                  "shared/label": ["gpl-training-data.tsv",
+                                   "gpl-training-data.tsv.manifest.json"],
+                  "gpl/train": ["loss-trace.csv", "model-final.json"],
+                  "gpl/evaluate": ["report.json", "run.trec"]}
+        assert sorted(p.relative_to(cfg.dataset_dir).as_posix()
+                      for p in cfg.dataset_dir.rglob("*") if p.is_file()) == \
+            sorted([".lock"] + [f"{stage}/{name}" for stage, names in
+                                stages.items() for name in [*names, MANIFEST]])
+        for stage, names in stages.items():
+            record = json.loads((cfg.dataset_dir / stage / MANIFEST).read_text())
+            assert sorted(record) == ["config_hash", "input_hash", "outputs",
+                                      "timestamp"]
+            assert record["outputs"] == names
 
 
 def test_input_hash_names_files_by_role(tmp_path):
@@ -579,14 +627,44 @@ class TestConfig:
         ({"paths": None}, "paths"),
         ({"seed": {"a": 1}}, "seed"),
         ([{"seed": 1}], ""),
+        ({"ingest": {"drop_missing_body": "false"}}, "ingest.drop_missing_body"),
+        ({"encoder": {"dim": 2.9}}, "encoder.dim"),
+        ({"encoder": {"max_seq_len": "x"}}, "encoder.max_seq_len"),
+        ({"rerank": {"top_n": True}}, "rerank.top_n"),
+        ({"udalm": {"steps": None}}, "udalm.steps"),
+        ({"encoder": {"init_scale": "0.1"}}, "encoder.init_scale"),
+        ({"label": {"ce_scale": False}}, "label.ce_scale"),
+        ({"dataset": None}, "dataset"),
+        ({"mine": {"retrievers": ["bm25", 1]}}, "mine.retrievers"),
+        ({"evaluate": {"metrics": "ndcg@10"}}, "evaluate.metrics"),
+        ({"paths": {"corpus": 5}}, "paths.corpus"),
+        ({"paths": {"output": None}}, "paths.output"),
+        ({"train": {"qgen": {"steps": 2.5}}}, "train.qgen.steps"),
+        ({"train": {"gpl": {"steps": "10"}}}, "train.gpl.steps"),
     ])
     def test_unknown_key_rejected(self, tmp_path, data, path):
-        """An unknown key, an object where a value belongs or the reverse
-        is an error naming the key's dotted path."""
+        """An unknown key, an object where a value belongs or the reverse,
+        or a value of another type than the key's default, is an error
+        naming the key's dotted path."""
         message = {"train": "config key train must be an object; got int",
                    "paths": "config key paths must be an object; got NoneType",
                    "seed": "config key seed takes a value, not an object",
-                   "": "config must be an object; got list"
+                   "": "config must be an object; got list",
+                   **{key: f"config key {key} must be {kind}" for key, kind in [
+                       ("ingest.drop_missing_body", "a bool; got 'false'"),
+                       ("encoder.dim", "an int; got 2.9"),
+                       ("encoder.max_seq_len", "an int; got 'x'"),
+                       ("rerank.top_n", "an int; got True"),
+                       ("udalm.steps", "an int; got None"),
+                       ("encoder.init_scale", "a number; got '0.1'"),
+                       ("label.ce_scale", "a number; got False"),
+                       ("dataset", "a string; got None"),
+                       ("mine.retrievers", "a list of strings; got ['bm25', 1]"),
+                       ("evaluate.metrics", "a list of strings; got 'ndcg@10'"),
+                       ("paths.corpus", "a string or null; got 5"),
+                       ("paths.output", "a string; got None"),
+                       ("train.qgen.steps", "an int or null; got 2.5"),
+                       ("train.gpl.steps", "an int or null; got '10'")]}
                    }.get(path, f"unknown config key {path}")
         with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_dict(data)
@@ -602,8 +680,17 @@ class TestConfig:
         ('{"seed": {"a": 1}}', "config key seed takes a value, not an object"),
         ("[]", "config must be an object; got list"),
         ("{not json", "is not valid JSON: "),
+        ('{"ingest": {"drop_missing_body": "false"}}',
+         "config key ingest.drop_missing_body must be a bool; got 'false'"),
+        ('{"encoder": {"dim": 2.9}}', "config key encoder.dim must be an int; "
+                                      "got 2.9"),
+        ('{"encoder": {"dim": "x"}}', "config key encoder.dim must be an int; "
+                                      "got 'x'"),
+        ('{"udalm": {"steps": null}}', "config key udalm.steps must be an int; "
+                                       "got None"),
     ], ids=["unknown-key", "object-is-int", "object-is-null", "value-is-object",
-            "top-level-list", "not-json"])
+            "top-level-list", "not-json", "bool-is-string", "int-is-float",
+            "int-is-string", "int-is-null"])
     def test_cli_reports_unknown_key_without_traceback(self, tmp_path, text,
                                                        message):
         config_path = tmp_path / "config.json"
@@ -614,6 +701,26 @@ class TestConfig:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error: ")
         assert message in result.output
+
+    def test_values_of_every_type_load(self):
+        """Each type a key takes loads as given, and so does README's
+        example config."""
+        data = {"ingest": {"drop_missing_body": True},
+                "encoder": {"dim": 4, "init_scale": 1},
+                "label": {"ce_scale": 2.5},
+                "mine": {"retrievers": ["bm25"]},
+                "paths": {"corpus": "c.jsonl", "queries": None},
+                "train": {"gpl": {"steps": None}, "qgen": {"steps": 3}}}
+        cfg = PipelineConfig.from_dict(data)
+        assert (cfg["ingest"]["drop_missing_body"], cfg["encoder"]["init_scale"],
+                cfg["label"]["ce_scale"], cfg["mine"]["retrievers"],
+                cfg["paths"]["queries"], cfg["train"]["gpl"]["steps"],
+                cfg["train"]["qgen"]["steps"]) == \
+            (True, 1, 2.5, ["bm25"], None, None, 3)
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        example = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
+        cfg = PipelineConfig.from_dict(json.loads(example.group(1)))
+        assert cfg["train"]["gpl"]["steps"] == 2000
 
     def test_benchmark_configs_load(self, tmp_path):
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -687,6 +794,33 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.output == (f"Error: output directory {cfg.dataset_dir} "
                                  "is locked by another run\n")
+
+    @pytest.mark.parametrize("case", ["bad-json-line", "duplicate-id",
+                                      "init-model-not-json"])
+    def test_malformed_input_reported_without_traceback(self, tmp_path, case):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        corpus = Path(cfg["paths"]["corpus"])
+        if case == "init-model-not-json":
+            bad = tmp_path / "init-model.json"
+            bad.write_text("{not json")
+            cfg.data["paths"]["init_model"] = str(bad)
+            message = f"Error: {bad}: not a JSON checkpoint ("
+        else:
+            line = "{not json" if case == "bad-json-line" else \
+                corpus.read_text().splitlines()[0]
+            with open(corpus, "a") as f:
+                f.write(line + "\n")
+            message = f"Error: {corpus}:13: " + (
+                "invalid JSON (" if case == "bad-json-line"
+                else "duplicate passage id 'p00'")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        for command in (["stage", "ingest"], ["run", "--method", "gpl"]):
+            result = CliRunner().invoke(cli_main, [*command, "--config",
+                                                   str(config_path)])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.startswith(message), result.output
 
     def test_missing_upstream_is_actionable(self, tmp_path):
         corpus, queries, qrels = write_world(tmp_path)

@@ -315,7 +315,7 @@ class TestGenerateQueries:
         gen = QueryGenerator(vocab=("tok", EOS_TOKEN),
                              next_token_logits=lambda text, prefix:
                              np.array([-np.inf, 0.0]),
-                             eos_token=EOS_TOKEN, max_query_len=5)
+                             eos_token=EOS_TOKEN)
         passages = [Passage("d0", "", "anything")]
         budget = GenerationBudget(3, 3, 1)
         queries = generate_queries(gen, passages, budget, SamplerConfig(seed=0))
