@@ -13,7 +13,7 @@ from .corpus import (DuplicateIdError, ParseError, Passage, Qrels, Query,
                      tokenize)
 from .evaluation import (EvalReport, RunRanking, ce_rerank, evaluate,
                          full_rank, mrr_at_k, ndcg_at_k, write_trec_run)
-from .labeling import (GPLDataset, TrainingTuple, build_dataset, read_dataset,
+from .labeling import (GPLDataset, TupleColumns, build_dataset, read_dataset,
                        sample_tuple, write_dataset)
 from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolEntry,
                      build_bm25_index, mine_negatives, mine_pools,

@@ -308,9 +308,12 @@ def load_model(path: str | Path) -> EncoderModel:
             doc = json.load(f)
         except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: not a JSON checkpoint ({e})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a checkpoint (a JSON {type(doc).__name__})")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version!r}")
+        raise ParseError(f"{path}: unsupported checkpoint format version "
+                         f"{version!r}")
     return EncoderModel(
         vocab={str(k): int(v) for k, v in doc["vocab"].items()},
         embedding=_unpack_array(doc["embedding"]),

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import Passage, Query, passage_text
-from .labeling import GPLDataset, TrainingTuple, sample_tuple
+from .labeling import GPLDataset, TupleColumns, sample_tuple
 from .mining import PoolEntry
 from .models import (EncoderModel, Tokens, apply_gradients, encode_backward,
                      encode_ids, new_grads, save_model)
@@ -198,19 +198,16 @@ def _table(model: EncoderModel, keys: Sequence[str],
     return model.tokens([texts[k] for k in row_of]), rows
 
 
-def tuple_batches(model: EncoderModel, tuples: Sequence[TrainingTuple],
+def tuple_batches(model: EncoderModel, tuples: TupleColumns,
                   query_texts: Mapping[str, str],
                   passage_texts: Mapping[str, str]) -> Callable:
     """Tokenize each distinct query and passage of the tuples once; return
     a function giving the (query, positive, negative, margin) batch of an
     array of tuple indices, gathered from those tables by row."""
-    q_table, q_rows = _table(model, [t.query_id for t in tuples], query_texts)
-    pids = [pid for t in tuples for pid in (t.pos_id, t.neg_id)]
-    p_table, p_rows = _table(model, pids, passage_texts)
-    pos_rows, neg_rows = p_rows.reshape(-1, 2).T
-    margins = np.array([t.margin for t in tuples], dtype=float)
-    return lambda i: (q_table.take(q_rows[i]), p_table.take(pos_rows[i]),
-                      p_table.take(neg_rows[i]), margins[i])
+    q_table = model.tokens([query_texts[q] for q in tuples.query_ids])
+    p_table = model.tokens([passage_texts[p] for p in tuples.passage_ids])
+    return lambda i: (q_table.take(tuples.query[i]), p_table.take(tuples.pos[i]),
+                      p_table.take(tuples.neg[i]), tuples.margin[i])
 
 
 def gpl_train(model: EncoderModel, dataset: GPLDataset,

@@ -1,10 +1,11 @@
 """Reference implementations the tests hold the package to: Okapi BM25
 for one (query, passage) pair, the teacher margin of one tuple, the binary
-labels a generation-only baseline would train on, and the token
-cross-entropy of tied-output losses written out array by array."""
+labels a generation-only baseline would train on, the token
+cross-entropy of tied-output losses written out array by array, and a
+labelled stream's tuples as named rows."""
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +60,18 @@ def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,
     return pos_score - neg_score
 
 
+class Row(NamedTuple):
+    query_id: str
+    pos_id: str
+    neg_id: str
+    margin: float
+
+
+def stream_rows(dataset: GPLDataset) -> list[Row]:
+    """The dataset's tuples in stream order, one named row each."""
+    return [Row(*row) for row in dataset.tuples.rows()]
+
+
 def binary_relevance_labels(dataset: GPLDataset) -> list[tuple[str, str, int]]:
     """Companion 0/1 labels over the same tuples: positives 1, negatives 0.
 
@@ -66,7 +79,7 @@ def binary_relevance_labels(dataset: GPLDataset) -> list[tuple[str, str, int]]:
     cannot express a false negative, where the margin label is near zero.
     """
     labels: list[tuple[str, str, int]] = []
-    for t in dataset.tuples:
+    for t in stream_rows(dataset):
         labels.append((t.query_id, t.pos_id, 1))
         labels.append((t.query_id, t.neg_id, 0))
     return labels

@@ -1,16 +1,19 @@
 """Result digests for checking that a change alters no trained result.
 
-For each case the script trains from a fixed seed and prints one line:
-the case name, the sha256 of the final weights (embedding then
+For each training case the script trains from a fixed seed and prints one
+line: the case name, the sha256 of the final weights (embedding then
 projection, float64 bytes) and the sha256 of the loss trace (each step and
-the float64 bytes of its loss). Run it on two checkouts and compare:
+the float64 bytes of its loss). The `label_tsv` case prints the sha256 of
+a label TSV. Run it on two checkouts and compare:
 
     PYTHONPATH=<checkout>/src python tests/parity.py [case ...]
 
-Identical lines mean bit-identical weights and loss traces. The cases are
-the six pre-training objectives (Condenser on CLS pooling), `gpl_train`,
-`qgen_train` with and without mined negatives, and UDALM through
-`run_pipeline` on the world of `tests/test_pipeline.py`.
+Identical lines mean bit-identical weights, loss traces and labels. The
+training cases are the six pre-training objectives (Condenser on CLS
+pooling), `gpl_train`, `qgen_train` with and without mined negatives, and
+UDALM through `run_pipeline` on the world of `tests/test_pipeline.py`.
+`label_tsv` draws 500 tuples over the toy world's usable queries, about
+20 draws each, one query's pool holding a single negative.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from denseadapt import (Passage, PretrainConfig, Query, TrainRunConfig,
                         build_dataset, gpl_train, init_encoder,
                         lexical_overlap_ce, load_model, pretrain, qgen_train,
-                        run_pipeline)
+                        run_pipeline, write_dataset)
 from denseadapt.mining import PoolEntry
 
 WORDS = [f"w{i:02d}" for i in range(40)]
@@ -110,12 +113,21 @@ def udalm_case():
     return model, trace
 
 
-CASES = {**{m: pretrain_case(m) for m in
-            ("tsdae", "mlm", "ict", "simcse", "ct", "cd")},
-         "gpl_train": gpl_case,
-         "qgen_train": qgen_case(False),
-         "qgen_train_negatives": qgen_case(True),
-         "udalm": udalm_case}
+def label_tsv_case() -> tuple[str]:
+    passages = toy_corpus()
+    queries = toy_queries(passages)
+    pools = toy_pools(passages, queries)
+    single = pools[queries[0].id]
+    only = single.negative_ids[:1]
+    pools[single.query_id] = PoolEntry(
+        single.query_id, single.source_passage_id, {"bm25": only}, only,
+        {only[0]: ["bm25"]}, usable=True)
+    dataset = build_dataset(queries, pools, passages, lexical_overlap_ce(),
+                            seed=1, n_tuples=500)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.tsv"
+        write_dataset(dataset, path)
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),)
 
 
 def digest(model, trace) -> tuple[str, str]:
@@ -129,9 +141,22 @@ def digest(model, trace) -> tuple[str, str]:
     return weights.hexdigest(), losses.hexdigest()
 
 
+def trained(case):
+    return lambda: digest(*case())
+
+
+CASES = {**{m: trained(pretrain_case(m)) for m in
+            ("tsdae", "mlm", "ict", "simcse", "ct", "cd")},
+         "gpl_train": trained(gpl_case),
+         "qgen_train": trained(qgen_case(False)),
+         "qgen_train_negatives": trained(qgen_case(True)),
+         "udalm": trained(udalm_case),
+         "label_tsv": label_tsv_case}
+
+
 def main(names) -> None:
     for name in names or CASES:
-        print(name, *digest(*CASES[name]()))
+        print(name, *CASES[name]())
 
 
 if __name__ == "__main__":

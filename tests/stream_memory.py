@@ -1,0 +1,121 @@
+"""Memory and speed of a long label stream.
+
+Labels a stream of N tuples (default 1,000,000) over 200 queries whose
+pools hold 50 negatives each, so at most 10,200 distinct (query, passage)
+pairs are scored. Checks two bounds on `tracemalloc`'s peak growth, each
+at most 32 bytes per tuple (the columns themselves take 20):
+
+  - `build_dataset`;
+  - `read_dataset` of the written TSV plus `training.tuple_batches`'s
+    set-up on it.
+
+It also checks that the stream read back equals the one built, and prints
+tuples per second for the build, the write and the read (each timed
+without tracing).
+
+    PYTHONPATH=src python tests/stream_memory.py [N]
+
+Prints one line per measurement and exits 1 if a bound is exceeded. At
+1M tuples it takes under a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from denseadapt import (Passage, Query, build_dataset, init_encoder,
+                        lexical_overlap_ce, read_dataset, write_dataset)
+from denseadapt.corpus import passage_text
+from denseadapt.mining import PoolEntry
+from denseadapt.training import tuple_batches
+
+BOUND = 32  # bytes per tuple
+N_QUERIES, POOL, N_PASSAGES = 200, 50, 400
+
+
+def world():
+    words = [f"w{i}" for i in range(100)]
+    passages = [Passage(f"p{i:04d}", "", " ".join(
+        words[(i * k) % 100] for k in (1, 3, 7, 11))) for i in range(N_PASSAGES)]
+    queries = [Query(f"q{i:04d}", f"{words[i % 100]} {words[(i * 3) % 100]}",
+                     passages[i].id) for i in range(N_QUERIES)]
+    pools = {}
+    for i, q in enumerate(queries):
+        negatives = sorted(passages[N_QUERIES + (i + k) % (N_PASSAGES - N_QUERIES)].id
+                           for k in range(POOL))
+        pools[q.id] = PoolEntry(q.id, q.source_passage_id,
+                                {"bm25": negatives}, negatives,
+                                {n: ["bm25"] for n in negatives}, usable=True)
+    return words, passages, queries, pools
+
+
+def traced_growth(fn):
+    """fn()'s result and the peak growth of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    n = int(argv[0]) if argv else 1_000_000
+    words, passages, queries, pools = world()
+    ce = lexical_overlap_ce()
+
+    def build():
+        return build_dataset(queries, pools, passages, ce, seed=3, n_tuples=n)
+
+    _, seconds = timed(build)
+    print(f"build_dataset: {n / seconds:,.0f} tuples/s ({n:,} in {seconds:.2f} s)")
+    built, build_peak = traced_growth(build)
+    failed = []
+    print(f"build_dataset: peak growth {build_peak / n:.1f} B/tuple (bound {BOUND})")
+    if build_peak > BOUND * n:
+        failed.append("build_dataset")
+
+    model = init_encoder(words, dim=8, seed=0)
+    query_texts = {q.id: q.text for q in queries}
+    passage_texts = {p.id: passage_text(p) for p in passages}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gpl-training-data.tsv"
+        _, seconds = timed(lambda: write_dataset(built, path))
+        print(f"write_dataset: {n / seconds:,.0f} tuples/s")
+        _, seconds = timed(lambda: read_dataset(path))
+        print(f"read_dataset: {n / seconds:,.0f} tuples/s")
+
+        def read_and_set_up():
+            dataset = read_dataset(path)
+            tuple_batches(model, dataset.tuples, query_texts, passage_texts)
+            return dataset
+
+        loaded, read_peak = traced_growth(read_and_set_up)
+    print(f"read_dataset + tuple_batches set-up: peak growth "
+          f"{read_peak / n:.1f} B/tuple (bound {BOUND})")
+    if read_peak > BOUND * n:
+        failed.append("read_dataset + tuple_batches")
+    a, b = built.tuples, loaded.tuples
+    if (a.query_ids, a.passage_ids) != (b.query_ids, b.passage_ids) or not all(
+            np.array_equal(getattr(a, c), getattr(b, c))
+            for c in ("query", "pos", "neg", "margin")):
+        failed.append("the stream read back differs from the one built")
+    print("failed: " + ", ".join(failed) if failed else "all bounds met")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -31,10 +31,10 @@ from denseadapt import (BM25Retriever, DenseRetriever, LossConfig, Passage,
                         lexical_overlap_ce, mine_pools, mock_generator,
                         qgen_train)
 from denseadapt.corpus import passage_text, tokenize
-from denseadapt.labeling import GPLDataset, TrainingTuple
+from denseadapt.labeling import GPLDataset, TupleColumns
 from denseadapt.mining import PoolEntry
 from denseadapt.util import derive_seed
-from oracles import binary_relevance_labels, ce_margin
+from oracles import binary_relevance_labels, ce_margin, stream_rows
 
 N_GENERAL = 8
 N_TOPICS = 8
@@ -120,11 +120,11 @@ def train_source_model(seed: int):
                 if neg.id != p.id:
                     break
             margin = ce_margin(ce, " ".join(q_tokens), texts[p.id], texts[neg.id])
-            tuples.append(TrainingTuple(qid, p.id, neg.id, margin))
+            tuples.append((qid, p.id, neg.id, margin))
     cfg = TrainRunConfig(seed=derive_seed(seed, "srctrain"),
                          log_every=SOURCE_TRAIN["steps"], **SOURCE_TRAIN)
-    model, _ = gpl_train(model, GPLDataset(tuples, {}), src_passages,
-                         train_queries, cfg)
+    model, _ = gpl_train(model, GPLDataset(TupleColumns.from_rows(tuples)),
+                         src_passages, train_queries, cfg)
     return model, (src_passages, src_queries, src_qrels)
 
 
@@ -168,11 +168,11 @@ def binary_labeled(dataset):
     trains on. A planted duplicate keeps the full target of a true
     negative, where its margin label is 0."""
     labels = binary_relevance_labels(dataset)
-    tuples = [TrainingTuple(t.query_id, t.pos_id, t.neg_id,
-                            CE_SCALE * (pos_label - neg_label))
+    tuples = [(t.query_id, t.pos_id, t.neg_id,
+               CE_SCALE * (pos_label - neg_label))
               for t, (_, _, pos_label), (_, _, neg_label)
-              in zip(dataset.tuples, labels[0::2], labels[1::2])]
-    return GPLDataset(tuples, dict(dataset.manifest))
+              in zip(stream_rows(dataset), labels[0::2], labels[1::2])]
+    return GPLDataset(TupleColumns.from_rows(tuples), dict(dataset.manifest))
 
 
 def adapt_gpl(seed: int, model0, corpus, queries, dataset):
@@ -277,7 +277,7 @@ def run_false_negative_study(seed: int) -> FalseNegativeResult:
     pools = poison_pools(mine_for(seed, model0, corpus, generated),
                          generated, corpus_ids)
     dataset = label_for(seed, generated, pools, corpus)
-    dup_margins = [t.margin for t in dataset.tuples
+    dup_margins = [t.margin for t in stream_rows(dataset)
                    if t.neg_id == t.pos_id + "-dup"]
     gpl_margin = adapt_gpl(seed, model0, corpus, generated, dataset)
     gpl_binary = adapt_gpl(seed, model0, corpus, generated,

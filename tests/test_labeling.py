@@ -2,17 +2,21 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from denseadapt import (CrossEncoderScorer, Passage, Query, TrainingTuple,
-                        build_dataset, lexical_overlap_ce, read_dataset,
-                        sample_tuple, write_dataset)
+from denseadapt import (CrossEncoderScorer, Passage, Query, TupleColumns,
+                        build_dataset, init_encoder, labeling,
+                        lexical_overlap_ce, read_dataset, sample_tuple,
+                        write_dataset)
 from denseadapt.corpus import ParseError, passage_text
+from denseadapt.labeling import GPLDataset
+from denseadapt.training import tuple_batches
 from denseadapt.mining import PoolEntry
 from denseadapt.util import derive_seed
-from oracles import binary_relevance_labels, ce_margin
+from oracles import binary_relevance_labels, ce_margin, stream_rows
 
 
 def fixed_ce(scores: dict) -> CrossEncoderScorer:
@@ -101,7 +105,7 @@ class TestBuildDataset:
         corpus, queries, pools = self.make_world()
         ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
         assert len(ds.tuples) == 2
-        assert [t.query_id for t in ds.tuples] == sorted(q.id for q in queries)
+        assert [t.query_id for t in stream_rows(ds)] == sorted(q.id for q in queries)
 
     def test_unusable_query_skipped(self):
         corpus, queries, pools = self.make_world()
@@ -115,7 +119,7 @@ class TestBuildDataset:
         corpus.append(Passage("dup", "", "futures contract definition"))
         pools["genQ-src1-1"] = make_pool("genQ-src1-1", "src1", ["dup"])
         ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
-        tup = next(t for t in ds.tuples if t.query_id == "genQ-src1-1")
+        tup = next(t for t in stream_rows(ds) if t.query_id == "genQ-src1-1")
         assert tup.neg_id == "dup"
         assert abs(tup.margin) <= 1e-12
 
@@ -124,7 +128,7 @@ class TestBuildDataset:
         queries.append(Query("genQ-src1-2", "placeholder", "src1"))
         pools["genQ-src1-2"] = make_pool("genQ-src1-2", "src1", ["n1"])
         ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
-        tup = next(t for t in ds.tuples if t.query_id == "genQ-src1-2")
+        tup = next(t for t in stream_rows(ds) if t.query_id == "genQ-src1-2")
         assert abs(tup.margin) <= 1e-12
 
     def test_manifest_contents(self):
@@ -151,7 +155,7 @@ class TestBuildDataset:
         ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
         labels = dict(((qid, pid), label)
                       for qid, pid, label in binary_relevance_labels(ds))
-        tup = next(t for t in ds.tuples if t.query_id == "genQ-src1-1")
+        tup = next(t for t in stream_rows(ds) if t.query_id == "genQ-src1-1")
         # the margin neutralizes the duplicate, the 0/1 labels cannot
         assert abs(tup.margin) <= 0.05
         assert labels[(tup.query_id, tup.pos_id)] == 1
@@ -186,16 +190,16 @@ class TestLabelStream:
             neg = pool.negative_ids[int(rng.integers(len(pool.negative_ids)))]
             margin = ce_margin(ce, q.text, texts[q.source_passage_id],
                                texts[neg])
-            tuples.append(TrainingTuple(q.id, q.source_passage_id, neg, margin))
+            tuples.append((q.id, q.source_passage_id, neg, margin))
         return tuples
 
     def test_one_per_query_bytes_unchanged(self, tmp_path):
-        from denseadapt.labeling import GPLDataset
         corpus, queries, pools = self.make_world()
         ce = lexical_overlap_ce()
         expected = tmp_path / "expected.tsv"
-        write_dataset(GPLDataset(self.one_per_query_reference(
-            queries, pools, corpus, ce, seed=5)), expected)
+        write_dataset(GPLDataset(TupleColumns.from_rows(
+            self.one_per_query_reference(queries, pools, corpus, ce, seed=5))),
+            expected)
         for n_tuples in (None, 5):
             got = tmp_path / f"got-{n_tuples}.tsv"
             write_dataset(build_dataset(queries, pools, corpus, ce, seed=5,
@@ -207,11 +211,11 @@ class TestLabelStream:
         ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(),
                            seed=2, n_tuples=13)
         order = [f"q{i}" for i in range(5)]
-        assert [t.query_id for t in ds.tuples] == (order * 3)[:13]
+        assert [t.query_id for t in stream_rows(ds)] == (order * 3)[:13]
         assert ds.manifest["n_tuples"] == 13
         assert ds.manifest["n_skipped"] == 1
         by_id = {q.id: q for q in queries}
-        for i, t in enumerate(ds.tuples):
+        for i, t in enumerate(stream_rows(ds)):
             assert (t.pos_id, t.neg_id) == sample_tuple(
                 by_id[t.query_id], pools[t.query_id], 2, draw=i // 5)
 
@@ -223,12 +227,30 @@ class TestLabelStream:
                            n_tuples=n_draws)
         pool_ids = pools["q0"].negative_ids
         counts = {pid: 0 for pid in pool_ids}
-        for t in ds.tuples:
+        for t in stream_rows(ds):
             counts[t.neg_id] += 1
         p = 1 / len(pool_ids)
         sigma = math.sqrt(n_draws * p * (1 - p))
         for pid in pool_ids:
             assert abs(counts[pid] - n_draws * p) <= 3 * sigma, counts
+
+    def test_columns_read_back_equal_the_built_ones(self, tmp_path):
+        """Ids are listed in order of first use (query, then positive, then
+        negative of each tuple in turn), so building a stream and reading
+        its TSV give the same columns."""
+        corpus, queries, pools = self.make_world()
+        built = build_dataset(queries, pools, corpus, lexical_overlap_ce(),
+                              seed=6, n_tuples=70).tuples
+        path = tmp_path / "stream.tsv"
+        write_dataset(GPLDataset(built), path)
+        read = read_dataset(path).tuples
+        assert (built.query_ids, built.passage_ids) == \
+            (read.query_ids, read.passage_ids)
+        for column in ("query", "pos", "neg", "margin"):
+            a, b = getattr(built, column), getattr(read, column)
+            assert a.dtype == b.dtype == (np.float64 if column == "margin"
+                                          else np.int32)
+            np.testing.assert_array_equal(a, b)
 
     def test_each_pair_scored_once(self):
         corpus, queries, pools = self.make_world()
@@ -242,7 +264,7 @@ class TestLabelStream:
         ds = build_dataset(queries, pools, corpus,
                            CrossEncoderScorer(counting, name="counting"),
                            seed=1, n_tuples=200)
-        pairs = {(t.query_id, pid) for t in ds.tuples
+        pairs = {(t.query_id, pid) for t in stream_rows(ds)
                  for pid in (t.pos_id, t.neg_id)}
         assert len(calls) == len(set(calls)) == len(pairs)
 
@@ -251,7 +273,7 @@ class TestLabelStream:
         ds = build_dataset([q for q in queries if q.id == "q-unusable"],
                            pools, corpus, lexical_overlap_ce(), seed=0,
                            n_tuples=10)
-        assert ds.tuples == []
+        assert len(ds.tuples) == 0
 
     def test_negative_count_rejected(self):
         corpus, queries, pools = self.make_world()
@@ -260,37 +282,108 @@ class TestLabelStream:
                           seed=0, n_tuples=-1)
 
 
+class TestDrawIndices:
+    def test_bit_exact_against_default_rng(self, monkeypatch):
+        """The vectorized draw equals default_rng(seed).integers(n) on 100k
+        (seed, n) pairs: seeds of one and of two entropy words, n = 1, and
+        n from 2^31 to 2^32, where Lemire's method rejects often and the
+        scalar generator takes the row."""
+        rng = np.random.default_rng(2024)
+        count = 100_000
+        seeds = rng.integers(0, 2**63, count, dtype=np.uint64)
+        seeds[:30_000] = rng.integers(0, 2**32, 30_000, dtype=np.uint64)
+        seeds[:4] = [0, 1, 2**32 - 1, 2**32]
+        seeds[-1] = 2**63 - 1
+        sizes = rng.integers(1, 5_000, count, dtype=np.uint64)
+        sizes[::10] = 1
+        sizes[5::10] = rng.integers(2**31, 2**32 + 1, count // 10,
+                                    dtype=np.uint64)
+        sizes[5] = 2**32
+        fallbacks = []
+        scalar = labeling._scalar_draw
+
+        def counted(seed, n):
+            fallbacks.append(n)
+            return scalar(seed, n)
+
+        monkeypatch.setattr(labeling, "_scalar_draw", counted)
+        got = labeling._draw_indices(seeds, sizes)
+        want = [np.random.default_rng(seed).integers(n)
+                for seed, n in zip(seeds.tolist(), sizes.tolist())]
+        np.testing.assert_array_equal(got, want)
+        assert sum(n >= 2**31 for n in fallbacks) > 1_000
+
+
 class TestTrainingTupleValidation:
     def test_pos_equals_neg_rejected(self):
         with pytest.raises(ValueError):
-            TrainingTuple("q", "same", "same", 0.0)
+            TupleColumns.from_rows([("q", "same", "same", 0.0)])
 
     def test_non_finite_margin_rejected(self):
         with pytest.raises(ValueError):
-            TrainingTuple("q", "a", "b", float("inf"))
+            TupleColumns.from_rows([("q", "a", "b", float("inf"))])
+
+    def test_build_rejects_a_pool_holding_the_positive(self):
+        corpus = [Passage("p0", "", "a b"), Passage("p1", "", "c")]
+        pools = {"q0": make_pool("q0", "p0", ["p0"])}
+        with pytest.raises(ValueError, match=r"^pos_id == neg_id \('p0'\) "
+                                             r"for query 'q0'$"):
+            build_dataset([Query("q0", "a", "p0")], pools, corpus,
+                          lexical_overlap_ce(), seed=0)
+
+    def test_build_rejects_a_non_finite_margin(self):
+        corpus = [Passage("p0", "", "a b"), Passage("p1", "", "c")]
+        pools = {"q0": make_pool("q0", "p0", ["p1"])}
+        ce = fixed_ce({("a", "a b"): 1e308, ("a", "c"): -1e308})
+        with pytest.raises(ValueError,
+                           match="^non-finite margin for query 'q0'$"):
+            build_dataset([Query("q0", "a", "p0")], pools, corpus, ce, seed=0)
 
 
 class TestDatasetIO:
     def make_dataset(self):
-        from denseadapt.labeling import GPLDataset
-        tuples = [TrainingTuple("q1", "p1", "n1", 2.125),
-                  TrainingTuple("q2", "p2", "n2", -3.5),
-                  TrainingTuple("q3", "p3", "n3", 0.1 + 0.2)]
-        return GPLDataset(tuples, {"seed": 1})
+        tuples = [("q1", "p1", "n1", 2.125),
+                  ("q2", "p2", "n2", -3.5),
+                  ("q3", "p3", "n3", 0.1 + 0.2)]
+        return GPLDataset(TupleColumns.from_rows(tuples), {"seed": 1})
 
     def test_round_trip_exact(self, tmp_path):
         ds = self.make_dataset()
         path = tmp_path / "data.tsv"
         write_dataset(ds, path)
         loaded = read_dataset(path)
-        assert loaded.tuples == ds.tuples
+        assert stream_rows(loaded) == stream_rows(ds)
         assert loaded.manifest == {"seed": 1}
 
     def test_negative_margin_sign_survives(self, tmp_path):
         ds = self.make_dataset()
         path = tmp_path / "data.tsv"
         write_dataset(ds, path)
-        assert read_dataset(path).tuples[1].margin == -3.5
+        assert stream_rows(read_dataset(path))[1].margin == -3.5
+
+    def test_read_holds_about_twenty_bytes_per_tuple(self, tmp_path):
+        """read_dataset plus the tuple_batches set-up grows traced memory
+        by at most 32 bytes per tuple: int32 query, positive and negative
+        rows and a float64 margin, no object per tuple."""
+        n_tuples = 50_000
+        path = tmp_path / "stream.tsv"
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(f"q{i % 100}\tp{i % 100}\tn{i % 97}\t{i / 7:.17g}\n"
+                         for i in range(n_tuples))
+        model = init_encoder(["w"], dim=4, seed=0)
+        queries = {f"q{i}": "w" for i in range(100)}
+        passages = {f"{kind}{i}": "w" for kind in "pn" for i in range(100)}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dataset = read_dataset(path)
+            batch_of = tuple_batches(model, dataset.tuples, queries, passages)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(dataset.tuples) == n_tuples
+        assert batch_of(np.arange(3))[3].tolist() == [0.0, 1 / 7, 2 / 7]
+        assert peak <= 32 * n_tuples, peak / n_tuples
 
     def test_truncated_line_rejected(self, tmp_path):
         path = tmp_path / "data.tsv"

@@ -1,4 +1,5 @@
-"""Smoke test of the parity script: one case prints one stable line."""
+"""Smoke test of the parity script: one case prints one stable line, and
+the label TSV's digest is pinned."""
 
 import re
 
@@ -11,3 +12,12 @@ def test_case_prints_name_and_two_stable_digests(capsys):
     first, second = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"tsdae [0-9a-f]{64} [0-9a-f]{64}", first)
     assert first == second
+
+
+def test_label_tsv_digest_pinned(capsys):
+    """500 drawn tuples, about 20 per query, written exactly as the
+    per-draw default_rng generators and per-pair scores made them."""
+    parity.main(["label_tsv"])
+    assert capsys.readouterr().out == (
+        "label_tsv 628d82b48df97a11fac9122a59687685e478db5fc38199e824c5f8582521cd19"
+        "\n")

@@ -22,6 +22,7 @@ from denseadapt.cli import main as cli_main
 from denseadapt.pipeline import (DEFAULTS, MANIFEST, CacheManifest,
                                  _initial_model, stage_generate, stage_ingest)
 from denseadapt.util import sha256_files
+from oracles import stream_rows
 
 
 # The tree the `denseadapt` under test was imported from, for child runs.
@@ -796,15 +797,23 @@ class TestCli:
                                  "is locked by another run\n")
 
     @pytest.mark.parametrize("case", ["bad-json-line", "duplicate-id",
-                                      "init-model-not-json"])
+                                      "init-model-not-json",
+                                      "init-model-empty-object",
+                                      "init-model-list"])
     def test_malformed_input_reported_without_traceback(self, tmp_path, case):
         cfg = small_config(tmp_path, tmp_path / "out")
         corpus = Path(cfg["paths"]["corpus"])
-        if case == "init-model-not-json":
+        if case.startswith("init-model-"):
             bad = tmp_path / "init-model.json"
-            bad.write_text("{not json")
+            text, reason = {
+                "init-model-not-json": ("{not json", "not a JSON checkpoint ("),
+                "init-model-empty-object": (
+                    "{}", "unsupported checkpoint format version None\n"),
+                "init-model-list": ("[]", "not a checkpoint (a JSON list)\n"),
+            }[case]
+            bad.write_text(text)
             cfg.data["paths"]["init_model"] = str(bad)
-            message = f"Error: {bad}: not a JSON checkpoint ("
+            message = f"Error: {bad}: {reason}"
         else:
             line = "{not json" if case == "bad-json-line" else \
                 corpus.read_text().splitlines()[0]
@@ -906,7 +915,7 @@ class TestUdalmMethod:
         run_pipeline(cfg, "udalm")
 
         paths = cfg["paths"]
-        tuples = read_dataset(paths["source_tuples"]).tuples
+        tuples = stream_rows(read_dataset(paths["source_tuples"]))
         sources = {p.id: p.body for p in load_corpus(paths["source_corpus"])}
         queries = {q.id: q.text for q in load_queries(paths["source_queries"])}
         want = [p.body for p in load_corpus(paths["corpus"])]

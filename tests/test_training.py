@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from denseadapt import (LossConfig, Passage, Query, TrainRunConfig,
-                        TrainingTuple, gpl_train, init_encoder,
+                        TupleColumns, gpl_train, init_encoder,
                         margin_mse_loss, mnrl_loss, qgen_train)
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import PoolEntry
@@ -175,7 +175,7 @@ class TestTrainRunConfig:
 
 
 def tuple_dataset(tuples):
-    return GPLDataset(list(tuples), {"seed": 0})
+    return GPLDataset(TupleColumns.from_rows(tuples), {"seed": 0})
 
 
 class TestGplTrain:
@@ -189,7 +189,7 @@ class TestGplTrain:
 
     def test_zero_margin_identical_texts_stays_zero(self):
         corpus, queries = self.make_world()
-        dataset = tuple_dataset([TrainingTuple("q0", "p0", "dup", 0.0)])
+        dataset = tuple_dataset([("q0", "p0", "dup", 0.0)])
         model = init_encoder(TOKENS, dim=6, seed=0)
         cfg = TrainRunConfig(steps=20, batch_size=1, seed=0, learning_rate=0.1)
         _, trace = gpl_train(model, dataset, corpus, queries, cfg)
@@ -198,10 +198,10 @@ class TestGplTrain:
     def test_fixed_seed_reproducible(self):
         corpus, queries = self.make_world()
         dataset = tuple_dataset([
-            TrainingTuple("q0", "p0", "p1", 2.0),
-            TrainingTuple("q1", "p1", "p2", 1.0),
-            TrainingTuple("q2", "p2", "p3", -0.5),
-            TrainingTuple("q3", "p3", "p0", 3.0),
+            ("q0", "p0", "p1", 2.0),
+            ("q1", "p1", "p2", 1.0),
+            ("q2", "p2", "p3", -0.5),
+            ("q3", "p3", "p0", 3.0),
         ])
         cfg = TrainRunConfig(steps=100, batch_size=2, seed=7, learning_rate=0.05)
         m1 = init_encoder(TOKENS, dim=6, seed=1)
@@ -214,10 +214,10 @@ class TestGplTrain:
     def test_loss_decreases_on_learnable_data(self):
         corpus, queries = self.make_world()
         dataset = tuple_dataset([
-            TrainingTuple("q0", "p0", "p1", 2.0),
-            TrainingTuple("q1", "p1", "p2", 2.0),
-            TrainingTuple("q2", "p2", "p3", 2.0),
-            TrainingTuple("q3", "p3", "p0", 2.0),
+            ("q0", "p0", "p1", 2.0),
+            ("q1", "p1", "p2", 2.0),
+            ("q2", "p2", "p3", 2.0),
+            ("q3", "p3", "p0", 2.0),
         ])
         model = init_encoder(TOKENS, dim=8, seed=2, init_scale=0.2)
         cfg = TrainRunConfig(steps=300, batch_size=4, seed=0, learning_rate=0.05)
@@ -226,14 +226,14 @@ class TestGplTrain:
 
     def test_requires_dot_similarity(self):
         corpus, queries = self.make_world()
-        dataset = tuple_dataset([TrainingTuple("q0", "p0", "p1", 1.0)])
+        dataset = tuple_dataset([("q0", "p0", "p1", 1.0)])
         model = init_encoder(TOKENS, dim=4, seed=0, similarity="cosine")
         with pytest.raises(ValueError):
             gpl_train(model, dataset, corpus, queries, TrainRunConfig(steps=1))
 
     def test_unresolvable_id_raises(self):
         corpus, queries = self.make_world()
-        dataset = tuple_dataset([TrainingTuple("q0", "p0", "missing", 1.0)])
+        dataset = tuple_dataset([("q0", "p0", "missing", 1.0)])
         model = init_encoder(TOKENS, dim=4, seed=0)
         with pytest.raises(KeyError):
             gpl_train(model, dataset, corpus, queries, TrainRunConfig(steps=1))
@@ -242,10 +242,10 @@ class TestGplTrain:
     def test_tokenizes_each_distinct_text_once(self, monkeypatch, steps):
         corpus, queries = self.make_world()
         dataset = tuple_dataset([
-            TrainingTuple("q0", "p0", "p1", 2.0),
-            TrainingTuple("q0", "p0", "p2", 1.0),
-            TrainingTuple("q1", "p1", "p0", -0.5),
-            TrainingTuple("q1", "p1", "p2", 0.5),
+            ("q0", "p0", "p1", 2.0),
+            ("q0", "p0", "p2", 1.0),
+            ("q1", "p1", "p0", -0.5),
+            ("q1", "p1", "p2", 0.5),
         ] * 3)
         calls = count_token_ids(monkeypatch)
         gpl_train(init_encoder(TOKENS, dim=4, seed=0), dataset, corpus,
@@ -254,8 +254,8 @@ class TestGplTrain:
 
     def test_checkpoints_written(self, tmp_path):
         corpus, queries = self.make_world()
-        dataset = tuple_dataset([TrainingTuple("q0", "p0", "p1", 1.0),
-                                 TrainingTuple("q1", "p1", "p2", 1.0)])
+        dataset = tuple_dataset([("q0", "p0", "p1", 1.0),
+                                 ("q1", "p1", "p2", 1.0)])
         model = init_encoder(TOKENS, dim=4, seed=0)
         cfg = TrainRunConfig(steps=10, batch_size=2, checkpoint_every=5)
         gpl_train(model, dataset, corpus, queries, cfg, checkpoint_dir=tmp_path)
