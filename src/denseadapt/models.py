@@ -9,8 +9,11 @@ the begin-of-sequence token used by the reconstruction decoder.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
+import math
+import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -217,7 +220,8 @@ def encode_batch(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
 
 def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
                     learning_rate: float) -> None:
-    """In-place SGD step: p <- p - lr * g for every parameter."""
+    """In-place SGD step: p <- p - lr * g for every parameter. The
+    gradients are consumed: each is scaled by lr in place."""
     params = model.parameters()
     for name, g in grads.items():
         if name not in params:
@@ -225,7 +229,8 @@ def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
         if params[name].shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{params[name].shape} for {name!r}")
-        params[name] -= learning_rate * g
+        g *= learning_rate
+        params[name] -= g
 
 
 # --- cross-encoder / generator contracts ------------------------------------
@@ -275,50 +280,189 @@ class QueryGenerator:
 
 # --- checkpoint serialization ------------------------------------------------
 
+# Bytes of a checkpoint payload held at a time. The writer encodes one block
+# of raw bytes at a time, a multiple of 3 so that the base64 blocks join
+# without padding; the reader reads the file one block at a time.
+_PAYLOAD_BLOCK = 3 << 16
 
-def _pack_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _unpack_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(obj["shape"]).copy()
+# The key and opening quote of a `data` value. Whitespace is bounded, so a
+# match is never longer than _DATA_VALUE_MAX bytes.
+_DATA_VALUE = re.compile(rb'"data"[ \t\n\r]{0,64}:[ \t\n\r]{0,64}"')
+_DATA_VALUE_MAX = 136
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:
-    """Serialize a checkpoint as a single JSON file; exact float64 bytes."""
+    """Serialize a checkpoint as a single JSON file; exact float64 bytes.
+
+    The file is `json.dump(doc, f, sort_keys=True)` of the document, each
+    array's `data` the base64 of its bytes. The payloads are written one
+    block at a time, so no copy of a whole array is held."""
+    arrays = [np.ascontiguousarray(a, dtype=np.float64)
+              for a in (model.embedding, model.projection)]
+    slot = "<payload>"
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "pooling": model.pooling,
         "similarity": model.similarity,
         "max_seq_len": model.max_seq_len,
         "vocab": model.vocab,
-        "embedding": _pack_array(model.embedding),
-        "projection": _pack_array(model.projection),
+        "embedding": {"shape": list(arrays[0].shape), "data": slot},
+        "projection": {"shape": list(arrays[1].shape), "data": slot},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
+    # Sorted keys put both payloads before the vocabulary, so the first two
+    # slots are theirs whatever the tokens hold.
+    texts = json.dumps(doc, sort_keys=True).split(slot, 2)
+    with open(path, "wb") as f:
+        for text, array in zip(texts, arrays):
+            f.write(text.encode("utf-8"))
+            raw = array.reshape(-1).view(np.uint8)
+            for lo in range(0, raw.size, _PAYLOAD_BLOCK):
+                f.write(binascii.b2a_base64(raw[lo:lo + _PAYLOAD_BLOCK],
+                                            newline=False))
+        f.write(texts[2].encode("utf-8"))
+
+
+def _read_payload(f, buf: bytes, pos: int
+                  ) -> tuple[bytearray | None, bytes, int]:
+    """Decode the string body that starts at buf[pos] and runs to the next
+    quote or backslash, reading on through f one block at a time. Returns
+    the decoded bytes, or None unless the body is canonical base64 closed by
+    a quote, and the block and the position of that quote or backslash."""
+    out: bytearray | None = bytearray()
+    run = b""
+    while True:
+        quote = buf.find(b'"', pos)
+        escape = buf.find(b"\\", pos, len(buf) if quote < 0 else quote)
+        end = quote if escape < 0 else escape
+        if end >= 0:
+            break
+        run += buf[pos:]
+        buf, pos = f.read(_PAYLOAD_BLOCK), 0
+        if not buf:
+            return None, buf, 0
+        # Decode all but the last one to four characters: only the last
+        # quantum may hold padding.
+        cut = max(0, (len(run) - 1) // 4 * 4)
+        if out is not None:
+            size = len(out)
+            try:
+                out += binascii.a2b_base64(memoryview(run)[:cut])
+            except binascii.Error:
+                pass
+            # a2b_base64 skips characters outside the alphabet and stops at
+            # padding: an error or a short result means the run held some.
+            if len(out) - size != cut // 4 * 3:
+                out = None
+        run = run[cut:]
+    run += buf[pos:end]
+    try:
+        last = binascii.a2b_base64(run)
+    except binascii.Error:
+        return None, buf, end
+    # Only canonical base64 encodes back to the same characters.
+    if out is None or end != quote or \
+            binascii.b2a_base64(last, newline=False) != run:
+        return None, buf, end
+    out += last
+    return out, buf, end
+
+
+def _read_json(path: str | Path) -> tuple[object, dict[str, bytearray]]:
+    """Parse a checkpoint file read one block at a time, each `data` string
+    value decoded from base64 as it is read. json.loads parses the rest,
+    with a marker string standing in for each decoded payload; returns the
+    document and the payloads by marker.
+
+    In valid JSON a `"data"` match whose first quote is not escaped is a
+    key: that quote cannot close a string, as `data` would then stand
+    outside one. Where the file is not valid JSON, the text json.loads gets
+    is not either: only characters between quotes and backslashes change."""
+    nonce = os.urandom(16).hex()  # no string in the file can equal a marker
+    payloads: dict[str, bytearray] = {}
+    pieces: list[bytes] = []
+    with open(path, "rb") as f:
+        # The byte before buf[0], if any, is never a backslash.
+        buf, pos, start = f.read(_PAYLOAD_BLOCK), 0, 0
+        while True:
+            m = _DATA_VALUE.search(buf, start)
+            if m is None:
+                block = f.read(_PAYLOAD_BLOCK)
+                if not block:
+                    break
+                # Keep back what may begin a match.
+                cut = max(pos, len(buf) - _DATA_VALUE_MAX)
+                while cut > pos and buf[cut - 1] == 0x5C:
+                    cut -= 1
+                pieces.append(buf[pos:cut])
+                buf, pos, start = buf[cut:] + block, 0, 0
+                continue
+            start = m.start() + 1
+            if m.start() > 0 and buf[m.start() - 1] == 0x5C:  # escaped
+                continue
+            pieces.append(buf[pos:m.end()])
+            marker = f"{nonce}-{len(pieces)}"
+            data, buf, pos = _read_payload(f, buf, m.end())
+            if data is not None:
+                payloads[marker] = data
+            pieces.append(marker.encode("ascii"))
+            start = pos
+        pieces.append(buf[pos:])
+    return json.loads(b"".join(pieces).decode("utf-8")), payloads
+
+
+def _array(doc: dict, name: str, payloads: dict[str, bytearray],
+           path: str | Path) -> np.ndarray:
+    obj = doc.get(name)
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: {name} must be an object with shape and "
+                         "data")
+    shape = obj.get("shape")
+    if not (isinstance(shape, list) and
+            all(type(n) is int and n >= 0 for n in shape)):
+        raise ParseError(f"{path}: {name}.shape must be a list of "
+                         "non-negative ints")
+    data = obj.get("data")
+    raw = payloads.get(data) if isinstance(data, str) else None
+    if raw is None:
+        raise ParseError(f"{path}: {name}.data is not a canonical base64 "
+                         "string")
+    if len(raw) != 8 * math.prod(shape):
+        raise ParseError(f"{path}: {name}.shape {shape} does not match its "
+                         f"data ({len(raw)} bytes)")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape)
 
 
 def load_model(path: str | Path) -> EncoderModel:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise ParseError(f"{path}: not a JSON checkpoint ({e})") from None
+    """Read a checkpoint written by save_model; the arrays are writable.
+
+    The payloads are decoded one block at a time into the arrays' own
+    buffers. Each array's `data` must be a string of canonical base64,
+    without escapes, and every field is checked: a malformed file raises
+    ParseError naming the field."""
+    try:
+        doc, payloads = _read_json(path)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: not a JSON checkpoint ({e})") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a checkpoint (a JSON {type(doc).__name__})")
     version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint format version "
                          f"{version!r}")
-    return EncoderModel(
-        vocab={str(k): int(v) for k, v in doc["vocab"].items()},
-        embedding=_unpack_array(doc["embedding"]),
-        projection=_unpack_array(doc["projection"]),
-        pooling=doc["pooling"],
-        similarity=doc["similarity"],
-        max_seq_len=int(doc["max_seq_len"]),
-    )
+    max_seq_len = doc.get("max_seq_len")
+    if type(max_seq_len) is not int:
+        raise ParseError(f"{path}: max_seq_len must be an int")
+    embedding = _array(doc, "embedding", payloads, path)
+    projection = _array(doc, "projection", payloads, path)
+    try:  # checks embedding and projection shapes, pooling and similarity
+        model = EncoderModel(doc.get("vocab"), embedding, projection,
+                             doc.get("pooling"), doc.get("similarity"),
+                             max_seq_len)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
+    ids = model.vocab.values() if isinstance(model.vocab, dict) else [None]
+    if set(map(type, ids)) - {int} or ids and not (
+            NUM_RESERVED <= min(ids) and max(ids) < model.vocab_size):
+        raise ParseError(f"{path}: vocab must map tokens to int row ids in "
+                         f"[{NUM_RESERVED}, {model.vocab_size})")
+    return model

@@ -527,6 +527,12 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
     # The one config section the method reads, and the only one it hashes.
     section = cfg["udalm"] if final == "udalm" else \
         cfg["train"]["gpl" if final == "gpl" else "qgen"]
+    every = section["checkpoint_every"]
+    if every and section["steps"] is None:
+        raise PipelineError("checkpoint_every needs a fixed number of steps: "
+                            "the train stage lists its checkpoints")
+    checkpoints = [f"ckpt-{step}.json" for step in
+                   range(every, section["steps"] + 1, every)] if every else []
 
     def compute(out_dir: Path) -> None:
         passages = load_corpus(_artifact(cfg, "ingest"))
@@ -562,7 +568,7 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
         write_loss_trace(trace, out_dir / "loss-trace.csv")
 
     return _run_cached(cfg, cfg.stage_dir("train", scope=method), inputs,
-                       ["model-final.json", "loss-trace.csv"],
+                       ["model-final.json", "loss-trace.csv", *checkpoints],
                        _stage_config_hash(cfg, extra={"method": method,
                                                       "train": section}),
                        compute)

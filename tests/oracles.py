@@ -1,9 +1,12 @@
 """Reference implementations the tests hold the package to: Okapi BM25
 for one (query, passage) pair, the teacher margin of one tuple, the binary
 labels a generation-only baseline would train on, the token
-cross-entropy of tied-output losses written out array by array, and a
-labelled stream's tuples as named rows."""
+cross-entropy of tied-output losses written out array by array, a
+labelled stream's tuples as named rows, and the checkpoint format written
+and read as whole JSON documents."""
 
+import base64
+import json
 import math
 from typing import NamedTuple, Sequence
 
@@ -11,7 +14,7 @@ import numpy as np
 
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import BM25Index
-from denseadapt.models import CrossEncoderScorer
+from denseadapt.models import CrossEncoderScorer, EncoderModel
 
 # The last index scored and its passage positions: a test scores one index
 # many times in a row.
@@ -100,3 +103,43 @@ def token_cross_entropy(logits, target_ids) -> tuple[float, np.ndarray]:
     d_logits = exp / denom
     d_logits[rows, targets] -= 1.0
     return loss, d_logits / targets.size
+
+
+def _pack_array(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unpack_array(obj: dict) -> np.ndarray:
+    raw = base64.b64decode(obj["data"])
+    return np.frombuffer(raw, dtype=np.float64).reshape(obj["shape"]).copy()
+
+
+def save_checkpoint(model: EncoderModel, path) -> None:
+    """The checkpoint as one JSON document, each array's bytes base64."""
+    doc = {
+        "format_version": 1,
+        "pooling": model.pooling,
+        "similarity": model.similarity,
+        "max_seq_len": model.max_seq_len,
+        "vocab": model.vocab,
+        "embedding": _pack_array(model.embedding),
+        "projection": _pack_array(model.projection),
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True)
+
+
+def load_checkpoint(path) -> EncoderModel:
+    """A checkpoint read back with json.load and b64decode."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    return EncoderModel(
+        vocab={str(k): int(v) for k, v in doc["vocab"].items()},
+        embedding=_unpack_array(doc["embedding"]),
+        projection=_unpack_array(doc["projection"]),
+        pooling=doc["pooling"],
+        similarity=doc["similarity"],
+        max_seq_len=int(doc["max_seq_len"]),
+    )

@@ -13,7 +13,10 @@ training cases are the six pre-training objectives (Condenser on CLS
 pooling), `gpl_train`, `qgen_train` with and without mined negatives, and
 UDALM through `run_pipeline` on the world of `tests/test_pipeline.py`.
 `label_tsv` draws 500 tuples over the toy world's usable queries, about
-20 draws each, one query's pool holding a single negative.
+20 draws each, one query's pool holding a single negative. `checkpoint`
+prints the sha256 of a saved checkpoint file whose payload spans several
+write blocks and whose vocabulary holds quotes, backslashes, non-ASCII
+characters and a 10,000-character token.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from denseadapt import (Passage, PretrainConfig, Query, TrainRunConfig,
                         build_dataset, gpl_train, init_encoder,
                         lexical_overlap_ce, load_model, pretrain, qgen_train,
-                        run_pipeline, write_dataset)
+                        run_pipeline, save_model, write_dataset)
 from denseadapt.mining import PoolEntry
 
 WORDS = [f"w{i:02d}" for i in range(40)]
@@ -130,6 +133,17 @@ def label_tsv_case() -> tuple[str]:
         return (hashlib.sha256(path.read_bytes()).hexdigest(),)
 
 
+def checkpoint_case() -> tuple[str]:
+    tokens = [f"t{i:04d}" for i in range(5_000)] + [
+        'say "hi"', "back\\slash", "na\u00efve", "\u65e5\u672c", "x" * 10_000]
+    model = init_encoder(tokens, dim=16, seed=6)
+    model.projection = np.random.default_rng(7).normal(size=(16, 16))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),)
+
+
 def digest(model, trace) -> tuple[str, str]:
     """(sha256 of the weights, sha256 of the loss trace)."""
     weights = hashlib.sha256()
@@ -151,7 +165,8 @@ CASES = {**{m: trained(pretrain_case(m)) for m in
          "qgen_train": trained(qgen_case(False)),
          "qgen_train_negatives": trained(qgen_case(True)),
          "udalm": trained(udalm_case),
-         "label_tsv": label_tsv_case}
+         "label_tsv": label_tsv_case,
+         "checkpoint": checkpoint_case}
 
 
 def main(names) -> None:

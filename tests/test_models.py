@@ -1,18 +1,25 @@
 """Reference encoder, SGD, gradcheck, and checkpoint round-trip."""
 
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from denseadapt import (LossConfig, apply_gradients, encode_batch,
                         init_encoder, lexical_overlap_ce, load_model,
                         margin_mse_loss, mnrl_loss, save_model)
 from denseadapt import models
-from denseadapt.models import (OOV_INDEX, Tokens, encode_backward,
-                               encode_ids, new_grads)
+from denseadapt.corpus import ParseError
+from denseadapt.models import (NUM_RESERVED, OOV_INDEX, EncoderModel, Tokens,
+                               encode_backward, encode_ids, new_grads)
 from gradcheck import finite_diff_gradcheck
 
 TOKENS = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
@@ -337,6 +344,243 @@ class TestCheckpoint:
         path.write_text(doc)
         with pytest.raises(ValueError):
             load_model(path)
+
+
+# Tokens a checkpoint must carry through unchanged: quotes, backslashes,
+# non-ASCII characters, the writer's slot string, a key-like and a
+# base64-like text, and long tokens.
+ODD_TOKENS = ['say "hi"', "back\\slash", '\\"', "na\u00efve", "\u65e5\u672c",
+              "<payload>", "data", '"data": "QUJD', "QUJD" * 2_500,
+              "x" * 10_000]
+
+
+def checkpoint_model(rows: int, dim: int, tokens, seed: int) -> EncoderModel:
+    """rows x dim weights with zeros, signed zeros, NaN and infinities; the
+    given tokens first in the vocabulary, then filler up to `rows`."""
+    rng = np.random.default_rng(seed)
+    embedding = rng.normal(size=(rows, dim))
+    embedding.flat[rng.integers(0, embedding.size, size=4)] = \
+        [0.0, -0.0, np.nan, -np.inf]
+    names = list(dict.fromkeys(tokens)) + \
+        [f"w{i}" for i in range(max(0, rows - NUM_RESERVED))]
+    vocab = {t: NUM_RESERVED + i
+             for i, t in enumerate(names[:max(0, rows - NUM_RESERVED)])}
+    return EncoderModel(vocab, embedding, rng.normal(size=(dim, dim)),
+                        pooling="cls", similarity="cosine", max_seq_len=17)
+
+
+def assert_same_model(got: EncoderModel, want: EncoderModel) -> None:
+    assert got.vocab == want.vocab
+    assert (got.pooling, got.similarity, got.max_seq_len) == \
+        (want.pooling, want.similarity, want.max_seq_len)
+    for name in ("embedding", "projection"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == np.float64
+        assert a.tobytes() == b.tobytes(), name
+        assert a.flags.writeable and a.flags.c_contiguous
+
+
+# 3 << 16 bytes is one write block: 24,576 float64 values.
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3_000), dim=st.integers(1, 64),
+       tokens=st.lists(st.sampled_from(ODD_TOKENS) | st.text(max_size=12),
+                       max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=768, dim=32, tokens=ODD_TOKENS, seed=0)
+@example(rows=769, dim=32, tokens=ODD_TOKENS, seed=1)
+@example(rows=1_535, dim=16, tokens=[], seed=2)
+@example(rows=3_072, dim=8, tokens=[], seed=3)
+@example(rows=30_003, dim=32, tokens=ODD_TOKENS, seed=4)
+def test_checkpoint_bytes_equal_the_json_writer_and_round_trip(rows, dim,
+                                                                tokens, seed):
+    model = checkpoint_model(rows, dim, tokens, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, want = Path(tmp) / "model.json", Path(tmp) / "oracle.json"
+        save_model(model, path)
+        oracles.save_checkpoint(model, want)
+        assert path.read_bytes() == want.read_bytes()
+        assert_same_model(load_model(path), model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), dim=st.integers(1, 5),
+       tokens=st.lists(st.sampled_from(ODD_TOKENS[:-2]), max_size=8),
+       block=st.integers(1, 80).map(lambda k: 3 * k),
+       seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_with_any_block_boundary(rows, dim, tokens,
+                                                       block, seed):
+    """With blocks of a few bytes, block boundaries fall inside keys,
+    escapes and payloads."""
+    model = checkpoint_model(rows, dim, tokens, seed)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(models, "_PAYLOAD_BLOCK", block):
+        path, want = Path(tmp) / "model.json", Path(tmp) / "oracle.json"
+        save_model(model, path)
+        oracles.save_checkpoint(model, want)
+        assert path.read_bytes() == want.read_bytes()
+        assert_same_model(load_model(path), model)
+
+
+def reversed_keys(obj):
+    if isinstance(obj, dict):
+        return {k: reversed_keys(obj[k]) for k in reversed(obj)}
+    return obj
+
+
+@pytest.mark.parametrize("dump", [lambda doc: json.dumps(doc, indent=2),
+                                  lambda doc: json.dumps(reversed_keys(doc))],
+                         ids=["indent-2", "unsorted-keys"])
+def test_checkpoint_reserialized_loads(tmp_path, dump):
+    model = checkpoint_model(700, 16, ODD_TOKENS, seed=5)
+    path = tmp_path / "model.json"
+    oracles.save_checkpoint(model, path)
+    path.write_text(dump(json.loads(path.read_text())))
+    assert_same_model(load_model(path), model)
+    assert_same_model(oracles.load_checkpoint(path), model)
+
+
+def test_checkpoint_memory_is_bounded(tmp_path):
+    """Neither direction holds a whole payload beside the array: the
+    JSON/base64 round trip peaked at 4.0x (save) and 4.3x (load) the
+    embedding's bytes."""
+    model = init_encoder([f"t{i}" for i in range(30_000)], dim=32, seed=0)
+    path = tmp_path / "model.json"
+    peaks = {}
+    for name, call in (("save", lambda: save_model(model, path)),
+                       ("load", lambda: load_model(path))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["save"] <= model.embedding.nbytes
+    assert peaks["load"] <= 2 * model.embedding.nbytes
+
+
+def _edit(field: str, value):
+    def edit(doc):
+        *parents, key = field.split(".")
+        obj = doc
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = value(obj[key]) if callable(value) else value
+        return json.dumps(doc, sort_keys=True)
+    return edit
+
+
+def _last_bits_set(data: str) -> str:
+    """The same base64 with a nonzero bit where padding needs a zero."""
+    alphabet = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                "0123456789+/")
+    body = data.rstrip("=")
+    last = alphabet[alphabet.index(body[-1]) | 1]
+    return body[:-1] + last + data[len(body):]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_edit("format_version", True), "unsupported checkpoint format version True"),
+    (_edit("max_seq_len", "17"), "max_seq_len must be an int"),
+    (_edit("max_seq_len", 17.0), "max_seq_len must be an int"),
+    (_edit("pooling", "max"), "unknown pooling 'max'"),
+    (_edit("similarity", None), "unknown similarity None"),
+    (_edit("embedding", [1.0]),
+     "embedding must be an object with shape and data"),
+    (_edit("embedding.shape", [-1, 4]),
+     "embedding.shape must be a list of non-negative ints"),
+    (_edit("embedding.shape", [8, 4.0]),
+     "embedding.shape must be a list of non-negative ints"),
+    (_edit("embedding.shape", [4, 8]),
+     "embedding.shape [4, 8] does not match its data (104 bytes)"),
+    (_edit("embedding.shape", [13]),
+     "embedding table must be (vocab, d) with d > 0"),
+    (_edit("projection.shape", [2, 2]),
+     "projection.shape [2, 2] does not match its data (8 bytes)"),
+    (_edit("projection.shape", [1]), "projection must be (d, d)"),
+    (_edit("embedding.data", 7), "embedding.data is not a canonical base64 string"),
+    (_edit("embedding.data", lambda d: d.rstrip("=")),
+     "embedding.data is not a canonical base64 string"),
+    (_edit("embedding.data", _last_bits_set),
+     "embedding.data is not a canonical base64 string"),
+    (_edit("embedding.data", lambda d: "AA==" + d),
+     "embedding.data is not a canonical base64 string"),
+    (_edit("embedding.data", lambda d: d[:8] + "\n" + d[8:]),
+     "embedding.data is not a canonical base64 string"),
+    (_edit("projection.data", lambda d: d[:4] + "*" + d[5:]),
+     "projection.data is not a canonical base64 string"),
+    (_edit("vocab", ["a"]), "vocab must map tokens to int row ids in [3, 13)"),
+    (_edit("vocab", {"a": 13}), "vocab must map tokens to int row ids in [3, 13)"),
+    (_edit("vocab", {"a": 2}), "vocab must map tokens to int row ids in [3, 13)"),
+    (_edit("vocab", {"a": True}), "vocab must map tokens to int row ids in [3, 13)"),
+    (_edit("vocab", {"a": 3.0}), "vocab must map tokens to int row ids in [3, 13)"),
+])
+def test_malformed_checkpoint_field_raises_parse_error(tmp_path, edit, reason):
+    """13 x 1 embedding (104 bytes, padded base64) and a 1 x 1 projection
+    (8 bytes)."""
+    model = checkpoint_model(13, 1, ["a"], seed=6)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(edit(json.loads(path.read_text())))
+    with pytest.raises(ParseError) as e:
+        load_model(path)
+    assert str(e.value) == f"{path}: {reason}"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d[:5] + "*" + d[6:],
+    lambda d: "AA==" + d[4:],
+    lambda d: d[:8] + "\n" + d[9:],
+], ids=["foreign-character", "padding", "raw-newline"])
+def test_bad_character_in_an_early_block_is_rejected(tmp_path, edit):
+    """With 12-byte blocks the payload spans many blocks; a flaw in the
+    first one is caught though the rest decodes."""
+    path = tmp_path / "model.json"
+    save_model(checkpoint_model(13, 2, [], seed=8), path)
+    path.write_text(_edit("embedding.data", edit)(json.loads(path.read_text())))
+    with mock.patch.object(models, "_PAYLOAD_BLOCK", 12), \
+            pytest.raises(ParseError) as e:
+        load_model(path)
+    assert str(e.value) == \
+        f"{path}: embedding.data is not a canonical base64 string"
+
+
+def _escaped(text: str, at: str) -> str:
+    """text with the first character after `at` written as a JSON escape."""
+    i = text.index(at) + len(at)
+    return text[:i] + f"\\u{ord(text[i]):04x}" + text[i + 1:]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda t: t[:len(t) // 2], "not a JSON checkpoint (Unterminated string"),
+    (lambda t: t + " x", "not a JSON checkpoint (Extra data"),
+    (lambda t: _escaped(t, '"projection": {"data": "'),
+     "projection.data is not a canonical base64 string"),
+    (lambda t: t.replace('"data": "', '"data": "\\/', 1),
+     "embedding.data is not a canonical base64 string"),
+], ids=["truncated", "trailing-text", "unicode-escape", "escaped-slash"])
+def test_checkpoint_with_broken_json_or_escaped_data_is_rejected(
+        tmp_path, edit, reason):
+    """A payload is plain base64: the writer never escapes one."""
+    path = tmp_path / "model.json"
+    save_model(checkpoint_model(13, 1, ["a"], seed=6), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ParseError) as e:
+        load_model(path)
+    assert str(e.value).startswith(f"{path}: {reason}")
+
+
+def test_data_value_outside_the_arrays_is_ignored(tmp_path):
+    """A `data` string under another key is decoded or rejected on its own,
+    and a key that ends in `"data` is no `data` key; the arrays keep their
+    payloads."""
+    model = checkpoint_model(13, 2, ODD_TOKENS, seed=7)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["notes"] = {"data": "not base64!", "more": {"data": "QUJD"},
+                    'x"data': "QUJD"}
+    path.write_text(json.dumps(doc))
+    assert_same_model(load_model(path), model)
 
 
 class TestLexicalOverlapCE:

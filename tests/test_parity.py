@@ -1,5 +1,5 @@
 """Smoke test of the parity script: one case prints one stable line, and
-the label TSV's digest is pinned."""
+the label TSV's and a checkpoint file's digests are pinned."""
 
 import re
 
@@ -20,4 +20,12 @@ def test_label_tsv_digest_pinned(capsys):
     parity.main(["label_tsv"])
     assert capsys.readouterr().out == (
         "label_tsv 628d82b48df97a11fac9122a59687685e478db5fc38199e824c5f8582521cd19"
+        "\n")
+
+
+def test_checkpoint_digest_pinned(capsys):
+    """The bytes json.dump wrote for the same document."""
+    parity.main(["checkpoint"])
+    assert capsys.readouterr().out == (
+        "checkpoint 72aee5247114c8a6fde5d6b00e3329d38572f403c6c21933feb7152d1fdb4756"
         "\n")

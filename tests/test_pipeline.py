@@ -328,6 +328,28 @@ class TestCache:
         run_pipeline(cfg, "gpl")
         assert gen.exists()
 
+    def test_deleted_checkpoint_recomputes_train(self, tmp_path):
+        """A train stage lists each ckpt-<step>.json it writes."""
+        cfg = small_config(tmp_path, tmp_path / "out", method="gpl", train={
+            "gpl": {"steps": 25, "batch_size": 4, "learning_rate": 0.01,
+                    "log_every": 5, "checkpoint_every": 10}})
+        run_pipeline(cfg, "gpl")
+        train = cfg.stage_dir("train", scope="gpl")
+        assert json.loads((train / MANIFEST).read_text())["outputs"] == \
+            ["ckpt-10.json", "ckpt-20.json", "loss-trace.csv",
+             "model-final.json"]
+        (train / "ckpt-10.json").unlink()
+        outputs = run_stage("train", cfg)
+        assert train / "ckpt-10.json" in outputs
+        assert (train / "ckpt-10.json").exists()
+
+    def test_checkpoints_need_a_fixed_step_count(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "out", train={
+            "qgen": {"steps": None, "batch_size": 4, "learning_rate": 0.01,
+                     "tau": 20.0, "checkpoint_every": 5}})
+        with pytest.raises(PipelineError, match="checkpoint_every needs"):
+            run_pipeline(cfg, "qgen")
+
     def test_entry_with_fewer_outputs_is_a_miss(self, tmp_path):
         """A record an older version of a stage wrote, listing fewer files
         than the stage now writes, is recomputed, not returned."""
@@ -799,17 +821,38 @@ class TestCli:
     @pytest.mark.parametrize("case", ["bad-json-line", "duplicate-id",
                                       "init-model-not-json",
                                       "init-model-empty-object",
-                                      "init-model-list"])
+                                      "init-model-list",
+                                      "init-model-no-fields",
+                                      "init-model-vocab-list",
+                                      "init-model-shape-mismatch",
+                                      "init-model-not-base64"])
     def test_malformed_input_reported_without_traceback(self, tmp_path, case):
         cfg = small_config(tmp_path, tmp_path / "out")
         corpus = Path(cfg["paths"]["corpus"])
         if case.startswith("init-model-"):
             bad = tmp_path / "init-model.json"
+            save_model(init_encoder(["alpha", "beta"], dim=8, seed=1), bad)
+            doc = json.loads(bad.read_text())
+            embedding = doc["embedding"]
             text, reason = {
                 "init-model-not-json": ("{not json", "not a JSON checkpoint ("),
                 "init-model-empty-object": (
                     "{}", "unsupported checkpoint format version None\n"),
                 "init-model-list": ("[]", "not a checkpoint (a JSON list)\n"),
+                "init-model-no-fields": ('{"format_version": 1}',
+                                         "max_seq_len must be an int\n"),
+                "init-model-vocab-list": (
+                    json.dumps({**doc, "vocab": []}),
+                    "vocab must map tokens to int row ids in [3, 5)\n"),
+                "init-model-shape-mismatch": (
+                    json.dumps({**doc, "embedding": {**embedding,
+                                                     "shape": [4, 8]}}),
+                    "embedding.shape [4, 8] does not match its data "
+                    "(320 bytes)\n"),
+                "init-model-not-base64": (
+                    json.dumps({**doc, "embedding": {
+                        **embedding, "data": embedding["data"][:-4] + "AB*="}}),
+                    "embedding.data is not a canonical base64 string\n"),
             }[case]
             bad.write_text(text)
             cfg.data["paths"]["init_model"] = str(bad)
