@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -18,8 +20,8 @@ from .mining import PoolEntry
 from .models import CrossEncoderScorer
 from .util import derive_seed
 
-# Tuples per block when drawing, labelling and writing: no temporary grows
-# with the stream.
+# Tuples per block when labelling and writing: no temporary grows with the
+# stream.
 _BLOCK = 1 << 14
 
 
@@ -101,136 +103,24 @@ class _Appender:
             np.frombuffer(self.margin))
 
 
-# --- draws: np.random.default_rng(seed).integers(n), one row per seed ----------
-# numpy's SeedSequence (pool of four 32-bit words), its PCG64 seeding and
-# one 64-bit output, and its 32-bit Lemire bounded draw on the output's low
-# word. Each hashmix call multiplies by the next of a fixed sequence of
-# constants, whatever the data, so the sequences are computed once.
-
-def _powers(init: int, mult: int, count: int) -> list[np.uint32]:
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return [np.uint32(c) for c in out]
+def _negative_stream(seed: int, query_id: str) -> random.Random:
+    """The generator of a query's negative draws."""
+    return random.Random(derive_seed(seed, "negsample", query_id))
 
 
-_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 17)   # SeedSequence.mix_entropy
-_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 9)    # SeedSequence.generate_state
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U16, _U32 = np.uint32(16), np.uint64(32)
-# The vector path costs about 250 numpy calls whatever its length, more
-# than the scalar generator takes for a dozen rows.
-_VECTOR_ROWS = 16
-
-
-def _hashmix(value: np.ndarray, k: int) -> np.ndarray:
-    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
-    return value ^ (value >> _U16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return value ^ (value >> _U16)
-
-
-def _mul_high(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of the 128-bit products a x b."""
-    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
-    cross0, cross1 = a0 * b1, a1 * b0
-    carry = ((a0 * b0) >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    total = lo + add_lo
-    return hi + add_hi + (total < lo), total
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """state = state x multiplier + increment, mod 2^128, in (hi, lo) limbs."""
-    mult_hi, mult_lo = _PCG_MULT
-    return _add128(_mul_high(lo, mult_lo) + hi * mult_lo + lo * mult_hi,
-                   lo * mult_lo, inc_hi, inc_lo)
-
-
-def _scalar_draw(seed: int, n: int) -> int:
-    return int(np.random.default_rng(seed).integers(n))
-
-
-def _vector_draw(seeds: np.ndarray, sizes: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """default_rng(seeds[i]).integers(sizes[i]) for each i (uint64 arrays),
-    and a mask of the rows it cannot give: those Lemire's method would
-    reject and redraw (probability below n / 2^32), and n above 2^32."""
-    low, high = (seeds & _LOW32).astype(np.uint32), \
-        (seeds >> _U32).astype(np.uint32)
-    zero = np.zeros_like(low)
-    # A seed below 2^32 is one entropy word; the pool's unused words hash
-    # zeros, so a zero high word gives the same pool.
-    pool = [_hashmix(word, k) for k, word in enumerate((low, high, zero, zero))]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
-                k += 1
-    words = []
-    for i in range(8):
-        value = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
-        words.append((value ^ (value >> _U16)).astype(np.uint64))
-    state_hi, state_lo, seq_hi, seq_lo = (
-        words[j] | (words[j + 1] << _U32) for j in range(0, 8, 2))
-    del pool, words
-    # Seeding: state 0, inc = (seq << 1) | 1, step (state = inc), add the
-    # initial state, step.
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    hi, lo = _add128(inc_hi, inc_lo, state_hi, state_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)   # the first output's step
-    mixed, rotation = hi ^ lo, hi >> np.uint64(58)
-    output = (mixed >> rotation) | (mixed << (-rotation & np.uint64(63)))
-    scaled = (output & _LOW32) * sizes
-    redo = ((scaled & _LOW32) < (np.uint64(1 << 32) - sizes) % sizes) \
-        | (sizes > np.uint64(1 << 32))
-    return (scaled >> _U32).astype(np.int64), redo
-
-
-def _draw_indices(seeds, sizes) -> np.ndarray:
-    """np.random.default_rng(seeds[i]).integers(sizes[i]) for each i, for
-    seeds below 2^64: the vector path, and the scalar generator for the
-    rows it cannot give or for calls of fewer than _VECTOR_ROWS rows."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    sizes = np.asarray(sizes, dtype=np.uint64)
-    if seeds.size < _VECTOR_ROWS:
-        picks, redo = np.empty(seeds.size, np.int64), np.ones(seeds.size, bool)
-    else:
-        picks, redo = _vector_draw(seeds, sizes)
-    for i in np.flatnonzero(redo).tolist():
-        picks[i] = _scalar_draw(int(seeds[i]), int(sizes[i]))
-    return picks
-
-
-def _negative_seed(seed: int, query_id: str, draw: int) -> int:
-    """The key of a query's draw; draw 0 keys on (seed, query id) alone."""
-    return derive_seed(seed, "negsample", query_id, *((draw,) if draw else ()))
-
-
-def sample_tuple(query: Query, pool: PoolEntry, seed: int,
-                 draw: int = 0) -> tuple[str, str]:
+def sample_tuple(query: Query, pool: PoolEntry, seed: int) -> tuple[str, str]:
     """Pick (positive, negative) ids for one query.
 
-    The positive is the query's source passage; the negative is drawn
-    uniformly from the pool by the generator seeded with
-    `_negative_seed(seed, query id, draw)`.
+    The positive is the query's source passage; the negative is the first
+    draw of the query's negative stream, `randrange(len(pool))` of
+    `random.Random(derive_seed(seed, "negsample", query id))`: the
+    negative of the query's first tuple in `build_dataset`.
     """
     if not pool.usable or not pool.negative_ids:
         raise ValueError(f"query {query.id} has an empty negative pool")
     if query.source_passage_id is None:
         raise ValueError(f"query {query.id} has no source passage")
-    pick = _draw_indices([_negative_seed(seed, query.id, draw)],
-                         [len(pool.negative_ids)])[0]
+    pick = _negative_stream(seed, query.id).randrange(len(pool.negative_ids))
     return query.source_passage_id, pool.negative_ids[pick]
 
 
@@ -240,10 +130,13 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
     """Pseudo-labeled (query, positive, negative) stream.
 
     Tuple i belongs to usable query i mod U (usable queries in id order,
-    U of them) and is that query's draw i // U, so every draw takes a
-    fresh negative from the query's pool (the draw `sample_tuple` makes).
-    n_tuples=None labels one tuple per usable query. Queries whose pool is
-    missing, unusable, or empty are skipped; with no usable query the
+    U of them) and its negative is draw i // U of that query's stream,
+    `random.Random(derive_seed(seed, "negsample", query id))`, each draw
+    `randrange` over the query's pool; draw 0 is the one `sample_tuple`
+    makes. One generator per query, not one per tuple: the draws are
+    uniform over each pool, as GPL's per-example negatives are.
+    n_tuples=None labels one tuple per usable query. Queries whose pool
+    is missing, unusable, or empty are skipped; with no usable query the
     dataset is empty. Each distinct (query, passage) pair is scored by the
     cross-encoder once. The build is a pure function of (queries, pools,
     corpus, ce, seed, n_tuples).
@@ -287,15 +180,20 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
     columns = TupleColumns([q.id for q in stream], [],
                            *(np.empty(n_tuples, np.int32) for _ in range(3)),
                            np.empty(n_tuples))
+    # Each query's draws, as indices into its pool, go straight into its
+    # rows of the negative column; the blocks below map them to passages.
+    for j, query in enumerate(stream):
+        count = len(range(j, n_tuples, len(stream)))
+        columns.neg[j::len(stream)] = np.fromiter(
+            map(_negative_stream(seed, query.id).randrange,
+                repeat(int(sizes[j]), count)), dtype=np.int32, count=count)
     place = np.full(len(names), -1, dtype=np.int64)  # candidate -> column id
     for start in range(0, n_tuples, _BLOCK):
         stop = min(start + _BLOCK, n_tuples)
         q = np.arange(start, stop) % len(stream)
-        seeds = np.fromiter(
-            (_negative_seed(seed, stream[i % len(stream)].id, i // len(stream))
-             for i in range(start, stop)), dtype=np.uint64, count=stop - start)
+        block = slice(start, stop)
         pos = sources[q]
-        neg = pool_flat[offsets[q] + _draw_indices(seeds, sizes[q])]
+        neg = pool_flat[offsets[q] + columns.neg[block]]
         pairs = np.concatenate([pos, neg]) + np.tile(q, 2) * len(names)
         distinct, inverse = np.unique(pairs, return_inverse=True)
         pair_scores = np.fromiter(map(score, distinct.tolist()), dtype=float,
@@ -314,7 +212,6 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
         fresh = seen[new][np.argsort(first[new])]
         place[fresh] = np.arange(fresh.size) + len(columns.passage_ids)
         columns.passage_ids += [candidates[c] for c in fresh.tolist()]
-        block = slice(start, stop)
         columns.query[block], columns.pos[block] = q, place[pos]
         columns.neg[block], columns.margin[block] = place[neg], margin
     retrievers = sorted({name for pool in pools.values()

@@ -127,10 +127,43 @@ _NULLABLE = {**{f"paths.{k}": str for k, v in DEFAULTS["paths"].items()
 _KINDS = {bool: "a bool", int: "an int", float: "a number", str: "a string",
           list: "a list of strings"}
 
+# The interval of each numeric leaf, as the library check it reaches makes
+# it (SamplerConfig, compute_budget, TrainRunConfig, LossConfig,
+# PretrainConfig, udalm_step, retrieve_top_k, qgen_train's batch of two),
+# so a bad value fails at load, before any stage runs. `mask_ratio` is in
+# (0, 1), as `mlm_corrupt` requires. `label.ce_scale` must be positive: a
+# negative scale inverts the teacher, and 0 zeroes every margin.
+_SCHEDULE = {"steps": "[1, inf)", "batch_size": "[1, inf)",
+             "learning_rate": "[0, inf)", "log_every": "[1, inf)",
+             "checkpoint_every": "[0, inf)", "tau": "(0, inf)",
+             "mask_ratio": "(0, 1)"}
+_RANGES = {
+    **{f"{section}.{key}": _SCHEDULE[key]
+       for section in ("train.gpl", "train.qgen", "pretrain", "udalm")
+       for key in functools.reduce(dict.__getitem__, section.split("."),
+                                   DEFAULTS) if key in _SCHEDULE},
+    "train.qgen.batch_size": "[2, inf)",
+    "encoder.dim": "[1, inf)", "encoder.max_seq_len": "[1, inf)",
+    "generate.total_budget": "[3, inf)", "generate.temperature": "(0, inf)",
+    "generate.top_k": "[1, inf)", "generate.top_p": "(0, 1]",
+    "generate.max_query_len": "[1, inf)", "mine.n_per_retriever": "[1, inf)",
+    "label.ce_scale": "(0, inf)", "pretrain.deletion_ratio": "[0, 1]",
+    "pretrain.ict_mask_prob": "[0, 1]", "pretrain.dropout_rate": "[0, 1)",
+    "udalm.mix_weight": "[0, 1]", "evaluate.cutoff": "[1, inf)",
+    "rerank.top_n": "[1, inf)",
+}
+
+
+def _in_interval(value, interval: str) -> bool:
+    low, high = map(float, interval[1:-1].split(","))
+    return (low < value if interval[0] == "(" else low <= value) and \
+        (value < high if interval[-1] == ")" else value <= high)
+
 
 def _check_value(key: str, value) -> None:
     """Raise unless `value` has the type of the DEFAULTS leaf at dotted
-    `key`. A float takes an int too; a bool stands for nothing but a bool."""
+    `key` and lies in its `_RANGES` interval. A float takes an int too; a
+    bool stands for nothing but a bool."""
     kind = _NULLABLE.get(key) or \
         type(functools.reduce(dict.__getitem__, key.split("."), DEFAULTS))
     if isinstance(value, bool):
@@ -143,6 +176,10 @@ def _check_value(key: str, value) -> None:
     if not ok:
         raise PipelineError(f"config key {key} must be {_KINDS[kind]}"
                             f"{' or null' if key in _NULLABLE else ''}; "
+                            f"got {value!r}")
+    interval = _RANGES.get(key)
+    if interval and value is not None and not _in_interval(value, interval):
+        raise PipelineError(f"config key {key} must be in {interval}; "
                             f"got {value!r}")
 
 

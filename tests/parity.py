@@ -13,7 +13,9 @@ training cases are the six pre-training objectives (Condenser on CLS
 pooling), `gpl_train`, `qgen_train` with and without mined negatives, and
 UDALM through `run_pipeline` on the world of `tests/test_pipeline.py`.
 `label_tsv` draws 500 tuples over the toy world's usable queries, about
-20 draws each, one query's pool holding a single negative. `checkpoint`
+20 draws each from the query's one negative stream, one query's pool
+holding a single negative; `gpl_train` trains on such a stream, and
+`qgen_train_negatives` takes each query's first draw. `checkpoint`
 prints the sha256 of a saved checkpoint file whose payload spans several
 write blocks and whose vocabulary holds quotes, backslashes, non-ASCII
 characters and a 10,000-character token.

@@ -1,6 +1,7 @@
 """Cross-encoder margins, negative sampling, dataset assembly and round-trip."""
 
 import math
+import random
 import re
 import tracemalloc
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from denseadapt import (CrossEncoderScorer, Passage, Query, TupleColumns,
-                        build_dataset, init_encoder, labeling,
+                        build_dataset, init_encoder,
                         lexical_overlap_ce, read_dataset, sample_tuple,
                         write_dataset)
 from denseadapt.corpus import ParseError, passage_text
@@ -178,16 +179,16 @@ class TestLabelStream:
         return corpus, queries[::-1], pools
 
     def one_per_query_reference(self, queries, pools, corpus, ce, seed):
-        """One tuple per usable query in id order, each negative drawn
-        with a generator keyed on (seed, "negsample", query id)."""
+        """One tuple per usable query in id order, each negative the first
+        draw of a generator keyed on (seed, "negsample", query id)."""
         texts = {p.id: passage_text(p) for p in corpus}
         tuples = []
         for q in sorted(queries, key=lambda q: q.id):
             pool = pools[q.id]
             if not pool.usable:
                 continue
-            rng = np.random.default_rng(derive_seed(seed, "negsample", q.id))
-            neg = pool.negative_ids[int(rng.integers(len(pool.negative_ids)))]
+            rng = random.Random(derive_seed(seed, "negsample", q.id))
+            neg = pool.negative_ids[rng.randrange(len(pool.negative_ids))]
             margin = ce_margin(ce, q.text, texts[q.source_passage_id],
                                texts[neg])
             tuples.append((q.id, q.source_passage_id, neg, margin))
@@ -207,6 +208,8 @@ class TestLabelStream:
             assert got.read_bytes() == expected.read_bytes()
 
     def test_draws_cycle_through_queries_in_id_order(self):
+        """Tuple i is draw i // 5 of the stream of query i mod 5, and each
+        query's draw 0 is the negative `sample_tuple` picks."""
         corpus, queries, pools = self.make_world()
         ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(),
                            seed=2, n_tuples=13)
@@ -215,9 +218,17 @@ class TestLabelStream:
         assert ds.manifest["n_tuples"] == 13
         assert ds.manifest["n_skipped"] == 1
         by_id = {q.id: q for q in queries}
+        draws = {}
+        for qid in order:
+            rng = random.Random(derive_seed(2, "negsample", qid))
+            pool = pools[qid].negative_ids
+            draws[qid] = [pool[rng.randrange(len(pool))] for _ in range(3)]
         for i, t in enumerate(stream_rows(ds)):
-            assert (t.pos_id, t.neg_id) == sample_tuple(
-                by_id[t.query_id], pools[t.query_id], 2, draw=i // 5)
+            assert t.pos_id == by_id[t.query_id].source_passage_id
+            assert t.neg_id == draws[t.query_id][i // 5]
+            if i < 5:
+                assert (t.pos_id, t.neg_id) == sample_tuple(
+                    by_id[t.query_id], pools[t.query_id], 2)
 
     def test_negatives_uniform_over_pool_3sigma(self):
         corpus, queries, pools = self.make_world()
@@ -280,38 +291,6 @@ class TestLabelStream:
         with pytest.raises(ValueError):
             build_dataset(queries, pools, corpus, lexical_overlap_ce(),
                           seed=0, n_tuples=-1)
-
-
-class TestDrawIndices:
-    def test_bit_exact_against_default_rng(self, monkeypatch):
-        """The vectorized draw equals default_rng(seed).integers(n) on 100k
-        (seed, n) pairs: seeds of one and of two entropy words, n = 1, and
-        n from 2^31 to 2^32, where Lemire's method rejects often and the
-        scalar generator takes the row."""
-        rng = np.random.default_rng(2024)
-        count = 100_000
-        seeds = rng.integers(0, 2**63, count, dtype=np.uint64)
-        seeds[:30_000] = rng.integers(0, 2**32, 30_000, dtype=np.uint64)
-        seeds[:4] = [0, 1, 2**32 - 1, 2**32]
-        seeds[-1] = 2**63 - 1
-        sizes = rng.integers(1, 5_000, count, dtype=np.uint64)
-        sizes[::10] = 1
-        sizes[5::10] = rng.integers(2**31, 2**32 + 1, count // 10,
-                                    dtype=np.uint64)
-        sizes[5] = 2**32
-        fallbacks = []
-        scalar = labeling._scalar_draw
-
-        def counted(seed, n):
-            fallbacks.append(n)
-            return scalar(seed, n)
-
-        monkeypatch.setattr(labeling, "_scalar_draw", counted)
-        got = labeling._draw_indices(seeds, sizes)
-        want = [np.random.default_rng(seed).integers(n)
-                for seed, n in zip(seeds.tolist(), sizes.tolist())]
-        np.testing.assert_array_equal(got, want)
-        assert sum(n >= 2**31 for n in fallbacks) > 1_000
 
 
 class TestTrainingTupleValidation:

@@ -15,11 +15,12 @@ def test_case_prints_name_and_two_stable_digests(capsys):
 
 
 def test_label_tsv_digest_pinned(capsys):
-    """500 drawn tuples, about 20 per query, written exactly as the
-    per-draw default_rng generators and per-pair scores made them."""
+    """500 drawn tuples, about 20 per query, written exactly as each
+    query's one random.Random negative stream and the per-pair scores
+    made them."""
     parity.main(["label_tsv"])
     assert capsys.readouterr().out == (
-        "label_tsv 628d82b48df97a11fac9122a59687685e478db5fc38199e824c5f8582521cd19"
+        "label_tsv d572801af915b25569d4d50cfc8a95903ec0285707928ef26cb7a7af0fc187af"
         "\n")
 
 

@@ -642,53 +642,98 @@ class TestDeterminism:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("data, path", [
-        ({"train": {"gpl": {"step": 10}}}, "train.gpl.step"),
-        ({"sede": 3}, "sede"),
-        ({"paths": {"corpora": "c.jsonl"}}, "paths.corpora"),
-        ({"train": 5}, "train"),
-        ({"paths": None}, "paths"),
-        ({"seed": {"a": 1}}, "seed"),
-        ([{"seed": 1}], ""),
-        ({"ingest": {"drop_missing_body": "false"}}, "ingest.drop_missing_body"),
-        ({"encoder": {"dim": 2.9}}, "encoder.dim"),
-        ({"encoder": {"max_seq_len": "x"}}, "encoder.max_seq_len"),
-        ({"rerank": {"top_n": True}}, "rerank.top_n"),
-        ({"udalm": {"steps": None}}, "udalm.steps"),
-        ({"encoder": {"init_scale": "0.1"}}, "encoder.init_scale"),
-        ({"label": {"ce_scale": False}}, "label.ce_scale"),
-        ({"dataset": None}, "dataset"),
-        ({"mine": {"retrievers": ["bm25", 1]}}, "mine.retrievers"),
-        ({"evaluate": {"metrics": "ndcg@10"}}, "evaluate.metrics"),
-        ({"paths": {"corpus": 5}}, "paths.corpus"),
-        ({"paths": {"output": None}}, "paths.output"),
-        ({"train": {"qgen": {"steps": 2.5}}}, "train.qgen.steps"),
-        ({"train": {"gpl": {"steps": "10"}}}, "train.gpl.steps"),
+    @pytest.mark.parametrize("data, message", [
+        ({"train": {"gpl": {"step": 10}}}, "unknown config key train.gpl.step"),
+        ({"sede": 3}, "unknown config key sede"),
+        ({"paths": {"corpora": "c.jsonl"}}, "unknown config key paths.corpora"),
+        ({"train": 5}, "config key train must be an object; got int"),
+        ({"paths": None}, "config key paths must be an object; got NoneType"),
+        ({"seed": {"a": 1}}, "config key seed takes a value, not an object"),
+        ([{"seed": 1}], "config must be an object; got list"),
+        *((data, f"config key {key} must be {what}") for data, key, what in [
+            ({"ingest": {"drop_missing_body": "false"}},
+             "ingest.drop_missing_body", "a bool; got 'false'"),
+            ({"encoder": {"dim": 2.9}}, "encoder.dim", "an int; got 2.9"),
+            ({"encoder": {"max_seq_len": "x"}}, "encoder.max_seq_len",
+             "an int; got 'x'"),
+            ({"rerank": {"top_n": True}}, "rerank.top_n", "an int; got True"),
+            ({"udalm": {"steps": None}}, "udalm.steps", "an int; got None"),
+            ({"encoder": {"init_scale": "0.1"}}, "encoder.init_scale",
+             "a number; got '0.1'"),
+            ({"label": {"ce_scale": False}}, "label.ce_scale",
+             "a number; got False"),
+            ({"dataset": None}, "dataset", "a string; got None"),
+            ({"mine": {"retrievers": ["bm25", 1]}}, "mine.retrievers",
+             "a list of strings; got ['bm25', 1]"),
+            ({"evaluate": {"metrics": "ndcg@10"}}, "evaluate.metrics",
+             "a list of strings; got 'ndcg@10'"),
+            ({"paths": {"corpus": 5}}, "paths.corpus",
+             "a string or null; got 5"),
+            ({"paths": {"output": None}}, "paths.output", "a string; got None"),
+            ({"train": {"qgen": {"steps": 2.5}}}, "train.qgen.steps",
+             "an int or null; got 2.5"),
+            ({"train": {"gpl": {"steps": "10"}}}, "train.gpl.steps",
+             "an int or null; got '10'"),
+            ({"encoder": {"dim": 0}}, "encoder.dim", "in [1, inf); got 0"),
+            ({"encoder": {"max_seq_len": -2}}, "encoder.max_seq_len",
+             "in [1, inf); got -2"),
+            ({"rerank": {"top_n": -1}}, "rerank.top_n", "in [1, inf); got -1"),
+            ({"label": {"ce_scale": -1}}, "label.ce_scale",
+             "in (0, inf); got -1"),
+            ({"label": {"ce_scale": 0.0}}, "label.ce_scale",
+             "in (0, inf); got 0.0"),
+            ({"generate": {"total_budget": 2}}, "generate.total_budget",
+             "in [3, inf); got 2"),
+            ({"generate": {"temperature": 0}}, "generate.temperature",
+             "in (0, inf); got 0"),
+            ({"generate": {"top_k": 0}}, "generate.top_k", "in [1, inf); got 0"),
+            ({"generate": {"top_p": 2}}, "generate.top_p", "in (0, 1]; got 2"),
+            ({"generate": {"top_p": 0.0}}, "generate.top_p",
+             "in (0, 1]; got 0.0"),
+            ({"generate": {"max_query_len": 0}}, "generate.max_query_len",
+             "in [1, inf); got 0"),
+            ({"mine": {"n_per_retriever": 0}}, "mine.n_per_retriever",
+             "in [1, inf); got 0"),
+            ({"evaluate": {"cutoff": 0}}, "evaluate.cutoff",
+             "in [1, inf); got 0"),
+            ({"train": {"gpl": {"steps": 0}}}, "train.gpl.steps",
+             "in [1, inf); got 0"),
+            ({"train": {"gpl": {"batch_size": 0}}}, "train.gpl.batch_size",
+             "in [1, inf); got 0"),
+            ({"train": {"gpl": {"learning_rate": -0.1}}},
+             "train.gpl.learning_rate", "in [0, inf); got -0.1"),
+            ({"train": {"gpl": {"log_every": 0}}}, "train.gpl.log_every",
+             "in [1, inf); got 0"),
+            ({"train": {"gpl": {"checkpoint_every": -1}}},
+             "train.gpl.checkpoint_every", "in [0, inf); got -1"),
+            ({"train": {"qgen": {"batch_size": 1}}}, "train.qgen.batch_size",
+             "in [2, inf); got 1"),
+            ({"train": {"qgen": {"tau": 0}}}, "train.qgen.tau",
+             "in (0, inf); got 0"),
+            ({"pretrain": {"steps": 0}}, "pretrain.steps", "in [1, inf); got 0"),
+            ({"pretrain": {"mask_ratio": 0}}, "pretrain.mask_ratio",
+             "in (0, 1); got 0"),
+            ({"pretrain": {"mask_ratio": 1}}, "pretrain.mask_ratio",
+             "in (0, 1); got 1"),
+            ({"pretrain": {"deletion_ratio": 1.5}}, "pretrain.deletion_ratio",
+             "in [0, 1]; got 1.5"),
+            ({"pretrain": {"ict_mask_prob": -0.5}}, "pretrain.ict_mask_prob",
+             "in [0, 1]; got -0.5"),
+            ({"pretrain": {"dropout_rate": 1}}, "pretrain.dropout_rate",
+             "in [0, 1); got 1"),
+            ({"pretrain": {"tau": -20}}, "pretrain.tau", "in (0, inf); got -20"),
+            ({"udalm": {"mix_weight": 1.5}}, "udalm.mix_weight",
+             "in [0, 1]; got 1.5"),
+            ({"udalm": {"mask_ratio": 1.0}}, "udalm.mask_ratio",
+             "in (0, 1); got 1.0"),
+            ({"udalm": {"batch_size": 0}}, "udalm.batch_size",
+             "in [1, inf); got 0"),
+        ]),
     ])
-    def test_unknown_key_rejected(self, tmp_path, data, path):
+    def test_unknown_key_rejected(self, tmp_path, data, message):
         """An unknown key, an object where a value belongs or the reverse,
-        or a value of another type than the key's default, is an error
-        naming the key's dotted path."""
-        message = {"train": "config key train must be an object; got int",
-                   "paths": "config key paths must be an object; got NoneType",
-                   "seed": "config key seed takes a value, not an object",
-                   "": "config must be an object; got list",
-                   **{key: f"config key {key} must be {kind}" for key, kind in [
-                       ("ingest.drop_missing_body", "a bool; got 'false'"),
-                       ("encoder.dim", "an int; got 2.9"),
-                       ("encoder.max_seq_len", "an int; got 'x'"),
-                       ("rerank.top_n", "an int; got True"),
-                       ("udalm.steps", "an int; got None"),
-                       ("encoder.init_scale", "a number; got '0.1'"),
-                       ("label.ce_scale", "a number; got False"),
-                       ("dataset", "a string; got None"),
-                       ("mine.retrievers", "a list of strings; got ['bm25', 1]"),
-                       ("evaluate.metrics", "a list of strings; got 'ndcg@10'"),
-                       ("paths.corpus", "a string or null; got 5"),
-                       ("paths.output", "a string; got None"),
-                       ("train.qgen.steps", "an int or null; got 2.5"),
-                       ("train.gpl.steps", "an int or null; got '10'")]}
-                   }.get(path, f"unknown config key {path}")
+        or a value of another type than the key's default or outside its
+        range, is an error naming the key's dotted path."""
         with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_dict(data)
         config_path = tmp_path / "config.json"
@@ -711,9 +756,11 @@ class TestConfig:
                                       "got 'x'"),
         ('{"udalm": {"steps": null}}', "config key udalm.steps must be an int; "
                                        "got None"),
+        ('{"generate": {"top_p": 2}}', "config key generate.top_p must be in "
+                                       "(0, 1]; got 2"),
     ], ids=["unknown-key", "object-is-int", "object-is-null", "value-is-object",
             "top-level-list", "not-json", "bool-is-string", "int-is-float",
-            "int-is-string", "int-is-null"])
+            "int-is-string", "int-is-null", "out-of-range"])
     def test_cli_reports_unknown_key_without_traceback(self, tmp_path, text,
                                                        message):
         config_path = tmp_path / "config.json"
