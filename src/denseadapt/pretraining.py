@@ -51,17 +51,21 @@ class PretrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
-        for name in ("deletion_ratio", "mask_ratio", "ict_mask_prob"):
+        for name in ("deletion_ratio", "ict_mask_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 < self.mask_ratio < 1.0:  # as mlm_corrupt requires
+            raise ValueError("mask_ratio must be in (0, 1)")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
-def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]
+def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int],
+                        weights: np.ndarray | None = None
                         ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over positions; returns (loss, dL/dlogits).
+    """Mean (or `weights`-weighted sum) of cross-entropy over positions;
+    returns (loss, dL/dlogits).
 
     Uniform logits over a vocabulary of V cost ln(V) per position. The
     (positions, V) logits are worked on in place, and a float64 array
@@ -79,42 +83,72 @@ def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]
     picked = out[rows, targets]
     np.exp(out, out=out)
     denom = out.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(picked - np.log(denom[:, 0])))
+    picked -= np.log(denom[:, 0])  # the targets' log-probabilities
+    loss = -float(np.mean(picked) if weights is None else weights @ picked)
     if not math.isfinite(loss):
         raise ValueError(f"cross-entropy is {loss} (non-finite logits)")
     out /= denom
     out[rows, targets] -= 1.0
-    out /= targets.size
+    if weights is None:
+        out /= targets.size
+    else:
+        out *= weights[:, None]
     return loss, out
 
 
-def _pooled_head_loss(model: EncoderModel, weight: np.ndarray, name: str,
-                      encoded_ids: np.ndarray, input_ids: np.ndarray,
-                      target_ids: np.ndarray
-                      ) -> tuple[float, dict[str, np.ndarray]]:
-    """Cross-entropy of predicting target_ids from [pooled vector of
-    encoded_ids (+) embedding of input_ids] through `weight` (d x 2d) and
-    the tied embedding table. Gradients cover every embedding occurrence,
-    the projection, and `weight` under `name`."""
-    d = model.dim
-    pooled, cache = encode_ids(model, Tokens.of([encoded_ids]))
-    x = np.concatenate([np.tile(pooled[0], (len(input_ids), 1)),
-                        model.embedding[input_ids]], axis=1)
-    hidden = x @ weight.T
-    loss, d_logits = token_cross_entropy(hidden @ model.embedding.T, target_ids)
+# Logits held at a time: max(1, _LOGIT_BLOCK // V) positions, at most 2 MiB
+# of float64, so memory does not grow with the positions a batch scores.
+_LOGIT_BLOCK = 1 << 18
 
-    d_hidden = d_logits @ model.embedding
-    grads = {"embedding": d_logits.T @ hidden,
-             "projection": np.zeros_like(model.projection),
-             name: d_hidden.T @ x}
+
+def _tied_output_loss(model: EncoderModel, items: Sequence[tuple],
+                      scale: float, head: np.ndarray | None = None,
+                      name: str = "head"
+                      ) -> tuple[float, dict[str, np.ndarray]]:
+    """Cross-entropy of each (encoded row, input ids, target ids) item's
+    targets against the tied embedding table from `head` (d x 2d) applied to
+    [pooled vector of the encoded row (+) embedding of each input], or
+    without a head the inputs' projected embeddings; an item's n positions
+    weigh scale / n each. Gradients cover every embedding occurrence, the
+    projection, and `head` under `name`."""
+    d = model.dim
+    encoded, inputs, targets = zip(*items)
+    lengths = np.fromiter(map(len, targets), dtype=np.intp, count=len(items))
+    inputs, targets = np.concatenate(inputs), np.concatenate(targets)
+    x, weight = model.embedding[inputs], model.projection.T
+    if head is not None:
+        pooled, cache = encode_ids(model, Tokens.of(encoded))
+        x = np.concatenate([np.repeat(pooled, lengths, axis=0), x], axis=1)
+        weight = head
+    hidden = x @ weight.T
+    weights = np.repeat(scale / lengths, lengths)
+    grads = new_grads(model)
+    size = max(1, _LOGIT_BLOCK // model.vocab_size)
+    logits = np.empty((min(size, targets.size), model.vocab_size))
+    buf = np.empty_like(grads["embedding"])
+    d_hidden = np.empty_like(hidden)
+    loss = 0.0
+    for lo in range(0, targets.size, size):
+        h = hidden[lo:lo + size]
+        part, d_logits = token_cross_entropy(
+            np.matmul(h, model.embedding.T, out=logits[:len(h)]),
+            targets[lo:lo + size], weights[lo:lo + size])
+        loss += part
+        grads["embedding"] += np.matmul(d_logits.T, h, out=buf)
+        np.matmul(d_logits, model.embedding, out=d_hidden[lo:lo + size])
     d_x = d_hidden @ weight
-    np.add.at(grads["embedding"], input_ids, d_x[:, d:])
-    encode_backward(model, cache, d_x[:, :d].sum(axis=0, keepdims=True), grads)
+    np.add.at(grads["embedding"], inputs, d_x[:, -d:])
+    if head is None:
+        grads["projection"] += x.T @ d_hidden
+        return loss, grads
+    grads[name] = d_hidden.T @ x
+    encode_backward(model, cache, np.add.reduceat(
+        d_x[:, :d], np.cumsum(lengths) - lengths), grads)
     return loss, grads
 
 
 def init_condensor_head(dim: int, seed: int = 0, scale: float = 0.05) -> np.ndarray:
-    """A (d, 2d) weight for `_pooled_head_loss`: the Condenser head, and
+    """A (d, 2d) head for `_tied_output_loss`: the Condenser head, and
     the linear decoder that reconstructs TSDAE's input."""
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, size=(dim, 2 * dim))
@@ -155,10 +189,14 @@ def tsdae_loss(model: EncoderModel, decoder: np.ndarray,
     """
     if not len(original_ids):
         raise ValueError("original sequence must be non-empty")
-    shifted = np.roll(original_ids, 1)  # teacher forcing: BOS, then ids[:-1]
+    return _tied_output_loss(model, [_tsdae_item(original_ids, corrupted_ids)],
+                             1.0, decoder, "decoder")
+
+
+def _tsdae_item(ids: np.ndarray, corrupted: Sequence[int]) -> tuple:
+    shifted = np.roll(ids, 1)  # teacher forcing: BOS, then ids[:-1]
     shifted[0] = BOS_INDEX
-    return _pooled_head_loss(model, decoder, "decoder", corrupted_ids,
-                             shifted, original_ids)
+    return corrupted, shifted, ids
 
 
 # --- masked-token prediction --------------------------------------------------
@@ -204,17 +242,15 @@ def mlm_loss(model: EncoderModel, original_ids: Sequence[int],
     against the tied embedding table."""
     if not positions:
         raise ValueError("no masked positions")
-    original = np.asarray(original_ids, dtype=int)
-    corrupted = np.asarray(corrupted_ids, dtype=int)
-    sel = np.asarray(positions, dtype=int)
-    e_sel = model.embedding[corrupted[sel]]
-    h_sel = e_sel @ model.projection
-    loss, d_logits = token_cross_entropy(h_sel @ model.embedding.T,
-                                         original[sel])
-    d_h = d_logits @ model.embedding
-    grads = {"embedding": d_logits.T @ h_sel, "projection": e_sel.T @ d_h}
-    np.add.at(grads["embedding"], corrupted[sel], d_h @ model.projection.T)
-    return loss, grads
+    return _tied_output_loss(model, [_masked_item(original_ids, corrupted_ids,
+                                                  positions)], 1.0)
+
+
+def _masked_item(ids: Sequence[int], corrupted: Sequence[int],
+                 positions: Sequence[int]) -> tuple:
+    """(corrupted row, its ids and the original ids at the positions)."""
+    corrupted = np.asarray(corrupted, dtype=np.intp)
+    return corrupted, corrupted[positions], np.asarray(ids)[positions]
 
 
 # --- inverse cloze ------------------------------------------------------------
@@ -310,10 +346,9 @@ def condensor_loss(model: EncoderModel, head: np.ndarray, ids: np.ndarray,
     token-embedding state at position i]; requires CLS pooling."""
     if model.pooling != "cls":
         raise ValueError("this objective requires CLS pooling")
-    corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)
-    corrupted = np.asarray(corrupted, dtype=int)
-    return _pooled_head_loss(model, head, "head", corrupted,
-                             corrupted[positions], ids[positions])
+    return _tied_output_loss(model, [_masked_item(
+        ids, *mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)[:2])], 1.0,
+        head)
 
 
 # --- multi-task schedule -------------------------------------------------------
@@ -335,25 +370,16 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[Sequence[int]],
     if not len(q):
         raise ValueError("empty source batch")
     rng = np.random.default_rng(rng)
-
-    grads = new_grads(model)
-    mlm_total = 0.0
-    for ids in mlm_batch:
-        if not len(ids):
-            continue
-        corrupted, positions, _ = mlm_corrupt(ids, model.vocab_size,
-                                              mask_ratio, rng)
-        loss_i, grads_i = mlm_loss(model, ids, corrupted, positions)
-        mlm_total += loss_i
-        for name in grads:
-            grads_i[name] *= mix_weight / len(mlm_batch)
-            grads[name] += grads_i[name]
-    mlm_avg = mlm_total / len(mlm_batch)
-
+    items = [_masked_item(ids, *mlm_corrupt(ids, model.vocab_size,
+                                            mask_ratio, rng)[:2])
+             for ids in mlm_batch if len(ids)]
+    mlm_part, grads = (
+        _tied_output_loss(model, items, mix_weight / len(mlm_batch))
+        if items else (0.0, new_grads(model)))
     scale = 1.0 - mix_weight
     mse_loss = margin_mse_step(model, q, pos, neg,
                                np.asarray(margins, dtype=float), grads, scale)
-    return mix_weight * mlm_avg + scale * mse_loss, grads
+    return mlm_part + scale * mse_loss, grads
 
 
 def _drawn_rows(texts: Sequence[str], draws: np.ndarray,
@@ -409,34 +435,6 @@ def _clone_fresh(model: EncoderModel, seed: int) -> EncoderModel:
                         model.pooling, model.similarity, model.max_seq_len)
 
 
-def _item_step(model: EncoderModel, rows: Sequence[np.ndarray],
-               place: np.ndarray, cfg: PretrainConfig, item_loss: Callable,
-               aux: dict[str, np.ndarray]) -> StepFn:
-    """A step averaging a per-item loss over the batch's id rows; a text
-    without tokens adds nothing, and the divisor stays the batch size.
-    `item_loss(ids, seed)` returns (loss, grads); `aux` holds the
-    objective's own weights by gradient name, which the step updates in
-    place."""
-
-    def step_fn(step: int):
-        grads = new_grads(model)
-        grads.update((name, np.zeros_like(w)) for name, w in aux.items())
-        total = 0.0
-        for j, i in enumerate(place[step - 1]):
-            if not rows[i].size:
-                continue
-            loss, g = item_loss(rows[i], derive_seed(cfg.seed, "item", step, j))
-            total += loss
-            for name in g:
-                g[name] /= place.shape[1]
-                grads[name] += g[name]
-        for name, w in aux.items():
-            w -= cfg.learning_rate * grads.pop(name)
-        return total / place.shape[1], grads
-
-    return step_fn
-
-
 def _objective_step(model: EncoderModel, texts: Sequence[str],
                     draws: np.ndarray, cfg: PretrainConfig) -> StepFn:
     """The objective's step over the schedule's draws (one row of text
@@ -465,20 +463,32 @@ def _objective_step(model: EncoderModel, texts: Sequence[str],
 
         return ict_step_fn
     rows, place = _drawn_rows(texts, draws, model.token_ids)
-    if cfg.method == "tsdae":
-        decoder = init_condensor_head(model.dim, derive_seed(cfg.seed, "decoder"))
-        return _item_step(model, rows, place, cfg, lambda ids, seed: tsdae_loss(
-            model, decoder, ids, tsdae_corrupt(ids, cfg.deletion_ratio, seed)),
-            {"decoder": decoder})
-    if cfg.method == "mlm":
-        return _item_step(model, rows, place, cfg, lambda ids, seed: mlm_loss(
-            model, ids, *mlm_corrupt(ids, model.vocab_size, cfg.mask_ratio,
-                                     seed)[:2]), {})
-    if cfg.method == "cd":
-        head = init_condensor_head(model.dim, derive_seed(cfg.seed, "head"))
-        return _item_step(model, rows, place, cfg, lambda ids, seed:
-                          condensor_loss(model, head, ids, cfg.mask_ratio,
-                                         seed), {"head": head})
+    if cfg.method in ("tsdae", "mlm", "cd"):
+        # The batch's texts, each corrupted under its own seed, are scored
+        # together; a text without tokens adds nothing to the batch's mean.
+        head = None if cfg.method == "mlm" else init_condensor_head(
+            model.dim, derive_seed(cfg.seed, "decoder" if cfg.method ==
+                                   "tsdae" else "head"))
+
+        def item(ids: np.ndarray, seed: int) -> tuple:
+            if cfg.method == "tsdae":
+                return _tsdae_item(ids, tsdae_corrupt(ids, cfg.deletion_ratio,
+                                                      seed))
+            return _masked_item(ids, *mlm_corrupt(ids, model.vocab_size,
+                                                  cfg.mask_ratio, seed)[:2])
+
+        def tied_output_step_fn(step: int):
+            items = [item(rows[i], derive_seed(cfg.seed, "item", step, j))
+                     for j, i in enumerate(place[step - 1]) if rows[i].size]
+            if not items:  # no text of the batch has a token
+                return 0.0, {}
+            loss, grads = _tied_output_loss(model, items, 1 / place.shape[1],
+                                            head)
+            if head is not None:
+                head[...] -= cfg.learning_rate * grads.pop("head")
+            return loss, grads
+
+        return tied_output_step_fn
     table = Tokens.of_text_ids(rows)
     if cfg.method == "simcse":
         return lambda step: simcse_step(

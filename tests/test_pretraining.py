@@ -99,6 +99,30 @@ def test_tsdae_item_holds_one_logits_buffer():
     assert peak < 1.5 * positions * vocab * 8 + 4 * vocab * dim * 8
 
 
+@pytest.mark.parametrize("method", ["tsdae", "mlm", "cd"])
+def test_tied_output_step_holds_one_logits_block(method):
+    """One step over four 300-token passages at a 20k vocabulary (d=8)
+    holds at most 2 MiB of logits besides four V x d arrays; one TSDAE
+    item's whole (positions x V) logits would take 300 x 20k x 8 B, about
+    46 MiB, and one masked item's 45 positions about 7 MiB."""
+    vocab, dim = 20_000, 8
+    words = [f"t{i}" for i in range(vocab - NUM_RESERVED)]
+    model = init_encoder(words, dim=dim, seed=0, max_seq_len=300,
+                         pooling="cls" if method == "cd" else "mean")
+    rng = np.random.default_rng(1)
+    passages = [Passage(f"p{i}", "", " ".join(rng.choice(words, size=300)))
+                for i in range(4)]
+    cfg = PretrainConfig(method=method, steps=1, batch_size=4,
+                         learning_rate=0.01, seed=3)
+    tracemalloc.start()
+    try:
+        pretrain(model, passages, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20 + 4 * vocab * dim * 8
+
+
 class TestTsdaeCorrupt:
     def test_exact_survivor_count(self):
         tokens = [f"t{i}" for i in range(10)]
@@ -516,13 +540,14 @@ class TestPretrainLoop:
         """A text longer than max_seq_len: TSDAE corrupts and reconstructs
         its first max_seq_len ids, the row the encoder sees."""
         seen = []
-        loss = pretraining.tsdae_loss
+        corrupt = pretraining.tsdae_corrupt
 
-        def recorded(model, decoder, original, corrupted):
-            seen.append((list(original), list(corrupted)))
-            return loss(model, decoder, original, corrupted)
+        def recorded(ids, deletion_ratio, rng):
+            corrupted = corrupt(ids, deletion_ratio, rng)
+            seen.append((list(ids), list(corrupted)))
+            return corrupted
 
-        monkeypatch.setattr(pretraining, "tsdae_loss", recorded)
+        monkeypatch.setattr(pretraining, "tsdae_corrupt", recorded)
         model = init_encoder(TOKENS, dim=6, seed=1, max_seq_len=4)
         text = " ".join(f"w{i}" for i in range(10))
         cfg = PretrainConfig(method="tsdae", steps=1, batch_size=1, seed=2)
@@ -545,3 +570,10 @@ class TestPretrainLoop:
     def test_empty_schedule_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             PretrainConfig(**{field: 0})
+
+    @pytest.mark.parametrize("mask_ratio", [0.0, 1.0])
+    def test_mask_ratio_outside_open_interval_rejected(self, mask_ratio):
+        """`mlm_corrupt` needs a ratio in (0, 1): the config says so when
+        it is made, not at the first masked step."""
+        with pytest.raises(ValueError, match="mask_ratio"):
+            PretrainConfig(mask_ratio=mask_ratio)
