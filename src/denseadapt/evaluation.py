@@ -150,17 +150,22 @@ def evaluate(model_or_run, queries: Sequence[Query], corpus: Sequence[Passage],
 def ce_rerank(first_stage: RunRanking, ce: CrossEncoderScorer,
               queries: Sequence[Query], corpus: Sequence[Passage],
               top_n: int = 100) -> RunRanking:
-    """Re-score the top-n candidates per query with the cross-encoder; sort
-    by the new score (ties by passage id) and drop the rest."""
+    """Re-score the top-n candidates per query with the cross-encoder, one
+    `ce.score_pairs` call per query; sort by the new score (ties by passage
+    id) and drop the rest."""
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
     texts = {p.id: passage_text(p) for p in corpus}
     query_texts = {q.id: q.text for q in queries}
     out = RunRanking()
     for qid, ranking in first_stage.entries.items():
         if qid not in query_texts:
             continue
-        rescored = [(pid, ce(query_texts[qid], texts[pid]))
-                    for pid, _ in ranking[:top_n]]
-        rescored.sort(key=lambda kv: (-kv[1], kv[0]))
+        ids = [pid for pid, _ in ranking[:top_n]]
+        scores = ce.score_pairs([query_texts[qid]] * len(ids),
+                                [texts[pid] for pid in ids])
+        rescored = sorted(zip(ids, scores.tolist()),
+                          key=lambda kv: (-kv[1], kv[0]))
         out.entries[qid] = rescored
     return out
 

@@ -137,8 +137,10 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
     uniform over each pool, as GPL's per-example negatives are.
     n_tuples=None labels one tuple per usable query. Queries whose pool
     is missing, unusable, or empty are skipped; with no usable query the
-    dataset is empty. Each distinct (query, passage) pair is scored by the
-    cross-encoder once. The build is a pure function of (queries, pools,
+    dataset is empty. The stream is labelled in blocks of 16,384 tuples,
+    with one `ce.score_pairs` call per block on the block's distinct
+    (query, passage) pairs that no earlier block scored, so each distinct
+    pair is scored once. The build is a pure function of (queries, pools,
     corpus, ce, seed, n_tuples).
     """
     if n_tuples is not None and n_tuples < 0:
@@ -165,17 +167,9 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
                      dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     candidates = list(names)
-    scores: dict[int, float] = {}
-
-    def score(pair: int) -> float:
-        """The cross-encoder score of pair = query x len(names) + candidate."""
-        if pair not in scores:
-            q, c = divmod(pair, len(names))
-            value = ce(stream[q].text, texts[candidates[c]])
-            if not math.isfinite(value):
-                raise ValueError("cross-encoder produced a non-finite score")
-            scores[pair] = value
-        return scores[pair]
+    # Every pair scored so far, pair = query x len(names) + candidate, in
+    # ascending order, and its score.
+    scored, known = np.empty(0, dtype=np.int64), np.empty(0)
 
     columns = TupleColumns([q.id for q in stream], [],
                            *(np.empty(n_tuples, np.int32) for _ in range(3)),
@@ -196,8 +190,17 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
         neg = pool_flat[offsets[q] + columns.neg[block]]
         pairs = np.concatenate([pos, neg]) + np.tile(q, 2) * len(names)
         distinct, inverse = np.unique(pairs, return_inverse=True)
-        pair_scores = np.fromiter(map(score, distinct.tolist()), dtype=float,
-                                  count=distinct.size)[inverse]
+        at = np.searchsorted(scored, distinct)
+        new = at == scored.size
+        new[~new] = scored[at[~new]] != distinct[~new]
+        new_q, new_c = np.divmod(distinct[new], len(names))
+        values = ce.score_pairs([stream[i].text for i in new_q],
+                                [texts[candidates[c]] for c in new_c])
+        if not np.isfinite(values).all():
+            raise ValueError("cross-encoder produced a non-finite score")
+        scored = np.insert(scored, at[new], distinct[new])
+        known = np.insert(known, at[new], values)
+        pair_scores = known[np.searchsorted(scored, distinct)][inverse]
         with np.errstate(over="ignore"):  # an infinite margin is refused below
             margin = pair_scores[:q.size] - pair_scores[q.size:]
         bad = np.flatnonzero((pos == neg) | ~np.isfinite(margin))

@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -238,30 +239,95 @@ def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
 
 @dataclass
 class CrossEncoderScorer:
-    """Deterministic (query text, passage text) -> raw logit scorer."""
+    """Deterministic cross-encoder: raw logits of (query text, passage
+    text) pairs, scored a list at a time by `score_pairs`.
 
-    score_fn: Callable[[str, str], float]
+    score_fn scores one pair, `score_fn(query text, passage text)`, and is
+    mapped over the pairs; with batched=True it scores the lists,
+    `score_fn(query texts, passage texts) -> one score per pair`.
+    """
+
+    score_fn: Callable
     name: str = "ce"
+    batched: bool = False
+
+    def score_pairs(self, query_texts: Sequence[str],
+                    passage_texts: Sequence[str]) -> np.ndarray:
+        """float64 scores of the pairs (query_texts[i], passage_texts[i])."""
+        if len(query_texts) != len(passage_texts):
+            raise ValueError(f"{len(query_texts)} query texts for "
+                             f"{len(passage_texts)} passage texts")
+        if self.batched:
+            scores = np.asarray(self.score_fn(query_texts, passage_texts),
+                                dtype=np.float64)
+            if scores.shape != (len(query_texts),):
+                raise ValueError(f"{len(query_texts)} pairs scored as shape "
+                                 f"{scores.shape}")
+            return scores
+        return np.fromiter(map(self.score_fn, query_texts, passage_texts),
+                           dtype=np.float64, count=len(query_texts))
 
     def __call__(self, query_text: str, passage_text_: str) -> float:
-        return float(self.score_fn(query_text, passage_text_))
+        return float(self.score_pairs([query_text], [passage_text_])[0])
+
+
+# Pairs per overlap count in `lexical_overlap_ce`: bounds its temporaries.
+_PAIR_CHUNK = 1024
 
 
 def lexical_overlap_ce(scale: float = 10.0) -> CrossEncoderScorer:
     """Mock cross-encoder: scale * fraction of query terms present in the passage.
 
-    Identical texts score identically, so duplicated passages receive equal
-    scores and their margins vanish.
+    A pair scores scale * |q & p| / |q| over the two texts' token sets, and
+    0.0 for a query without tokens. Identical texts score identically, so
+    duplicated passages receive equal scores and their margins vanish.
+    Each distinct text of a call is tokenized once, into a sorted row of
+    term ids held in one flat array; overlaps are counted a chunk of pairs
+    at a time.
     """
 
-    def score(query_text: str, passage_text_: str) -> float:
-        q = set(tokenize(query_text))
-        if not q:
-            return 0.0
-        p = set(tokenize(passage_text_))
-        return scale * len(q & p) / len(q)
+    def score_pairs(query_texts: Sequence[str],
+                    passage_texts: Sequence[str]) -> np.ndarray:
+        rows: dict[str, int] = {}  # distinct text -> its row, queries first
+        query = np.fromiter((rows.setdefault(t, len(rows)) for t in query_texts),
+                            dtype=np.int64, count=len(query_texts))
+        n_query_rows = len(rows)
+        passage = np.fromiter((rows.setdefault(t, len(rows))
+                               for t in passage_texts),
+                              dtype=np.int64, count=len(passage_texts))
+        terms: dict[str, int] = {}  # query term -> id
+        term_rows = [sorted({terms.setdefault(t, len(terms))
+                             for t in tokenize(text)})
+                     for text in islice(rows, n_query_rows)]
+        # Only query terms can overlap: a passage's row keeps those alone.
+        term_rows += [sorted({terms[t] for t in tokenize(text) if t in terms})
+                      for text in islice(rows, n_query_rows, None)]
+        sizes = np.fromiter(map(len, term_rows), dtype=np.int64,
+                            count=len(term_rows))
+        flat = np.fromiter(chain.from_iterable(term_rows), dtype=np.int64,
+                           count=int(sizes.sum()))
+        del term_rows
+        starts = np.cumsum(sizes) - sizes
+        # (row, term) keys of every row, ascending: rows ascend, terms too.
+        keys = np.repeat(np.arange(sizes.size) * len(terms), sizes) + flat
+        scores = np.zeros(query.size)
+        for lo in range(0, query.size, _PAIR_CHUNK):
+            chunk = slice(lo, lo + _PAIR_CHUNK)
+            n = sizes[query[chunk]]
+            ends = np.cumsum(n)
+            # Each query term of each pair, keyed into the pair's passage row.
+            at = np.arange(ends[-1]) + np.repeat(starts[query[chunk]] - ends + n, n)
+            probe = np.repeat(passage[chunk] * len(terms), n) + flat[at]
+            found = np.searchsorted(keys, probe)
+            hits = np.concatenate(([0], np.cumsum(
+                keys[np.minimum(found, keys.size - 1)] == probe)))
+            overlap = hits[ends] - hits[ends - n]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scores[chunk] = np.where(n > 0, scale * overlap / n, 0.0)
+        return scores
 
-    return CrossEncoderScorer(score, name=f"lexical-overlap-{scale:g}")
+    return CrossEncoderScorer(score_pairs, name=f"lexical-overlap-{scale:g}",
+                              batched=True)
 
 
 @dataclass

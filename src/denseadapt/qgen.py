@@ -220,15 +220,24 @@ def mock_generator(passages: Iterable[Passage], content_logit: float = 8.0,
     index = {t: i for i, t in enumerate(vocab)}
     noise_idx = np.array(sorted(index[t] for t in dict.fromkeys(noise_vocab)),
                          dtype=int)
-    eos_idx = index[EOS_TOKEN]
+    base = np.full(len(vocab), -np.inf)
+    base[noise_idx] = noise_logit
+    base[index[EOS_TOKEN]] = eos_logit
+    # The last source text's content indices and logits: `generate_queries`
+    # decodes a passage's queries in a row.
+    last: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def next_token_logits(source_text: str, prefix: tuple[str, ...]) -> np.ndarray:
-        logits = np.full(len(vocab), -np.inf)
-        logits[noise_idx] = noise_logit
-        logits[eos_idx] = eos_logit
-        for token, count in Counter(tokenize(source_text)).items():
-            if token in index:
-                logits[index[token]] = content_logit + math.log(count)
+        if source_text not in last:
+            counts = [(index[token], content_logit + math.log(count))
+                      for token, count in Counter(tokenize(source_text)).items()
+                      if token in index]
+            last.clear()
+            last[source_text] = (np.array([i for i, _ in counts], dtype=np.intp),
+                                 np.array([v for _, v in counts], dtype=float))
+        content_idx, content_logits = last[source_text]
+        logits = base.copy()
+        logits[content_idx] = content_logits
         return logits
 
     return QueryGenerator(vocab, next_token_logits, EOS_TOKEN)

@@ -1,9 +1,10 @@
 """Reference implementations the tests hold the package to: Okapi BM25
-for one (query, passage) pair, the teacher margin of one tuple, the binary
-labels a generation-only baseline would train on, the token
-cross-entropy of tied-output losses written out array by array, a
-labelled stream's tuples as named rows, and the checkpoint format written
-and read as whole JSON documents."""
+for one (query, passage) pair, the lexical mock cross-encoder's score of
+one pair, the teacher margin of one tuple, the binary labels a
+generation-only baseline would train on, the token cross-entropy of
+tied-output losses written out array by array, a labelled stream's tuples
+as named rows, and the checkpoint format written and read as whole JSON
+documents."""
 
 import base64
 import json
@@ -12,6 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from denseadapt.corpus import tokenize
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import BM25Index
 from denseadapt.models import CrossEncoderScorer, EncoderModel
@@ -47,6 +49,18 @@ def bm25_score(index: BM25Index, query_tokens: Sequence[str],
             t = float(tf[j])
             score += index.idf(term) * t * (index.k1 + 1.0) / (t + norm)
     return score
+
+
+def lexical_overlap_score(query_text: str, passage_text: str,
+                          scale: float = 10.0) -> float:
+    """The lexical mock's score of one pair, as a per-pair scorer computes
+    it: scale * |q & p| / |q| over the two texts' token sets, 0.0 for a
+    query without tokens."""
+    q = set(tokenize(query_text))
+    if not q:
+        return 0.0
+    p = set(tokenize(passage_text))
+    return scale * len(q & p) / len(q)
 
 
 def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,

@@ -18,7 +18,11 @@ holding a single negative; `gpl_train` trains on such a stream, and
 `qgen_train_negatives` takes each query's first draw. `checkpoint`
 prints the sha256 of a saved checkpoint file whose payload spans several
 write blocks and whose vocabulary holds quotes, backslashes, non-ASCII
-characters and a 10,000-character token.
+characters and a 10,000-character token. `rerank` prints the sha256 of
+the TREC run that `ce_rerank` with the lexical cross-encoder writes from
+a dense first stage over the toy world, and `generate` the sha256 of the
+queries the mock generator decodes from the toy corpus, its body-less
+passages included.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (Passage, PretrainConfig, Query, TrainRunConfig,
-                        build_dataset, gpl_train, init_encoder,
-                        lexical_overlap_ce, load_model, pretrain, qgen_train,
-                        run_pipeline, save_model, write_dataset)
+from denseadapt import (Passage, PretrainConfig, Query, SamplerConfig,
+                        TrainRunConfig, build_dataset, ce_rerank,
+                        compute_budget, full_rank, generate_queries,
+                        gpl_train, init_encoder, lexical_overlap_ce,
+                        load_model, mock_generator, pretrain, qgen_train,
+                        run_pipeline, save_model, write_dataset,
+                        write_trec_run)
 from denseadapt.mining import PoolEntry
 
 WORDS = [f"w{i:02d}" for i in range(40)]
@@ -146,6 +153,28 @@ def checkpoint_case() -> tuple[str]:
         return (hashlib.sha256(path.read_bytes()).hexdigest(),)
 
 
+def rerank_case() -> tuple[str]:
+    passages = toy_corpus()
+    queries = toy_queries(passages)
+    run = full_rank(model_for(), queries, passages, cutoff=20)
+    reranked = ce_rerank(run, lexical_overlap_ce(), queries, passages,
+                         top_n=12)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trec"
+        write_trec_run(reranked, path, tag="rerank")
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),)
+
+
+def generate_case() -> tuple[str]:
+    passages = toy_corpus()
+    queries = generate_queries(mock_generator(passages), passages,
+                               compute_budget(len(passages), 120),
+                               SamplerConfig(seed=3, temperature=1.5))
+    lines = "".join(f"{q.id}\t{q.text}\t{q.source_passage_id}\n"
+                    for q in queries)
+    return (hashlib.sha256(lines.encode()).hexdigest(),)
+
+
 def digest(model, trace) -> tuple[str, str]:
     """(sha256 of the weights, sha256 of the loss trace)."""
     weights = hashlib.sha256()
@@ -168,7 +197,9 @@ CASES = {**{m: trained(pretrain_case(m)) for m in
          "qgen_train_negatives": trained(qgen_case(True)),
          "udalm": trained(udalm_case),
          "label_tsv": label_tsv_case,
-         "checkpoint": checkpoint_case}
+         "checkpoint": checkpoint_case,
+         "rerank": rerank_case,
+         "generate": generate_case}
 
 
 def main(names) -> None:

@@ -9,7 +9,7 @@ import pytest
 from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, RunRanking,
                         ce_rerank, evaluate, full_rank, init_encoder,
                         mrr_at_k, ndcg_at_k, retrieve_top_k, write_trec_run)
-from denseadapt.corpus import ParseError
+from denseadapt.corpus import ParseError, passage_text
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
 
@@ -250,6 +250,30 @@ class TestCeRerank:
         ce = CrossEncoderScorer(lambda qt, pt: 0.0, name="flat")
         reranked = ce_rerank(run, ce, queries, passages, top_n=4)
         assert all(len(r) == 4 for r in reranked.entries.values())
+
+    def test_one_batch_per_query_on_its_top_n(self):
+        passages, queries, _, model = tiny_world()
+        run = full_rank(model, queries, passages, cutoff=12)
+        texts = {p.id: passage_text(p) for p in passages}
+        batches = []
+
+        def batch(query_texts, passage_texts):
+            batches.append((list(query_texts), list(passage_texts)))
+            return [0.0] * len(query_texts)
+
+        ce_rerank(run, CrossEncoderScorer(batch, batched=True), queries,
+                  passages, top_n=5)
+        assert batches == [([q.text] * 5,
+                            [texts[pid] for pid, _ in run.entries[q.id][:5]])
+                           for q in queries]
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_rejected(self, top_n):
+        passages, queries, _, model = tiny_world()
+        run = full_rank(model, queries, passages, cutoff=3)
+        ce = CrossEncoderScorer(lambda qt, pt: 0.0, name="flat")
+        with pytest.raises(ValueError, match="top_n must be >= 1"):
+            ce_rerank(run, ce, queries, passages, top_n=top_n)
 
 
 class TestTrecRunOutput:

@@ -13,11 +13,12 @@ from denseadapt import (CrossEncoderScorer, Passage, Query, TupleColumns,
                         lexical_overlap_ce, read_dataset, sample_tuple,
                         write_dataset)
 from denseadapt.corpus import ParseError, passage_text
-from denseadapt.labeling import GPLDataset
+from denseadapt.labeling import _BLOCK, GPLDataset
 from denseadapt.training import tuple_batches
 from denseadapt.mining import PoolEntry
 from denseadapt.util import derive_seed
-from oracles import binary_relevance_labels, ce_margin, stream_rows
+from oracles import (binary_relevance_labels, ce_margin,
+                     lexical_overlap_score, stream_rows)
 
 
 def fixed_ce(scores: dict) -> CrossEncoderScorer:
@@ -264,20 +265,44 @@ class TestLabelStream:
             np.testing.assert_array_equal(a, b)
 
     def test_each_pair_scored_once(self):
-        corpus, queries, pools = self.make_world()
+        """A 20,000-tuple stream spans two blocks of 16,384: one
+        `score_pairs` call per block, the second on pairs the first did not
+        score, and every pair of the stream scored exactly once."""
+        corpus = [Passage(f"p{i:03d}", "", f"w{i % 50} w{i % 7} w{i}")
+                  for i in range(300)]
+        queries = [Query(f"q{i:03d}", f"w{i % 50} w{i % 3}", f"p{i:03d}")
+                   for i in range(150)]
+        pools = {q.id: make_pool(q.id, q.source_passage_id,
+                                 [f"p{(i + k) % 300:03d}" for k in range(1, 201)])
+                 for i, q in enumerate(queries)}
         lexical = lexical_overlap_ce()
-        calls = []
+        batches = []
 
-        def counting(q, p):
-            calls.append((q, p))
-            return lexical(q, p)
+        def counting(query_texts, passage_texts):
+            batches.append(list(zip(query_texts, passage_texts)))
+            return lexical.score_pairs(query_texts, passage_texts)
 
         ds = build_dataset(queries, pools, corpus,
-                           CrossEncoderScorer(counting, name="counting"),
-                           seed=1, n_tuples=200)
-        pairs = {(t.query_id, pid) for t in stream_rows(ds)
+                           CrossEncoderScorer(counting, name="counting",
+                                              batched=True),
+                           seed=1, n_tuples=20_000)
+        assert 20_000 > _BLOCK
+        texts = {p.id: passage_text(p) for p in corpus}
+        query_texts = {q.id: q.text for q in queries}
+        pairs = {(query_texts[t.query_id], texts[pid]) for t in stream_rows(ds)
                  for pid in (t.pos_id, t.neg_id)}
+        calls = [pair for batch in batches for pair in batch]
+        assert len(batches) == 2 and batches[1]
         assert len(calls) == len(set(calls)) == len(pairs)
+        assert set(calls) == pairs
+        # A per-pair scorer labels the same stream.
+        per_pair = build_dataset(
+            queries, pools, corpus,
+            CrossEncoderScorer(lexical_overlap_score), seed=1,
+            n_tuples=20_000)
+        for column in ("query", "pos", "neg", "margin"):
+            np.testing.assert_array_equal(getattr(ds.tuples, column),
+                                          getattr(per_pair.tuples, column))
 
     def test_no_usable_query_gives_empty_stream(self):
         corpus, queries, pools = self.make_world()

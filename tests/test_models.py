@@ -3,6 +3,7 @@
 import json
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 import oracles
 
-from denseadapt import (LossConfig, apply_gradients, encode_batch,
-                        init_encoder, lexical_overlap_ce, load_model,
-                        margin_mse_loss, mnrl_loss, save_model)
+from denseadapt import (CrossEncoderScorer, LossConfig, apply_gradients,
+                        encode_batch, init_encoder, lexical_overlap_ce,
+                        load_model, margin_mse_loss, mnrl_loss, save_model,
+                        tokenize)
 from denseadapt import models
 from denseadapt.corpus import ParseError
 from denseadapt.models import (NUM_RESERVED, OOV_INDEX, EncoderModel, Tokens,
@@ -599,3 +601,86 @@ class TestLexicalOverlapCE:
     def test_deterministic(self):
         ce = lexical_overlap_ce()
         assert ce("a b c", "a c d") == ce("a b c", "a c d")
+
+    QUERIES = ["alpha beta", "", "!!! ... --", "alpha alpha beta beta",
+               "alpha\u00a0beta\u2003gamma\u3000delta", "Beta, ALPHA.",
+               "zeta", "alpha beta"]
+    PASSAGES = ["alpha beta gamma", "", "?!", "ALPHA\tbeta\nbeta",
+                "gamma\u2003delta\u00a0alpha", "eta theta", "alpha beta",
+                "beta; alpha, zeta!"]
+
+    @pytest.mark.parametrize("scale", [10.0, 3.0, 0.1, -2.5, 7])
+    def test_batch_equals_per_pair_formula_bit_for_bit(self, scale):
+        """Every query against every passage, one pair repeated and one
+        text on both sides of the call; the one-pair call agrees too."""
+        pairs = [(q, p) for q in self.QUERIES for p in self.PASSAGES]
+        pairs += [pairs[9], ("alpha beta", "alpha beta"), pairs[9]]
+        queries, passages = map(list, zip(*pairs))
+        ce = lexical_overlap_ce(scale)
+        got = ce.score_pairs(queries, passages)
+        want = np.array([oracles.lexical_overlap_score(q, p, scale)
+                         for q, p in pairs])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert all(ce(q, p) == w for (q, p), w in zip(pairs, want.tolist()))
+
+    def test_batch_over_several_chunks_equals_formula(self):
+        rng = np.random.default_rng(4)
+        words = [f"t{i}" for i in range(30)] + ["T1,", "t2.", "(t3)", "--"]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 12))))
+                 for _ in range(200)]
+        n = 2 * models._PAIR_CHUNK + 7
+        queries = [texts[i] for i in rng.integers(0, 200, size=n)]
+        passages = [texts[i] for i in rng.integers(0, 200, size=n)]
+        want = np.array([oracles.lexical_overlap_score(q, p)
+                         for q, p in zip(queries, passages)])
+        got = lexical_overlap_ce().score_pairs(queries, passages)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_call(self):
+        got = lexical_overlap_ce().score_pairs([], [])
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    def test_tokenizes_each_distinct_text_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(models, "tokenize", counting)
+        lexical_overlap_ce().score_pairs(
+            ["a b", "a b", "c", "x y", "a b"],
+            ["x y", "a z", "x y", "c", "x y"])
+        assert calls == Counter(["a b", "c", "x y", "a z"])
+
+
+class TestCrossEncoderScorer:
+    def test_per_pair_function_mapped_over_the_pairs(self):
+        ce = CrossEncoderScorer(lambda q, p: len(q) - len(p))
+        got = ce.score_pairs(["abc", "a"], ["a", "abcd"])
+        assert got.dtype == np.float64
+        assert got.tolist() == [2.0, -3.0]
+        assert ce("ab", "a") == 1.0
+
+    def test_batched_function_scores_the_lists(self):
+        calls = []
+
+        def batch(queries, passages):
+            calls.append((list(queries), list(passages)))
+            return [len(q) for q in queries]
+
+        ce = CrossEncoderScorer(batch, batched=True)
+        assert ce.score_pairs(["ab", "c"], ["x", "y"]).tolist() == [2.0, 1.0]
+        assert ce("abc", "z") == 3.0
+        assert calls == [(["ab", "c"], ["x", "y"]), (["abc"], ["z"])]
+
+    def test_unequal_lists_rejected(self):
+        ce = CrossEncoderScorer(lambda q, p: 0.0)
+        with pytest.raises(ValueError, match="2 query texts for 1 passage"):
+            ce.score_pairs(["a", "b"], ["c"])
+
+    def test_batch_of_wrong_shape_rejected(self):
+        ce = CrossEncoderScorer(lambda qs, ps: [0.0], batched=True)
+        with pytest.raises(ValueError, match=r"2 pairs scored as shape \(1,\)"):
+            ce.score_pairs(["a", "b"], ["c", "d"])

@@ -1,5 +1,6 @@
 """Smoke test of the parity script: one case prints one stable line, and
-the label TSV's and a checkpoint file's digests are pinned."""
+the digests of the label TSV, a checkpoint file, a reranked run and the
+mock generator's queries are pinned."""
 
 import re
 
@@ -29,4 +30,22 @@ def test_checkpoint_digest_pinned(capsys):
     parity.main(["checkpoint"])
     assert capsys.readouterr().out == (
         "checkpoint 72aee5247114c8a6fde5d6b00e3329d38572f403c6c21933feb7152d1fdb4756"
+        "\n")
+
+
+def test_rerank_digest_pinned(capsys):
+    """The run the per-pair lexical cross-encoder reranked: each query's
+    top 12 of a dense top 20, scores and id tie-breaks included."""
+    parity.main(["rerank"])
+    assert capsys.readouterr().out == (
+        "rerank e26f3ea7d8a8053b0b81aaccf8358289a22c9cb2184ffed81ea3095c7b2d1ba1"
+        "\n")
+
+
+def test_generate_digest_pinned(capsys):
+    """The queries the mock generator decoded when it counted its source
+    passage's tokens at every decode step."""
+    parity.main(["generate"])
+    assert capsys.readouterr().out == (
+        "generate 4c671f6a42b36c476f9f3d99be8a650b6e642c127bf89c141fcabf2734ee683a"
         "\n")

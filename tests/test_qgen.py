@@ -2,6 +2,7 @@
 
 import re
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from denseadapt import (GenerationBudget, Passage, SamplerConfig,
                         compute_budget, generate_queries, mock_generator,
                         nucleus_filter, tokenize)
+from denseadapt import qgen
+from denseadapt.corpus import passage_text
 from denseadapt.models import QueryGenerator
 from denseadapt.qgen import EOS_TOKEN, NOISE_VOCAB, PLACEHOLDER_TOKEN, _decode
 
@@ -247,6 +250,35 @@ class TestGenerateQueries:
         a = generate_queries(gen, passages, budget, cfg)
         b = generate_queries(gen, passages, budget, cfg)
         assert a == b
+
+    def test_mock_tokenizes_each_source_passage_once(self, monkeypatch):
+        """Not once per decode step: a passage's queries are decoded in a
+        row and the mock keeps the last passage's logits."""
+        passages = small_corpus()
+        gen = mock_generator(passages)
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(qgen, "tokenize", counting)
+        queries = generate_queries(gen, passages,
+                                   compute_budget(len(passages), 30),
+                                   SamplerConfig(seed=1))
+        assert sum(len(q.text.split()) for q in queries) > len(passages)
+        assert calls == Counter(passage_text(p) for p in passages)
+
+    def test_mock_logits_do_not_depend_on_the_last_passage(self):
+        passages = small_corpus()
+        gen = mock_generator(passages)
+        texts = [passage_text(p) for p in passages[:2]] + [
+            passage_text(passages[0]), "futures pricing unknownword", ""]
+        for text in texts:
+            logits = gen.next_token_logits(text, ())
+            want = mock_generator(passages).next_token_logits(text, ("x",))
+            assert logits.tobytes() == want.tobytes()
+            logits[:] = 0.0  # the caller's copy, not the generator's
 
     @pytest.mark.parametrize("cfg,expected", [
         (SamplerConfig(seed=1), [
