@@ -7,10 +7,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import ParseError, Passage, Qrels, Query, passage_text
+from .labeling import _BLOCK
 from .mining import DenseRetriever, retrieve_top_k
 from .models import CrossEncoderScorer, EncoderModel
 
@@ -150,23 +152,33 @@ def evaluate(model_or_run, queries: Sequence[Query], corpus: Sequence[Passage],
 def ce_rerank(first_stage: RunRanking, ce: CrossEncoderScorer,
               queries: Sequence[Query], corpus: Sequence[Passage],
               top_n: int = 100) -> RunRanking:
-    """Re-score the top-n candidates per query with the cross-encoder, one
-    `ce.score_pairs` call per query; sort by the new score (ties by passage
-    id) and drop the rest."""
+    """Re-score the top-n candidates per query with the cross-encoder; sort
+    by the new score (ties by passage id) and drop the rest. Whole queries'
+    candidates are scored together, one `ce.score_pairs` call per block of
+    at most _BLOCK pairs (a query with more has a call of its own)."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     texts = {p.id: passage_text(p) for p in corpus}
     query_texts = {q.id: q.text for q in queries}
-    out = RunRanking()
+    blocks: list[list[tuple[str, list[str]]]] = []
+    n_pairs = 0
     for qid, ranking in first_stage.entries.items():
         if qid not in query_texts:
             continue
         ids = [pid for pid, _ in ranking[:top_n]]
-        scores = ce.score_pairs([query_texts[qid]] * len(ids),
-                                [texts[pid] for pid in ids])
-        rescored = sorted(zip(ids, scores.tolist()),
-                          key=lambda kv: (-kv[1], kv[0]))
-        out.entries[qid] = rescored
+        if not blocks or n_pairs + len(ids) > _BLOCK:
+            blocks.append([])
+            n_pairs = 0
+        blocks[-1].append((qid, ids))
+        n_pairs += len(ids)
+    out = RunRanking()
+    for block in blocks:
+        scores = iter(ce.score_pairs(
+            [query_texts[qid] for qid, ids in block for _ in ids],
+            [texts[pid] for _, ids in block for pid in ids]).tolist())
+        for qid, ids in block:
+            out.entries[qid] = sorted(zip(ids, islice(scores, len(ids))),
+                                      key=lambda kv: (-kv[1], kv[0]))
     return out
 
 

@@ -9,7 +9,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -175,29 +175,36 @@ def _union_entry(query_id: str, source_pid: str,
                      provenance, usable=bool(negatives))
 
 
-def mine_negatives(query: Query, retrievers: Sequence,
+def mine_negatives(query: Query, retrievers: Iterable,
                    n_per_retriever: int = DEFAULT_N_PER_RETRIEVER) -> PoolEntry:
-    """Top-n negatives from each retriever for one generated query.
-
-    The query's source passage is removed before the union; an empty pool
-    marks the query unusable. Negative sampling happens downstream at
-    labeling time.
-    """
-    if query.source_passage_id is None:
-        raise ValueError(f"query {query.id} has no source passage")
-    per_retriever: dict[str, list[str]] = {}
-    for retriever in retrievers:
-        top = retrieve_top_k(retriever, query.text, n_per_retriever)
-        per_retriever[retriever.name] = [pid for pid, _ in top
-                                         if pid != query.source_passage_id]
-    return _union_entry(query.id, query.source_passage_id, per_retriever)
+    """Top-n negatives from each retriever for one generated query (see
+    `mine_pools`)."""
+    return mine_pools([query], retrievers, n_per_retriever)[query.id]
 
 
-def mine_pools(queries: Sequence[Query], retrievers: Sequence,
+def mine_pools(queries: Sequence[Query], retrievers: Iterable,
                n_per_retriever: int = DEFAULT_N_PER_RETRIEVER
                ) -> dict[str, PoolEntry]:
-    return {q.id: mine_negatives(q, retrievers, n_per_retriever)
-            for q in queries}
+    """Top-n negatives from each retriever for each generated query.
+
+    Each retriever ranks every query before the next is taken from
+    `retrievers`, and is dropped first: an iterator that builds each
+    retriever when asked holds one at a time. A query's source passage is
+    removed before the union; an empty pool marks the query unusable.
+    Negative sampling happens downstream at labeling time.
+    """
+    for query in queries:
+        if query.source_passage_id is None:
+            raise ValueError(f"query {query.id} has no source passage")
+    per_query: list[dict[str, list[str]]] = [{} for _ in queries]
+    for retriever in retrievers:
+        for query, per_retriever in zip(queries, per_query):
+            top = retrieve_top_k(retriever, query.text, n_per_retriever)
+            per_retriever[retriever.name] = [
+                pid for pid, _ in top if pid != query.source_passage_id]
+        del retriever
+    return {q.id: _union_entry(q.id, q.source_passage_id, per_retriever)
+            for q, per_retriever in zip(queries, per_query)}
 
 
 def write_hard_negatives(pools: Mapping[str, PoolEntry], path: str | Path) -> None:

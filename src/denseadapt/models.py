@@ -98,6 +98,9 @@ def init_encoder(tokens: Iterable[str], dim: int = 32, seed: int = 0,
 # needs no more memory than a training batch.
 _GATHER_TOKENS = 1024
 
+# Texts per block in encode_batch.
+_ENCODE_TEXTS = 256
+
 
 @dataclass(frozen=True, eq=False)
 class Tokens:
@@ -182,56 +185,95 @@ def encode_ids(model: EncoderModel, tokens: Tokens,
 
 
 def encode_backward(model: EncoderModel, cache: ForwardCache,
-                    d_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+                    d_out: np.ndarray, grads: dict) -> None:
     """Accumulate gradients of a scalar loss into grads, given dL/d(output).
 
     Token gradients are added row after row and token after token, the
-    order of a row-by-row loop, so the embedding gradient is bit-identical
-    to that loop's."""
+    order of a row-by-row loop, into the rows' slots of the embedding
+    gradient's block (see `new_grads`), so the block is bit-identical to
+    that loop's dense gradient on those rows. A token whose row has no slot
+    raises IndexError."""
     grads["projection"] += cache.pooled.T @ d_out
     d_pooled = d_out @ model.projection.T
     if cache.dropout_mask is not None:
         d_pooled = d_pooled * cache.dropout_mask
     tokens = cache.tokens
+    ids = _pooled_ids(model, tokens)
     if model.pooling == "mean":
-        ids = tokens.ids
         row_of = np.repeat(np.arange(len(tokens)), tokens.lengths)
         d_pooled = d_pooled / tokens.lengths[:, None]
     else:
-        ids = tokens.ids[tokens.starts]
         row_of = np.arange(len(tokens))
-    target = grads["embedding"]
-    if not target.flags.c_contiguous:
+    rows, block = grads["embedding"]
+    if not block.flags.c_contiguous:
         raise ValueError("embedding gradient must be C-contiguous")
-    flat, d = target.reshape(-1), model.dim
+    if not isinstance(rows, slice):
+        # Each table row's slot in the block; a row without one points past
+        # the block's end.
+        slot = np.full(model.vocab_size, rows.size)
+        slot[rows] = np.arange(rows.size)
+        ids = slot[ids]
+    flat, d = block.reshape(-1), model.dim
     for lo in range(0, ids.size, _GATHER_TOKENS):
-        block = slice(lo, lo + _GATHER_TOKENS)
-        np.add.at(flat, (ids[block, None] * d + np.arange(d)).ravel(),
-                  d_pooled[row_of[block]].ravel())
+        part = slice(lo, lo + _GATHER_TOKENS)
+        np.add.at(flat, (ids[part, None] * d + np.arange(d)).ravel(),
+                  d_pooled[row_of[part]].ravel())
 
 
-def new_grads(model: EncoderModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros(p.shape) for name, p in model.parameters().items()}
+def _pooled_ids(model: EncoderModel, tokens: Tokens) -> np.ndarray:
+    """The ids whose embedding rows a forward pass reads: all of them under
+    mean pooling, each row's first under CLS."""
+    return tokens.ids if model.pooling == "mean" else tokens.ids[tokens.starts]
+
+
+def new_grads(model: EncoderModel, *batches: Tokens) -> dict:
+    """Zero gradients for a step over the given token batches.
+
+    The embedding gradient is a pair (rows, block): block[i] is the
+    gradient of embedding row rows[i]. With batches, rows are the distinct
+    ids they read, ascending, so a step holds and updates only those rows;
+    without, rows is slice(None) and the block covers every row (dense)."""
+    rows, n = slice(None), model.vocab_size
+    if batches:
+        read = np.zeros(model.vocab_size, dtype=bool)
+        for tokens in batches:
+            read[_pooled_ids(model, tokens)] = True
+        rows = np.flatnonzero(read)
+        n = rows.size
+    return {"embedding": (rows, np.zeros((n, model.dim))),
+            "projection": np.zeros(model.projection.shape)}
 
 
 def encode_batch(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
-    """Encode texts into a (batch, d) matrix. Empty batch gives (0, d)."""
-    return encode_ids(model, model.tokens(texts))[0]
+    """Encode texts into a (batch, d) matrix. Empty batch gives (0, d).
+
+    The texts are tokenized and pooled _ENCODE_TEXTS at a time, so a
+    corpus-wide encode holds the token ids of one block."""
+    pooled = np.empty((len(texts), model.dim))
+    for lo in range(0, len(texts), _ENCODE_TEXTS):
+        block = slice(lo, lo + _ENCODE_TEXTS)
+        pooled[block] = _pool(model, model.tokens(texts[block]))
+    return pooled @ model.projection
 
 
-def apply_gradients(model: EncoderModel, grads: dict[str, np.ndarray],
+def apply_gradients(model: EncoderModel, grads: dict,
                     learning_rate: float) -> None:
-    """In-place SGD step: p <- p - lr * g for every parameter. The
-    gradients are consumed: each is scaled by lr in place."""
+    """In-place SGD step: p <- p - lr * g for every parameter, on the
+    embedding's gradient rows only (rows without a gradient have a zero
+    one). The gradients are consumed: each is scaled by lr in place."""
     params = model.parameters()
     for name, g in grads.items():
         if name not in params:
             raise KeyError(f"unknown parameter {name!r}")
-        if params[name].shape != g.shape:
+        p, rows = params[name], slice(None)
+        if name == "embedding":
+            rows, g = g
+        shape = p.shape if isinstance(rows, slice) else (len(rows), *p.shape[1:])
+        if g.shape != shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{params[name].shape} for {name!r}")
+                             f"{shape} for {name!r}")
         g *= learning_rate
-        params[name] -= g
+        p[rows] -= g
 
 
 # --- cross-encoder / generator contracts ------------------------------------
@@ -351,6 +393,9 @@ class QueryGenerator:
 # without padding; the reader reads the file one block at a time.
 _PAYLOAD_BLOCK = 3 << 16
 
+# Vocabulary entries written at a time.
+_VOCAB_BLOCK = 1024
+
 # The key and opening quote of a `data` value. Whitespace is bounded, so a
 # match is never longer than _DATA_VALUE_MAX bytes.
 _DATA_VALUE = re.compile(rb'"data"[ \t\n\r]{0,64}:[ \t\n\r]{0,64}"')
@@ -362,7 +407,8 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
 
     The file is `json.dump(doc, f, sort_keys=True)` of the document, each
     array's `data` the base64 of its bytes. The payloads are written one
-    block at a time, so no copy of a whole array is held."""
+    block at a time, and the vocabulary _VOCAB_BLOCK entries at a time, so
+    no copy of a whole array or of the vocabulary's text is held."""
     arrays = [np.ascontiguousarray(a, dtype=np.float64)
               for a in (model.embedding, model.projection)]
     slot = "<payload>"
@@ -371,13 +417,13 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
         "pooling": model.pooling,
         "similarity": model.similarity,
         "max_seq_len": model.max_seq_len,
-        "vocab": model.vocab,
+        "vocab": slot,
         "embedding": {"shape": list(arrays[0].shape), "data": slot},
         "projection": {"shape": list(arrays[1].shape), "data": slot},
     }
-    # Sorted keys put both payloads before the vocabulary, so the first two
-    # slots are theirs whatever the tokens hold.
-    texts = json.dumps(doc, sort_keys=True).split(slot, 2)
+    # Sorted keys put the two payloads before the vocabulary, and no other
+    # value can hold the slot.
+    texts = json.dumps(doc, sort_keys=True).split(slot)
     with open(path, "wb") as f:
         for text, array in zip(texts, arrays):
             f.write(text.encode("utf-8"))
@@ -385,7 +431,14 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
             for lo in range(0, raw.size, _PAYLOAD_BLOCK):
                 f.write(binascii.b2a_base64(raw[lo:lo + _PAYLOAD_BLOCK],
                                             newline=False))
-        f.write(texts[2].encode("utf-8"))
+        # The vocabulary's value replaces its quoted slot.
+        f.write(texts[2][:-1].encode("utf-8") + b"{")
+        tokens = sorted(model.vocab)
+        for lo in range(0, len(tokens), _VOCAB_BLOCK):
+            block = {t: model.vocab[t] for t in tokens[lo:lo + _VOCAB_BLOCK]}
+            f.write((", " if lo else "").encode("utf-8") +
+                    json.dumps(block)[1:-1].encode("utf-8"))
+        f.write(b"}" + texts[3][1:].encode("utf-8"))
 
 
 def _read_payload(f, buf: bytes, pos: int

@@ -474,15 +474,17 @@ def stage_mine(cfg: PipelineConfig) -> list[Path]:
 
     def compute(out_dir: Path) -> None:
         passages = load_corpus(_artifact(cfg, "ingest"))
-        retrievers = []
-        for name in cfg["mine"]["retrievers"]:
-            if name == "bm25":
-                retrievers.append(BM25Retriever(build_bm25_index(passages)))
-            elif name == "dense":
-                retrievers.append(DenseRetriever(load_model(model_input[0]),
-                                                 passages, similarity="cosine"))
-            else:
-                raise PipelineError(f"unknown retriever {name!r}")
+        names = cfg["mine"]["retrievers"]
+        unknown = [name for name in names if name not in ("bm25", "dense")]
+        if unknown:
+            raise PipelineError(f"unknown retriever {unknown[0]!r}")
+        # Built one at a time: the BM25 index is gone before the checkpoint
+        # is loaded and the corpus encoded.
+        retrievers = (BM25Retriever(build_bm25_index(passages))
+                      if name == "bm25" else
+                      DenseRetriever(load_model(model_input[0]), passages,
+                                     similarity="cosine")
+                      for name in names)
         pools = mine_pools(load_queries(_artifact(cfg, "generate")), retrievers,
                            n_per_retriever=cfg["mine"]["n_per_retriever"])
         write_hard_negatives(pools, out_dir / "hard-negatives.jsonl")

@@ -123,9 +123,10 @@ def _tied_output_loss(model: EncoderModel, items: Sequence[tuple],
     hidden = x @ weight.T
     weights = np.repeat(scale / lengths, lengths)
     grads = new_grads(model)
+    _, embedding_grad = grads["embedding"]
     size = max(1, _LOGIT_BLOCK // model.vocab_size)
     logits = np.empty((min(size, targets.size), model.vocab_size))
-    buf = np.empty_like(grads["embedding"])
+    buf = np.empty_like(embedding_grad)
     d_hidden = np.empty_like(hidden)
     loss = 0.0
     for lo in range(0, targets.size, size):
@@ -134,10 +135,10 @@ def _tied_output_loss(model: EncoderModel, items: Sequence[tuple],
             np.matmul(h, model.embedding.T, out=logits[:len(h)]),
             targets[lo:lo + size], weights[lo:lo + size])
         loss += part
-        grads["embedding"] += np.matmul(d_logits.T, h, out=buf)
+        embedding_grad += np.matmul(d_logits.T, h, out=buf)
         np.matmul(d_logits, model.embedding, out=d_hidden[lo:lo + size])
     d_x = d_hidden @ weight
-    np.add.at(grads["embedding"], inputs, d_x[:, -d:])
+    np.add.at(embedding_grad, inputs, d_x[:, -d:])
     if head is None:
         grads["projection"] += x.T @ d_hidden
         return loss, grads
@@ -313,7 +314,7 @@ def simcse_step(model: EncoderModel, tokens: Tokens, loss_cfg: LossConfig,
                 ) -> tuple[float, dict[str, np.ndarray]]:
     q_out, p_out, q_cache, p_cache = simcse_pairs(model, tokens, dropout_rate, rng)
     loss, grad_q, grad_p = mnrl_loss(q_out, p_out, loss_cfg)
-    grads = new_grads(model)
+    grads = new_grads(model, tokens)
     encode_backward(model, q_cache, grad_q, grads)
     encode_backward(model, p_cache, grad_p, grads)
     return loss, grads
@@ -329,8 +330,8 @@ def ct_step(tokens: Tokens, model_a: EncoderModel, model_b: EncoderModel,
     a_out, a_cache = encode_ids(model_a, tokens)
     b_out, b_cache = encode_ids(model_b, tokens)
     loss, grad_a, grad_b = mnrl_loss(a_out, b_out, loss_cfg)
-    grads_a = new_grads(model_a)
-    grads_b = new_grads(model_b)
+    grads_a = new_grads(model_a, tokens)
+    grads_b = new_grads(model_b, tokens)
     encode_backward(model_a, a_cache, grad_a, grads_a)
     encode_backward(model_b, b_cache, grad_b, grads_b)
     return loss, grads_a, grads_b

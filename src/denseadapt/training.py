@@ -102,7 +102,7 @@ def mnrl_step(model: EncoderModel, q: Tokens, groups: Sequence[Tokens],
     q_out, q_cache = encode_ids(model, q)
     outs, caches = zip(*(encode_ids(model, group) for group in groups))
     loss, grad_q, grad_c = mnrl_loss(q_out, np.vstack(outs), loss_cfg)
-    grads = new_grads(model)
+    grads = new_grads(model, q, *groups)
     encode_backward(model, q_cache, grad_q, grads)
     for cache, grad in zip(caches, np.split(grad_c, len(groups))):
         encode_backward(model, cache, grad, grads)
@@ -233,9 +233,9 @@ def gpl_train(model: EncoderModel, dataset: GPLDataset,
     batches = _epoch_batches(len(dataset.tuples), cfg.batch_size, cfg.seed)
 
     def step_fn(step: int) -> tuple[float, dict[str, np.ndarray]]:
-        grads = new_grads(model)
-        loss = margin_mse_step(model, *batch_of(next(batches)), grads, 1.0)
-        return loss, grads
+        q, pos, neg, margins = batch_of(next(batches))
+        grads = new_grads(model, q, pos, neg)
+        return margin_mse_step(model, q, pos, neg, margins, grads, 1.0), grads
 
     return fit(model, step_fn, steps, cfg, checkpoint_dir)
 

@@ -13,13 +13,25 @@ class GradCheckReport:
     n_coords: int
 
 
+def as_dense(param: np.ndarray, grad) -> np.ndarray:
+    """A gradient as an array shaped like its parameter: an embedding
+    gradient's (rows, block) pair is scattered into zeros."""
+    if not isinstance(grad, tuple):
+        return grad
+    rows, block = grad
+    dense = np.zeros_like(param)
+    dense[rows] = block
+    return dense
+
+
 def finite_diff_gradcheck(loss_fn, model, epsilon: float = 1e-4,
                           tolerance: float = 1e-4, n_coords: int = 128,
                           seed: int = 0) -> GradCheckReport:
     """Central-difference check of analytic gradients.
 
     loss_fn(model) must return (loss, grads) where grads maps parameter
-    names to arrays. `model` is either an EncoderModel or a plain dict of
+    names to arrays or, for an embedding table, to (rows, block) pairs
+    (`as_dense`). `model` is either an EncoderModel or a plain dict of
     parameter arrays, which are perturbed in place and restored. Relative
     error is measured against the largest analytic gradient magnitude, so
     coordinates with near-zero gradients do not blow up on rounding noise.
@@ -30,6 +42,7 @@ def finite_diff_gradcheck(loss_fn, model, epsilon: float = 1e-4,
     loss0, grads = loss_fn(model)
     if not np.isfinite(loss0):
         raise ValueError(f"loss is not finite: {loss0}")
+    grads = {name: as_dense(params[name], g) for name, g in grads.items()}
 
     coords = [(name, i) for name in sorted(grads) for i in range(params[name].size)]
     rng = np.random.default_rng(seed)

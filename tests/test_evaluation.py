@@ -10,6 +10,7 @@ from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, RunRanking,
                         ce_rerank, evaluate, full_rank, init_encoder,
                         mrr_at_k, ndcg_at_k, retrieve_top_k, write_trec_run)
 from denseadapt.corpus import ParseError, passage_text
+from denseadapt import evaluation
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
 
@@ -251,10 +252,28 @@ class TestCeRerank:
         reranked = ce_rerank(run, ce, queries, passages, top_n=4)
         assert all(len(r) == 4 for r in reranked.entries.values())
 
-    def test_one_batch_per_query_on_its_top_n(self):
-        passages, queries, _, model = tiny_world()
-        run = full_rank(model, queries, passages, cutoff=12)
+    @pytest.mark.parametrize("block, groups", [
+        (None, [[0, 1, 2, 3, 4]]),
+        (1, [[0], [1], [2], [3], [4]]),
+        (7, [[0, 1], [2], [3], [4]]),
+        (8, [[0, 1], [2, 3], [4]]),
+        (12, [[0, 1, 2], [3, 4]]),
+        (20, [[0, 1, 2, 3, 4]]),
+    ])
+    def test_one_batch_per_block_of_whole_queries(self, monkeypatch, block,
+                                                  groups):
+        """Each call scores whole queries' top n, in run order, as many
+        queries as fit in a block of pairs; a query that does not fit
+        alone has a call of its own. Here the queries have 5, 2, 5, 3
+        and 5 candidates in their top 5."""
+        passages, _, _, model = tiny_world()
+        queries = [Query(f"q{i}", f"w{i} w{3 * i % 12}") for i in range(5)]
+        full = full_rank(model, queries, passages, cutoff=12)
+        run = RunRanking({q.id: full.entries[q.id][:n]
+                          for q, n in zip(queries, [7, 2, 5, 3, 12])})
         texts = {p.id: passage_text(p) for p in passages}
+        if block is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK", block)
         batches = []
 
         def batch(query_texts, passage_texts):
@@ -263,9 +282,12 @@ class TestCeRerank:
 
         ce_rerank(run, CrossEncoderScorer(batch, batched=True), queries,
                   passages, top_n=5)
-        assert batches == [([q.text] * 5,
-                            [texts[pid] for pid, _ in run.entries[q.id][:5]])
-                           for q in queries]
+        assert batches == [
+            ([queries[i].text for i in group
+              for _ in run.entries[queries[i].id][:5]],
+             [texts[pid] for i in group
+              for pid, _ in run.entries[queries[i].id][:5]])
+            for group in groups]
 
     @pytest.mark.parametrize("top_n", [0, -1])
     def test_top_n_below_one_rejected(self, top_n):

@@ -1,5 +1,6 @@
 """Reference encoder, SGD, gradcheck, and checkpoint round-trip."""
 
+import copy
 import json
 import tempfile
 import tracemalloc
@@ -22,7 +23,7 @@ from denseadapt import models
 from denseadapt.corpus import ParseError
 from denseadapt.models import (NUM_RESERVED, OOV_INDEX, EncoderModel, Tokens,
                                encode_backward, encode_ids, new_grads)
-from gradcheck import finite_diff_gradcheck
+from gradcheck import as_dense, finite_diff_gradcheck
 
 TOKENS = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
 
@@ -101,6 +102,11 @@ def reference_encode_backward(model, id_lists, pooled, dropout_mask, d_out,
             grads["embedding"][ids[0]] += d_pooled[i]
 
 
+def dense_grads(model):
+    """Zero gradients of every parameter as whole arrays, for the reference."""
+    return {name: np.zeros(p.shape) for name, p in model.parameters().items()}
+
+
 def _random_batch(rng, model, lengths):
     return [rng.integers(0, model.vocab_size, size=n).tolist() for n in lengths]
 
@@ -144,7 +150,7 @@ class TestEncoderCore:
     def test_backward_bit_identical_over_three_calls(self, wide_model, batch,
                                                      dropout):
         rng = np.random.default_rng(1)
-        got, want = new_grads(wide_model), new_grads(wide_model)
+        got, want = new_grads(wide_model), dense_grads(wide_model)
         for call in range(3):
             id_lists = _BATCHES[batch](rng, wide_model)
             mask = (rng.random((len(id_lists), wide_model.dim)) >= 0.3) / 0.7 \
@@ -155,15 +161,19 @@ class TestEncoderCore:
             encode_backward(wide_model, cache, d_out, got)
             reference_encode_backward(wide_model, id_lists, cache.pooled, mask,
                                       d_out, want)
+        params = wide_model.parameters()
         for name in want:
-            assert np.array_equal(got[name], want[name]), name
+            assert np.array_equal(as_dense(params[name], got[name]),
+                                  want[name]), name
 
     def test_empty_batch(self, wide_model):
         out, cache = encode_ids(wide_model, Tokens.of([]))
         assert out.shape == (0, wide_model.dim)
-        grads = new_grads(wide_model)
-        encode_backward(wide_model, cache, np.zeros((0, wide_model.dim)), grads)
-        assert not grads["embedding"].any() and not grads["projection"].any()
+        for grads in (new_grads(wide_model), new_grads(wide_model, Tokens.of([]))):
+            encode_backward(wide_model, cache, np.zeros((0, wide_model.dim)),
+                            grads)
+            _, block = grads["embedding"]
+            assert not block.any() and not grads["projection"].any()
 
     def test_row_without_ids_rejected(self, wide_model):
         with pytest.raises(ValueError):
@@ -177,6 +187,59 @@ class TestEncoderCore:
         assert m.token_ids("!!!").tolist() == m.token_ids("").tolist() == []
         assert m.tokens(["!!!", text]).ids.tolist() == \
             [OOV_INDEX, *m.token_ids(text)]
+
+
+# (query, positive, negative) id rows of one step over wide_model's 43-row
+# table: ids repeated within a row and across the three, the OOV row, every
+# row of the table (as one-token rows, so CLS pooling reads them all too),
+# and no rows at all.
+_STEPS = {
+    "repeats": ([[4, 4, 9], [7, 5, 7]], [[9, 4, 4], [5]],
+                [[7, 7, 7], [4, 12, 9]]),
+    "oov": ([[OOV_INDEX, 6], [6]], [[OOV_INDEX], [8, OOV_INDEX]],
+            [[8, OOV_INDEX, 8], [OOV_INDEX, OOV_INDEX]]),
+    "every row": tuple(np.arange(45).reshape(3, 15, 1) % 43),
+    "empty": ([], [], []),
+}
+
+
+class TestRowSparseStep:
+    """A step's row-sparse gradient and SGD update against the row-at-a-time
+    reference backward and a dense SGD step: weights bit-identical."""
+
+    @pytest.mark.parametrize("step", sorted(_STEPS))
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_update_bit_identical_to_dense_reference(self, wide_model, step,
+                                                     dropout):
+        rng = np.random.default_rng(2)
+        wide_model.projection = rng.normal(size=wide_model.projection.shape)
+        reference = copy.deepcopy(wide_model)
+        id_lists = [[list(row) for row in rows] for rows in _STEPS[step]]
+        batches = [Tokens.of(rows) for rows in id_lists]
+        got, want = new_grads(wide_model, *batches), dense_grads(reference)
+        read = {ids[0] if wide_model.pooling == "cls" else i
+                for rows in id_lists for ids in rows for i in ids}
+        assert got["embedding"][0].tolist() == sorted(read)
+        for rows, tokens in zip(id_lists, batches):
+            mask = (rng.random((len(rows), wide_model.dim)) >= 0.3) / 0.7 \
+                if dropout else None
+            _, cache = encode_ids(wide_model, tokens, dropout_mask=mask)
+            d_out = rng.normal(size=(len(rows), wide_model.dim))
+            encode_backward(wide_model, cache, d_out, got)
+            reference_encode_backward(reference, rows, cache.pooled, mask,
+                                      d_out, want)
+        apply_gradients(wide_model, got, 0.05)
+        for name, g in want.items():
+            reference.parameters()[name][...] -= 0.05 * g
+        assert np.array_equal(wide_model.embedding, reference.embedding)
+        assert np.array_equal(wide_model.projection, reference.projection)
+
+    def test_token_outside_the_rows_rejected(self, wide_model):
+        grads = new_grads(wide_model, Tokens.of([[3, 4]]))
+        _, cache = encode_ids(wide_model, Tokens.of([[5]]))
+        with pytest.raises(IndexError):
+            encode_backward(wide_model, cache, np.ones((1, wide_model.dim)),
+                            grads)
 
 
 class TestTokensTake:
@@ -210,8 +273,10 @@ class TestTokensTake:
             grads.append((out, g))
         (out_got, g_got), (out_want, g_want) = grads
         assert np.array_equal(out_got, out_want)
+        params = model.parameters()
         for name in g_want:
-            assert np.array_equal(g_got[name], g_want[name]), name
+            assert np.array_equal(as_dense(params[name], g_got[name]),
+                                  as_dense(params[name], g_want[name])), name
 
 
 def test_corpus_encode_memory_is_bounded():
@@ -240,21 +305,34 @@ class TestApplyGradients:
 
     def test_zero_lr_leaves_weights(self, model):
         grads = new_grads(model)
-        grads["embedding"] += 1.0
+        grads["embedding"][1][...] = 1.0
         before = model.embedding.copy()
         apply_gradients(model, grads, 0.0)
         np.testing.assert_array_equal(model.embedding, before)
 
     def test_sgd_update_value(self, model):
         grads = new_grads(model)
-        grads["embedding"][0, 0] = 2.0
+        grads["embedding"][1][0, 0] = 2.0
         model.embedding[0, 0] = 1.0
         apply_gradients(model, grads, 0.1)
         assert model.embedding[0, 0] == pytest.approx(0.8)
 
-    def test_shape_mismatch(self, model):
+    def test_row_sparse_update_touches_only_its_rows(self, model):
+        rows = np.array([0, 5])
+        grads = {"embedding": (rows, np.full((2, model.dim), 2.0))}
+        before = model.embedding.copy()
+        apply_gradients(model, grads, 0.1)
+        np.testing.assert_array_equal(model.embedding[rows], before[rows] - 0.2)
+        others = np.setdiff1d(np.arange(model.vocab_size), rows)
+        np.testing.assert_array_equal(model.embedding[others], before[others])
+
+    @pytest.mark.parametrize("grad", [
+        (slice(None), np.zeros((1, 1))),
+        (np.array([0, 1]), np.zeros((1, 8))),
+    ], ids=["dense", "row-sparse"])
+    def test_shape_mismatch(self, model, grad):
         with pytest.raises(ValueError):
-            apply_gradients(model, {"embedding": np.zeros((1, 1))}, 0.1)
+            apply_gradients(model, {"embedding": grad}, 0.1)
 
 
 class TestGradCheck:
@@ -408,14 +486,18 @@ def test_checkpoint_bytes_equal_the_json_writer_and_round_trip(rows, dim,
 @given(rows=st.integers(1, 12), dim=st.integers(1, 5),
        tokens=st.lists(st.sampled_from(ODD_TOKENS[:-2]), max_size=8),
        block=st.integers(1, 80).map(lambda k: 3 * k),
+       vocab_block=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_checkpoint_round_trip_with_any_block_boundary(rows, dim, tokens,
-                                                       block, seed):
+                                                       block, vocab_block,
+                                                       seed):
     """With blocks of a few bytes, block boundaries fall inside keys,
-    escapes and payloads."""
+    escapes and payloads; with blocks of a few vocabulary entries, between
+    any two entries."""
     model = checkpoint_model(rows, dim, tokens, seed)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(models, "_PAYLOAD_BLOCK", block):
+            mock.patch.object(models, "_PAYLOAD_BLOCK", block), \
+            mock.patch.object(models, "_VOCAB_BLOCK", vocab_block):
         path, want = Path(tmp) / "model.json", Path(tmp) / "oracle.json"
         save_model(model, path)
         oracles.save_checkpoint(model, want)
@@ -458,6 +540,20 @@ def test_checkpoint_memory_is_bounded(tmp_path):
             tracemalloc.stop()
     assert peaks["save"] <= model.embedding.nbytes
     assert peaks["load"] <= 2 * model.embedding.nbytes
+
+
+def test_checkpoint_save_holds_no_whole_vocabulary_text(tmp_path):
+    """save_model writes the sorted vocabulary a block of entries at a
+    time: dumping the whole document at once peaked at 0.76x the
+    embedding's bytes at V = 30k, d = 32."""
+    model = init_encoder([f"t{i}" for i in range(30_000)], dim=32, seed=0)
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "model.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= model.embedding.nbytes / 8
 
 
 def _edit(field: str, value):

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -604,6 +605,33 @@ def test_input_hash_names_files_by_role(tmp_path):
     assert sha256_files([here], ["corpus"]) != sha256_files([here], ["queries"])
     with pytest.raises(ValueError, match="share a role"):
         sha256_files([here, there], ["corpus", "corpus"])
+
+
+@pytest.mark.parametrize("order", [["bm25", "dense"], ["dense", "bm25"]])
+def test_mine_holds_one_retriever_at_a_time(tmp_path, monkeypatch, order):
+    """Stage mine drops each retriever before it builds the next: the BM25
+    index is gone before the checkpoint is loaded for the dense retriever,
+    and the loaded model is gone before the index is built."""
+    cfg = small_config(tmp_path, tmp_path / "out",
+                       mine={"retrievers": order, "n_per_retriever": 5})
+    run_stage("ingest", cfg)
+    run_stage("generate", cfg)
+    built = []  # a weak reference to each index or model built
+    alive = []  # at each build, whether each earlier one was still alive
+
+    def watched(build):
+        def call(*args, **kwargs):
+            alive.append([ref() is not None for ref in built])
+            made = build(*args, **kwargs)
+            built.append(weakref.ref(made))
+            return made
+        return call
+
+    monkeypatch.setattr(pipeline, "build_bm25_index",
+                        watched(pipeline.build_bm25_index))
+    monkeypatch.setattr(pipeline, "load_model", watched(pipeline.load_model))
+    run_stage("mine", cfg)
+    assert alive == [[], [False]]
 
 
 def test_initial_model_holds_distinct_tokens_only(tmp_path):

@@ -2,6 +2,7 @@
 fine-tuning loops."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -261,6 +262,29 @@ class TestGplTrain:
         gpl_train(model, dataset, corpus, queries, cfg, checkpoint_dir=tmp_path)
         assert (tmp_path / "ckpt-5.json").exists()
         assert (tmp_path / "ckpt-10.json").exists()
+
+
+def test_gpl_step_memory_is_row_sparse():
+    """One margin step holds and updates the gradient of the rows its batch
+    reads: at V = 30k and d = 32 a dense gradient alone is 7.7 MB (the
+    step peaked at 1.09x that), and these 32 tuples read about 3.9k rows."""
+    rng = np.random.default_rng(0)
+    words = [f"t{i}" for i in range(30_000)]
+    corpus = [Passage(f"p{i}", "", " ".join(rng.choice(words, size=60)))
+              for i in range(64)]
+    queries = [Query(f"q{i}", " ".join(rng.choice(words, size=8)), f"p{i}")
+               for i in range(32)]
+    dataset = tuple_dataset([(f"q{i}", f"p{i}", f"p{i + 32}", 1.0)
+                             for i in range(32)])
+    model = init_encoder(words, dim=32, seed=0)
+    tracemalloc.start()
+    try:
+        gpl_train(model, dataset, corpus, queries,
+                  TrainRunConfig(steps=1, batch_size=32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.embedding.nbytes / 3
 
 
 class TestQgenTrain:
