@@ -6,14 +6,17 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .corpus import ParseError, Passage, Qrels, Query, passage_text
 from .labeling import _BLOCK
-from .mining import DenseRetriever, retrieve_top_k
+from .mining import DenseRetriever, _id_rank, top_k_rows
 from .models import CrossEncoderScorer, EncoderModel
 
 logger = logging.getLogger(__name__)
@@ -22,12 +25,70 @@ DEFAULT_CUTOFF = 1000
 DEFAULT_K = 10
 
 
-@dataclass
 class RunRanking:
-    """Per-query ranked candidate lists: query-id -> [(passage-id, score)],
-    scores non-increasing, no duplicate passages within a query."""
+    """Per-query ranked candidates in columns. Query `qids[i]` holds
+    entries offsets[i]:offsets[i + 1] (int64 offsets) of `rows` (int32
+    positions in the passage-id table `pids`) and `scores` (float64), in
+    rank order: scores non-increasing, no passage twice within a query.
 
-    entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    `RunRanking({qid: [(pid, score), ...]})` packs per-query lists, and
+    `entries` is a read-only mapping that builds one query's list when
+    asked; both are for callers and tests, the pipeline reads the columns.
+    """
+
+    def __init__(self, entries: Mapping[str, Sequence[tuple[str, float]]]
+                 | None = None):
+        entries = entries or {}
+        table: dict[str, int] = {}
+        self.qids = list(entries)
+        self.offsets = np.cumsum([0, *map(len, entries.values())],
+                                 dtype=np.int64)
+        self.rows = np.array([table.setdefault(pid, len(table))
+                              for ranking in entries.values()
+                              for pid, _ in ranking], dtype=np.int32)
+        self.scores = np.array([score for ranking in entries.values()
+                                for _, score in ranking], dtype=np.float64)
+        self.pids = list(table)
+
+    @classmethod
+    def from_columns(cls, qids: list[str], offsets: np.ndarray,
+                     pids: list[str], rows: np.ndarray, scores: np.ndarray
+                     ) -> "RunRanking":
+        run = cls()
+        run.qids, run.offsets, run.pids = qids, offsets, pids
+        run.rows, run.scores = rows, scores
+        return run
+
+    def span(self, i: int) -> slice:
+        """Query i's entries in `rows` and `scores`."""
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    def top_ids(self, i: int, n: int | None = None) -> list[str]:
+        """The passage ids of query i's first n entries (all by default)."""
+        return [self.pids[r] for r in self.rows[self.span(i)][:n].tolist()]
+
+    @property
+    def entries(self) -> Mapping[str, list[tuple[str, float]]]:
+        return _Entries(self)
+
+
+class _Entries(Mapping):
+    """`run.entries`: query id -> [(passage id, score)], built per lookup."""
+
+    def __init__(self, run: RunRanking):
+        self._run = run
+        self._position = {qid: i for i, qid in enumerate(run.qids)}
+
+    def __getitem__(self, qid: str) -> list[tuple[str, float]]:
+        i = self._position[qid]
+        return list(zip(self._run.top_ids(i),
+                        self._run.scores[self._run.span(i)].tolist()))
+
+    def __iter__(self):
+        return iter(self._run.qids)
+
+    def __len__(self) -> int:
+        return len(self._run.qids)
 
 
 @dataclass
@@ -55,12 +116,22 @@ def full_rank(model: EncoderModel, queries: Sequence[Query],
               corpus: Sequence[Passage], cutoff: int = DEFAULT_CUTOFF
               ) -> RunRanking:
     """Exact brute-force top-cutoff ranking of the whole corpus per query
-    under the model's similarity; same tie rule as retrieve_top_k."""
+    under the model's similarity, by `top_k_rows` (the tie rule of
+    retrieve_top_k), written straight into the run's columns."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     retriever = DenseRetriever(model, corpus)
-    run = RunRanking()
-    for q in queries:
-        run.entries[q.id] = retrieve_top_k(retriever, q.text, cutoff)
-    return run
+    k = min(cutoff, len(corpus))
+    rows = np.empty(len(queries) * k, dtype=np.int32)
+    scores = np.empty(len(queries) * k)
+    for i, q in enumerate(queries):
+        query_scores = retriever.scores(q.text)
+        top = top_k_rows(query_scores, retriever.id_rank, cutoff)
+        rows[i * k:(i + 1) * k] = top
+        scores[i * k:(i + 1) * k] = query_scores[top]
+    return RunRanking.from_columns(
+        [q.id for q in queries], np.arange(len(queries) + 1, dtype=np.int64) * k,
+        retriever.ids, rows, scores)
 
 
 def _gain(grade: int, kind: str) -> float:
@@ -120,6 +191,7 @@ def evaluate(model_or_run, queries: Sequence[Query], corpus: Sequence[Passage],
     else:
         run = full_rank(model_or_run, queries, corpus, cutoff)
 
+    position = {qid: i for i, qid in enumerate(run.qids)}
     per_query: dict[str, dict[str, float]] = {m: {} for m in metrics}
     n_skipped = 0
     for q in queries:
@@ -128,10 +200,11 @@ def evaluate(model_or_run, queries: Sequence[Query], corpus: Sequence[Passage],
             n_skipped += 1
             logger.info("query %s has no positive judgments; skipped", q.id)
             continue
-        ranking = run.entries.get(q.id, [])
+        i = position.get(q.id)
         for metric in metrics:
             name, _, k_str = metric.partition("@")
             k = int(k_str) if k_str else DEFAULT_K
+            ranking = [] if i is None else run.top_ids(i, k)
             if name == "ndcg":
                 value = ndcg_at_k(ranking, rels, k, gain)
             elif name == "mrr":
@@ -155,52 +228,90 @@ def ce_rerank(first_stage: RunRanking, ce: CrossEncoderScorer,
     """Re-score the top-n candidates per query with the cross-encoder; sort
     by the new score (ties by passage id) and drop the rest. Whole queries'
     candidates are scored together, one `ce.score_pairs` call per block of
-    at most _BLOCK pairs (a query with more has a call of its own)."""
+    at most _BLOCK pairs (a query with more has a call of its own). The
+    result keeps the first stage's passage-id table."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     texts = {p.id: passage_text(p) for p in corpus}
     query_texts = {q.id: q.text for q in queries}
-    blocks: list[list[tuple[str, list[str]]]] = []
+    kept = np.array([i for i, qid in enumerate(first_stage.qids)
+                     if qid in query_texts], dtype=np.intp)
+    starts = first_stage.offsets[kept]
+    lengths = np.minimum(first_stage.offsets[kept + 1] - starts, top_n)
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    rows = np.concatenate([np.empty(0, dtype=np.int32), *(
+        first_stage.rows[lo:lo + n] for lo, n in zip(starts, lengths))])
+    scores = np.empty(len(rows))
+    blocks: list[list[int]] = []  # positions in `kept`, whole queries
     n_pairs = 0
-    for qid, ranking in first_stage.entries.items():
-        if qid not in query_texts:
-            continue
-        ids = [pid for pid, _ in ranking[:top_n]]
-        if not blocks or n_pairs + len(ids) > _BLOCK:
+    for j, n in enumerate(lengths.tolist()):
+        if not blocks or n_pairs + n > _BLOCK:
             blocks.append([])
             n_pairs = 0
-        blocks[-1].append((qid, ids))
-        n_pairs += len(ids)
-    out = RunRanking()
+        blocks[-1].append(j)
+        n_pairs += n
+    id_rank = _id_rank(first_stage.pids)
     for block in blocks:
-        scores = iter(ce.score_pairs(
-            [query_texts[qid] for qid, ids in block for _ in ids],
-            [texts[pid] for _, ids in block for pid in ids]).tolist())
-        for qid, ids in block:
-            out.entries[qid] = sorted(zip(ids, islice(scores, len(ids))),
-                                      key=lambda kv: (-kv[1], kv[0]))
-    return out
+        lo, hi = offsets[block[0]], offsets[block[-1] + 1]
+        scores[lo:hi] = ce.score_pairs(
+            [query_texts[first_stage.qids[kept[j]]]
+             for j in block for _ in range(lengths[j])],
+            [texts[first_stage.pids[r]] for r in rows[lo:hi].tolist()])
+        for j in block:
+            span = slice(offsets[j], offsets[j + 1])
+            order = np.lexsort((id_rank[rows[span]], -scores[span]))
+            rows[span], scores[span] = rows[span][order], scores[span][order]
+    return RunRanking.from_columns([first_stage.qids[i] for i in kept],
+                                   offsets, first_stage.pids, rows, scores)
 
 
 def write_trec_run(run: RunRanking, path: str | Path, tag: str = "run") -> None:
     """`qid Q0 docid rank score tag` lines, queries in sorted order."""
     with open(path, "w", encoding="utf-8") as f:
-        for qid in sorted(run.entries):
-            for rank, (pid, score) in enumerate(run.entries[qid], start=1):
-                f.write(f"{qid} Q0 {pid} {rank} {score:.17g} {tag}\n")
+        for i in sorted(range(len(run.qids)), key=run.qids.__getitem__):
+            qid, span = run.qids[i], run.span(i)
+            for rank, (row, score) in enumerate(zip(
+                    run.rows[span].tolist(), run.scores[span].tolist()),
+                    start=1):
+                f.write(f"{qid} Q0 {run.pids[row]} {rank} {score:.17g} {tag}\n")
 
 
 def read_trec_run(path: str | Path) -> RunRanking:
     """The run `write_trec_run` wrote: each query's lines in rank order,
-    scores exact (17 significant digits round-trip float64)."""
-    run = RunRanking()
+    scores exact (17 significant digits round-trip float64). A query's
+    lines need not be contiguous; queries keep their first-seen order.
+    A score that is not finite, or a passage listed twice for one query,
+    is a ParseError naming its line."""
+    qids: dict[str, int] = {}
+    pids: dict[str, int] = {}
+    query, rows, scores = array("i"), array("i"), array("d")
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             try:
                 qid, _, pid, _, score, _ = line.split()
-                entry = (pid, float(score))
+                scores.append(float(score))
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: expected 'qid Q0 pid rank "
                                  f"score tag' ({e})") from e
-            run.entries.setdefault(qid, []).append(entry)
-    return run
+            query.append(qids.setdefault(qid, len(qids)))
+            rows.append(pids.setdefault(pid, len(pids)))
+    query = np.frombuffer(query, dtype=np.int32)
+    rows = np.frombuffer(rows, dtype=np.int32)
+    scores = np.frombuffer(scores, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ParseError(f"{path}:{bad[0] + 1}: score {scores[bad[0]]} is not "
+                         f"finite")
+    key = query.astype(np.int64) * len(pids) + rows
+    by_key = np.argsort(key, kind="stable")
+    repeats = by_key[1:][key[by_key[1:]] == key[by_key[:-1]]]
+    if len(repeats):
+        line = int(repeats.min())
+        raise ParseError(f"{path}:{line + 1}: passage "
+                         f"{list(pids)[rows[line]]!r} listed twice for query "
+                         f"{list(qids)[query[line]]!r}")
+    if np.any(query[1:] < query[:-1]):  # gather each query's lines
+        order = np.argsort(query, kind="stable")
+        query, rows, scores = query[order], rows[order], scores[order]
+    offsets = np.searchsorted(query, np.arange(len(qids) + 1)).astype(np.int64)
+    return RunRanking.from_columns(list(qids), offsets, list(pids), rows, scores)

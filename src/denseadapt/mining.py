@@ -131,22 +131,32 @@ class DenseRetriever:
         return self._unit @ (q / qn)
 
 
-def retrieve_top_k(retriever, query_text: str, k: int
-                   ) -> list[tuple[str, float]]:
-    """Exact top-k by score descending, ties broken by passage id ascending.
+def top_k_rows(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the exact top k of `scores`, by score descending, ties
+    broken by `id_rank` (each position's rank in passage-id order)
+    ascending.
 
-    `retriever` is a BM25Retriever or a DenseRetriever. Every
-    passage scoring at least the k-th largest score is kept, so a tie
-    across the cut is settled by id like any other; the kept passages are
-    then sorted and cut at k. Fewer than k results are returned when the
-    corpus is smaller than k.
+    Every position scoring at least the k-th largest score is kept, so a
+    tie across the cut is settled by id like any other; the kept positions
+    are then sorted and cut at k. Fewer than k positions are returned when
+    there are fewer than k scores.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = retriever.scores(query_text)
     kept = np.arange(len(scores)) if k >= len(scores) else \
         np.flatnonzero(scores >= np.partition(scores, -k)[-k])
-    top = kept[np.lexsort((retriever.id_rank[kept], -scores[kept]))][:k]
+    return kept[np.lexsort((id_rank[kept], -scores[kept]))][:k]
+
+
+def retrieve_top_k(retriever, query_text: str, k: int
+                   ) -> list[tuple[str, float]]:
+    """The (passage id, score) list of `top_k_rows` for one query.
+
+    `retriever` is a BM25Retriever or a DenseRetriever; the result equals
+    a full sort of the corpus on (score descending, id ascending) cut at k.
+    """
+    scores = retriever.scores(query_text)
+    top = top_k_rows(scores, retriever.id_rank, k)
     return list(zip([retriever.ids[i] for i in top.tolist()],
                     scores[top].tolist()))
 

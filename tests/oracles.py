@@ -1,7 +1,8 @@
 """Reference implementations the tests hold the package to: Okapi BM25
 for one (query, passage) pair, the lexical mock cross-encoder's score of
-one pair, the teacher margin of one tuple, the binary labels a
-generation-only baseline would train on, the token cross-entropy of
+one pair, the teacher margin of one tuple, a TREC run written line by
+line from per-query lists, the binary labels a generation-only baseline
+would train on, the token cross-entropy of
 tied-output losses written out array by array, a labelled stream's tuples
 as named rows, and the checkpoint format written and read as whole JSON
 documents."""
@@ -9,7 +10,7 @@ documents."""
 import base64
 import json
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +76,17 @@ def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,
     if not (math.isfinite(pos_score) and math.isfinite(neg_score)):
         raise ValueError("cross-encoder produced a non-finite score")
     return pos_score - neg_score
+
+
+def trec_run_text(rankings: Mapping[str, Sequence[tuple[str, float]]],
+                  tag: str) -> str:
+    """`qid Q0 pid rank score tag` lines of per-query (pid, score) lists,
+    queries in sorted order, scores at 17 significant digits."""
+    lines = []
+    for qid in sorted(rankings):
+        for rank, (pid, score) in enumerate(rankings[qid], start=1):
+            lines.append(f"{qid} Q0 {pid} {rank} {score:.17g} {tag}\n")
+    return "".join(lines)
 
 
 class Row(NamedTuple):

@@ -13,6 +13,11 @@ It also checks that the stream read back equals the one built, and prints
 tuples per second for the build, the write and the read (each timed
 without tracing).
 
+Last, it writes a TREC run of 100 queries x 1,000 entries over a
+2,000-passage id table and prints the bytes per entry that
+`read_trec_run`'s result holds (bound 16: an int32 row and a float64
+score, plus the id table) and what that holds at 10,000 queries x 1,000.
+
     PYTHONPATH=src python tests/stream_memory.py [N]
 
 Prints one line per measurement and exits 1 if a bound is exceeded. At
@@ -29,14 +34,18 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (Passage, Query, build_dataset, init_encoder,
-                        lexical_overlap_ce, read_dataset, write_dataset)
+from denseadapt import (Passage, Query, RunRanking, build_dataset,
+                        init_encoder, lexical_overlap_ce, read_dataset,
+                        write_dataset, write_trec_run)
 from denseadapt.corpus import passage_text
+from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import PoolEntry
 from denseadapt.training import tuple_batches
 
 BOUND = 32  # bytes per tuple
 N_QUERIES, POOL, N_PASSAGES = 200, 50, 400
+RUN_BOUND = 16  # bytes per run entry
+RUN_QUERIES, RUN_CUTOFF, RUN_PASSAGES = 100, 1000, 2000
 
 
 def world():
@@ -56,14 +65,33 @@ def world():
 
 
 def traced_growth(fn):
-    """fn()'s result and the peak growth of traced memory while it ran."""
+    """fn()'s result, the peak growth of traced memory while it ran and
+    the growth it still holds on return."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - start
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - start, held - start
     finally:
         tracemalloc.stop()
+
+
+def run_entry_bytes(directory: Path) -> float:
+    """Bytes per entry held by `read_trec_run`'s result for a written run
+    of RUN_QUERIES x RUN_CUTOFF entries."""
+    rng = np.random.default_rng(0)
+    pids = [f"p{i:05d}" for i in range(RUN_PASSAGES)]
+    run = RunRanking({f"q{i:05d}": [
+        (pids[j], score) for j, score in zip(
+            rng.choice(RUN_PASSAGES, RUN_CUTOFF, replace=False).tolist(),
+            np.sort(rng.normal(size=RUN_CUTOFF))[::-1].tolist())]
+        for i in range(RUN_QUERIES)})
+    path = directory / "run.trec"
+    write_trec_run(run, path)
+    del run
+    _, _, held = traced_growth(lambda: read_trec_run(path))
+    return held / (RUN_QUERIES * RUN_CUTOFF)
 
 
 def timed(fn):
@@ -82,7 +110,7 @@ def main(argv: list[str]) -> int:
 
     _, seconds = timed(build)
     print(f"build_dataset: {n / seconds:,.0f} tuples/s ({n:,} in {seconds:.2f} s)")
-    built, build_peak = traced_growth(build)
+    built, build_peak, _ = traced_growth(build)
     failed = []
     print(f"build_dataset: peak growth {build_peak / n:.1f} B/tuple (bound {BOUND})")
     if build_peak > BOUND * n:
@@ -103,7 +131,8 @@ def main(argv: list[str]) -> int:
             tuple_batches(model, dataset.tuples, query_texts, passage_texts)
             return dataset
 
-        loaded, read_peak = traced_growth(read_and_set_up)
+        loaded, read_peak, _ = traced_growth(read_and_set_up)
+        per_entry = run_entry_bytes(Path(tmp))
     print(f"read_dataset + tuple_batches set-up: peak growth "
           f"{read_peak / n:.1f} B/tuple (bound {BOUND})")
     if read_peak > BOUND * n:
@@ -113,6 +142,11 @@ def main(argv: list[str]) -> int:
             np.array_equal(getattr(a, c), getattr(b, c))
             for c in ("query", "pos", "neg", "margin")):
         failed.append("the stream read back differs from the one built")
+    print(f"read_trec_run: holds {per_entry:.1f} B/entry (bound {RUN_BOUND}); "
+          f"10,000 queries x {RUN_CUTOFF:,}: "
+          f"{per_entry * 10_000 * RUN_CUTOFF / 2 ** 20:,.0f} MiB")
+    if per_entry > RUN_BOUND:
+        failed.append("read_trec_run")
     print("failed: " + ", ".join(failed) if failed else "all bounds met")
     return 1 if failed else 0
 

@@ -2,9 +2,14 @@
 implementation, ranking/report invariants, and re-ranking behavior."""
 
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, RunRanking,
                         ce_rerank, evaluate, full_rank, init_encoder,
@@ -13,6 +18,7 @@ from denseadapt.corpus import ParseError, passage_text
 from denseadapt import evaluation
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
+from oracles import trec_run_text
 
 
 # independent straight-from-formula oracle, kept deliberately naive
@@ -156,6 +162,85 @@ class TestFullRank:
             assert scores == sorted(scores, reverse=True)
 
 
+# Distinct ids whose corpus order is not their sorted order.
+shuffled_ids = st.lists(st.text("abc", min_size=1, max_size=4), min_size=1,
+                        max_size=30, unique=True)
+# Small integer vectors, none zero, so cosine is defined for every text.
+nonzero_vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+class TestRunBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_ids, st.sampled_from(["dot", "cosine"]),
+           st.lists(nonzero_vectors, min_size=3, max_size=3), st.data())
+    def test_full_rank_writes_the_retrieve_top_k_lists(self, ids, similarity,
+                                                       vectors, data):
+        """The columnar run of `full_rank` writes the bytes of the
+        `retrieve_top_k` lists written line by line. One token per passage
+        from three small integer vectors makes long exact ties, which
+        straddle the cut, and the cutoff reaches past the corpus size."""
+        model = init_encoder(["t0", "t1", "t2"], dim=2, seed=0,
+                             similarity=similarity)
+        for j, v in enumerate(vectors):
+            model.embedding[model.vocab[f"t{j}"]] = v
+        passages = [Passage(pid, "", f"t{data.draw(st.integers(0, 2))}")
+                    for pid in ids]
+        queries = [Query("qb", "t0"), Query("qa", "t1"), Query("qc", "t2")]
+        cutoff = data.draw(st.integers(1, len(ids) + 3))
+        retriever = DenseRetriever(model, passages)
+        expected = trec_run_text(
+            {q.id: retrieve_top_k(retriever, q.text, cutoff) for q in queries},
+            tag="t")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.trec"
+            write_trec_run(full_rank(model, queries, passages, cutoff), path,
+                           tag="t")
+            assert path.read_text(encoding="utf-8") == expected
+
+
+def traced_held(fn):
+    """fn()'s result and the traced memory it still holds on return."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunMemory:
+    """A run holds an int32 row and a float64 score per entry plus one
+    passage-id table: at most 16 bytes per entry for 100 queries ranked
+    to a cutoff of 1,000 (per-entry (pid, score) tuples take about 97)."""
+
+    N_QUERIES, CUTOFF, BOUND = 100, 1000, 16
+
+    def world(self):
+        words = [f"w{i}" for i in range(50)]
+        passages = [Passage(f"p{i:04d}", "", f"w{i % 50} w{i * 7 % 50}")
+                    for i in range(1200)]
+        queries = [Query(f"q{i:03d}", f"w{i % 50} w{i * 3 % 50}")
+                   for i in range(self.N_QUERIES)]
+        return passages, queries, init_encoder(words, dim=8, seed=0)
+
+    def check(self, run, held):
+        n_entries = sum(map(len, run.entries.values()))
+        assert n_entries == self.N_QUERIES * self.CUTOFF
+        assert held <= self.BOUND * n_entries, held / n_entries
+
+    def test_full_rank(self):
+        passages, queries, model = self.world()
+        self.check(*traced_held(
+            lambda: full_rank(model, queries, passages, self.CUTOFF)))
+
+    def test_read_trec_run(self, tmp_path):
+        passages, queries, model = self.world()
+        path = tmp_path / "run.trec"
+        write_trec_run(full_rank(model, queries, passages, self.CUTOFF), path)
+        self.check(*traced_held(lambda: read_trec_run(path)))
+
+
 class TestEvaluate:
     def test_deterministic(self):
         passages, queries, qrels, model = tiny_world()
@@ -289,6 +374,24 @@ class TestCeRerank:
               for pid, _ in run.entries[queries[i].id][:5]])
             for group in groups]
 
+    def test_equal_scores_come_out_in_passage_id_order(self, tmp_path):
+        """Tied cross-encoder scores are ordered by passage id, not by
+        corpus order or first-stage rank, whether the run was packed from
+        lists or read back from a file."""
+        order = ["p3", "p10", "p1", "p4", "p0", "p2"]
+        passages = [Passage(pid, "", "x" if pid in ("p4", "p10", "p1") else "y")
+                    for pid in order]
+        queries = [Query("q", "x")]
+        run = RunRanking({"q": [(pid, float(-i)) for i, pid in enumerate(order)]})
+        path = tmp_path / "run.trec"
+        write_trec_run(run, path)
+        ce = CrossEncoderScorer(lambda qt, pt: float(qt == pt), name="match")
+        for first_stage in (run, read_trec_run(path)):
+            reranked = ce_rerank(first_stage, ce, queries, passages, top_n=5)
+            assert reranked.entries["q"] == [
+                ("p1", 1.0), ("p10", 1.0), ("p4", 1.0), ("p0", 0.0),
+                ("p3", 0.0)]
+
     @pytest.mark.parametrize("top_n", [0, -1])
     def test_top_n_below_one_rejected(self, top_n):
         passages, queries, _, model = tiny_world()
@@ -325,3 +428,26 @@ class TestTrecRunOutput:
         path.write_text("q1 Q0 d2 1 1.5 test\nq1 Q0 d1 2\n")
         with pytest.raises(ParseError, match=f"{path}:2:"):
             read_trec_run(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q1 Q0 d2 1 1.5 test\nq1 Q0 d1 2 {score} test\n")
+        with pytest.raises(ParseError, match=f"{path}:2: .*not finite"):
+            read_trec_run(path)
+
+    def test_passage_twice_in_a_query_rejected(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 3 t\nq2 Q0 d1 1 3 t\nq1 Q0 d2 2 2 t\n"
+                        "q1 Q0 d1 3 1 t\nq1 Q0 d2 4 0 t\n")
+        with pytest.raises(ParseError, match=f"{path}:4: passage 'd1' listed "
+                                             f"twice for query 'q1'"):
+            read_trec_run(path)
+
+    def test_interleaved_queries_are_gathered(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q2 Q0 d1 1 3 t\nq1 Q0 d1 1 3 t\nq2 Q0 d2 2 2 t\n")
+        back = read_trec_run(path)
+        assert list(back.entries) == ["q2", "q1"]
+        assert back.entries == {"q2": [("d1", 3.0), ("d2", 2.0)],
+                                "q1": [("d1", 3.0)]}
