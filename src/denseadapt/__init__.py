@@ -15,9 +15,9 @@ from .evaluation import (EvalReport, RunRanking, ce_rerank, evaluate,
                          full_rank, mrr_at_k, ndcg_at_k, write_trec_run)
 from .labeling import (GPLDataset, TupleColumns, build_dataset, read_dataset,
                        sample_tuple, write_dataset)
-from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolEntry,
-                     build_bm25_index, mine_negatives, mine_pools,
-                     read_hard_negatives, retrieve_top_k, write_hard_negatives)
+from .mining import (BM25Index, BM25Retriever, DenseRetriever, PoolColumns,
+                     build_bm25_index, mine_pools, read_hard_negatives,
+                     retrieve_top_k, write_hard_negatives)
 from .models import (CrossEncoderScorer, EncoderModel, QueryGenerator,
                      apply_gradients, encode_batch, init_encoder,
                      lexical_overlap_ce, load_model, save_model)

@@ -11,12 +11,12 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import ParseError, Passage, Query, passage_text
-from .mining import PoolEntry
+from .mining import PoolColumns
 from .models import CrossEncoderScorer
 from .util import derive_seed
 
@@ -108,23 +108,27 @@ def _negative_stream(seed: int, query_id: str) -> random.Random:
     return random.Random(derive_seed(seed, "negsample", query_id))
 
 
-def sample_tuple(query: Query, pool: PoolEntry, seed: int) -> tuple[str, str]:
+def sample_tuple(query: Query, pools: PoolColumns, seed: int
+                 ) -> tuple[str, str]:
     """Pick (positive, negative) ids for one query.
 
     The positive is the query's source passage; the negative is the first
-    draw of the query's negative stream, `randrange(len(pool))` of
-    `random.Random(derive_seed(seed, "negsample", query id))`: the
-    negative of the query's first tuple in `build_dataset`.
+    draw of the query's negative stream, `randrange(size)` of
+    `random.Random(derive_seed(seed, "negsample", query id))` over the
+    query's pool in `pools`: the negative of the query's first tuple in
+    `build_dataset`.
     """
-    if not pool.usable or not pool.negative_ids:
+    size = pools.size(query.id)
+    if not size:
         raise ValueError(f"query {query.id} has an empty negative pool")
     if query.source_passage_id is None:
         raise ValueError(f"query {query.id} has no source passage")
-    pick = _negative_stream(seed, query.id).randrange(len(pool.negative_ids))
-    return query.source_passage_id, pool.negative_ids[pick]
+    pick = pools.offsets[pools.find(query.id)] + \
+        _negative_stream(seed, query.id).randrange(size)
+    return query.source_passage_id, pools.passage_ids[pools.rows[pick]]
 
 
-def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
+def build_dataset(queries: Sequence[Query], pools: PoolColumns,
                   corpus: Sequence[Passage], ce: CrossEncoderScorer,
                   seed: int, n_tuples: int | None = None) -> GPLDataset:
     """Pseudo-labeled (query, positive, negative) stream.
@@ -146,8 +150,7 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
     if n_tuples is not None and n_tuples < 0:
         raise ValueError("n_tuples must be >= 0")
     usable = [q for q in sorted(queries, key=lambda q: q.id)
-              if q.id in pools and pools[q.id].usable
-              and pools[q.id].negative_ids]
+              if pools.size(q.id)]
     if n_tuples is None or not usable:
         n_tuples = len(usable)
     stream = usable[:n_tuples]
@@ -156,16 +159,14 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
             raise ValueError(f"query {query.id} has no source passage")
     texts = {p.id: passage_text(p) for p in corpus}
 
-    # Every passage a query of the stream can draw gets a candidate index;
-    # each query's pool is a slice of `pool_flat`.
-    names: dict[str, int] = {}
+    # Every passage of the pools' id table is a candidate, and so is a
+    # positive outside it; each query's pool is a slice of the table's rows.
+    names = dict(zip(pools.passage_ids, range(len(pools.passage_ids))))
     sources = np.array([names.setdefault(q.source_passage_id, len(names))
                         for q in stream], dtype=np.int64)
-    pool_flat = np.array([names.setdefault(pid, len(names)) for q in stream
-                          for pid in pools[q.id].negative_ids], dtype=np.int64)
-    sizes = np.array([len(pools[q.id].negative_ids) for q in stream],
-                     dtype=np.int64)
-    offsets = np.cumsum(sizes) - sizes
+    at = np.array([pools.find(q.id) for q in stream], dtype=np.int64)
+    pool_flat, offsets = pools.rows, pools.offsets[at]
+    sizes = pools.offsets[at + 1] - offsets
     candidates = list(names)
     # Every pair scored so far, pair = query x len(names) + candidate, in
     # ascending order, and its score.
@@ -217,8 +218,9 @@ def build_dataset(queries: Sequence[Query], pools: Mapping[str, PoolEntry],
         columns.passage_ids += [candidates[c] for c in fresh.tolist()]
         columns.query[block], columns.pos[block] = q, place[pos]
         columns.neg[block], columns.margin[block] = place[neg], margin
-    retrievers = sorted({name for pool in pools.values()
-                         for name in pool.per_retriever})
+    listed = np.bitwise_or.reduce(pools.listed)
+    retrievers = sorted(name for b, name in enumerate(pools.retrievers)
+                        if listed >> b & 1)
     manifest = {
         "seed": seed,
         "cross_encoder": ce.name,

@@ -1,13 +1,16 @@
 """Hard-negative mining: Okapi BM25 over an inverted index, exact dense
-retrieval, and per-query negative pools with the positive excluded."""
+retrieval, and per-query negative pools, with the positive excluded, held
+as columns."""
 
 from __future__ import annotations
 
 import json
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -161,75 +164,269 @@ def retrieve_top_k(retriever, query_text: str, k: int
                     scores[top].tolist()))
 
 
+
+
+# Provenance is one bit per retriever name in a uint8.
+_MAX_RETRIEVERS = 8
+# Queries whose union is formed at once: bounds the union's temporaries.
+_QUERY_BLOCK = 1 << 12
+
+
 @dataclass
-class PoolEntry:
-    """Mined negatives for one query: per-retriever lists plus the
-    deduplicated union (sorted ascending), with the positive excluded."""
+class PoolColumns:
+    """Mined negative pools as columns, queries in ascending id order.
 
-    query_id: str
-    source_passage_id: str
-    per_retriever: dict[str, list[str]]
-    negative_ids: list[str]
-    provenance: dict[str, list[str]]
-    usable: bool
+    Query `query_ids[i]` has the source passage `passage_ids[source[i]]`
+    and its negatives in entries offsets[i]:offsets[i + 1] (int64 offsets)
+    of `rows` (int32 positions in the passage-id table, in ascending
+    passage id, each once) and `provenance` (uint8: bit b is set when
+    retriever `retrievers[b]` listed the passage). Retriever b's own
+    rank-ordered list for query i is entries ranked[b][0][i]:
+    ranked[b][0][i + 1] of ranked[b][1] (int64 offsets, int32 rows), and
+    bit b of `listed[i]` (uint8) says whether query i has such a list, even
+    an empty one. A query with no negative is unusable.
+
+    `PoolColumns.from_lists({qid: (source, {retriever: [ids]})})` packs
+    per-query lists; `negatives` and `lists` unpack one query.
+    """
+
+    query_ids: list[str]
+    passage_ids: list[str]
+    source: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    provenance: np.ndarray
+    retrievers: list[str]
+    listed: np.ndarray
+    ranked: list[tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def from_lists(cls, pools: Mapping[str, tuple[str, Mapping[str, Sequence[str]]]]
+                   ) -> "PoolColumns":
+        packer = _Packer()
+        for qid, (source, lists) in pools.items():
+            packer.add(qid, source, lists)
+        return packer.columns()
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def find(self, query_id: str) -> int | None:
+        """The position of a query's pool, None if it has none."""
+        i = bisect_left(self.query_ids, query_id)
+        return i if i < len(self) and self.query_ids[i] == query_id else None
+
+    def span(self, i: int) -> slice:
+        """Query i's entries in `rows` and `provenance`."""
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    def size(self, query_id: str) -> int:
+        """The number of a query's negatives, 0 if it has no pool."""
+        i = self.find(query_id)
+        return 0 if i is None else int(self.offsets[i + 1] - self.offsets[i])
+
+    def negatives(self, query_id: str) -> list[str]:
+        """A query's negatives in ascending id order, [] if it has no pool."""
+        i = self.find(query_id)
+        return [] if i is None else \
+            list(map(self.passage_ids.__getitem__, self.rows[self.span(i)].tolist()))
+
+    def lists(self, i: int) -> dict[str, list[str]]:
+        """Query i's rank-ordered list from each retriever that listed it."""
+        listed = int(self.listed[i])
+        return {name: list(map(self.passage_ids.__getitem__,
+                               rows[offsets[i]:offsets[i + 1]].tolist()))
+                for b, (name, (offsets, rows)) in enumerate(zip(self.retrievers,
+                                                                self.ranked))
+                if listed >> b & 1}
 
 
-def _union_entry(query_id: str, source_pid: str,
-                 per_retriever: dict[str, list[str]]) -> PoolEntry:
-    provenance: dict[str, list[str]] = {}
-    for name, pids in per_retriever.items():
-        for pid in pids:
-            provenance.setdefault(pid, []).append(name)
-    negatives = sorted(provenance)
-    return PoolEntry(query_id, source_pid, per_retriever, negatives,
-                     provenance, usable=bool(negatives))
+class _Packer:
+    """Pools packed into buffers, a query (`add`) or a retriever (`put`) at
+    a time, then into `PoolColumns` (`columns`)."""
+
+    def __init__(self):
+        self.query_ids: dict[str, None] = {}  # in order of addition
+        self.passages: dict[str, int] = {}
+        self.source, self.listed = array("i"), array("B")
+        # retriever name -> (its list's size per query, its rows)
+        self.ranked: dict[str, tuple[array, array]] = {}
+
+    def row(self, pid: str) -> int:
+        return self.passages.setdefault(pid, len(self.passages))
+
+    def bit(self, name: str) -> int:
+        if name not in self.ranked:
+            if len(self.ranked) == _MAX_RETRIEVERS:
+                raise ValueError(f"more than {_MAX_RETRIEVERS} retrievers")
+            self.ranked[name] = (array("q"), array("i"))
+        return list(self.ranked).index(name)
+
+    def add(self, query_id: str, source: str,
+            lists: Mapping[str, Sequence[str]]) -> None:
+        if query_id in self.query_ids:
+            raise ValueError(f"query {query_id!r} has two pools")
+        i = len(self.query_ids)
+        self.query_ids[query_id] = None
+        self.source.append(self.row(source))
+        mask = 0
+        for name, pids in lists.items():
+            mask |= 1 << self.bit(name)
+            sizes, rows = self.ranked[name]
+            sizes.extend(repeat(0, i - len(sizes)))
+            sizes.append(len(pids))
+            rows.extend(map(self.row, pids))
+        self.listed.append(mask)
+
+    def put(self, name: str, sizes: array, rows: array) -> None:
+        """Retriever `name`'s lists of every query added so far; they
+        replace any earlier lists of that name."""
+        bit = self.bit(name)
+        self.ranked[name] = (sizes, rows)
+        self.listed = array("B", (mask | 1 << bit for mask in self.listed))
+
+    def columns(self) -> PoolColumns:
+        n = len(self.query_ids)
+        query_ids = list(self.query_ids)
+        source = np.frombuffer(self.source, dtype=np.int32)
+        listed = np.frombuffer(self.listed, dtype=np.uint8)
+        ranked = []
+        for sizes, rows in self.ranked.values():
+            sizes.extend(repeat(0, n - len(sizes)))
+            ranked.append((_offsets(np.frombuffer(sizes, dtype=np.int64)),
+                           np.frombuffer(rows, dtype=np.int32)))
+        order = sorted(range(n), key=query_ids.__getitem__)
+        if order != list(range(n)):
+            query_ids = [query_ids[i] for i in order]
+            order = np.array(order, dtype=np.int64)
+            source, listed = source[order], listed[order]
+            ranked = [_take(offsets, rows, order) for offsets, rows in ranked]
+        passage_ids = list(self.passages)
+        return PoolColumns(query_ids, passage_ids, source,
+                           *_union(ranked, passage_ids, n),
+                           list(self.ranked), listed, ranked)
 
 
-def mine_negatives(query: Query, retrievers: Iterable,
-                   n_per_retriever: int = DEFAULT_N_PER_RETRIEVER) -> PoolEntry:
-    """Top-n negatives from each retriever for one generated query (see
-    `mine_pools`)."""
-    return mine_pools([query], retrievers, n_per_retriever)[query.id]
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _take(offsets: np.ndarray, values: np.ndarray, order: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The (offsets, values) CSR of the rows `order` of another."""
+    sizes = np.diff(offsets)[order]
+    taken = _offsets(sizes)
+    return taken, values[np.repeat(offsets[order] - taken[:-1], sizes)
+                         + np.arange(taken[-1])]
+
+
+def _union(ranked: list[tuple[np.ndarray, np.ndarray]],
+           passage_ids: list[str], n: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's deduplicated union of its retrievers' lists: (offsets,
+    rows in ascending passage id, provenance bits), a block of queries at a
+    time."""
+    by_id = np.array(sorted(range(len(passage_ids)),
+                            key=passage_ids.__getitem__), dtype=np.int64)
+    rank = np.empty_like(by_id)
+    rank[by_id] = np.arange(by_id.size)
+    sizes = np.zeros(n, dtype=np.int64)
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    for lo in range(0, n, _QUERY_BLOCK):
+        hi = min(lo + _QUERY_BLOCK, n)
+        keys, bits = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)]
+        for b, (offsets, rows) in enumerate(ranked):
+            query = np.repeat(np.arange(lo, hi), np.diff(offsets[lo:hi + 1]))
+            keys.append(query * by_id.size + rank[rows[offsets[lo]:offsets[hi]]])
+            bits.append(np.full(query.size, 1 << b, dtype=np.uint8))
+        union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        provenance = np.zeros(union.size, dtype=np.uint8)
+        np.bitwise_or.at(provenance, inverse, np.concatenate(bits))
+        query, at = np.divmod(union, by_id.size)
+        sizes[lo:hi] = np.bincount(query - lo, minlength=hi - lo)
+        parts.append((by_id[at].astype(np.int32), provenance))
+    return (_offsets(sizes),
+            np.concatenate([np.empty(0, dtype=np.int32), *(r for r, _ in parts)]),
+            np.concatenate([np.empty(0, dtype=np.uint8), *(p for _, p in parts)]))
 
 
 def mine_pools(queries: Sequence[Query], retrievers: Iterable,
-               n_per_retriever: int = DEFAULT_N_PER_RETRIEVER
-               ) -> dict[str, PoolEntry]:
+               n_per_retriever: int = DEFAULT_N_PER_RETRIEVER) -> PoolColumns:
     """Top-n negatives from each retriever for each generated query.
 
-    Each retriever ranks every query before the next is taken from
-    `retrievers`, and is dropped first: an iterator that builds each
+    Each retriever ranks every query, in id order, before the next is taken
+    from `retrievers`, and is dropped first: an iterator that builds each
     retriever when asked holds one at a time. A query's source passage is
-    removed before the union; an empty pool marks the query unusable.
-    Negative sampling happens downstream at labeling time.
+    removed from each list; an empty union marks the query unusable. A
+    retriever whose name repeats replaces the earlier one's lists, and a
+    query id given twice is a ValueError. Negative sampling happens
+    downstream at labeling time.
     """
+    queries = sorted(queries, key=lambda q: q.id)
+    packer = _Packer()
     for query in queries:
         if query.source_passage_id is None:
             raise ValueError(f"query {query.id} has no source passage")
-    per_query: list[dict[str, list[str]]] = [{} for _ in queries]
+        packer.add(query.id, query.source_passage_id, {})
+    # Each retriever's ids go into one buffer, sized before its queries are
+    # ranked and reused by the next retriever, and are interned once the
+    # retriever is dropped: a table or list that grows while a retriever is
+    # alive fragments the heap that the next retriever is built on.
+    pids = np.empty(0, dtype=object)
     for retriever in retrievers:
-        for query, per_retriever in zip(queries, per_query):
-            top = retrieve_top_k(retriever, query.text, n_per_retriever)
-            per_retriever[retriever.name] = [
-                pid for pid, _ in top if pid != query.source_passage_id]
+        size = len(queries) * min(n_per_retriever, len(retriever.ids))
+        if pids.size < size:
+            pids = np.empty(size, dtype=object)
+        sizes, used = array("q"), 0
+        for query in queries:
+            top = [pid for pid, _ in
+                   retrieve_top_k(retriever, query.text, n_per_retriever)
+                   if pid != query.source_passage_id]
+            pids[used:used + len(top)] = top
+            used += len(top)
+            sizes.append(len(top))
+        name = retriever.name
         del retriever
-    return {q.id: _union_entry(q.id, q.source_passage_id, per_retriever)
-            for q, per_retriever in zip(queries, per_query)}
+        packer.put(name, sizes, array("i", map(packer.row, pids[:used])))
+    return packer.columns()
 
 
-def write_hard_negatives(pools: Mapping[str, PoolEntry], path: str | Path) -> None:
+def write_hard_negatives(pools: PoolColumns, path: str | Path) -> None:
     """One JSON record per query: {qid, pos: [...], neg: {retriever: [ids]}}."""
     with open(path, "w", encoding="utf-8") as f:
-        for qid in sorted(pools):
-            entry = pools[qid]
-            record = {"qid": entry.query_id,
-                      "pos": [entry.source_passage_id],
-                      "neg": entry.per_retriever}
+        for i, qid in enumerate(pools.query_ids):
+            record = {"qid": qid, "pos": [pools.passage_ids[pools.source[i]]],
+                      "neg": pools.lists(i)}
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_hard_negatives(path: str | Path) -> dict[str, PoolEntry]:
-    pools: dict[str, PoolEntry] = {}
+def _is_ids(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _pool_record(record) -> tuple[str, str, dict[str, list[str]]]:
+    """(query id, positive, lists) of one record; ValueError if it is not
+    a pool."""
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    qid, pos, neg = record.get("qid"), record.get("pos"), record.get("neg")
+    if not isinstance(qid, str):
+        raise ValueError("record needs a string 'qid'")
+    if not (pos and _is_ids(pos)):
+        raise ValueError("record needs a non-empty 'pos' list of passage ids")
+    if not (isinstance(neg, dict) and all(map(_is_ids, neg.values()))):
+        raise ValueError("record needs a 'neg' object mapping each retriever "
+                         "to a list of passage ids")
+    return qid, pos[0], neg
+
+
+def read_hard_negatives(path: str | Path) -> PoolColumns:
+    """The records `write_hard_negatives` writes, parsed line by line into
+    columns. A record that is not a pool, or repeats a query, is a
+    ParseError naming its line."""
+    packer = _Packer()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -239,11 +436,7 @@ def read_hard_negatives(path: str | Path) -> dict[str, PoolEntry]:
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
             try:
-                entry = _union_entry(record["qid"], record["pos"][0],
-                                     {name: list(pids)
-                                      for name, pids in record["neg"].items()})
-            except (KeyError, IndexError) as e:
-                raise ParseError(f"{path}:{lineno}: record needs 'qid', a "
-                                 f"non-empty 'pos' and 'neg' ({e!r})") from e
-            pools[entry.query_id] = entry
-    return pools
+                packer.add(*_pool_record(record))
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from e
+    return packer.columns()

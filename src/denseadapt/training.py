@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Passage, Query, passage_text
 from .labeling import GPLDataset, TupleColumns, sample_tuple
-from .mining import PoolEntry
+from .mining import PoolColumns
 from .models import (EncoderModel, Tokens, apply_gradients, encode_backward,
                      encode_ids, new_grads, save_model)
 from .util import derive_seed
@@ -242,7 +242,7 @@ def gpl_train(model: EncoderModel, dataset: GPLDataset,
 
 def qgen_train(model: EncoderModel, queries: Sequence[Query],
                corpus: Sequence[Passage], cfg: TrainRunConfig,
-               negatives: Mapping[str, PoolEntry] | None = None,
+               negatives: PoolColumns | None = None,
                loss_cfg: LossConfig | None = None,
                checkpoint_dir: str | Path | None = None
                ) -> tuple[EncoderModel, list[tuple[int, float]]]:
@@ -263,14 +263,13 @@ def qgen_train(model: EncoderModel, queries: Sequence[Query],
     passage_texts = {p.id: passage_text(p) for p in corpus}
     usable = [q for q in queries if q.source_passage_id is not None]
     if negatives is not None:
-        usable = [q for q in usable
-                  if negatives.get(q.id) is not None and negatives[q.id].usable]
+        usable = [q for q in usable if negatives.size(q.id)]
     if not usable:
         raise ValueError("no usable training queries")
 
     candidates = [q.source_passage_id for q in usable]
     if negatives is not None:
-        candidates += [sample_tuple(q, negatives[q.id], cfg.seed)[1]
+        candidates += [sample_tuple(q, negatives, cfg.seed)[1]
                        for q in usable]
     # Group 0 holds the positives' rows, group 1 the sampled negatives'.
     p_table, rows = _table(model, candidates, passage_texts)

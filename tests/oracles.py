@@ -1,7 +1,8 @@
 """Reference implementations the tests hold the package to: Okapi BM25
 for one (query, passage) pair, the lexical mock cross-encoder's score of
 one pair, the teacher margin of one tuple, a TREC run written line by
-line from per-query lists, the binary labels a generation-only baseline
+line from per-query lists, mined pools as per-query dicts and their
+`hard-negatives.jsonl` text, the binary labels a generation-only baseline
 would train on, the token cross-entropy of
 tied-output losses written out array by array, a labelled stream's tuples
 as named rows, and the checkpoint format written and read as whole JSON
@@ -87,6 +88,41 @@ def trec_run_text(rankings: Mapping[str, Sequence[tuple[str, float]]],
         for rank, (pid, score) in enumerate(rankings[qid], start=1):
             lines.append(f"{qid} Q0 {pid} {rank} {score:.17g} {tag}\n")
     return "".join(lines)
+
+
+def mined_lists(queries: Sequence, retrievers: Sequence, n: int
+                ) -> dict[str, tuple[str, dict[str, list[str]]]]:
+    """Each query's (source, {retriever name: top n ids}): a full sort of
+    the retriever's scores on (score descending, id ascending) cut at n,
+    the source removed. A repeated retriever name keeps the last one's
+    lists, in the first one's place."""
+    lists = {q.id: (q.source_passage_id, {}) for q in queries}
+    for retriever in retrievers:
+        for q in queries:
+            ranked = sorted(zip(retriever.scores(q.text).tolist(),
+                                retriever.ids), key=lambda e: (-e[0], e[1]))
+            lists[q.id][1][retriever.name] = [
+                pid for _, pid in ranked[:n] if pid != q.source_passage_id]
+    return lists
+
+
+def union_entry(lists: Mapping[str, Sequence[str]]) -> dict[str, list[str]]:
+    """A pool's negatives in ascending id order, each mapped to the
+    retrievers that listed it: the union the per-query dicts formed."""
+    provenance: dict[str, list[str]] = {}
+    for name, pids in lists.items():
+        for pid in pids:
+            provenance.setdefault(pid, []).append(name)
+    return dict(sorted(provenance.items()))
+
+
+def hard_negatives_text(pools: Mapping[str, tuple[str, Mapping[str, Sequence[str]]]]
+                        ) -> str:
+    """`hard-negatives.jsonl` of per-query (source, lists): one
+    `json.dumps(sort_keys=True)` record per query, queries sorted."""
+    return "".join(json.dumps({"qid": qid, "pos": [pools[qid][0]],
+                               "neg": pools[qid][1]}, sort_keys=True) + "\n"
+                   for qid in sorted(pools))
 
 
 class Row(NamedTuple):

@@ -42,7 +42,7 @@ from denseadapt import (Passage, PretrainConfig, Query, SamplerConfig,
                         load_model, mock_generator, pretrain, qgen_train,
                         run_pipeline, save_model, write_dataset,
                         write_trec_run)
-from denseadapt.mining import PoolEntry
+from denseadapt.mining import PoolColumns
 
 WORDS = [f"w{i:02d}" for i in range(40)]
 
@@ -64,14 +64,15 @@ def toy_queries(passages) -> list[Query]:
             for p in passages if p.body]
 
 
-def toy_pools(passages, queries) -> dict[str, PoolEntry]:
+def toy_lists(passages, queries) -> dict[str, tuple[str, dict]]:
     ids = [p.id for p in passages if p.body]
-    pools = {}
-    for i, q in enumerate(queries):
-        negs = sorted({ids[(i + k) % len(ids)] for k in (1, 2, 5)})
-        pools[q.id] = PoolEntry(q.id, q.source_passage_id, {"bm25": negs},
-                                negs, {n: ["bm25"] for n in negs}, usable=True)
-    return pools
+    return {q.id: (q.source_passage_id, {"bm25": sorted(
+        {ids[(i + k) % len(ids)] for k in (1, 2, 5)})})
+        for i, q in enumerate(queries)}
+
+
+def toy_pools(passages, queries) -> PoolColumns:
+    return PoolColumns.from_lists(toy_lists(passages, queries))
 
 
 def model_for(pooling: str = "mean", similarity: str = "dot"):
@@ -128,14 +129,11 @@ def udalm_case():
 def label_tsv_case() -> tuple[str]:
     passages = toy_corpus()
     queries = toy_queries(passages)
-    pools = toy_pools(passages, queries)
-    single = pools[queries[0].id]
-    only = single.negative_ids[:1]
-    pools[single.query_id] = PoolEntry(
-        single.query_id, single.source_passage_id, {"bm25": only}, only,
-        {only[0]: ["bm25"]}, usable=True)
-    dataset = build_dataset(queries, pools, passages, lexical_overlap_ce(),
-                            seed=1, n_tuples=500)
+    lists = toy_lists(passages, queries)
+    source, single = lists[queries[0].id]
+    lists[queries[0].id] = (source, {"bm25": single["bm25"][:1]})
+    dataset = build_dataset(queries, PoolColumns.from_lists(lists), passages,
+                            lexical_overlap_ce(), seed=1, n_tuples=500)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.tsv"
         write_dataset(dataset, path)

@@ -4,18 +4,24 @@ The benchmark reports only a workload's largest peak (`peak_rss_mib`);
 this script shows which command sets it. It writes the workload's seeded
 inputs and config with `bench/workloads.py`, runs `stage ingest` and then
 each of the workload's commands once, each in a fresh process under
-`bench/peak_rss.py`, and prints each command's VmHWM in MiB:
+`bench/peak_rss.py` with the benchmark's BLAS thread settings, and prints
+each command's VmHWM in MiB:
 
-    python tests/stage_peaks.py <workload> [--seed N] [--dir DIR]
+    python tests/stage_peaks.py <workload> [--seed N] [--dir DIR] [--runs N]
 
-The package is imported from this checkout's `src/`. Inputs and cache go
-to a temporary directory unless `--dir` names one (it must not exist).
+With `--runs N` it does that N times, each round on fresh inputs and an
+empty cache, and prints each command's median, min and max VmHWM; one
+run reads up to about 0.5 MiB off another. The package is imported from
+this checkout's `src/`. Inputs and cache go to a temporary directory
+unless `--dir` names one (it must not exist); with more than one run,
+round r uses its subdirectory `run-<r>`.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,7 +39,11 @@ def peaks(workload: str, seed: int, directory: Path) -> list[tuple[str, float]]:
     inputs = write_dataset(w, seed, directory / "inputs")
     config = directory / "config.json"
     write_config(w, inputs, directory / "cache", seed, config)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # The benchmark's environment: BLAS threads change what a process maps.
+    threads = str(len(os.sched_getaffinity(0)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS=threads,
+               OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    env.pop("PIPELINE_CACHE_ROOT", None)
     rss = directory / "peak-rss"
     out = []
     for command in (("stage", "ingest"), *w.commands):
@@ -51,12 +61,22 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--dir", type=Path)
+    parser.add_argument("--runs", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
         directory = args.dir or Path(tmp)
         directory.mkdir(parents=True, exist_ok=directory == Path(tmp))
-        for command, mib in peaks(args.workload, args.seed, directory):
-            print(f"{mib:8.2f} MiB  {command}")
+        rounds = [peaks(args.workload, args.seed,
+                        directory / f"run-{r}" if args.runs > 1 else directory)
+                  for r in range(args.runs)]
+    print("  median      min      max  (MiB, over "
+          f"{args.runs} run{'s' * (args.runs > 1)})  command")
+    for i, (command, _) in enumerate(rounds[0]):
+        mib = [peak[i][1] for peak in rounds]
+        print(f"{statistics.median(mib):8.2f} {min(mib):8.2f} {max(mib):8.2f}"
+              f"  {command}")
     return 0
 
 

@@ -13,6 +13,13 @@ It also checks that the stream read back equals the one built, and prints
 tuples per second for the build, the write and the read (each timed
 without tracing).
 
+It writes the mined pools of 2,000 queries, each with two overlapping
+lists of 50 passage ids over a 5,000-passage corpus, and prints the
+bytes per mined id that `read_hard_negatives`'s result holds (bound 16:
+an int32 row of the retriever's list and at most an int32 row and a
+provenance byte of the union, plus the id tables) and what that holds at
+the paper's 250,000 queries x 100 ids.
+
 Last, it writes a TREC run of 100 queries x 1,000 entries over a
 2,000-passage id table and prints the bytes per entry that
 `read_trec_run`'s result holds (bound 16: an int32 row and a float64
@@ -36,16 +43,30 @@ import numpy as np
 
 from denseadapt import (Passage, Query, RunRanking, build_dataset,
                         init_encoder, lexical_overlap_ce, read_dataset,
-                        write_dataset, write_trec_run)
+                        write_dataset, write_hard_negatives, write_trec_run)
 from denseadapt.corpus import passage_text
 from denseadapt.evaluation import read_trec_run
-from denseadapt.mining import PoolEntry
+from denseadapt.mining import PoolColumns, read_hard_negatives
 from denseadapt.training import tuple_batches
 
 BOUND = 32  # bytes per tuple
 N_QUERIES, POOL, N_PASSAGES = 200, 50, 400
 RUN_BOUND = 16  # bytes per run entry
 RUN_QUERIES, RUN_CUTOFF, RUN_PASSAGES = 100, 1000, 2000
+POOL_BOUND = 16  # bytes per mined id
+POOL_QUERIES, POOL_LIST, POOL_PASSAGES = 2000, 50, 5000
+
+
+def pool_lists(n_queries: int = POOL_QUERIES, n_list: int = POOL_LIST,
+               n_passages: int = POOL_PASSAGES) -> dict:
+    """Per-query (source, {"bm25": ids, "dense": ids}) with two lists of
+    n_list ids each that share half their ids, as
+    `PoolColumns.from_lists` takes them."""
+    pids = [f"p{i:05d}" for i in range(n_passages)]
+    return {f"genQ-{i:06d}": (pids[i % n_passages], {
+        name: [pids[(7 * i + shift + k) % n_passages] for k in range(n_list)]
+        for name, shift in (("bm25", 1), ("dense", 1 + n_list // 2))})
+        for i in range(n_queries)}
 
 
 def world():
@@ -54,13 +75,9 @@ def world():
         words[(i * k) % 100] for k in (1, 3, 7, 11))) for i in range(N_PASSAGES)]
     queries = [Query(f"q{i:04d}", f"{words[i % 100]} {words[(i * 3) % 100]}",
                      passages[i].id) for i in range(N_QUERIES)]
-    pools = {}
-    for i, q in enumerate(queries):
-        negatives = sorted(passages[N_QUERIES + (i + k) % (N_PASSAGES - N_QUERIES)].id
-                           for k in range(POOL))
-        pools[q.id] = PoolEntry(q.id, q.source_passage_id,
-                                {"bm25": negatives}, negatives,
-                                {n: ["bm25"] for n in negatives}, usable=True)
+    pools = PoolColumns.from_lists({q.id: (q.source_passage_id, {"bm25": sorted(
+        passages[N_QUERIES + (i + k) % (N_PASSAGES - N_QUERIES)].id
+        for k in range(POOL))}) for i, q in enumerate(queries)})
     return words, passages, queries, pools
 
 
@@ -92,6 +109,18 @@ def run_entry_bytes(directory: Path) -> float:
     del run
     _, _, held = traced_growth(lambda: read_trec_run(path))
     return held / (RUN_QUERIES * RUN_CUTOFF)
+
+
+def pool_id_bytes(directory: Path) -> float:
+    """Bytes per mined id held by `read_hard_negatives`'s result for the
+    written pools of `pool_lists()`."""
+    lists = pool_lists()
+    path = directory / "hard-negatives.jsonl"
+    write_hard_negatives(PoolColumns.from_lists(lists), path)
+    n_ids = sum(len(ids) for _, per in lists.values() for ids in per.values())
+    del lists
+    _, _, held = traced_growth(lambda: read_hard_negatives(path))
+    return held / n_ids
 
 
 def timed(fn):
@@ -133,6 +162,7 @@ def main(argv: list[str]) -> int:
 
         loaded, read_peak, _ = traced_growth(read_and_set_up)
         per_entry = run_entry_bytes(Path(tmp))
+        per_id = pool_id_bytes(Path(tmp))
     print(f"read_dataset + tuple_batches set-up: peak growth "
           f"{read_peak / n:.1f} B/tuple (bound {BOUND})")
     if read_peak > BOUND * n:
@@ -147,6 +177,11 @@ def main(argv: list[str]) -> int:
           f"{per_entry * 10_000 * RUN_CUTOFF / 2 ** 20:,.0f} MiB")
     if per_entry > RUN_BOUND:
         failed.append("read_trec_run")
+    print(f"read_hard_negatives: holds {per_id:.1f} B/mined id (bound "
+          f"{POOL_BOUND}); 250,000 queries x 100: "
+          f"{per_id * 250_000 * 100 / 2 ** 20:,.0f} MiB")
+    if per_id > POOL_BOUND:
+        failed.append("read_hard_negatives")
     print("failed: " + ", ".join(failed) if failed else "all bounds met")
     return 1 if failed else 0
 

@@ -32,7 +32,7 @@ from denseadapt import (BM25Retriever, DenseRetriever, LossConfig, Passage,
                         qgen_train)
 from denseadapt.corpus import passage_text, tokenize
 from denseadapt.labeling import GPLDataset, TupleColumns
-from denseadapt.mining import PoolEntry
+from denseadapt.mining import PoolColumns
 from denseadapt.util import derive_seed
 from oracles import binary_relevance_labels, ce_margin, stream_rows
 
@@ -216,21 +216,13 @@ def poison_pools(pools, queries, corpus_ids):
     A guard only: in this world BM25 and the dense retriever already mine
     every planted duplicate into its query's pool, so nothing is added.
     """
-    poisoned = {}
+    lists = {}
     for q in queries:
-        entry = pools[q.id]
+        lists[q.id] = (q.source_passage_id, pools.lists(pools.find(q.id)))
         dup_id = q.source_passage_id + "-dup"
-        if dup_id not in corpus_ids or dup_id in entry.negative_ids:
-            poisoned[q.id] = entry
-            continue
-        per = {name: list(pids) for name, pids in entry.per_retriever.items()}
-        per.setdefault("planted", []).append(dup_id)
-        negatives = sorted(set(entry.negative_ids) | {dup_id})
-        provenance = {pid: list(names) for pid, names in entry.provenance.items()}
-        provenance.setdefault(dup_id, []).append("planted")
-        poisoned[q.id] = PoolEntry(q.id, entry.source_passage_id, per,
-                                   negatives, provenance, True)
-    return poisoned
+        if dup_id in corpus_ids and dup_id not in pools.negatives(q.id):
+            lists[q.id][1].setdefault("planted", []).append(dup_id)
+    return PoolColumns.from_lists(lists)
 
 
 @dataclass

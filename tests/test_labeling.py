@@ -15,7 +15,7 @@ from denseadapt import (CrossEncoderScorer, Passage, Query, TupleColumns,
 from denseadapt.corpus import ParseError, passage_text
 from denseadapt.labeling import _BLOCK, GPLDataset
 from denseadapt.training import tuple_batches
-from denseadapt.mining import PoolEntry
+from denseadapt.mining import PoolColumns
 from denseadapt.util import derive_seed
 from oracles import (binary_relevance_labels, ce_margin,
                      lexical_overlap_score, stream_rows)
@@ -25,11 +25,12 @@ def fixed_ce(scores: dict) -> CrossEncoderScorer:
     return CrossEncoderScorer(lambda q, p: scores[(q, p)], name="fixed")
 
 
-def make_pool(qid, source, negatives):
-    per = {"bm25": list(negatives)}
-    provenance = {pid: ["bm25"] for pid in negatives}
-    return PoolEntry(qid, source, per, sorted(negatives), provenance,
-                     usable=bool(negatives))
+def make_pool(source, negatives):
+    """One query's pool as `PoolColumns.from_lists` takes it."""
+    return source, {"bm25": list(negatives)}
+
+
+pack = PoolColumns.from_lists
 
 
 class TestCeMargin:
@@ -62,22 +63,23 @@ class TestCeMargin:
 class TestSampleTuple:
     def test_singleton_pool(self):
         query = Query("q1", "text", source_passage_id="src")
-        pool = make_pool("q1", "src", ["only"])
+        pool = pack({"q1": make_pool("src", ["only"])})
         assert sample_tuple(query, pool, seed=0) == ("src", "only")
 
     def test_deterministic(self):
         query = Query("q1", "text", source_passage_id="src")
-        pool = make_pool("q1", "src", [f"n{i}" for i in range(20)])
+        pool = pack({"q1": make_pool("src", [f"n{i}" for i in range(20)])})
         assert sample_tuple(query, pool, seed=3) == sample_tuple(query, pool, seed=3)
 
     def test_uniformity_binomial_3sigma(self):
         pool_ids = ["n0", "n1", "n2", "n3"]
         counts = {pid: 0 for pid in pool_ids}
         n_draws = 10_000
-        for i in range(n_draws):
-            query = Query(f"q{i}", "text", source_passage_id="src")
-            pool = make_pool(query.id, "src", pool_ids)
-            _, neg = sample_tuple(query, pool, seed=11)
+        queries = [Query(f"q{i}", "text", source_passage_id="src")
+                   for i in range(n_draws)]
+        pools = pack({q.id: make_pool("src", pool_ids) for q in queries})
+        for query in queries:
+            _, neg = sample_tuple(query, pools, seed=11)
             counts[neg] += 1
         p = 0.25
         sigma = math.sqrt(n_draws * p * (1 - p))
@@ -86,7 +88,7 @@ class TestSampleTuple:
 
     def test_empty_pool_rejected(self):
         query = Query("q1", "text", source_passage_id="src")
-        pool = make_pool("q1", "src", [])
+        pool = pack({"q1": make_pool("src", [])})
         with pytest.raises(ValueError):
             sample_tuple(query, pool, seed=0)
 
@@ -99,28 +101,31 @@ class TestBuildDataset:
                   Passage("n2", "", "futures contract definition extra")]
         queries = [Query("genQ-src1-1", "futures contract", "src1"),
                    Query("genQ-src2-1", "bond yield", "src2")]
-        pools = {"genQ-src1-1": make_pool("genQ-src1-1", "src1", ["n1", "n2"]),
-                 "genQ-src2-1": make_pool("genQ-src2-1", "src2", ["n1"])}
+        pools = {"genQ-src1-1": make_pool("src1", ["n1", "n2"]),
+                 "genQ-src2-1": make_pool("src2", ["n1"])}
         return corpus, queries, pools
 
     def test_one_tuple_per_usable_query(self):
         corpus, queries, pools = self.make_world()
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
+                           seed=0)
         assert len(ds.tuples) == 2
         assert [t.query_id for t in stream_rows(ds)] == sorted(q.id for q in queries)
 
     def test_unusable_query_skipped(self):
         corpus, queries, pools = self.make_world()
-        pools["genQ-src2-1"] = make_pool("genQ-src2-1", "src2", [])
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
+        pools["genQ-src2-1"] = make_pool("src2", [])
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
+                           seed=0)
         assert len(ds.tuples) == 1
         assert ds.manifest["n_skipped"] == 1
 
     def test_planted_duplicate_gets_zero_margin(self):
         corpus, queries, pools = self.make_world()
         corpus.append(Passage("dup", "", "futures contract definition"))
-        pools["genQ-src1-1"] = make_pool("genQ-src1-1", "src1", ["dup"])
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
+        pools["genQ-src1-1"] = make_pool("src1", ["dup"])
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
+                           seed=0)
         tup = next(t for t in stream_rows(ds) if t.query_id == "genQ-src1-1")
         assert tup.neg_id == "dup"
         assert abs(tup.margin) <= 1e-12
@@ -128,14 +133,16 @@ class TestBuildDataset:
     def test_junk_query_gets_small_margin(self):
         corpus, queries, pools = self.make_world()
         queries.append(Query("genQ-src1-2", "placeholder", "src1"))
-        pools["genQ-src1-2"] = make_pool("genQ-src1-2", "src1", ["n1"])
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
+        pools["genQ-src1-2"] = make_pool("src1", ["n1"])
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
+                           seed=0)
         tup = next(t for t in stream_rows(ds) if t.query_id == "genQ-src1-2")
         assert abs(tup.margin) <= 1e-12
 
     def test_manifest_contents(self):
         corpus, queries, pools = self.make_world()
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=9)
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
+                           seed=9)
         assert ds.manifest["seed"] == 9
         assert ds.manifest["retrievers"] == ["bm25"]
         assert ds.manifest["cross_encoder"].startswith("lexical-overlap")
@@ -144,17 +151,18 @@ class TestBuildDataset:
         corpus, queries, pools = self.make_world()
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"
-        write_dataset(build_dataset(queries, pools, corpus,
+        write_dataset(build_dataset(queries, pack(pools), corpus,
                                     lexical_overlap_ce(), seed=4), a)
-        write_dataset(build_dataset(queries, pools, corpus,
+        write_dataset(build_dataset(queries, pack(pools), corpus,
                                     lexical_overlap_ce(), seed=4), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_qgen_label_contrast_on_false_negative(self):
         corpus, queries, pools = self.make_world()
         corpus.append(Passage("dup", "", "futures contract definition"))
-        pools["genQ-src1-1"] = make_pool("genQ-src1-1", "src1", ["dup"])
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(), seed=0)
+        pools["genQ-src1-1"] = make_pool("src1", ["dup"])
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
+                           seed=0)
         labels = dict(((qid, pid), label)
                       for qid, pid, label in binary_relevance_labels(ds))
         tup = next(t for t in stream_rows(ds) if t.query_id == "genQ-src1-1")
@@ -172,11 +180,11 @@ class TestLabelStream:
                   for i in range(8)]
         queries = [Query(f"q{i}", f"w{i} shared", f"p{i}") for i in range(5)]
         queries.append(Query("q-unusable", "w7", "p7"))
-        pools = {q.id: make_pool(q.id, q.source_passage_id,
+        pools = {q.id: make_pool(q.source_passage_id,
                                  [f"p{j}" for j in range(8)
                                   if j != int(q.id[1:])])
                  for q in queries[:5]}
-        pools["q-unusable"] = make_pool("q-unusable", "p7", [])
+        pools["q-unusable"] = make_pool("p7", [])
         return corpus, queries[::-1], pools
 
     def one_per_query_reference(self, queries, pools, corpus, ce, seed):
@@ -185,11 +193,11 @@ class TestLabelStream:
         texts = {p.id: passage_text(p) for p in corpus}
         tuples = []
         for q in sorted(queries, key=lambda q: q.id):
-            pool = pools[q.id]
-            if not pool.usable:
+            negatives = sorted(set(pools[q.id][1]["bm25"]))
+            if not negatives:
                 continue
             rng = random.Random(derive_seed(seed, "negsample", q.id))
-            neg = pool.negative_ids[rng.randrange(len(pool.negative_ids))]
+            neg = negatives[rng.randrange(len(negatives))]
             margin = ce_margin(ce, q.text, texts[q.source_passage_id],
                                texts[neg])
             tuples.append((q.id, q.source_passage_id, neg, margin))
@@ -204,7 +212,7 @@ class TestLabelStream:
             expected)
         for n_tuples in (None, 5):
             got = tmp_path / f"got-{n_tuples}.tsv"
-            write_dataset(build_dataset(queries, pools, corpus, ce, seed=5,
+            write_dataset(build_dataset(queries, pack(pools), corpus, ce, seed=5,
                                         n_tuples=n_tuples), got)
             assert got.read_bytes() == expected.read_bytes()
 
@@ -212,7 +220,7 @@ class TestLabelStream:
         """Tuple i is draw i // 5 of the stream of query i mod 5, and each
         query's draw 0 is the negative `sample_tuple` picks."""
         corpus, queries, pools = self.make_world()
-        ds = build_dataset(queries, pools, corpus, lexical_overlap_ce(),
+        ds = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
                            seed=2, n_tuples=13)
         order = [f"q{i}" for i in range(5)]
         assert [t.query_id for t in stream_rows(ds)] == (order * 3)[:13]
@@ -222,22 +230,22 @@ class TestLabelStream:
         draws = {}
         for qid in order:
             rng = random.Random(derive_seed(2, "negsample", qid))
-            pool = pools[qid].negative_ids
+            pool = pools[qid][1]["bm25"]
             draws[qid] = [pool[rng.randrange(len(pool))] for _ in range(3)]
         for i, t in enumerate(stream_rows(ds)):
             assert t.pos_id == by_id[t.query_id].source_passage_id
             assert t.neg_id == draws[t.query_id][i // 5]
             if i < 5:
                 assert (t.pos_id, t.neg_id) == sample_tuple(
-                    by_id[t.query_id], pools[t.query_id], 2)
+                    by_id[t.query_id], pack(pools), 2)
 
     def test_negatives_uniform_over_pool_3sigma(self):
         corpus, queries, pools = self.make_world()
         n_draws = 10_000
-        ds = build_dataset([q for q in queries if q.id == "q0"], pools,
+        ds = build_dataset([q for q in queries if q.id == "q0"], pack(pools),
                            corpus, lexical_overlap_ce(), seed=8,
                            n_tuples=n_draws)
-        pool_ids = pools["q0"].negative_ids
+        pool_ids = pools["q0"][1]["bm25"]
         counts = {pid: 0 for pid in pool_ids}
         for t in stream_rows(ds):
             counts[t.neg_id] += 1
@@ -251,7 +259,7 @@ class TestLabelStream:
         negative of each tuple in turn), so building a stream and reading
         its TSV give the same columns."""
         corpus, queries, pools = self.make_world()
-        built = build_dataset(queries, pools, corpus, lexical_overlap_ce(),
+        built = build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
                               seed=6, n_tuples=70).tuples
         path = tmp_path / "stream.tsv"
         write_dataset(GPLDataset(built), path)
@@ -272,7 +280,7 @@ class TestLabelStream:
                   for i in range(300)]
         queries = [Query(f"q{i:03d}", f"w{i % 50} w{i % 3}", f"p{i:03d}")
                    for i in range(150)]
-        pools = {q.id: make_pool(q.id, q.source_passage_id,
+        pools = {q.id: make_pool(q.source_passage_id,
                                  [f"p{(i + k) % 300:03d}" for k in range(1, 201)])
                  for i, q in enumerate(queries)}
         lexical = lexical_overlap_ce()
@@ -282,7 +290,7 @@ class TestLabelStream:
             batches.append(list(zip(query_texts, passage_texts)))
             return lexical.score_pairs(query_texts, passage_texts)
 
-        ds = build_dataset(queries, pools, corpus,
+        ds = build_dataset(queries, pack(pools), corpus,
                            CrossEncoderScorer(counting, name="counting",
                                               batched=True),
                            seed=1, n_tuples=20_000)
@@ -297,7 +305,7 @@ class TestLabelStream:
         assert set(calls) == pairs
         # A per-pair scorer labels the same stream.
         per_pair = build_dataset(
-            queries, pools, corpus,
+            queries, pack(pools), corpus,
             CrossEncoderScorer(lexical_overlap_score), seed=1,
             n_tuples=20_000)
         for column in ("query", "pos", "neg", "margin"):
@@ -307,14 +315,14 @@ class TestLabelStream:
     def test_no_usable_query_gives_empty_stream(self):
         corpus, queries, pools = self.make_world()
         ds = build_dataset([q for q in queries if q.id == "q-unusable"],
-                           pools, corpus, lexical_overlap_ce(), seed=0,
+                           pack(pools), corpus, lexical_overlap_ce(), seed=0,
                            n_tuples=10)
         assert len(ds.tuples) == 0
 
     def test_negative_count_rejected(self):
         corpus, queries, pools = self.make_world()
         with pytest.raises(ValueError):
-            build_dataset(queries, pools, corpus, lexical_overlap_ce(),
+            build_dataset(queries, pack(pools), corpus, lexical_overlap_ce(),
                           seed=0, n_tuples=-1)
 
 
@@ -329,19 +337,20 @@ class TestTrainingTupleValidation:
 
     def test_build_rejects_a_pool_holding_the_positive(self):
         corpus = [Passage("p0", "", "a b"), Passage("p1", "", "c")]
-        pools = {"q0": make_pool("q0", "p0", ["p0"])}
+        pools = {"q0": make_pool("p0", ["p0"])}
         with pytest.raises(ValueError, match=r"^pos_id == neg_id \('p0'\) "
                                              r"for query 'q0'$"):
-            build_dataset([Query("q0", "a", "p0")], pools, corpus,
+            build_dataset([Query("q0", "a", "p0")], pack(pools), corpus,
                           lexical_overlap_ce(), seed=0)
 
     def test_build_rejects_a_non_finite_margin(self):
         corpus = [Passage("p0", "", "a b"), Passage("p1", "", "c")]
-        pools = {"q0": make_pool("q0", "p0", ["p1"])}
+        pools = {"q0": make_pool("p0", ["p1"])}
         ce = fixed_ce({("a", "a b"): 1e308, ("a", "c"): -1e308})
         with pytest.raises(ValueError,
                            match="^non-finite margin for query 'q0'$"):
-            build_dataset([Query("q0", "a", "p0")], pools, corpus, ce, seed=0)
+            build_dataset([Query("q0", "a", "p0")], pack(pools), corpus, ce,
+                          seed=0)
 
 
 class TestDatasetIO:

@@ -2,7 +2,9 @@
 tie rule, and negative-pool construction."""
 
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 
 from denseadapt import (BM25Retriever, DenseRetriever, ParseError, Passage,
                         Query, build_bm25_index, encode_batch,
-                        full_rank, init_encoder, mine_negatives, mine_pools,
+                        PoolColumns, full_rank, init_encoder, mine_pools,
                         read_hard_negatives, retrieve_top_k, tokenize,
                         write_hard_negatives)
-from oracles import bm25_score
+from oracles import (bm25_score, hard_negatives_text, mined_lists,
+                     union_entry)
+from stream_memory import POOL_BOUND, pool_lists
 
 TWO_DOCS = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
 
@@ -254,43 +258,51 @@ class TestMineNegatives:
     def test_source_excluded(self):
         passages, retrievers = self.make_world()
         query = Query("q1", passages[0].body, source_passage_id=passages[0].id)
-        entry = mine_negatives(query, retrievers, n_per_retriever=10)
-        assert passages[0].id not in entry.negative_ids
-        assert entry.usable
+        pools = mine_pools([query], retrievers, n_per_retriever=10)
+        assert passages[0].id not in pools.negatives("q1")
+        assert pools.size("q1")
 
     def test_pool_bound_and_dedup(self):
         passages, retrievers = self.make_world()
         query = Query("q1", passages[3].body, source_passage_id=passages[3].id)
-        entry = mine_negatives(query, retrievers, n_per_retriever=10)
-        assert len(entry.negative_ids) <= 20
-        assert len(entry.negative_ids) == len(set(entry.negative_ids))
-        assert entry.negative_ids == sorted(entry.negative_ids)
+        negatives = mine_pools([query], retrievers,
+                               n_per_retriever=10).negatives("q1")
+        assert len(negatives) <= 20
+        assert len(negatives) == len(set(negatives))
+        assert negatives == sorted(negatives)
 
     def test_identical_retrievers_collapse(self):
         passages, retrievers = self.make_world()
         query = Query("q1", passages[5].body, source_passage_id=passages[5].id)
-        entry = mine_negatives(query, [retrievers[0], retrievers[0]],
-                               n_per_retriever=10)
-        assert len(entry.negative_ids) <= 10
+        pools = mine_pools([query], [retrievers[0], retrievers[0]],
+                           n_per_retriever=10)
+        assert pools.size("q1") <= 10
 
     def test_provenance_names_only_configured_retrievers(self):
         passages, retrievers = self.make_world()
         query = Query("q1", passages[2].body, source_passage_id=passages[2].id)
-        entry = mine_negatives(query, retrievers, n_per_retriever=5)
-        names = {n for pids in entry.provenance.values() for n in pids}
-        assert names <= {"bm25", "dense"}
+        pools = mine_pools([query], retrievers, n_per_retriever=5)
+        assert pools.retrievers == ["bm25", "dense"]
+        assert pools.provenance.size and set(pools.provenance) <= {1, 2, 3}
 
     def test_singleton_corpus_unusable(self):
         passages = [Passage("only", "", "w1 w2")]
         index = build_bm25_index(passages)
         query = Query("q1", "w1", source_passage_id="only")
-        entry = mine_negatives(query, [BM25Retriever(index)], n_per_retriever=5)
-        assert not entry.usable
+        pools = mine_pools([query], [BM25Retriever(index)], n_per_retriever=5)
+        assert pools.query_ids == ["q1"] and not pools.size("q1")
 
     def test_query_without_source_rejected(self):
         _, retrievers = self.make_world()
         with pytest.raises(ValueError):
-            mine_negatives(Query("q1", "w1"), retrievers)
+            mine_pools([Query("q1", "w1")], retrievers)
+
+    def test_repeated_query_id_rejected(self):
+        passages, retrievers = self.make_world()
+        queries = [Query("q1", p.body, source_passage_id=p.id)
+                   for p in passages[:2]]
+        with pytest.raises(ValueError, match="^query 'q1' has two pools$"):
+            mine_pools(queries, retrievers)
 
     @pytest.mark.parametrize("record", [
         '{"qid": "q1", "neg": {"bm25": ["d2"]}}',
@@ -303,6 +315,27 @@ class TestMineNegatives:
         with pytest.raises(ParseError, match=f"{path}:2:"):
             read_hard_negatives(path)
 
+    @pytest.mark.parametrize("record", [
+        '["q1", ["d1"], {"bm25": ["d2"]}]',
+        '{"qid": "q1", "pos": ["d1"], "neg": ["d2"]}',
+        '{"qid": "q1", "pos": "d00012", "neg": {"bm25": ["d2"]}}',
+        '{"qid": "q1", "pos": ["d1"], "neg": {"bm25": "abc"}}',
+        '{"qid": 1, "pos": ["d1"], "neg": {"bm25": ["d2"]}}',
+        '{"qid": "q1", "pos": [1], "neg": {"bm25": ["d2"]}}',
+        '{"qid": "q1", "pos": ["d1"], "neg": {"bm25": ["d2", 7]}}',
+        '{"qid": "q0", "pos": ["d1"], "neg": {"bm25": ["d2"]}}',
+        '{"qid": "q1", "pos": ["d1"], "neg": {%s}}'
+        % ", ".join(f'"r{i}": ["d2"]' for i in range(9)),
+    ], ids=["record a list", "neg a list", "pos a string", "neg ids a string",
+            "qid not a string", "pos id not a string", "neg id not a string",
+            "qid repeated", "nine retrievers"])
+    def test_malformed_record_names_its_location(self, tmp_path, record):
+        path = tmp_path / "hard-negatives.jsonl"
+        path.write_text('{"qid": "q0", "pos": ["d1"], "neg": {"bm25": []}}\n'
+                        + record + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:2: "):
+            read_hard_negatives(path)
+
     def test_file_round_trip(self, tmp_path):
         passages, retrievers = self.make_world()
         queries = [Query(f"genQ-{p.id}-1", p.body, source_passage_id=p.id)
@@ -311,7 +344,105 @@ class TestMineNegatives:
         path = tmp_path / "hard-negatives.jsonl"
         write_hard_negatives(pools, path)
         loaded = read_hard_negatives(path)
-        assert set(loaded) == set(pools)
-        for qid in pools:
-            assert loaded[qid].negative_ids == pools[qid].negative_ids
-            assert loaded[qid].per_retriever == pools[qid].per_retriever
+        assert loaded.query_ids == pools.query_ids == sorted(q.id for q in queries)
+        for i, qid in enumerate(pools.query_ids):
+            assert loaded.negatives(qid) == pools.negatives(qid)
+            assert loaded.lists(i) == pools.lists(i)
+
+
+class ScoreTable:
+    """A retriever whose scores per query text are given: small integers,
+    so exact ties are common and straddle the cut."""
+
+    def __init__(self, name, ids, scores):
+        self.name, self.ids, self._scores = name, ids, scores
+        self.id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+
+    def scores(self, text):
+        return np.asarray(self._scores[text], dtype=np.float64)
+
+
+IDS = ["d0", "d1", "d10", "d2", "D", "d\u00e9", 'd"q']
+NAMES = ["bm25", "dense", "x"]
+
+
+def check_union(pools: PoolColumns, lists) -> None:
+    """Each query's negatives and provenance bits equal `union_entry`."""
+    assert pools.query_ids == sorted(lists)
+    for i, qid in enumerate(pools.query_ids):
+        union = union_entry(lists[qid][1])
+        assert pools.negatives(qid) == list(union)
+        bits = pools.provenance[pools.span(i)].tolist()
+        assert [{name for b, name in enumerate(pools.retrievers)
+                 if mask >> b & 1} for mask in bits] == \
+            [set(names) for names in union.values()]
+
+
+def written(pools: PoolColumns) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hard-negatives.jsonl"
+        write_hard_negatives(pools, path)
+        return path.read_text(encoding="utf-8")
+
+
+class TestPoolBytes:
+    """`hard-negatives.jsonl` bytes are those of per-query dicts written
+    with `json.dumps(sort_keys=True)`, and reading them back writes them
+    again."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(
+        st.text("qQ09", min_size=1, max_size=3),
+        st.tuples(st.sampled_from(IDS), st.dictionaries(
+            st.sampled_from(NAMES), st.lists(st.sampled_from(IDS), max_size=5),
+            max_size=3)),
+        max_size=6))
+    def test_read_then_write_reproduces_the_file(self, lists):
+        text = hard_negatives_text(lists)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "hard-negatives.jsonl"
+            path.write_text(text, encoding="utf-8")
+            pools = read_hard_negatives(path)
+        assert written(pools) == text
+        assert written(PoolColumns.from_lists(lists)) == text
+        check_union(pools, lists)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mined_pools_write_the_dict_bytes(self, data):
+        ids = data.draw(st.permutations(IDS))[:data.draw(st.integers(1, 7))]
+        queries = [Query(qid, f"text of {qid}", data.draw(st.sampled_from(ids)))
+                   for qid in data.draw(st.permutations(["q2", "q0", "q10",
+                                                         "q1"]))]
+        names = data.draw(st.lists(st.sampled_from(NAMES), max_size=4))
+        retrievers = [ScoreTable(name, ids, {q.text: data.draw(st.lists(
+            st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
+            for q in queries}) for name in names]
+        n = data.draw(st.integers(1, len(ids) + 1))
+        lists = mined_lists(queries, retrievers, n)
+        pools = mine_pools(queries, iter(retrievers), n_per_retriever=n)
+        assert written(pools) == hard_negatives_text(lists)
+        check_union(pools, lists)
+
+
+class TestPoolMemory:
+    def test_read_hard_negatives_holds_few_bytes_per_mined_id(self, tmp_path):
+        """2,000 queries x 100 mined ids read back hold at most 16 bytes per
+        id: an int32 row of each list, the union's int32 row and provenance
+        byte, and the id tables; per-query dicts held about 200."""
+        lists = pool_lists()
+        path = tmp_path / "hard-negatives.jsonl"
+        path.write_text(hard_negatives_text(lists), encoding="utf-8")
+        n_ids = sum(len(ids) for _, per in lists.values()
+                    for ids in per.values())
+        assert n_ids == 200_000
+        del lists
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pools = read_hard_negatives(path)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(pools) == 2_000
+        assert held / n_ids <= POOL_BOUND, held / n_ids

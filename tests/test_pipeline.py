@@ -975,7 +975,7 @@ class TestUdalmMethod:
         corpus_path, queries_path, _ = write_world(src_dir)
         from denseadapt import (Query, build_dataset, lexical_overlap_ce,
                                 write_dataset)
-        from denseadapt.mining import PoolEntry
+        from denseadapt.mining import PoolColumns
         passages = load_corpus(corpus_path)
         queries = []
         pools = {}
@@ -983,9 +983,8 @@ class TestUdalmMethod:
             q = Query(f"sq{i}", p.body.split()[0], p.id)
             queries.append(q)
             negs = [passages[(i + 3) % len(passages)].id]
-            pools[q.id] = PoolEntry(q.id, p.id, {"bm25": negs}, negs,
-                                    {negs[0]: ["bm25"]}, usable=True)
-        dataset = build_dataset(queries, pools, passages,
+            pools[q.id] = (p.id, {"bm25": negs})
+        dataset = build_dataset(queries, PoolColumns.from_lists(pools), passages,
                                 lexical_overlap_ce(), seed=0)
         tuples_path = src_dir / "source-tuples.tsv"
         write_dataset(dataset, tuples_path)

@@ -12,7 +12,7 @@ from denseadapt import (LossConfig, Passage, Query, TrainRunConfig,
                         TupleColumns, gpl_train, init_encoder,
                         margin_mse_loss, mnrl_loss, qgen_train)
 from denseadapt.labeling import GPLDataset
-from denseadapt.mining import PoolEntry
+from denseadapt.mining import PoolColumns
 from denseadapt.models import EncoderModel, new_grads
 from denseadapt.training import fit
 
@@ -357,9 +357,9 @@ class TestQgenTrain:
     @pytest.mark.parametrize("hard", [False, True])
     def test_tokenizes_each_distinct_text_once(self, monkeypatch, steps, hard):
         corpus, queries = self.make_world()
-        pools = {q.id: PoolEntry(q.id, q.source_passage_id, {"bm25": ["p4"]},
-                                 ["p4"], {"p4": ["bm25"]}, usable=True)
-                 for q in queries} if hard else None
+        pools = PoolColumns.from_lists(
+            {q.id: (q.source_passage_id, {"bm25": ["p4"]}) for q in queries}
+        ) if hard else None
         calls = count_token_ids(monkeypatch)
         qgen_train(init_encoder(TOKENS, dim=4, seed=0, similarity="cosine"),
                    queries, corpus, TrainRunConfig(steps=steps, batch_size=2),
@@ -370,12 +370,9 @@ class TestQgenTrain:
 
     def test_hard_negative_mode_trains_and_uses_pools(self):
         corpus, queries = self.make_world()
-        pools = {}
-        for q in queries:
-            negs = sorted(p.id for p in corpus if p.id != q.source_passage_id)
-            pools[q.id] = PoolEntry(q.id, q.source_passage_id,
-                                    {"bm25": negs}, negs,
-                                    {n: ["bm25"] for n in negs}, usable=True)
+        pools = PoolColumns.from_lists({q.id: (q.source_passage_id, {"bm25": [
+            p.id for p in corpus if p.id != q.source_passage_id]})
+            for q in queries})
         model = init_encoder(TOKENS, dim=6, seed=2, similarity="cosine",
                              init_scale=0.3)
         cfg = TrainRunConfig(steps=60, batch_size=4, seed=0, learning_rate=0.05)
