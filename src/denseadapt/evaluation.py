@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import ParseError, Passage, Qrels, Query, passage_text
 from .labeling import _BLOCK
-from .mining import DenseRetriever, _id_rank, top_k_rows
+from .mining import DenseRetriever, _id_rank, rank_queries
 from .models import CrossEncoderScorer, EncoderModel
 
 logger = logging.getLogger(__name__)
@@ -25,39 +25,18 @@ DEFAULT_CUTOFF = 1000
 DEFAULT_K = 10
 
 
+@dataclass
 class RunRanking:
     """Per-query ranked candidates in columns. Query `qids[i]` holds
     entries offsets[i]:offsets[i + 1] (int64 offsets) of `rows` (int32
     positions in the passage-id table `pids`) and `scores` (float64), in
-    rank order: scores non-increasing, no passage twice within a query.
+    rank order: scores non-increasing, no passage twice within a query."""
 
-    `RunRanking({qid: [(pid, score), ...]})` packs per-query lists, and
-    `entries` is a read-only mapping that builds one query's list when
-    asked; both are for callers and tests, the pipeline reads the columns.
-    """
-
-    def __init__(self, entries: Mapping[str, Sequence[tuple[str, float]]]
-                 | None = None):
-        entries = entries or {}
-        table: dict[str, int] = {}
-        self.qids = list(entries)
-        self.offsets = np.cumsum([0, *map(len, entries.values())],
-                                 dtype=np.int64)
-        self.rows = np.array([table.setdefault(pid, len(table))
-                              for ranking in entries.values()
-                              for pid, _ in ranking], dtype=np.int32)
-        self.scores = np.array([score for ranking in entries.values()
-                                for _, score in ranking], dtype=np.float64)
-        self.pids = list(table)
-
-    @classmethod
-    def from_columns(cls, qids: list[str], offsets: np.ndarray,
-                     pids: list[str], rows: np.ndarray, scores: np.ndarray
-                     ) -> "RunRanking":
-        run = cls()
-        run.qids, run.offsets, run.pids = qids, offsets, pids
-        run.rows, run.scores = rows, scores
-        return run
+    qids: list[str]
+    offsets: np.ndarray
+    pids: list[str]
+    rows: np.ndarray
+    scores: np.ndarray
 
     def span(self, i: int) -> slice:
         """Query i's entries in `rows` and `scores`."""
@@ -66,29 +45,6 @@ class RunRanking:
     def top_ids(self, i: int, n: int | None = None) -> list[str]:
         """The passage ids of query i's first n entries (all by default)."""
         return [self.pids[r] for r in self.rows[self.span(i)][:n].tolist()]
-
-    @property
-    def entries(self) -> Mapping[str, list[tuple[str, float]]]:
-        return _Entries(self)
-
-
-class _Entries(Mapping):
-    """`run.entries`: query id -> [(passage id, score)], built per lookup."""
-
-    def __init__(self, run: RunRanking):
-        self._run = run
-        self._position = {qid: i for i, qid in enumerate(run.qids)}
-
-    def __getitem__(self, qid: str) -> list[tuple[str, float]]:
-        i = self._position[qid]
-        return list(zip(self._run.top_ids(i),
-                        self._run.scores[self._run.span(i)].tolist()))
-
-    def __iter__(self):
-        return iter(self._run.qids)
-
-    def __len__(self) -> int:
-        return len(self._run.qids)
 
 
 @dataclass
@@ -116,22 +72,16 @@ def full_rank(model: EncoderModel, queries: Sequence[Query],
               corpus: Sequence[Passage], cutoff: int = DEFAULT_CUTOFF
               ) -> RunRanking:
     """Exact brute-force top-cutoff ranking of the whole corpus per query
-    under the model's similarity, by `top_k_rows` (the tie rule of
-    retrieve_top_k), written straight into the run's columns."""
+    under the model's similarity: `rank_queries` over a DenseRetriever,
+    each query's `retrieve_top_k` written straight into the run's
+    columns."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     retriever = DenseRetriever(model, corpus)
-    k = min(cutoff, len(corpus))
-    rows = np.empty(len(queries) * k, dtype=np.int32)
-    scores = np.empty(len(queries) * k)
-    for i, q in enumerate(queries):
-        query_scores = retriever.scores(q.text)
-        top = top_k_rows(query_scores, retriever.id_rank, cutoff)
-        rows[i * k:(i + 1) * k] = top
-        scores[i * k:(i + 1) * k] = query_scores[top]
-    return RunRanking.from_columns(
-        [q.id for q in queries], np.arange(len(queries) + 1, dtype=np.int64) * k,
-        retriever.ids, rows, scores)
+    rows, scores = rank_queries(retriever, queries, cutoff)
+    offsets = np.arange(len(queries) + 1, dtype=np.int64) * rows.shape[1]
+    return RunRanking([q.id for q in queries], offsets, retriever.ids,
+                      rows.ravel(), scores.ravel())
 
 
 def _gain(grade: int, kind: str) -> float:
@@ -261,8 +211,8 @@ def ce_rerank(first_stage: RunRanking, ce: CrossEncoderScorer,
             span = slice(offsets[j], offsets[j + 1])
             order = np.lexsort((id_rank[rows[span]], -scores[span]))
             rows[span], scores[span] = rows[span][order], scores[span][order]
-    return RunRanking.from_columns([first_stage.qids[i] for i in kept],
-                                   offsets, first_stage.pids, rows, scores)
+    return RunRanking([first_stage.qids[i] for i in kept], offsets,
+                      first_stage.pids, rows, scores)
 
 
 def write_trec_run(run: RunRanking, path: str | Path, tag: str = "run") -> None:
@@ -314,4 +264,4 @@ def read_trec_run(path: str | Path) -> RunRanking:
         order = np.argsort(query, kind="stable")
         query, rows, scores = query[order], rows[order], scores[order]
     offsets = np.searchsorted(query, np.arange(len(qids) + 1)).astype(np.int64)
-    return RunRanking.from_columns(list(qids), offsets, list(pids), rows, scores)
+    return RunRanking(list(qids), offsets, list(pids), rows, scores)

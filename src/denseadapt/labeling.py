@@ -218,13 +218,10 @@ def build_dataset(queries: Sequence[Query], pools: PoolColumns,
         columns.passage_ids += [candidates[c] for c in fresh.tolist()]
         columns.query[block], columns.pos[block] = q, place[pos]
         columns.neg[block], columns.margin[block] = place[neg], margin
-    listed = np.bitwise_or.reduce(pools.listed)
-    retrievers = sorted(name for b, name in enumerate(pools.retrievers)
-                        if listed >> b & 1)
     manifest = {
         "seed": seed,
         "cross_encoder": ce.name,
-        "retrievers": retrievers,
+        "retrievers": sorted(pools.retrievers),
         "n_queries": len(queries),
         "n_tuples": n_tuples,
         "n_skipped": len(queries) - len(usable),

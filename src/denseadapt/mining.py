@@ -1,6 +1,6 @@
 """Hard-negative mining: Okapi BM25 over an inverted index, exact dense
-retrieval, and per-query negative pools, with the positive excluded, held
-as columns."""
+retrieval, one ranking loop over a query set, and per-query negative
+pools, with the positive excluded, held as columns."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -104,7 +103,8 @@ class BM25Retriever:
 
 
 class DenseRetriever:
-    """Exact brute-force dense scores from a precomputed passage matrix."""
+    """Exact brute-force dense scores from a precomputed passage matrix,
+    its rows divided by their norms under cosine."""
 
     def __init__(self, model: EncoderModel, passages: Sequence[Passage],
                  similarity: str | None = None, name: str = "dense"):
@@ -120,7 +120,7 @@ class DenseRetriever:
             norms = np.linalg.norm(self.matrix, axis=1)
             if np.any(norms == 0.0):
                 raise ValueError("cosine similarity undefined for zero embeddings")
-            self._unit = self.matrix / norms[:, None]
+            self.matrix /= norms[:, None]
 
     def scores(self, query_text: str) -> np.ndarray:
         """One score per passage in corpus order: a matrix-vector product
@@ -131,43 +131,43 @@ class DenseRetriever:
         qn = np.linalg.norm(q)
         if qn == 0.0:
             raise ValueError("cosine similarity undefined for zero embeddings")
-        return self._unit @ (q / qn)
-
-
-def top_k_rows(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the exact top k of `scores`, by score descending, ties
-    broken by `id_rank` (each position's rank in passage-id order)
-    ascending.
-
-    Every position scoring at least the k-th largest score is kept, so a
-    tie across the cut is settled by id like any other; the kept positions
-    are then sorted and cut at k. Fewer than k positions are returned when
-    there are fewer than k scores.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    kept = np.arange(len(scores)) if k >= len(scores) else \
-        np.flatnonzero(scores >= np.partition(scores, -k)[-k])
-    return kept[np.lexsort((id_rank[kept], -scores[kept]))][:k]
+        return self.matrix @ (q / qn)
 
 
 def retrieve_top_k(retriever, query_text: str, k: int
-                   ) -> list[tuple[str, float]]:
-    """The (passage id, score) list of `top_k_rows` for one query.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The exact top k of one query: (rows, scores), rows positions in
+    `retriever.ids`, by score descending, ties broken by passage id
+    ascending.
 
     `retriever` is a BM25Retriever or a DenseRetriever; the result equals
     a full sort of the corpus on (score descending, id ascending) cut at k.
+    Every position scoring at least the k-th largest score is kept, so a
+    tie across the cut is settled by id like any other; the kept positions
+    are then sorted and cut at k. Fewer than k rows are returned when the
+    corpus has fewer than k passages.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     scores = retriever.scores(query_text)
-    top = top_k_rows(scores, retriever.id_rank, k)
-    return list(zip([retriever.ids[i] for i in top.tolist()],
-                    scores[top].tolist()))
+    kept = np.arange(len(scores)) if k >= len(scores) else \
+        np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+    top = kept[np.lexsort((retriever.id_rank[kept], -scores[kept]))][:k]
+    return top, scores[top]
 
 
+def rank_queries(retriever, queries: Sequence[Query], k: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's `retrieve_top_k` as row i of two len(queries) x
+    min(k, len(retriever.ids)) columns: int32 rows and float64 scores."""
+    width = min(k, len(retriever.ids))
+    rows = np.empty((len(queries), width), dtype=np.int32)
+    scores = np.empty((len(queries), width))
+    for i, query in enumerate(queries):
+        rows[i], scores[i] = retrieve_top_k(retriever, query.text, k)
+    return rows, scores
 
 
-# Provenance is one bit per retriever name in a uint8.
-_MAX_RETRIEVERS = 8
 # Queries whose union is formed at once: bounds the union's temporaries.
 _QUERY_BLOCK = 1 << 12
 
@@ -179,12 +179,11 @@ class PoolColumns:
     Query `query_ids[i]` has the source passage `passage_ids[source[i]]`
     and its negatives in entries offsets[i]:offsets[i + 1] (int64 offsets)
     of `rows` (int32 positions in the passage-id table, in ascending
-    passage id, each once) and `provenance` (uint8: bit b is set when
-    retriever `retrievers[b]` listed the passage). Retriever b's own
-    rank-ordered list for query i is entries ranked[b][0][i]:
-    ranked[b][0][i + 1] of ranked[b][1] (int64 offsets, int32 rows), and
-    bit b of `listed[i]` (uint8) says whether query i has such a list, even
-    an empty one. A query with no negative is unusable.
+    passage id, each once). Retriever `retrievers[b]`'s own rank-ordered
+    list for query i is entries ranked[b][0][i]:ranked[b][0][i + 1] of
+    ranked[b][1] (int64 offsets, int32 rows); every query has a list from
+    every retriever, perhaps an empty one. A query with no negative is
+    unusable.
 
     `PoolColumns.from_lists({qid: (source, {retriever: [ids]})})` packs
     per-query lists; `negatives` and `lists` unpack one query.
@@ -195,9 +194,7 @@ class PoolColumns:
     source: np.ndarray
     offsets: np.ndarray
     rows: np.ndarray
-    provenance: np.ndarray
     retrievers: list[str]
-    listed: np.ndarray
     ranked: list[tuple[np.ndarray, np.ndarray]]
 
     @classmethod
@@ -217,7 +214,7 @@ class PoolColumns:
         return i if i < len(self) and self.query_ids[i] == query_id else None
 
     def span(self, i: int) -> slice:
-        """Query i's entries in `rows` and `provenance`."""
+        """Query i's entries in `rows`."""
         return slice(self.offsets[i], self.offsets[i + 1])
 
     def size(self, query_id: str) -> int:
@@ -232,79 +229,59 @@ class PoolColumns:
             list(map(self.passage_ids.__getitem__, self.rows[self.span(i)].tolist()))
 
     def lists(self, i: int) -> dict[str, list[str]]:
-        """Query i's rank-ordered list from each retriever that listed it."""
-        listed = int(self.listed[i])
+        """Query i's rank-ordered list from each retriever."""
         return {name: list(map(self.passage_ids.__getitem__,
                                rows[offsets[i]:offsets[i + 1]].tolist()))
-                for b, (name, (offsets, rows)) in enumerate(zip(self.retrievers,
-                                                                self.ranked))
-                if listed >> b & 1}
+                for name, (offsets, rows) in zip(self.retrievers, self.ranked)}
 
 
 class _Packer:
-    """Pools packed into buffers, a query (`add`) or a retriever (`put`) at
-    a time, then into `PoolColumns` (`columns`)."""
+    """Pools packed into buffers a query at a time (`add`), then into
+    `PoolColumns` (`columns`). Every query lists the first one's
+    retrievers."""
 
     def __init__(self):
         self.query_ids: dict[str, None] = {}  # in order of addition
         self.passages: dict[str, int] = {}
-        self.source, self.listed = array("i"), array("B")
+        self.source = array("i")
         # retriever name -> (its list's size per query, its rows)
         self.ranked: dict[str, tuple[array, array]] = {}
 
     def row(self, pid: str) -> int:
         return self.passages.setdefault(pid, len(self.passages))
 
-    def bit(self, name: str) -> int:
-        if name not in self.ranked:
-            if len(self.ranked) == _MAX_RETRIEVERS:
-                raise ValueError(f"more than {_MAX_RETRIEVERS} retrievers")
-            self.ranked[name] = (array("q"), array("i"))
-        return list(self.ranked).index(name)
-
     def add(self, query_id: str, source: str,
             lists: Mapping[str, Sequence[str]]) -> None:
         if query_id in self.query_ids:
             raise ValueError(f"query {query_id!r} has two pools")
-        i = len(self.query_ids)
+        if not self.query_ids:
+            self.ranked = {name: (array("q"), array("i")) for name in lists}
+        elif lists.keys() != self.ranked.keys():
+            raise ValueError(f"retrievers {sorted(lists)} differ from the "
+                             f"first pool's {sorted(self.ranked)}")
         self.query_ids[query_id] = None
         self.source.append(self.row(source))
-        mask = 0
         for name, pids in lists.items():
-            mask |= 1 << self.bit(name)
             sizes, rows = self.ranked[name]
-            sizes.extend(repeat(0, i - len(sizes)))
             sizes.append(len(pids))
             rows.extend(map(self.row, pids))
-        self.listed.append(mask)
-
-    def put(self, name: str, sizes: array, rows: array) -> None:
-        """Retriever `name`'s lists of every query added so far; they
-        replace any earlier lists of that name."""
-        bit = self.bit(name)
-        self.ranked[name] = (sizes, rows)
-        self.listed = array("B", (mask | 1 << bit for mask in self.listed))
 
     def columns(self) -> PoolColumns:
-        n = len(self.query_ids)
         query_ids = list(self.query_ids)
+        passage_ids = list(self.passages)
         source = np.frombuffer(self.source, dtype=np.int32)
-        listed = np.frombuffer(self.listed, dtype=np.uint8)
-        ranked = []
-        for sizes, rows in self.ranked.values():
-            sizes.extend(repeat(0, n - len(sizes)))
-            ranked.append((_offsets(np.frombuffer(sizes, dtype=np.int64)),
-                           np.frombuffer(rows, dtype=np.int32)))
-        order = sorted(range(n), key=query_ids.__getitem__)
-        if order != list(range(n)):
+        ranked = [(_offsets(np.frombuffer(sizes, dtype=np.int64)),
+                   np.frombuffer(rows, dtype=np.int32))
+                  for sizes, rows in self.ranked.values()]
+        order = sorted(range(len(query_ids)), key=query_ids.__getitem__)
+        if order != list(range(len(query_ids))):
             query_ids = [query_ids[i] for i in order]
             order = np.array(order, dtype=np.int64)
-            source, listed = source[order], listed[order]
+            source = source[order]
             ranked = [_take(offsets, rows, order) for offsets, rows in ranked]
-        passage_ids = list(self.passages)
         return PoolColumns(query_ids, passage_ids, source,
-                           *_union(ranked, passage_ids, n),
-                           list(self.ranked), listed, ranked)
+                           *_union(ranked, passage_ids, len(query_ids)),
+                           list(self.ranked), ranked)
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -323,33 +300,40 @@ def _take(offsets: np.ndarray, values: np.ndarray, order: np.ndarray
 
 
 def _union(ranked: list[tuple[np.ndarray, np.ndarray]],
-           passage_ids: list[str], n: int
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           passage_ids: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each query's deduplicated union of its retrievers' lists: (offsets,
-    rows in ascending passage id, provenance bits), a block of queries at a
-    time."""
-    by_id = np.array(sorted(range(len(passage_ids)),
-                            key=passage_ids.__getitem__), dtype=np.int64)
-    rank = np.empty_like(by_id)
-    rank[by_id] = np.arange(by_id.size)
+    rows in ascending passage id), a block of queries at a time."""
+    rank = _id_rank(passage_ids)
+    by_id = np.empty_like(rank)
+    by_id[rank] = np.arange(rank.size)
     sizes = np.zeros(n, dtype=np.int64)
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    parts = [np.empty(0, dtype=np.int32)]
     for lo in range(0, n, _QUERY_BLOCK):
         hi = min(lo + _QUERY_BLOCK, n)
-        keys, bits = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)]
-        for b, (offsets, rows) in enumerate(ranked):
+        keys = [np.empty(0, dtype=np.int64)]
+        for offsets, rows in ranked:
             query = np.repeat(np.arange(lo, hi), np.diff(offsets[lo:hi + 1]))
-            keys.append(query * by_id.size + rank[rows[offsets[lo]:offsets[hi]]])
-            bits.append(np.full(query.size, 1 << b, dtype=np.uint8))
-        union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        provenance = np.zeros(union.size, dtype=np.uint8)
-        np.bitwise_or.at(provenance, inverse, np.concatenate(bits))
-        query, at = np.divmod(union, by_id.size)
+            keys.append(query * rank.size + rank[rows[offsets[lo]:offsets[hi]]])
+        # Sorted and deduplicated by hand: a bare np.unique imports numpy.ma.
+        keys = np.sort(np.concatenate(keys))
+        query, at = np.divmod(keys[np.diff(keys, prepend=-1) > 0], rank.size)
         sizes[lo:hi] = np.bincount(query - lo, minlength=hi - lo)
-        parts.append((by_id[at].astype(np.int32), provenance))
-    return (_offsets(sizes),
-            np.concatenate([np.empty(0, dtype=np.int32), *(r for r, _ in parts)]),
-            np.concatenate([np.empty(0, dtype=np.uint8), *(p for _, p in parts)]))
+        parts.append(by_id[at].astype(np.int32))
+    return _offsets(sizes), np.concatenate(parts)
+
+
+def _positions(wanted: Sequence[str], ids: list[str]
+               ) -> tuple[list[str], np.ndarray]:
+    """`ids` followed by the wanted ids it lacks, and each wanted id's
+    int32 position in that table."""
+    at = dict.fromkeys(wanted)
+    for i, pid in enumerate(ids):
+        if pid in at:
+            at[pid] = i
+    extra = [pid for pid, i in at.items() if i is None]
+    at.update(zip(extra, range(len(ids), len(ids) + len(extra))))
+    return [*ids, *extra] if extra else ids, \
+        np.array([at[pid] for pid in wanted], dtype=np.int32)
 
 
 def mine_pools(queries: Sequence[Query], retrievers: Iterable,
@@ -358,39 +342,37 @@ def mine_pools(queries: Sequence[Query], retrievers: Iterable,
 
     Each retriever ranks every query, in id order, before the next is taken
     from `retrievers`, and is dropped first: an iterator that builds each
-    retriever when asked holds one at a time. A query's source passage is
-    removed from each list; an empty union marks the query unusable. A
-    retriever whose name repeats replaces the earlier one's lists, and a
-    query id given twice is a ValueError. Negative sampling happens
-    downstream at labeling time.
+    retriever when asked holds one at a time. Every retriever must rank
+    the same passage-id list. A query's source passage is removed from each
+    list; an empty union marks the query unusable. A retriever whose name
+    repeats replaces the earlier one's lists, and a query id given twice is
+    a ValueError. Negative sampling happens downstream at labeling time.
     """
     queries = sorted(queries, key=lambda q: q.id)
-    packer = _Packer()
-    for query in queries:
+    for i, query in enumerate(queries):
         if query.source_passage_id is None:
             raise ValueError(f"query {query.id} has no source passage")
-        packer.add(query.id, query.source_passage_id, {})
-    # Each retriever's ids go into one buffer, sized before its queries are
-    # ranked and reused by the next retriever, and are interned once the
-    # retriever is dropped: a table or list that grows while a retriever is
-    # alive fragments the heap that the next retriever is built on.
-    pids = np.empty(0, dtype=object)
+        if i and queries[i - 1].id == query.id:
+            raise ValueError(f"query {query.id!r} has two pools")
+    ids, lists = None, {}
     for retriever in retrievers:
-        size = len(queries) * min(n_per_retriever, len(retriever.ids))
-        if pids.size < size:
-            pids = np.empty(size, dtype=object)
-        sizes, used = array("q"), 0
-        for query in queries:
-            top = [pid for pid, _ in
-                   retrieve_top_k(retriever, query.text, n_per_retriever)
-                   if pid != query.source_passage_id]
-            pids[used:used + len(top)] = top
-            used += len(top)
-            sizes.append(len(top))
-        name = retriever.name
+        if ids is None:
+            ids = retriever.ids
+        elif retriever.ids != ids:
+            raise ValueError(f"retriever {retriever.name!r} ranks other "
+                             f"passages than the first retriever")
+        lists[retriever.name] = rank_queries(retriever, queries,
+                                             n_per_retriever)[0]
         del retriever
-        packer.put(name, sizes, array("i", map(packer.row, pids[:used])))
-    return packer.columns()
+    passage_ids, source = _positions([q.source_passage_id for q in queries],
+                                     ids or [])
+    ranked = []
+    for rows in lists.values():
+        keep = rows != source[:, None]
+        ranked.append((_offsets(keep.sum(axis=1)), rows[keep]))
+    return PoolColumns([q.id for q in queries], passage_ids, source,
+                       *_union(ranked, passage_ids, len(queries)),
+                       list(lists), ranked)
 
 
 def write_hard_negatives(pools: PoolColumns, path: str | Path) -> None:
@@ -424,8 +406,8 @@ def _pool_record(record) -> tuple[str, str, dict[str, list[str]]]:
 
 def read_hard_negatives(path: str | Path) -> PoolColumns:
     """The records `write_hard_negatives` writes, parsed line by line into
-    columns. A record that is not a pool, or repeats a query, is a
-    ParseError naming its line."""
+    columns. A record that is not a pool, repeats a query, or names other
+    retrievers than the first record is a ParseError naming its line."""
     packer = _Packer()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):

@@ -1,9 +1,10 @@
 """Reference implementations the tests hold the package to: Okapi BM25
 for one (query, passage) pair, the lexical mock cross-encoder's score of
-one pair, the teacher margin of one tuple, a TREC run written line by
-line from per-query lists, mined pools as per-query dicts and their
-`hard-negatives.jsonl` text, the binary labels a generation-only baseline
-would train on, the token cross-entropy of
+one pair, the teacher margin of one tuple, one query's top k as a
+(passage id, score) list, runs packed from and unpacked to such lists, a
+TREC run written line by line from per-query lists, mined pools as
+per-query dicts and their `hard-negatives.jsonl` text, the binary labels
+a generation-only baseline would train on, the token cross-entropy of
 tied-output losses written out array by array, a labelled stream's tuples
 as named rows, and the checkpoint format written and read as whole JSON
 documents."""
@@ -16,8 +17,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from denseadapt.corpus import tokenize
+from denseadapt.evaluation import RunRanking
 from denseadapt.labeling import GPLDataset
-from denseadapt.mining import BM25Index
+from denseadapt.mining import BM25Index, retrieve_top_k
 from denseadapt.models import CrossEncoderScorer, EncoderModel
 
 # The last index scored and its passage positions: a test scores one index
@@ -77,6 +79,34 @@ def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,
     if not (math.isfinite(pos_score) and math.isfinite(neg_score)):
         raise ValueError("cross-encoder produced a non-finite score")
     return pos_score - neg_score
+
+
+def top_k_list(retriever, query_text: str, k: int) -> list[tuple[str, float]]:
+    """`retrieve_top_k` of one query as its (passage id, score) list."""
+    rows, scores = retrieve_top_k(retriever, query_text, k)
+    return list(zip([retriever.ids[i] for i in rows.tolist()],
+                    scores.tolist()))
+
+
+def pack_run(rankings: Mapping[str, Sequence[tuple[str, float]]]
+             ) -> RunRanking:
+    """The RunRanking of per-query (passage id, score) lists, queries in
+    the mapping's order, passage ids in order of first use."""
+    table: dict[str, int] = {}
+    rows = [table.setdefault(pid, len(table))
+            for ranking in rankings.values() for pid, _ in ranking]
+    return RunRanking(
+        list(rankings),
+        np.cumsum([0, *map(len, rankings.values())], dtype=np.int64),
+        list(table), np.array(rows, dtype=np.int32),
+        np.array([score for ranking in rankings.values()
+                  for _, score in ranking], dtype=np.float64))
+
+
+def run_lists(run: RunRanking) -> dict[str, list[tuple[str, float]]]:
+    """Each query's (passage id, score) list, queries in run order."""
+    return {qid: list(zip(run.top_ids(i), run.scores[run.span(i)].tolist()))
+            for i, qid in enumerate(run.qids)}
 
 
 def trec_run_text(rankings: Mapping[str, Sequence[tuple[str, float]]],

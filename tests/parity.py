@@ -22,7 +22,9 @@ characters and a 10,000-character token. `rerank` prints the sha256 of
 the TREC run that `ce_rerank` with the lexical cross-encoder writes from
 a dense first stage over the toy world, and `generate` the sha256 of the
 queries the mock generator decodes from the toy corpus, its body-less
-passages included.
+passages included. `mine` prints the sha256 of the `hard-negatives.jsonl`
+that `mine_pools` writes for the toy queries with a BM25 and a cosine
+dense retriever over the toy corpus.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (Passage, PretrainConfig, Query, SamplerConfig,
-                        TrainRunConfig, build_dataset, ce_rerank,
+from denseadapt import (BM25Retriever, DenseRetriever, Passage,
+                        PretrainConfig, Query, SamplerConfig, TrainRunConfig,
+                        build_bm25_index, build_dataset, ce_rerank,
                         compute_budget, full_rank, generate_queries,
                         gpl_train, init_encoder, lexical_overlap_ce,
-                        load_model, mock_generator, pretrain, qgen_train,
-                        run_pipeline, save_model, write_dataset,
-                        write_trec_run)
+                        load_model, mine_pools, mock_generator, pretrain,
+                        qgen_train, run_pipeline, save_model, write_dataset,
+                        write_hard_negatives, write_trec_run)
 from denseadapt.mining import PoolColumns
 
 WORDS = [f"w{i:02d}" for i in range(40)]
@@ -173,6 +176,17 @@ def generate_case() -> tuple[str]:
     return (hashlib.sha256(lines.encode()).hexdigest(),)
 
 
+def mine_case() -> tuple[str]:
+    passages = toy_corpus()
+    retrievers = [BM25Retriever(build_bm25_index(passages)),
+                  DenseRetriever(model_for(similarity="cosine"), passages)]
+    pools = mine_pools(toy_queries(passages), retrievers, n_per_retriever=6)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hard-negatives.jsonl"
+        write_hard_negatives(pools, path)
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),)
+
+
 def digest(model, trace) -> tuple[str, str]:
     """(sha256 of the weights, sha256 of the loss trace)."""
     weights = hashlib.sha256()
@@ -197,7 +211,8 @@ CASES = {**{m: trained(pretrain_case(m)) for m in
          "label_tsv": label_tsv_case,
          "checkpoint": checkpoint_case,
          "rerank": rerank_case,
-         "generate": generate_case}
+         "generate": generate_case,
+         "mine": mine_case}
 
 
 def main(names) -> None:

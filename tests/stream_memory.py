@@ -16,9 +16,9 @@ without tracing).
 It writes the mined pools of 2,000 queries, each with two overlapping
 lists of 50 passage ids over a 5,000-passage corpus, and prints the
 bytes per mined id that `read_hard_negatives`'s result holds (bound 16:
-an int32 row of the retriever's list and at most an int32 row and a
-provenance byte of the union, plus the id tables) and what that holds at
-the paper's 250,000 queries x 100 ids.
+an int32 row of the retriever's list and at most an int32 row of the
+union, plus the id tables) and what that holds at the paper's 250,000
+queries x 100 ids.
 
 Last, it writes a TREC run of 100 queries x 1,000 entries over a
 2,000-passage id table and prints the bytes per entry that
@@ -41,13 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (Passage, Query, RunRanking, build_dataset,
-                        init_encoder, lexical_overlap_ce, read_dataset,
-                        write_dataset, write_hard_negatives, write_trec_run)
+from denseadapt import (Passage, Query, build_dataset, init_encoder,
+                        lexical_overlap_ce, read_dataset, write_dataset,
+                        write_hard_negatives, write_trec_run)
 from denseadapt.corpus import passage_text
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import PoolColumns, read_hard_negatives
 from denseadapt.training import tuple_batches
+from oracles import pack_run
 
 BOUND = 32  # bytes per tuple
 N_QUERIES, POOL, N_PASSAGES = 200, 50, 400
@@ -99,7 +100,7 @@ def run_entry_bytes(directory: Path) -> float:
     of RUN_QUERIES x RUN_CUTOFF entries."""
     rng = np.random.default_rng(0)
     pids = [f"p{i:05d}" for i in range(RUN_PASSAGES)]
-    run = RunRanking({f"q{i:05d}": [
+    run = pack_run({f"q{i:05d}": [
         (pids[j], score) for j, score in zip(
             rng.choice(RUN_PASSAGES, RUN_CUTOFF, replace=False).tolist(),
             np.sort(rng.normal(size=RUN_CUTOFF))[::-1].tolist())]

@@ -16,7 +16,7 @@ import synthworld
 from denseadapt import (CrossEncoderScorer, LossConfig, Passage,
                         build_bm25_index, ce_rerank, compute_budget,
                         full_rank, init_encoder, margin_mse_loss, mnrl_loss, mrr_at_k,
-                        ndcg_at_k, retrieve_top_k, tokenize)
+                        ndcg_at_k, tokenize)
 from denseadapt.mining import BM25Retriever, DenseRetriever
 from denseadapt.models import encode_backward, encode_ids, new_grads
 from denseadapt.pretraining import (condensor_loss, ct_step, ict_example,
@@ -24,7 +24,7 @@ from denseadapt.pretraining import (condensor_loss, ct_step, ict_example,
                                     mlm_loss, simcse_step, split_sentences,
                                     tsdae_corrupt, tsdae_loss)
 from gradcheck import finite_diff_gradcheck
-from oracles import bm25_score
+from oracles import bm25_score, run_lists, top_k_list
 
 SEEDS = (0, 4, 6)
 
@@ -183,13 +183,13 @@ def test_criterion_4_retrieval_oracle_equivalence():
     for qi in range(100):
         query = " ".join(rng.choice(words, size=3))
         q_tokens = tokenize(query)
-        got = retrieve_top_k(bm25, query, 10)
+        got = top_k_list(bm25, query, 10)
         brute = sorted(((p.id, bm25_score(index, q_tokens, p.id))
                         for p in passages), key=lambda kv: (-kv[1], kv[0]))[:10]
         if [pid for pid, _ in got] != [pid for pid, _ in brute]:
             ok = False
             break
-        got_dense = retrieve_top_k(dense, query, 10)
+        got_dense = top_k_list(dense, query, 10)
         from denseadapt import encode_batch
         q_emb = encode_batch(model, [query])[0]
         scores = dense_scores_all @ q_emb
@@ -458,11 +458,12 @@ def test_criterion_10_rerank_upper_bound():
                              .get(text_to_pid[pt], 0)),
         name="grade-oracle")
     reranked = ce_rerank(run, oracle, queries, passages, top_n=len(passages))
+    first, second = run_lists(run), run_lists(reranked)
     ok = True
     worst = 0.0
     for q in queries:
-        before = ndcg_at_k(run.entries[q.id], qrels.grades_for(q.id), 10)
-        after = ndcg_at_k(reranked.entries[q.id], qrels.grades_for(q.id), 10)
+        before = ndcg_at_k(first[q.id], qrels.grades_for(q.id), 10)
+        after = ndcg_at_k(second[q.id], qrels.grades_for(q.id), 10)
         worst = min(worst, after - before)
         if after < before - 1e-12:
             ok = False

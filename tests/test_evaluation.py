@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, RunRanking,
-                        ce_rerank, evaluate, full_rank, init_encoder,
-                        mrr_at_k, ndcg_at_k, retrieve_top_k, write_trec_run)
+from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, ce_rerank,
+                        evaluate, full_rank, init_encoder, mrr_at_k,
+                        ndcg_at_k, write_trec_run)
 from denseadapt.corpus import ParseError, passage_text
 from denseadapt import evaluation
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
-from oracles import trec_run_text
+from oracles import pack_run, run_lists, top_k_list, trec_run_text
 
 
 # independent straight-from-formula oracle, kept deliberately naive
@@ -145,19 +145,19 @@ class TestFullRank:
         run = full_rank(model, queries, passages, cutoff=1)
         retriever = DenseRetriever(model, passages)
         for q in queries:
-            assert run.entries[q.id] == retrieve_top_k(retriever, q.text, 1)
+            assert run_lists(run)[q.id] == top_k_list(retriever, q.text, 1)
 
     def test_matches_retrieve_top_k(self):
         passages, queries, _, model = tiny_world()
         run = full_rank(model, queries, passages, cutoff=5)
         retriever = DenseRetriever(model, passages)
         for q in queries:
-            assert run.entries[q.id] == retrieve_top_k(retriever, q.text, 5)
+            assert run_lists(run)[q.id] == top_k_list(retriever, q.text, 5)
 
     def test_scores_non_increasing(self):
         passages, queries, _, model = tiny_world()
         run = full_rank(model, queries, passages, cutoff=12)
-        for ranked in run.entries.values():
+        for ranked in run_lists(run).values():
             scores = [s for _, s in ranked]
             assert scores == sorted(scores, reverse=True)
 
@@ -189,7 +189,7 @@ class TestRunBytes:
         cutoff = data.draw(st.integers(1, len(ids) + 3))
         retriever = DenseRetriever(model, passages)
         expected = trec_run_text(
-            {q.id: retrieve_top_k(retriever, q.text, cutoff) for q in queries},
+            {q.id: top_k_list(retriever, q.text, cutoff) for q in queries},
             tag="t")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.trec"
@@ -225,7 +225,7 @@ class TestRunMemory:
         return passages, queries, init_encoder(words, dim=8, seed=0)
 
     def check(self, run, held):
-        n_entries = sum(map(len, run.entries.values()))
+        n_entries = sum(map(len, run_lists(run).values()))
         assert n_entries == self.N_QUERIES * self.CUTOFF
         assert held <= self.BOUND * n_entries, held / n_entries
 
@@ -289,29 +289,29 @@ class TestCeRerank:
         passages, queries, qrels, model = tiny_world()
         run = full_rank(model, queries, passages, cutoff=6)
         mirror = {(q.id, pid): score for q in queries
-                  for pid, score in run.entries[q.id]}
+                  for pid, score in run_lists(run)[q.id]}
         texts = {f"w{i} w{(i+1) % 12}": f"p{i}" for i in range(12)}
         ce = CrossEncoderScorer(
             lambda qt, pt: mirror[({q.text: q.id for q in queries}[qt],
                                    texts[pt])], name="mirror")
         reranked = ce_rerank(run, ce, queries, passages, top_n=6)
-        for qid in run.entries:
-            assert [pid for pid, _ in reranked.entries[qid]] == \
-                [pid for pid, _ in run.entries[qid]]
+        for qid in run_lists(run):
+            assert [pid for pid, _ in run_lists(reranked)[qid]] == \
+                [pid for pid, _ in run_lists(run)[qid]]
 
     def test_negated_scorer_reverses_prefix(self):
         passages, queries, qrels, model = tiny_world()
         run = full_rank(model, queries, passages, cutoff=6)
         mirror = {(q.id, pid): score for q in queries
-                  for pid, score in run.entries[q.id]}
+                  for pid, score in run_lists(run)[q.id]}
         texts = {f"w{i} w{(i+1) % 12}": f"p{i}" for i in range(12)}
         ce = CrossEncoderScorer(
             lambda qt, pt: -mirror[({q.text: q.id for q in queries}[qt],
                                     texts[pt])], name="neg")
         reranked = ce_rerank(run, ce, queries, passages, top_n=6)
-        for qid in run.entries:
-            got = [pid for pid, _ in reranked.entries[qid]]
-            expected = [pid for pid, _ in reversed(run.entries[qid])]
+        for qid in run_lists(run):
+            got = [pid for pid, _ in run_lists(reranked)[qid]]
+            expected = [pid for pid, _ in reversed(run_lists(run)[qid])]
             # ties (if any) may reorder by id; scores here are all distinct
             assert got == expected
 
@@ -326,8 +326,9 @@ class TestCeRerank:
             name="grade-oracle")
         reranked = ce_rerank(run, ce, queries, passages, top_n=12)
         for q in queries:
-            before = ndcg_at_k(run.entries[q.id], qrels.grades_for(q.id), 10)
-            after = ndcg_at_k(reranked.entries[q.id], qrels.grades_for(q.id), 10)
+            rels = qrels.grades_for(q.id)
+            before = ndcg_at_k(run_lists(run)[q.id], rels, 10)
+            after = ndcg_at_k(run_lists(reranked)[q.id], rels, 10)
             assert after >= before - 1e-12
 
     def test_candidates_beyond_top_n_dropped(self):
@@ -335,7 +336,7 @@ class TestCeRerank:
         run = full_rank(model, queries, passages, cutoff=12)
         ce = CrossEncoderScorer(lambda qt, pt: 0.0, name="flat")
         reranked = ce_rerank(run, ce, queries, passages, top_n=4)
-        assert all(len(r) == 4 for r in reranked.entries.values())
+        assert all(len(r) == 4 for r in run_lists(reranked).values())
 
     @pytest.mark.parametrize("block, groups", [
         (None, [[0, 1, 2, 3, 4]]),
@@ -354,7 +355,7 @@ class TestCeRerank:
         passages, _, _, model = tiny_world()
         queries = [Query(f"q{i}", f"w{i} w{3 * i % 12}") for i in range(5)]
         full = full_rank(model, queries, passages, cutoff=12)
-        run = RunRanking({q.id: full.entries[q.id][:n]
+        run = pack_run({q.id: run_lists(full)[q.id][:n]
                           for q, n in zip(queries, [7, 2, 5, 3, 12])})
         texts = {p.id: passage_text(p) for p in passages}
         if block is not None:
@@ -369,9 +370,9 @@ class TestCeRerank:
                   passages, top_n=5)
         assert batches == [
             ([queries[i].text for i in group
-              for _ in run.entries[queries[i].id][:5]],
+              for _ in run_lists(run)[queries[i].id][:5]],
              [texts[pid] for i in group
-              for pid, _ in run.entries[queries[i].id][:5]])
+              for pid, _ in run_lists(run)[queries[i].id][:5]])
             for group in groups]
 
     def test_equal_scores_come_out_in_passage_id_order(self, tmp_path):
@@ -382,13 +383,14 @@ class TestCeRerank:
         passages = [Passage(pid, "", "x" if pid in ("p4", "p10", "p1") else "y")
                     for pid in order]
         queries = [Query("q", "x")]
-        run = RunRanking({"q": [(pid, float(-i)) for i, pid in enumerate(order)]})
+        run = pack_run({"q": [(pid, float(-i))
+                              for i, pid in enumerate(order)]})
         path = tmp_path / "run.trec"
         write_trec_run(run, path)
         ce = CrossEncoderScorer(lambda qt, pt: float(qt == pt), name="match")
         for first_stage in (run, read_trec_run(path)):
             reranked = ce_rerank(first_stage, ce, queries, passages, top_n=5)
-            assert reranked.entries["q"] == [
+            assert run_lists(reranked)["q"] == [
                 ("p1", 1.0), ("p10", 1.0), ("p4", 1.0), ("p0", 0.0),
                 ("p3", 0.0)]
 
@@ -403,7 +405,7 @@ class TestCeRerank:
 
 class TestTrecRunOutput:
     def test_format(self, tmp_path):
-        run = RunRanking({"q1": [("d2", 1.5), ("d1", 0.5)]})
+        run = pack_run({"q1": [("d2", 1.5), ("d1", 0.5)]})
         path = tmp_path / "run.trec"
         write_trec_run(run, path, tag="test")
         lines = path.read_text().splitlines()
@@ -412,16 +414,17 @@ class TestTrecRunOutput:
 
     def test_read_inverts_write(self, tmp_path):
         scores = [7.0, 7.0, 1 / 3, 0.1 + 0.2, -0.0, -2.5e-300]
-        run = RunRanking({"q2": [(f"d{i}", s) for i, s in enumerate(scores)],
+        run = pack_run({"q2": [(f"d{i}", s) for i, s in enumerate(scores)],
                           "q1": [("d9", math.pi)]})
         path = tmp_path / "run.trec"
         write_trec_run(run, path, tag="test")
         back = read_trec_run(path)
-        assert back.entries == {"q1": run.entries["q1"],
-                                "q2": run.entries["q2"]}
-        assert list(back.entries) == ["q1", "q2"]
+        assert run_lists(back) == {"q1": run_lists(run)["q1"],
+                                   "q2": run_lists(run)["q2"]}
+        assert list(run_lists(back)) == ["q1", "q2"]
         assert all(math.copysign(1.0, a[1]) == math.copysign(1.0, b[1])
-                   for a, b in zip(back.entries["q2"], run.entries["q2"]))
+                   for a, b in zip(run_lists(back)["q2"],
+                                   run_lists(run)["q2"]))
 
     def test_short_line_names_its_location(self, tmp_path):
         path = tmp_path / "run.trec"
@@ -448,6 +451,6 @@ class TestTrecRunOutput:
         path = tmp_path / "run.trec"
         path.write_text("q2 Q0 d1 1 3 t\nq1 Q0 d1 1 3 t\nq2 Q0 d2 2 2 t\n")
         back = read_trec_run(path)
-        assert list(back.entries) == ["q2", "q1"]
-        assert back.entries == {"q2": [("d1", 3.0), ("d2", 2.0)],
+        assert list(run_lists(back)) == ["q2", "q1"]
+        assert run_lists(back) == {"q2": [("d1", 3.0), ("d2", 2.0)],
                                 "q1": [("d1", 3.0)]}

@@ -16,8 +16,9 @@ from denseadapt import (BM25Retriever, DenseRetriever, ParseError, Passage,
                         PoolColumns, full_rank, init_encoder, mine_pools,
                         read_hard_negatives, retrieve_top_k, tokenize,
                         write_hard_negatives)
-from oracles import (bm25_score, hard_negatives_text, mined_lists,
-                     union_entry)
+from denseadapt import mining
+from oracles import (bm25_score, hard_negatives_text, mined_lists, run_lists,
+                     top_k_list, union_entry)
 from stream_memory import POOL_BOUND, pool_lists
 
 TWO_DOCS = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
@@ -114,7 +115,7 @@ class TestRetrieveTopK:
         index = build_bm25_index(passages)
         retriever = BM25Retriever(index)
         query = "w0 w5 w7"
-        top = retrieve_top_k(retriever, query, 1)
+        top = top_k_list(retriever, query, 1)
         all_scores = {p.id: bm25_score(index, tokenize(query), p.id)
                       for p in passages}
         best = max(all_scores.values())
@@ -125,23 +126,23 @@ class TestRetrieveTopK:
         passages = [Passage("b", "", "x y"), Passage("a", "", "x y"),
                     Passage("c", "", "z")]
         index = build_bm25_index(passages)
-        top = retrieve_top_k(BM25Retriever(index), "x", 2)
+        top = top_k_list(BM25Retriever(index), "x", 2)
         assert [pid for pid, _ in top] == ["a", "b"]
 
     def test_only_match_ranks_first(self):
         index = build_bm25_index(TWO_DOCS)
-        assert retrieve_top_k(BM25Retriever(index), "c", 1)[0][0] == "d2"
+        assert top_k_list(BM25Retriever(index), "c", 1)[0][0] == "d2"
 
     def test_scores_non_increasing(self):
         passages = toy_corpus(60, seed=3)
-        top = retrieve_top_k(BM25Retriever(build_bm25_index(passages)),
+        top = top_k_list(BM25Retriever(build_bm25_index(passages)),
                              "w1 w2 w3", 20)
         scores = [s for _, s in top]
         assert scores == sorted(scores, reverse=True)
 
     def test_small_corpus_returns_fewer(self):
         index = build_bm25_index(TWO_DOCS)
-        assert len(retrieve_top_k(BM25Retriever(index), "a b c", 50)) == 2
+        assert len(top_k_list(BM25Retriever(index), "a b c", 50)) == 2
 
     def test_bm25_matches_brute_force(self):
         passages = toy_corpus(80, seed=1)
@@ -150,7 +151,7 @@ class TestRetrieveTopK:
         rng = np.random.default_rng(2)
         for _ in range(20):
             query = " ".join(rng.choice([f"w{i}" for i in range(30)], size=3))
-            got = retrieve_top_k(retriever, query, 10)
+            got = top_k_list(retriever, query, 10)
             brute = sorted(((p.id, bm25_score(index, tokenize(query), p.id))
                             for p in passages), key=lambda kv: (-kv[1], kv[0]))[:10]
             assert [pid for pid, _ in got] == [pid for pid, _ in brute]
@@ -162,12 +163,42 @@ class TestRetrieveTopK:
                              similarity="cosine")
         retriever = DenseRetriever(model, passages, similarity="cosine")
         target = passages[7]
-        top = retrieve_top_k(retriever, target.body, 1)
+        top = top_k_list(retriever, target.body, 1)
         assert top[0][1] == pytest.approx(1.0)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            retrieve_top_k(BM25Retriever(build_bm25_index(TWO_DOCS)), "a", 0)
+            top_k_list(BM25Retriever(build_bm25_index(TWO_DOCS)), "a", 0)
+
+    def test_rows_index_the_retriever_ids_and_scores(self):
+        passages = [Passage("b", "", "x y"), Passage("a", "", "x y"),
+                    Passage("c", "", "x")]
+        retriever = BM25Retriever(build_bm25_index(passages))
+        rows, scores = retrieve_top_k(retriever, "y", 5)
+        assert rows.tolist() == [1, 0, 2]
+        assert scores.tolist() == retriever.scores("y")[rows].tolist()
+        assert scores[2] == 0.0 < scores[0] == scores[1]
+
+
+class TestDenseMemory:
+    def test_cosine_retriever_holds_one_matrix(self):
+        """A cosine retriever over N x d holds one N x d float64 matrix,
+        its rows divided by their norms, plus O(N) ids and ranks."""
+        n, dim = 2_000, 64
+        words = [f"w{i}" for i in range(50)]
+        passages = [Passage(f"p{i:04d}", "", f"w{i % 50} w{i * 7 % 50}")
+                    for i in range(n)]
+        model = init_encoder(words, dim=dim, seed=0, similarity="cosine")
+        tracemalloc.start()
+        try:
+            retriever = DenseRetriever(model, passages)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n * dim * 8
+        assert matrix_bytes <= held < 1.25 * matrix_bytes, held / matrix_bytes
+        np.testing.assert_allclose(np.linalg.norm(retriever.matrix, axis=1),
+                                   1.0)
 
 
 def by_score_then_id(pairs, k):
@@ -197,7 +228,7 @@ class TestTopKTies:
         for i, v in enumerate(values):
             model.embedding[model.vocab[f"t{i}"]] = float(v)
         passages = [Passage(pid, "", f"t{i}") for i, pid in enumerate(ids)]
-        got = retrieve_top_k(DenseRetriever(model, passages), "q", k)
+        got = top_k_list(DenseRetriever(model, passages), "q", k)
         assert got == by_score_then_id(zip(ids, map(float, values)), k)
 
     @settings(max_examples=100, deadline=None)
@@ -212,7 +243,7 @@ class TestTopKTies:
         k = data.draw(st.integers(1, len(ids) + 3))
         passages = [Passage(pid, "", " ".join(b)) for pid, b in zip(ids, bodies)]
         index = build_bm25_index(passages)
-        got = retrieve_top_k(BM25Retriever(index), " ".join(query), k)
+        got = top_k_list(BM25Retriever(index), " ".join(query), k)
         assert got == by_score_then_id(
             [(pid, bm25_score(index, query, pid)) for pid in ids], k)
 
@@ -220,7 +251,7 @@ class TestTopKTies:
     @given(shuffled_ids, st.integers(1, 40))
     def test_unknown_terms_give_smallest_ids_at_zero(self, ids, k):
         passages = [Passage(pid, "", "x y") for pid in ids]
-        got = retrieve_top_k(BM25Retriever(build_bm25_index(passages)),
+        got = top_k_list(BM25Retriever(build_bm25_index(passages)),
                              "nope never", k)
         assert got == [(pid, 0.0) for pid in sorted(ids)[:k]]
 
@@ -242,7 +273,7 @@ class TestTopKTies:
         matrix = encode_batch(model, [p.body for p in passages])
         for q in queries:
             scores = (matrix @ encode_batch(model, [q.text])[0]).tolist()
-            assert run.entries[q.id] == by_score_then_id(zip(ids, scores),
+            assert run_lists(run)[q.id] == by_score_then_id(zip(ids, scores),
                                                          cutoff)
 
 
@@ -278,12 +309,19 @@ class TestMineNegatives:
                            n_per_retriever=10)
         assert pools.size("q1") <= 10
 
-    def test_provenance_names_only_configured_retrievers(self):
+    def test_pools_list_every_configured_retriever(self):
         passages, retrievers = self.make_world()
         query = Query("q1", passages[2].body, source_passage_id=passages[2].id)
         pools = mine_pools([query], retrievers, n_per_retriever=5)
         assert pools.retrievers == ["bm25", "dense"]
-        assert pools.provenance.size and set(pools.provenance) <= {1, 2, 3}
+        assert list(pools.lists(0)) == ["bm25", "dense"]
+
+    def test_retrievers_over_other_passages_rejected(self):
+        passages, retrievers = self.make_world()
+        query = Query("q1", passages[2].body, source_passage_id=passages[2].id)
+        other = BM25Retriever(build_bm25_index(passages[1:]), name="other")
+        with pytest.raises(ValueError, match="'other' ranks other passages"):
+            mine_pools([query], [retrievers[0], other])
 
     def test_singleton_corpus_unusable(self):
         passages = [Passage("only", "", "w1 w2")]
@@ -324,16 +362,28 @@ class TestMineNegatives:
         '{"qid": "q1", "pos": [1], "neg": {"bm25": ["d2"]}}',
         '{"qid": "q1", "pos": ["d1"], "neg": {"bm25": ["d2", 7]}}',
         '{"qid": "q0", "pos": ["d1"], "neg": {"bm25": ["d2"]}}',
-        '{"qid": "q1", "pos": ["d1"], "neg": {%s}}'
-        % ", ".join(f'"r{i}": ["d2"]' for i in range(9)),
     ], ids=["record a list", "neg a list", "pos a string", "neg ids a string",
             "qid not a string", "pos id not a string", "neg id not a string",
-            "qid repeated", "nine retrievers"])
+            "qid repeated"])
     def test_malformed_record_names_its_location(self, tmp_path, record):
         path = tmp_path / "hard-negatives.jsonl"
         path.write_text('{"qid": "q0", "pos": ["d1"], "neg": {"bm25": []}}\n'
                         + record + "\n")
         with pytest.raises(ParseError, match=f"^{path}:2: "):
+            read_hard_negatives(path)
+
+    @pytest.mark.parametrize("neg", [
+        '{"dense": ["d2"]}', '{"bm25": [], "dense": ["d2"], "x": ["d3"]}',
+    ], ids=["retriever missing", "retriever added"])
+    def test_record_with_other_retrievers_names_its_location(self, tmp_path,
+                                                             neg):
+        """Every record lists the first record's retrievers, no fewer and
+        no more."""
+        path = tmp_path / "hard-negatives.jsonl"
+        path.write_text('{"qid": "q0", "pos": ["d1"], '
+                        '"neg": {"bm25": ["d3"], "dense": []}}\n'
+                        '{"qid": "q1", "pos": ["d1"], "neg": %s}\n' % neg)
+        with pytest.raises(ParseError, match=f"^{path}:2: retrievers"):
             read_hard_negatives(path)
 
     def test_file_round_trip(self, tmp_path):
@@ -367,15 +417,12 @@ NAMES = ["bm25", "dense", "x"]
 
 
 def check_union(pools: PoolColumns, lists) -> None:
-    """Each query's negatives and provenance bits equal `union_entry`."""
+    """Each query's negatives equal the keys of `union_entry`, and each
+    retriever's list is the one given."""
     assert pools.query_ids == sorted(lists)
     for i, qid in enumerate(pools.query_ids):
-        union = union_entry(lists[qid][1])
-        assert pools.negatives(qid) == list(union)
-        bits = pools.provenance[pools.span(i)].tolist()
-        assert [{name for b, name in enumerate(pools.retrievers)
-                 if mask >> b & 1} for mask in bits] == \
-            [set(names) for names in union.values()]
+        assert pools.negatives(qid) == list(union_entry(lists[qid][1]))
+        assert pools.lists(i) == lists[qid][1]
 
 
 def written(pools: PoolColumns) -> str:
@@ -385,18 +432,25 @@ def written(pools: PoolColumns) -> str:
         return path.read_text(encoding="utf-8")
 
 
+def uniform_pools(names):
+    """Per-query (source, lists) whose lists come from `names`, each
+    query listing every one."""
+    return st.dictionaries(
+        st.text("qQ09", min_size=1, max_size=3),
+        st.tuples(st.sampled_from(IDS), st.fixed_dictionaries(
+            {name: st.lists(st.sampled_from(IDS), max_size=5)
+             for name in names})),
+        max_size=6)
+
+
 class TestPoolBytes:
     """`hard-negatives.jsonl` bytes are those of per-query dicts written
     with `json.dumps(sort_keys=True)`, and reading them back writes them
     again."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.dictionaries(
-        st.text("qQ09", min_size=1, max_size=3),
-        st.tuples(st.sampled_from(IDS), st.dictionaries(
-            st.sampled_from(NAMES), st.lists(st.sampled_from(IDS), max_size=5),
-            max_size=3)),
-        max_size=6))
+    @given(st.lists(st.sampled_from(NAMES), unique=True, max_size=3)
+           .flatmap(uniform_pools))
     def test_read_then_write_reproduces_the_file(self, lists):
         text = hard_negatives_text(lists)
         with tempfile.TemporaryDirectory() as tmp:
@@ -428,8 +482,8 @@ class TestPoolBytes:
 class TestPoolMemory:
     def test_read_hard_negatives_holds_few_bytes_per_mined_id(self, tmp_path):
         """2,000 queries x 100 mined ids read back hold at most 16 bytes per
-        id: an int32 row of each list, the union's int32 row and provenance
-        byte, and the id tables; per-query dicts held about 200."""
+        id: an int32 row of each list, the union's int32 row and the id
+        tables; per-query dicts held about 200."""
         lists = pool_lists()
         path = tmp_path / "hard-negatives.jsonl"
         path.write_text(hard_negatives_text(lists), encoding="utf-8")
@@ -446,3 +500,37 @@ class TestPoolMemory:
             tracemalloc.stop()
         assert len(pools) == 2_000
         assert held / n_ids <= POOL_BOUND, held / n_ids
+
+
+class TestOneRankingLoop:
+    """`full_rank` and `mine_pools` rank each query through the module's
+    `retrieve_top_k`, the name a tracer rebinds to time each query."""
+
+    def count_calls(self, monkeypatch) -> list[tuple[str, str]]:
+        calls = []
+        original = mining.retrieve_top_k
+
+        def counted(retriever, query_text, k):
+            calls.append((retriever.name, query_text))
+            return original(retriever, query_text, k)
+
+        monkeypatch.setattr(mining, "retrieve_top_k", counted)
+        return calls
+
+    def test_full_rank_calls_it_once_per_query(self, monkeypatch):
+        passages = toy_corpus(20, seed=8)
+        queries = [Query(f"q{i}", p.body) for i, p in enumerate(passages[:6])]
+        model = init_encoder([f"w{i}" for i in range(30)], dim=8, seed=2)
+        calls = self.count_calls(monkeypatch)
+        run = full_rank(model, queries, passages, cutoff=5)
+        assert calls == [("dense", q.text) for q in queries]
+        assert len(run.rows) == 6 * 5
+
+    def test_mine_pools_calls_it_once_per_query_and_retriever(self,
+                                                                monkeypatch):
+        passages, retrievers = TestMineNegatives().make_world()
+        queries = [Query(f"q{i}", p.body, source_passage_id=p.id)
+                   for i, p in enumerate(passages[:5])]
+        calls = self.count_calls(monkeypatch)
+        mine_pools(queries, retrievers, n_per_retriever=4)
+        assert calls == [(r.name, q.text) for r in retrievers for q in queries]

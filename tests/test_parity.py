@@ -1,6 +1,6 @@
 """Smoke test of the parity script: one case prints one stable line, and
-the digests of the label TSV, a checkpoint file, a reranked run and the
-mock generator's queries are pinned."""
+the digests of the label TSV, a checkpoint file, a reranked run, the
+mock generator's queries and a mined pool file are pinned."""
 
 import re
 
@@ -48,4 +48,14 @@ def test_generate_digest_pinned(capsys):
     parity.main(["generate"])
     assert capsys.readouterr().out == (
         "generate 4c671f6a42b36c476f9f3d99be8a650b6e642c127bf89c141fcabf2734ee683a"
+        "\n")
+
+
+def test_mine_digest_pinned(capsys):
+    """The pools BM25 and a cosine dense retriever mined over the toy
+    corpus: each retriever's top 6 per query, ties broken by passage id,
+    the source passage removed."""
+    parity.main(["mine"])
+    assert capsys.readouterr().out == (
+        "mine 0c2a7b62081963417848b580f7a42c9cf2c730710f7e872cba2ce207e2ca2259"
         "\n")
