@@ -78,8 +78,13 @@ def full_rank(model: EncoderModel, queries: Sequence[Query],
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     retriever = DenseRetriever(model, corpus)
-    rows, scores = rank_queries(retriever, queries, cutoff)
-    offsets = np.arange(len(queries) + 1, dtype=np.int64) * rows.shape[1]
+    width = min(cutoff, len(retriever.ids))
+    rows = np.empty((len(queries), width), dtype=np.int32)
+    scores = np.empty((len(queries), width))
+    for i, (top, top_scores) in enumerate(rank_queries(retriever, queries,
+                                                       cutoff)):
+        rows[i], scores[i] = top, top_scores
+    offsets = np.arange(len(queries) + 1, dtype=np.int64) * width
     return RunRanking([q.id for q in queries], offsets, retriever.ids,
                       rows.ravel(), scores.ravel())
 

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -157,15 +157,11 @@ def retrieve_top_k(retriever, query_text: str, k: int
 
 
 def rank_queries(retriever, queries: Sequence[Query], k: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each query's `retrieve_top_k` as row i of two len(queries) x
-    min(k, len(retriever.ids)) columns: int32 rows and float64 scores."""
-    width = min(k, len(retriever.ids))
-    rows = np.empty((len(queries), width), dtype=np.int32)
-    scores = np.empty((len(queries), width))
-    for i, query in enumerate(queries):
-        rows[i], scores[i] = retrieve_top_k(retriever, query.text, k)
-    return rows, scores
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each query's `retrieve_top_k` in turn, min(k, len(retriever.ids))
+    (rows, scores): a caller keeps only the columns it reads."""
+    for query in queries:
+        yield retrieve_top_k(retriever, query.text, k)
 
 
 # Queries whose union is formed at once: bounds the union's temporaries.
@@ -361,8 +357,12 @@ def mine_pools(queries: Sequence[Query], retrievers: Iterable,
         elif retriever.ids != ids:
             raise ValueError(f"retriever {retriever.name!r} ranks other "
                              f"passages than the first retriever")
-        lists[retriever.name] = rank_queries(retriever, queries,
-                                             n_per_retriever)[0]
+        rows = np.empty((len(queries), min(n_per_retriever, len(ids))),
+                        dtype=np.int32)
+        for i, (top, _) in enumerate(rank_queries(retriever, queries,
+                                                  n_per_retriever)):
+            rows[i] = top
+        lists[retriever.name] = rows
         del retriever
     passage_ids, source = _positions([q.source_passage_id for q in queries],
                                      ids or [])

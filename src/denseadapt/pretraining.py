@@ -100,6 +100,13 @@ def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int],
 # of float64, so memory does not grow with the positions a batch scores.
 _LOGIT_BLOCK = 1 << 18
 
+# The embedding gradient's product with a logits block is formed and added
+# max(2, _GRAD_BLOCK // d) vocabulary rows at a time, about 256 KiB of
+# float64, so a step holds no second V x d array. numpy hands a one-row
+# product to gemv, which rounds differently from the whole product's gemm,
+# so a last row left alone joins the block before it.
+_GRAD_BLOCK = 1 << 15
+
 
 def _tied_output_loss(model: EncoderModel, items: Sequence[tuple],
                       scale: float, head: np.ndarray | None = None,
@@ -126,7 +133,10 @@ def _tied_output_loss(model: EncoderModel, items: Sequence[tuple],
     _, embedding_grad = grads["embedding"]
     size = max(1, _LOGIT_BLOCK // model.vocab_size)
     logits = np.empty((min(size, targets.size), model.vocab_size))
-    buf = np.empty_like(embedding_grad)
+    rows = max(2, _GRAD_BLOCK // d)
+    starts = range(0, model.vocab_size - 1, rows)
+    vocab_blocks = list(zip(starts, [*starts[1:], model.vocab_size]))
+    buf = np.empty((rows + 1, d))
     d_hidden = np.empty_like(hidden)
     loss = 0.0
     for lo in range(0, targets.size, size):
@@ -135,7 +145,9 @@ def _tied_output_loss(model: EncoderModel, items: Sequence[tuple],
             np.matmul(h, model.embedding.T, out=logits[:len(h)]),
             targets[lo:lo + size], weights[lo:lo + size])
         loss += part
-        embedding_grad += np.matmul(d_logits.T, h, out=buf)
+        for a, b in vocab_blocks:
+            embedding_grad[a:b] += np.matmul(d_logits.T[a:b], h,
+                                             out=buf[:b - a])
         np.matmul(d_logits, model.embedding, out=d_hidden[lo:lo + size])
     d_x = d_hidden @ weight
     np.add.at(embedding_grad, inputs, d_x[:, -d:])

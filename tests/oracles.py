@@ -5,7 +5,8 @@ one pair, the teacher margin of one tuple, one query's top k as a
 TREC run written line by line from per-query lists, mined pools as
 per-query dicts and their `hard-negatives.jsonl` text, the binary labels
 a generation-only baseline would train on, the token cross-entropy of
-tied-output losses written out array by array, a labelled stream's tuples
+tied-output losses written out array by array, the tied-output loss with
+its vocabulary gradient formed as one V x d product, a labelled stream's tuples
 as named rows, and the checkpoint format written and read as whole JSON
 documents."""
 
@@ -16,11 +17,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from denseadapt import pretraining
 from denseadapt.corpus import tokenize
 from denseadapt.evaluation import RunRanking
 from denseadapt.labeling import GPLDataset
 from denseadapt.mining import BM25Index, retrieve_top_k
-from denseadapt.models import CrossEncoderScorer, EncoderModel
+from denseadapt.models import (CrossEncoderScorer, EncoderModel, Tokens,
+                               encode_backward, encode_ids, new_grads)
 
 # The last index scored and its passage positions: a test scores one index
 # many times in a row.
@@ -195,6 +198,49 @@ def token_cross_entropy(logits, target_ids) -> tuple[float, np.ndarray]:
     d_logits = exp / denom
     d_logits[rows, targets] -= 1.0
     return loss, d_logits / targets.size
+
+
+def tied_output_loss(model: EncoderModel, items: Sequence[tuple],
+                     scale: float, head: np.ndarray | None = None,
+                     name: str = "head") -> tuple[float, dict[str, np.ndarray]]:
+    """`pretraining._tied_output_loss` with each logits block's embedding
+    gradient formed as one whole V x d product and then added: the same
+    positions per logits block, the same cross-entropy."""
+    d = model.dim
+    encoded, inputs, targets = zip(*items)
+    lengths = np.fromiter(map(len, targets), dtype=np.intp, count=len(items))
+    inputs, targets = np.concatenate(inputs), np.concatenate(targets)
+    x, weight = model.embedding[inputs], model.projection.T
+    if head is not None:
+        pooled, cache = encode_ids(model, Tokens.of(encoded))
+        x = np.concatenate([np.repeat(pooled, lengths, axis=0), x], axis=1)
+        weight = head
+    hidden = x @ weight.T
+    weights = np.repeat(scale / lengths, lengths)
+    grads = new_grads(model)
+    _, embedding_grad = grads["embedding"]
+    size = max(1, pretraining._LOGIT_BLOCK // model.vocab_size)
+    logits = np.empty((min(size, targets.size), model.vocab_size))
+    buf = np.empty_like(embedding_grad)
+    d_hidden = np.empty_like(hidden)
+    loss = 0.0
+    for lo in range(0, targets.size, size):
+        h = hidden[lo:lo + size]
+        part, d_logits = pretraining.token_cross_entropy(
+            np.matmul(h, model.embedding.T, out=logits[:len(h)]),
+            targets[lo:lo + size], weights[lo:lo + size])
+        loss += part
+        embedding_grad += np.matmul(d_logits.T, h, out=buf)
+        np.matmul(d_logits, model.embedding, out=d_hidden[lo:lo + size])
+    d_x = d_hidden @ weight
+    np.add.at(embedding_grad, inputs, d_x[:, -d:])
+    if head is None:
+        grads["projection"] += x.T @ d_hidden
+        return loss, grads
+    grads[name] = d_hidden.T @ x
+    encode_backward(model, cache, np.add.reduceat(
+        d_x[:, :d], np.cumsum(lengths) - lengths), grads)
+    return loss, grads
 
 
 def _pack_array(a: np.ndarray) -> dict:

@@ -24,7 +24,13 @@ a dense first stage over the toy world, and `generate` the sha256 of the
 queries the mock generator decodes from the toy corpus, its body-less
 passages included. `mine` prints the sha256 of the `hard-negatives.jsonl`
 that `mine_pools` writes for the toy queries with a BM25 and a cosine
-dense retriever over the toy corpus.
+dense retriever over the toy corpus. `tsdae_wide` trains TSDAE on the toy
+corpus with a d = 8 model whose vocabulary holds 12,289 = 3 x 4,096 + 1
+tokens: three of the vocabulary gradient's 4,096-row blocks at d = 8 plus
+one row, which joins the third block rather than forming a block of its
+own. The corpus's words take the last rows and the learning rate is
+2.0, so a gradient that differs in its last bits reaches the weights (at
+0.05 the SGD update rounds such a difference away).
 """
 
 from __future__ import annotations
@@ -46,8 +52,10 @@ from denseadapt import (BM25Retriever, DenseRetriever, Passage,
                         qgen_train, run_pipeline, save_model, write_dataset,
                         write_hard_negatives, write_trec_run)
 from denseadapt.mining import PoolColumns
+from denseadapt.models import NUM_RESERVED
 
 WORDS = [f"w{i:02d}" for i in range(40)]
+WIDE_VOCAB = 3 * 4_096 + 1
 
 
 def toy_corpus(n: int = 30) -> list[Passage]:
@@ -92,6 +100,15 @@ def pretrain_case(method: str):
         return pretrain(model, passages, PretrainConfig(
             method=method, steps=12, batch_size=4, learning_rate=0.05, seed=2))
     return run
+
+
+def wide_tsdae_case():
+    fillers = [f"a{i:05d}" for i in range(WIDE_VOCAB - NUM_RESERVED
+                                         - len(WORDS))]
+    model = init_encoder(WORDS + fillers, dim=8, seed=3, init_scale=0.3)
+    assert model.vocab_size == WIDE_VOCAB
+    return pretrain(model, toy_corpus(), PretrainConfig(
+        method="tsdae", steps=12, batch_size=4, learning_rate=2.0, seed=2))
 
 
 def gpl_case():
@@ -212,7 +229,8 @@ CASES = {**{m: trained(pretrain_case(m)) for m in
          "checkpoint": checkpoint_case,
          "rerank": rerank_case,
          "generate": generate_case,
-         "mine": mine_case}
+         "mine": mine_case,
+         "tsdae_wide": trained(wide_tsdae_case)}
 
 
 def main(names) -> None:

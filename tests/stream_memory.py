@@ -25,6 +25,13 @@ Last, it writes a TREC run of 100 queries x 1,000 entries over a
 `read_trec_run`'s result holds (bound 16: an int32 row and a float64
 score, plus the id table) and what that holds at 10,000 queries x 1,000.
 
+It also runs one TSDAE `pretrain` step over four 300-token passages at a
+20,000-token vocabulary and d = 64, and prints the traced bytes it holds
+beyond the model and the 2 MiB logits block in units of V x d x 8 (bound
+1.75: the V x d embedding gradient, one block of its rows and the
+step's per-position arrays), and what the step holds at BERT's
+V = 30,522 and d = 768.
+
     PYTHONPATH=src python tests/stream_memory.py [N]
 
 Prints one line per measurement and exits 1 if a bound is exceeded. At
@@ -41,12 +48,15 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (Passage, Query, build_dataset, init_encoder,
-                        lexical_overlap_ce, read_dataset, write_dataset,
-                        write_hard_negatives, write_trec_run)
+from denseadapt import (Passage, PretrainConfig, Query, build_dataset,
+                        init_encoder, lexical_overlap_ce, pretrain,
+                        read_dataset, write_dataset, write_hard_negatives,
+                        write_trec_run)
 from denseadapt.corpus import passage_text
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import PoolColumns, read_hard_negatives
+from denseadapt.models import NUM_RESERVED
+from denseadapt.pretraining import _LOGIT_BLOCK
 from denseadapt.training import tuple_batches
 from oracles import pack_run
 
@@ -56,6 +66,8 @@ RUN_BOUND = 16  # bytes per run entry
 RUN_QUERIES, RUN_CUTOFF, RUN_PASSAGES = 100, 1000, 2000
 POOL_BOUND = 16  # bytes per mined id
 POOL_QUERIES, POOL_LIST, POOL_PASSAGES = 2000, 50, 5000
+TIED_BOUND = 1.75  # units of V x d x 8 bytes beyond the logits block
+TIED_VOCAB, TIED_DIM = 20_000, 64
 
 
 def pool_lists(n_queries: int = POOL_QUERIES, n_list: int = POOL_LIST,
@@ -124,6 +136,20 @@ def pool_id_bytes(directory: Path) -> float:
     return held / n_ids
 
 
+def tied_output_units() -> float:
+    """Traced bytes one TSDAE step holds beyond the model and the logits
+    block, in units of V x d x 8."""
+    words = [f"t{i}" for i in range(TIED_VOCAB - NUM_RESERVED)]
+    model = init_encoder(words, dim=TIED_DIM, seed=0, max_seq_len=300)
+    rng = np.random.default_rng(1)
+    passages = [Passage(f"p{i}", "", " ".join(rng.choice(words, size=300)))
+                for i in range(4)]
+    cfg = PretrainConfig(method="tsdae", steps=1, batch_size=4,
+                         learning_rate=0.01, seed=3)
+    _, peak, _ = traced_growth(lambda: pretrain(model, passages, cfg))
+    return (peak - _LOGIT_BLOCK * 8) / (TIED_VOCAB * TIED_DIM * 8)
+
+
 def timed(fn):
     start = time.perf_counter()
     result = fn()
@@ -183,6 +209,12 @@ def main(argv: list[str]) -> int:
           f"{per_id * 250_000 * 100 / 2 ** 20:,.0f} MiB")
     if per_id > POOL_BOUND:
         failed.append("read_hard_negatives")
+    units = tied_output_units()
+    paper = (_LOGIT_BLOCK * 8 + units * 30_522 * 768 * 8) / 2 ** 20
+    print(f"tsdae step: holds 2 MiB of logits + {units:.2f} x V*d*8 B "
+          f"(bound {TIED_BOUND}); V = 30,522, d = 768: {paper:,.0f} MiB")
+    if units > TIED_BOUND:
+        failed.append("tsdae step")
     print("failed: " + ", ".join(failed) if failed else "all bounds met")
     return 1 if failed else 0
 

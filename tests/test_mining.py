@@ -502,6 +502,36 @@ class TestPoolMemory:
         assert held / n_ids <= POOL_BOUND, held / n_ids
 
 
+    def test_mine_pools_ranks_into_a_row_column_only(self, monkeypatch):
+        """While a retriever ranks 4,000 queries x 50, `mine_pools` holds
+        its int32 row column, 4 bytes per query and rank, and no float64
+        score column beside it (that would make 12)."""
+        words = [f"w{i}" for i in range(50)]
+        passages = [Passage(f"p{i:03d}", "", f"w{i % 50} w{i * 7 % 50}")
+                    for i in range(120)]
+        retriever = DenseRetriever(init_encoder(words, dim=8, seed=0),
+                                   passages)
+        n_queries, n = 4_000, 50
+        queries = [Query(f"q{i:05d}", f"w{i % 50} w{i * 11 % 50}",
+                         passages[i % 120].id) for i in range(n_queries)]
+        most = [0]
+        original = mining.retrieve_top_k
+
+        def traced(retriever, query_text, k):
+            most[0] = max(most[0], tracemalloc.get_traced_memory()[0])
+            return original(retriever, query_text, k)
+
+        monkeypatch.setattr(mining, "retrieve_top_k", traced)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mine_pools(queries, [retriever], n_per_retriever=n)
+        finally:
+            tracemalloc.stop()
+        per_slot = (most[0] - start) / (n_queries * n)
+        assert 4 <= per_slot <= 5, per_slot
+
+
 class TestOneRankingLoop:
     """`full_rank` and `mine_pools` rank each query through the module's
     `retrieve_top_k`, the name a tracer rebinds to time each query."""

@@ -1,6 +1,7 @@
 """Smoke test of the parity script: one case prints one stable line, and
 the digests of the label TSV, a checkpoint file, a reranked run, the
-mock generator's queries and a mined pool file are pinned."""
+mock generator's queries, a mined pool file and TSDAE over a vocabulary
+of several gradient blocks are pinned."""
 
 import re
 
@@ -58,4 +59,16 @@ def test_mine_digest_pinned(capsys):
     parity.main(["mine"])
     assert capsys.readouterr().out == (
         "mine 0c2a7b62081963417848b580f7a42c9cf2c730710f7e872cba2ce207e2ca2259"
+        "\n")
+
+
+def test_tsdae_wide_digest_pinned(capsys):
+    """The weights and loss trace TSDAE trained with the vocabulary
+    gradient formed as one V x d product, at V = 3 x 4,096 + 1 and d = 8;
+    a last block of one row changes the weights."""
+    parity.main(["tsdae_wide"])
+    assert capsys.readouterr().out == (
+        "tsdae_wide "
+        "fd2657e8b18510beee26678b8c3c5272c6a06c06a5b78afe1d36aa83530fdcca "
+        "d99d2cdfa9e0808c7a525c25052dc271962b736c44c50056180450e8e9827e6b"
         "\n")

@@ -99,15 +99,14 @@ def test_tsdae_item_holds_one_logits_buffer():
     assert peak < 1.5 * positions * vocab * 8 + 4 * vocab * dim * 8
 
 
-@pytest.mark.parametrize("method", ["tsdae", "mlm", "cd"])
-def test_tied_output_step_holds_one_logits_block(method):
-    """One step over four 300-token passages at a 20k vocabulary (d=8)
-    holds at most 2 MiB of logits besides four V x d arrays; one TSDAE
-    item's whole (positions x V) logits would take 300 x 20k x 8 B, about
-    46 MiB, and one masked item's 45 positions about 7 MiB."""
-    vocab, dim = 20_000, 8
-    words = [f"t{i}" for i in range(vocab - NUM_RESERVED)]
-    model = init_encoder(words, dim=dim, seed=0, max_seq_len=300,
+STEP_VOCAB, STEP_DIM = 20_000, 8
+
+
+def tied_output_step_peak(method: str) -> int:
+    """Traced peak of one `pretrain` step over four 300-token passages at
+    a STEP_VOCAB vocabulary (d = STEP_DIM)."""
+    words = [f"t{i}" for i in range(STEP_VOCAB - NUM_RESERVED)]
+    model = init_encoder(words, dim=STEP_DIM, seed=0, max_seq_len=300,
                          pooling="cls" if method == "cd" else "mean")
     rng = np.random.default_rng(1)
     passages = [Passage(f"p{i}", "", " ".join(rng.choice(words, size=300)))
@@ -117,10 +116,109 @@ def test_tied_output_step_holds_one_logits_block(method):
     tracemalloc.start()
     try:
         pretrain(model, passages, cfg)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2**20 + 4 * vocab * dim * 8
+
+
+@pytest.mark.parametrize("method", ["tsdae", "mlm", "cd"])
+def test_tied_output_step_holds_one_logits_block(method):
+    """One step holds at most 2 MiB of logits besides four V x d arrays;
+    one TSDAE item's whole (positions x V) logits would take 300 x 20k x
+    8 B, about 46 MiB, and one masked item's 45 positions about 7 MiB."""
+    peak = tied_output_step_peak(method)
+    assert peak <= 2 * 2**20 + 4 * STEP_VOCAB * STEP_DIM * 8
+
+
+@pytest.mark.parametrize("method", ["tsdae", "mlm", "cd"])
+def test_tied_output_step_holds_one_vocabulary_gradient(method):
+    """Besides the 2 MiB logits block, one step holds the V x d embedding
+    gradient, one block of its rows and the step's small arrays: at most
+    1.75 x V x d x 8 B. A second whole V x d array for each logits block's
+    product makes that 2.05-2.49 x."""
+    peak = tied_output_step_peak(method)
+    unit = STEP_VOCAB * STEP_DIM * 8
+    assert peak <= 2 * 2**20 + 1.75 * unit, (peak - 2 * 2**20) / unit
+
+
+GRAD_ROWS = pretraining._GRAD_BLOCK // 8  # rows of a block at d = 8
+
+
+def tied_output_items(model, method: str, n_items: int = 3) -> list:
+    """A batch of `method`'s items over random 40-token rows, as
+    `pretrain` builds them."""
+    rng = np.random.default_rng(model.vocab_size)
+    items = []
+    for j in range(n_items):
+        ids = rng.integers(NUM_RESERVED, model.vocab_size, size=40)
+        if method == "tsdae":
+            items.append(pretraining._tsdae_item(ids, tsdae_corrupt(
+                ids, 0.6, rng=j)))
+        else:
+            items.append(pretraining._masked_item(ids, *mlm_corrupt(
+                ids, model.vocab_size, 0.3, rng=j)[:2]))
+    return items
+
+
+def assert_bit_identical(got, want):
+    (loss, grads), (want_loss, want_grads) = got, want
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        got_grad, want_grad = grads[name], want_grads[name]
+        if name == "embedding":  # (rows, block) pairs over every row
+            assert got_grad[0] == want_grad[0] == slice(None)
+            got_grad, want_grad = got_grad[1], want_grad[1]
+        assert np.array_equal(got_grad, want_grad), name
+
+
+class TestBlockedVocabularyGradient:
+    """The embedding gradient formed a block of vocabulary rows at a time
+    is bit-identical to one whole V x d product per logits block."""
+
+    @pytest.mark.parametrize("vocab", [
+        1_000, 3 * GRAD_ROWS, 3 * GRAD_ROWS + 1, 3 * GRAD_ROWS + 2,
+        GRAD_ROWS + 1])
+    @pytest.mark.parametrize("method", ["tsdae", "mlm", "cd"])
+    def test_matches_one_product(self, method, vocab):
+        model = init_encoder([f"t{i}" for i in range(vocab - NUM_RESERVED)],
+                             dim=8, seed=vocab, init_scale=0.3,
+                             pooling="cls" if method == "cd" else "mean")
+        head = None if method == "mlm" else init_condensor_head(8, seed=1)
+        args = (model, tied_output_items(model, method), 0.25, head)
+        assert_bit_identical(pretraining._tied_output_loss(*args),
+                             oracles.tied_output_loss(*args))
+
+    @pytest.mark.parametrize("method", ["tsdae", "mlm"])
+    def test_single_position_logits_blocks(self, method, monkeypatch):
+        """A logits block of one position: its product is an outer
+        product, blocked or not."""
+        monkeypatch.setattr(pretraining, "_LOGIT_BLOCK", 1)
+        vocab = 2 * GRAD_ROWS + 1
+        model = init_encoder([f"t{i}" for i in range(vocab - NUM_RESERVED)],
+                             dim=8, seed=4, init_scale=0.3)
+        head = None if method == "mlm" else init_condensor_head(8, seed=1)
+        args = (model, tied_output_items(model, method, 2), 0.5, head)
+        assert_bit_identical(pretraining._tied_output_loss(*args),
+                             oracles.tied_output_loss(*args))
+
+    def test_udalm_step(self, monkeypatch):
+        vocab = 3 * GRAD_ROWS + 1
+        words = [f"t{i}" for i in range(vocab - NUM_RESERVED)]
+        model = init_encoder(words, dim=8, seed=5, init_scale=0.3)
+        rng = np.random.default_rng(6)
+        texts = [" ".join(rng.choice(words, size=30)) for _ in range(8)]
+        source = (model.tokens(texts[:2]), model.tokens(texts[2:4]),
+                  model.tokens(texts[4:6]), np.array([1.0, -0.5]))
+
+        def step():
+            return udalm_step(model, target_rows(model, texts[6:]), source,
+                              mix_weight=0.5, mask_ratio=0.3, rng=7)
+
+        got = step()
+        monkeypatch.setattr(pretraining, "_tied_output_loss",
+                            oracles.tied_output_loss)
+        assert_bit_identical(got, step())
 
 
 class TestTsdaeCorrupt:
