@@ -97,9 +97,9 @@ def _gain(grade: int, kind: str) -> float:
     raise ValueError(f"unknown gain {kind!r}")
 
 
-def ndcg_at_k(ranking: Sequence, rels: Mapping[str, int], k: int = DEFAULT_K,
-              gain: str = "linear") -> float:
-    """Normalized discounted cumulative gain at cutoff k.
+def ndcg_at_k(ranking: Sequence[str], rels: Mapping[str, int],
+              k: int = DEFAULT_K, gain: str = "linear") -> float:
+    """Normalized discounted cumulative gain at cutoff k of passage ids.
 
     DCG@k = sum_i gain(rel_i) / log2(i + 1) over ranks i = 1..k; the ideal
     DCG sorts the judged grades descending. Unjudged passages count as
@@ -113,39 +113,50 @@ def ndcg_at_k(ranking: Sequence, rels: Mapping[str, int], k: int = DEFAULT_K,
     if idcg == 0.0:
         raise ValueError("no positive grades; query cannot be scored")
     dcg = 0.0
-    for i, item in enumerate(ranking[:k]):
-        pid = item[0] if isinstance(item, tuple) else item
+    for i, pid in enumerate(ranking[:k]):
         dcg += _gain(rels.get(pid, 0), gain) / math.log2(i + 2)
     return dcg / idcg
 
 
-def mrr_at_k(ranking: Sequence, rels: Mapping[str, int], k: int = DEFAULT_K
-             ) -> float:
-    """Reciprocal rank of the first passage with grade >= 1 in the top k,
-    else 0."""
+def mrr_at_k(ranking: Sequence[str], rels: Mapping[str, int],
+             k: int = DEFAULT_K) -> float:
+    """Reciprocal rank of the first passage id with grade >= 1 in the top
+    k, else 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for i, item in enumerate(ranking[:k]):
-        pid = item[0] if isinstance(item, tuple) else item
+    for i, pid in enumerate(ranking[:k]):
         if rels.get(pid, 0) >= 1:
             return 1.0 / (i + 1)
     return 0.0
 
 
-def evaluate(model_or_run, queries: Sequence[Query], corpus: Sequence[Passage],
-             qrels: Qrels, metrics: Sequence[str] = ("ndcg@10", "mrr@10"),
+def parse_metrics(metrics: Sequence[str]) -> list[tuple[str, int]]:
+    """Each metric's (name, k): `ndcg` or `mrr`, optionally `@K` with K an
+    int >= 1, else k = DEFAULT_K. No metric, or another name, is a
+    ValueError."""
+    if not metrics:
+        raise ValueError("no metrics to evaluate")
+    parsed = []
+    for metric in metrics:
+        name, at, k = metric.partition("@")
+        if name not in ("ndcg", "mrr") or \
+                at and not (k.isdecimal() and int(k) >= 1):
+            raise ValueError(f"unknown metric {metric!r}")
+        parsed.append((name, int(k) if at else DEFAULT_K))
+    return parsed
+
+
+def evaluate(run: RunRanking, queries: Sequence[Query], qrels: Qrels,
+             metrics: Sequence[str] = ("ndcg@10", "mrr@10"),
              cutoff: int = DEFAULT_CUTOFF, gain: str = "linear") -> EvalReport:
-    """Per-query metrics plus macro averages.
+    """Per-query metrics of a run plus macro averages.
 
-    Accepts a model (ranked on the fly) or a prebuilt RunRanking. Queries
-    without a positive judgment are skipped from averaging (logged); zero
-    judged queries is an error. Metric names are `ndcg@K` / `mrr@K`.
+    Queries without a positive judgment are skipped from averaging (logged);
+    zero judged queries is an error. Metric names are `ndcg@K` / `mrr@K`.
+    `cutoff`, the depth the run was ranked to, is recorded in the config.
     """
-    if isinstance(model_or_run, RunRanking):
-        run = model_or_run
-    else:
-        run = full_rank(model_or_run, queries, corpus, cutoff)
-
+    parsed = parse_metrics(metrics)
+    _gain(0, gain)  # an unknown gain fails before any query is scored
     position = {qid: i for i, qid in enumerate(run.qids)}
     per_query: dict[str, dict[str, float]] = {m: {} for m in metrics}
     n_skipped = 0
@@ -156,19 +167,12 @@ def evaluate(model_or_run, queries: Sequence[Query], corpus: Sequence[Passage],
             logger.info("query %s has no positive judgments; skipped", q.id)
             continue
         i = position.get(q.id)
-        for metric in metrics:
-            name, _, k_str = metric.partition("@")
-            k = int(k_str) if k_str else DEFAULT_K
+        for metric, (name, k) in zip(metrics, parsed):
             ranking = [] if i is None else run.top_ids(i, k)
-            if name == "ndcg":
-                value = ndcg_at_k(ranking, rels, k, gain)
-            elif name == "mrr":
-                value = mrr_at_k(ranking, rels, k)
-            else:
-                raise ValueError(f"unknown metric {metric!r}")
-            per_query[metric][q.id] = value
+            per_query[metric][q.id] = ndcg_at_k(ranking, rels, k, gain) \
+                if name == "ndcg" else mrr_at_k(ranking, rels, k)
 
-    n_judged = len(next(iter(per_query.values()))) if metrics else 0
+    n_judged = len(next(iter(per_query.values())))
     if n_judged == 0:
         raise ValueError("no judged queries to evaluate")
     averages = {m: sum(vals.values()) / len(vals) for m, vals in per_query.items()}

@@ -18,46 +18,32 @@ import numpy as np
 from .corpus import ParseError, Passage, Query, passage_text, tokenize
 from .models import EncoderModel, encode_batch
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+K1 = 1.2
+B = 0.75
 DEFAULT_N_PER_RETRIEVER = 50
 
 
 @dataclass
 class BM25Index:
-    """Inverted index in CSR form with the statistics BM25 needs.
+    """Inverted index in CSR form with each posting's Okapi BM25 score.
 
     The postings of term t are rows indptr[terms[t]] : indptr[terms[t] + 1]
-    of `doc` (passage positions in corpus order, ascending) and `tf`.
-    `ids` are the passage ids in corpus order and
-    norm[i] = k1 * (1 - b + b * dl_i / avgdl) for passage i of length dl_i.
-    idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which keeps idf >= 0.
+    of `doc` (passage positions in corpus order, ascending) and `weight`;
+    `ids` are the passage ids in corpus order. Term t, tf times in passage
+    i of dl_i tokens, weighs, with k1 = 1.2 and b = 0.75,
+        idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl_i / avgdl)),
+    idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)) >= 0 over N passages of
+    mean length avgdl, df of them holding t.
     """
 
     terms: dict[str, int]
     indptr: np.ndarray
     doc: np.ndarray
-    tf: np.ndarray
+    weight: np.ndarray
     ids: list[str]
-    norm: np.ndarray
-    avgdl: float
-    n_docs: int
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """The (doc, tf) slices of a term; empty for an unknown term."""
-        row = self.terms.get(term)
-        lo, hi = (0, 0) if row is None else (self.indptr[row], self.indptr[row + 1])
-        return self.doc[lo:hi], self.tf[lo:hi]
-
-    def idf(self, term: str) -> float:
-        df = len(self.postings(term)[0])
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5)) if df else 0.0
 
 
-def build_bm25_index(passages: Sequence[Passage], k1: float = DEFAULT_K1,
-                     b: float = DEFAULT_B) -> BM25Index:
+def build_bm25_index(passages: Sequence[Passage]) -> BM25Index:
     if not passages:
         raise ValueError("cannot index an empty corpus")
     terms: dict[str, int] = {}
@@ -67,13 +53,23 @@ def build_bm25_index(passages: Sequence[Passage], k1: float = DEFAULT_K1,
         lengths.append(len(tokens))
         for t, c in Counter(tokens).items():
             postings.extend((terms.setdefault(t, len(terms)), i, c))
-    rows, docs, tfs = np.frombuffer(postings, dtype=np.int32).reshape(-1, 3).T
-    order = np.argsort(rows, kind="stable")  # each term's docs stay ascending
+    triples = np.frombuffer(postings, dtype=np.int32).reshape(-1, 3)
+    df = np.bincount(triples[:, 0], minlength=len(terms))
+    order = np.argsort(triples[:, 0], kind="stable")  # docs stay ascending
+    doc, tf = triples[order, 1], triples[order, 2]
+    del postings, triples, order
     avgdl = sum(lengths) / len(lengths)
-    norm = k1 * (1.0 - b + b * np.asarray(lengths, dtype=np.float64) / avgdl)
-    return BM25Index(terms, np.searchsorted(rows[order], np.arange(len(terms) + 1)),
-                     docs[order], tfs[order].astype(np.float64),
-                     [p.id for p in passages], norm, avgdl, len(passages), k1, b)
+    norm = K1 * (1.0 - B + B * np.asarray(lengths, dtype=np.float64) / avgdl)
+    idf = np.fromiter(map(math.log, 1.0 + (len(passages) - df + 0.5)
+                          / (df + 0.5)), dtype=np.float64, count=df.size)
+    # In place, in the formula's order: idf * tf * (k1 + 1) / (tf + norm).
+    weight = np.repeat(idf, df)
+    weight *= tf
+    weight *= K1 + 1.0
+    denominator = norm[doc]
+    denominator += tf
+    weight /= denominator
+    return BM25Index(terms, _offsets(df), doc, weight, [p.id for p in passages])
 
 
 def _id_rank(ids: Sequence[str]) -> np.ndarray:
@@ -93,12 +89,11 @@ class BM25Retriever:
     def scores(self, query_text: str) -> np.ndarray:
         """Scores in corpus order, summed token by token in query order."""
         index = self.index
-        scores = np.zeros(index.n_docs)
-        for term in tokenize(query_text):
-            doc, tf = index.postings(term)
-            if len(doc):
-                scores[doc] += index.idf(term) * tf * (index.k1 + 1.0) / \
-                    (tf + index.norm[doc])
+        scores = np.zeros(len(index.ids))
+        for row in map(index.terms.get, tokenize(query_text)):
+            if row is not None:
+                lo, hi = index.indptr[row:row + 2]
+                scores[index.doc[lo:hi]] += index.weight[lo:hi]
         return scores
 
 

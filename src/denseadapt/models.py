@@ -282,16 +282,11 @@ def apply_gradients(model: EncoderModel, grads: dict,
 @dataclass
 class CrossEncoderScorer:
     """Deterministic cross-encoder: raw logits of (query text, passage
-    text) pairs, scored a list at a time by `score_pairs`.
-
-    score_fn scores one pair, `score_fn(query text, passage text)`, and is
-    mapped over the pairs; with batched=True it scores the lists,
-    `score_fn(query texts, passage texts) -> one score per pair`.
-    """
+    text) pairs, scored a list at a time by `score_pairs`, which calls
+    `score_fn(query texts, passage texts)` for one score per pair."""
 
     score_fn: Callable
     name: str = "ce"
-    batched: bool = False
 
     def score_pairs(self, query_texts: Sequence[str],
                     passage_texts: Sequence[str]) -> np.ndarray:
@@ -299,15 +294,12 @@ class CrossEncoderScorer:
         if len(query_texts) != len(passage_texts):
             raise ValueError(f"{len(query_texts)} query texts for "
                              f"{len(passage_texts)} passage texts")
-        if self.batched:
-            scores = np.asarray(self.score_fn(query_texts, passage_texts),
-                                dtype=np.float64)
-            if scores.shape != (len(query_texts),):
-                raise ValueError(f"{len(query_texts)} pairs scored as shape "
-                                 f"{scores.shape}")
-            return scores
-        return np.fromiter(map(self.score_fn, query_texts, passage_texts),
-                           dtype=np.float64, count=len(query_texts))
+        scores = np.asarray(self.score_fn(query_texts, passage_texts),
+                            dtype=np.float64)
+        if scores.shape != (len(query_texts),):
+            raise ValueError(f"{len(query_texts)} pairs scored as shape "
+                             f"{scores.shape}")
+        return scores
 
     def __call__(self, query_text: str, passage_text_: str) -> float:
         return float(self.score_pairs([query_text], [passage_text_])[0])
@@ -368,8 +360,7 @@ def lexical_overlap_ce(scale: float = 10.0) -> CrossEncoderScorer:
                 scores[chunk] = np.where(n > 0, scale * overlap / n, 0.0)
         return scores
 
-    return CrossEncoderScorer(score_pairs, name=f"lexical-overlap-{scale:g}",
-                              batched=True)
+    return CrossEncoderScorer(score_pairs, name=f"lexical-overlap-{scale:g}")
 
 
 @dataclass

@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 from . import corpus as corpus_io
 from .corpus import Passage, load_corpus, load_qrels, load_queries, \
     passage_text, save_corpus, save_queries, tokenize
-from .evaluation import EvalReport, RunRanking, ce_rerank, evaluate, \
-    full_rank, load_report, read_trec_run, write_trec_run
+from .evaluation import EvalReport, RunRanking, _gain, ce_rerank, evaluate, \
+    full_rank, load_report, parse_metrics, read_trec_run, write_trec_run
 from .labeling import build_dataset, read_dataset, write_dataset
 from .mining import BM25Retriever, DenseRetriever, build_bm25_index, \
     mine_pools, read_hard_negatives, write_hard_negatives
@@ -153,6 +153,11 @@ _RANGES = {
     "rerank.top_n": "[1, inf)",
 }
 
+# The leaves a library function parses, as `evaluate` does before it scores
+# a run: a value it refuses fails at load too.
+_PARSERS = {"evaluate.metrics": parse_metrics,
+            "evaluate.gain": functools.partial(_gain, 0)}
+
 
 def _in_interval(value, interval: str) -> bool:
     low, high = map(float, interval[1:-1].split(","))
@@ -162,8 +167,9 @@ def _in_interval(value, interval: str) -> bool:
 
 def _check_value(key: str, value) -> None:
     """Raise unless `value` has the type of the DEFAULTS leaf at dotted
-    `key` and lies in its `_RANGES` interval. A float takes an int too; a
-    bool stands for nothing but a bool."""
+    `key`, lies in its `_RANGES` interval and passes its `_PARSERS`
+    function. A float takes an int too; a bool stands for nothing but a
+    bool."""
     kind = _NULLABLE.get(key) or \
         type(functools.reduce(dict.__getitem__, key.split("."), DEFAULTS))
     if isinstance(value, bool):
@@ -181,6 +187,12 @@ def _check_value(key: str, value) -> None:
     if interval and value is not None and not _in_interval(value, interval):
         raise PipelineError(f"config key {key} must be in {interval}; "
                             f"got {value!r}")
+    parse = _PARSERS.get(key)
+    if parse:
+        try:
+            parse(value)
+        except ValueError as e:
+            raise PipelineError(f"config key {key}: {e}") from None
 
 
 def _deep_merge(base: dict, override: dict, where: str) -> dict:
@@ -628,7 +640,7 @@ def _scored_run(cfg: PipelineConfig, method: str, stage: str,
         queries = load_queries(ingested[1][0])
         run = rank(passages, queries)
         section = cfg["evaluate"]
-        report = evaluate(run, queries, passages, load_qrels(ingested[2][0]),
+        report = evaluate(run, queries, load_qrels(ingested[2][0]),
                           metrics=tuple(section["metrics"]),
                           cutoff=section["cutoff"], gain=section["gain"])
         report.config["method"] = tag

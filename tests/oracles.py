@@ -1,6 +1,7 @@
 """Reference implementations the tests hold the package to: Okapi BM25
-for one (query, passage) pair, the lexical mock cross-encoder's score of
-one pair, the teacher margin of one tuple, one query's top k as a
+for one (query, passage) pair counted from the passages, the lexical mock
+cross-encoder's score of one pair, a one-pair scorer mapped over two
+lists, the teacher margin of one tuple, one query's top k as a
 (passage id, score) list, runs packed from and unpacked to such lists, a
 TREC run written line by line from per-query lists, mined pools as
 per-query dicts and their `hard-negatives.jsonl` text, the binary labels
@@ -13,48 +14,65 @@ documents."""
 import base64
 import json
 import math
-from typing import Mapping, NamedTuple, Sequence
+from collections import Counter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from denseadapt import pretraining
-from denseadapt.corpus import tokenize
+from denseadapt.corpus import Passage, passage_text, tokenize
 from denseadapt.evaluation import RunRanking
 from denseadapt.labeling import GPLDataset
-from denseadapt.mining import BM25Index, retrieve_top_k
+from denseadapt.mining import retrieve_top_k
 from denseadapt.models import (CrossEncoderScorer, EncoderModel, Tokens,
                                encode_backward, encode_ids, new_grads)
 
-# The last index scored and its passage positions: a test scores one index
-# many times in a row.
-_positions: tuple[BM25Index | None, dict[str, int]] = (None, {})
+K1, B = 1.2, 0.75
+
+# The last corpus scored and its statistics: a test scores one corpus many
+# times in a row.
+_counts: tuple[Sequence[Passage] | None, tuple] = (None, ())
 
 
-def _position(index: BM25Index) -> dict[str, int]:
-    global _positions
-    if _positions[0] is not index:
-        _positions = (index, {pid: i for i, pid in enumerate(index.ids)})
-    return _positions[1]
+def _bm25_counts(passages: Sequence[Passage]
+                 ) -> tuple[dict[str, Counter], Counter, float]:
+    """Each passage's term counts by id, each term's document frequency and
+    the mean passage length, from one tokenization of the corpus."""
+    global _counts
+    if _counts[0] is not passages:
+        counts = [Counter(tokenize(passage_text(p))) for p in passages]
+        df = Counter(term for c in counts for term in c)
+        avgdl = sum(sum(c.values()) for c in counts) / len(passages)
+        _counts = (passages, (dict(zip((p.id for p in passages), counts)),
+                              df, avgdl))
+    return _counts[1]
 
 
-def bm25_score(index: BM25Index, query_tokens: Sequence[str],
+def bm25_score(passages: Sequence[Passage], query_tokens: Sequence[str],
                passage_id: str) -> float:
-    """Okapi BM25 for one (query, passage) pair.
+    """Okapi BM25 for one (query, passage) pair over a corpus, with
+    k1 = 1.2 and b = 0.75: each query token t adds
+        idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)),
+    idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), for the passage's tf
+    occurrences of t among its dl tokens, N passages of mean length avgdl
+    and df of them holding t.
 
     Repeated query terms contribute once per occurrence in the query; terms
     absent from the passage contribute 0.
     """
-    i = _position(index).get(passage_id)
-    if i is None:
+    tf, df, avgdl = _bm25_counts(passages)
+    if passage_id not in tf:
         raise KeyError(f"unknown passage id {passage_id!r}")
-    norm = float(index.norm[i])
+    counts = tf[passage_id]
+    dl = sum(counts.values())
     score = 0.0
     for term in query_tokens:
-        doc, tf = index.postings(term)
-        j = doc.searchsorted(i)
-        if j < len(doc) and doc[j] == i:
-            t = float(tf[j])
-            score += index.idf(term) * t * (index.k1 + 1.0) / (t + norm)
+        t = counts[term]
+        if t:
+            idf = math.log(1.0 + (len(passages) - df[term] + 0.5)
+                           / (df[term] + 0.5))
+            score += idf * t * (K1 + 1.0) / \
+                (t + K1 * (1.0 - B + B * dl / avgdl))
     return score
 
 
@@ -68,6 +86,13 @@ def lexical_overlap_score(query_text: str, passage_text: str,
         return 0.0
     p = set(tokenize(passage_text))
     return scale * len(q & p) / len(q)
+
+
+def pairwise(score_pair: Callable[[str, str], float]) -> Callable:
+    """A `CrossEncoderScorer` score function that maps a one-pair scorer,
+    `score_pair(query text, passage text)`, over the two lists."""
+    return lambda query_texts, passage_texts: list(
+        map(score_pair, query_texts, passage_texts))
 
 
 def ce_margin(ce: CrossEncoderScorer, query_text: str, pos_text: str,

@@ -24,13 +24,15 @@ a dense first stage over the toy world, and `generate` the sha256 of the
 queries the mock generator decodes from the toy corpus, its body-less
 passages included. `mine` prints the sha256 of the `hard-negatives.jsonl`
 that `mine_pools` writes for the toy queries with a BM25 and a cosine
-dense retriever over the toy corpus. `tsdae_wide` trains TSDAE on the toy
-corpus with a d = 8 model whose vocabulary holds 12,289 = 3 x 4,096 + 1
-tokens: three of the vocabulary gradient's 4,096-row blocks at d = 8 plus
-one row, which joins the third block rather than forming a block of its
-own. The corpus's words take the last rows and the learning rate is
-2.0, so a gradient that differs in its last bits reaches the weights (at
-0.05 the SGD update rounds such a difference away).
+dense retriever over the toy corpus, and `bm25` the sha256 of the float64
+scores `BM25Retriever.scores` gives each toy query over the toy corpus.
+`tsdae_wide` trains TSDAE on the toy corpus with a d = 8 model whose
+vocabulary holds 12,289 = 3 x 4,096 + 1 tokens: three of the vocabulary
+gradient's 4,096-row blocks at d = 8 plus one row, which joins the third
+block rather than forming a block of its own. The corpus's words take
+the last rows and the learning rate is 2.0, so a gradient that differs in
+its last bits reaches the weights (at 0.05 the SGD update rounds such a
+difference away).
 """
 
 from __future__ import annotations
@@ -204,6 +206,15 @@ def mine_case() -> tuple[str]:
         return (hashlib.sha256(path.read_bytes()).hexdigest(),)
 
 
+def bm25_case() -> tuple[str]:
+    passages = toy_corpus()
+    retriever = BM25Retriever(build_bm25_index(passages))
+    scores = hashlib.sha256()
+    for query in toy_queries(passages):
+        scores.update(retriever.scores(query.text).tobytes())
+    return (scores.hexdigest(),)
+
+
 def digest(model, trace) -> tuple[str, str]:
     """(sha256 of the weights, sha256 of the loss trace)."""
     weights = hashlib.sha256()
@@ -230,6 +241,7 @@ CASES = {**{m: trained(pretrain_case(m)) for m in
          "rerank": rerank_case,
          "generate": generate_case,
          "mine": mine_case,
+         "bm25": bm25_case,
          "tsdae_wide": trained(wide_tsdae_case)}
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from denseadapt import (BM25Retriever, DenseRetriever, LossConfig, Passage,
                         Qrels, Query, SamplerConfig, TrainRunConfig,
                         build_bm25_index, build_dataset, compute_budget, evaluate,
-                        generate_queries, gpl_train, init_encoder,
+                        full_rank, generate_queries, gpl_train, init_encoder,
                         lexical_overlap_ce, mine_pools, mock_generator,
                         qgen_train)
 from denseadapt.corpus import passage_text, tokenize
@@ -129,7 +129,8 @@ def train_source_model(seed: int):
 
 
 def ndcg10(model, queries, passages, qrels) -> float:
-    report = evaluate(model, queries, passages, qrels, metrics=("ndcg@10",),
+    run = full_rank(model, queries, passages, cutoff=len(passages))
+    report = evaluate(run, queries, qrels, metrics=("ndcg@10",),
                       cutoff=len(passages))
     return report.averages["ndcg@10"]
 

@@ -24,7 +24,7 @@ from denseadapt.pretraining import (condensor_loss, ct_step, ict_example,
                                     mlm_loss, simcse_step, split_sentences,
                                     tsdae_corrupt, tsdae_loss)
 from gradcheck import finite_diff_gradcheck
-from oracles import bm25_score, run_lists, top_k_list
+from oracles import bm25_score, pairwise, run_lists, top_k_list
 
 SEEDS = (0, 4, 6)
 
@@ -184,7 +184,7 @@ def test_criterion_4_retrieval_oracle_equivalence():
         query = " ".join(rng.choice(words, size=3))
         q_tokens = tokenize(query)
         got = top_k_list(bm25, query, 10)
-        brute = sorted(((p.id, bm25_score(index, q_tokens, p.id))
+        brute = sorted(((p.id, bm25_score(passages, q_tokens, p.id))
                         for p in passages), key=lambda kv: (-kv[1], kv[0]))[:10]
         if [pid for pid, _ in got] != [pid for pid, _ in brute]:
             ok = False
@@ -453,12 +453,15 @@ def test_criterion_10_rerank_upper_bound():
     run = full_rank(model0, queries, passages, cutoff=len(passages))
     text_to_pid = {passage_text(p): p.id for p in passages}
     query_by_text = {q.text: q.id for q in queries}
-    oracle = CrossEncoderScorer(
+    oracle = CrossEncoderScorer(pairwise(
         lambda qt, pt: float(qrels.grades_for(query_by_text[qt])
-                             .get(text_to_pid[pt], 0)),
+                             .get(text_to_pid[pt], 0))),
         name="grade-oracle")
     reranked = ce_rerank(run, oracle, queries, passages, top_n=len(passages))
-    first, second = run_lists(run), run_lists(reranked)
+    first = {qid: [pid for pid, _ in ranking]
+             for qid, ranking in run_lists(run).items()}
+    second = {qid: [pid for pid, _ in ranking]
+              for qid, ranking in run_lists(reranked).items()}
     ok = True
     worst = 0.0
     for q in queries:

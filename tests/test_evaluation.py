@@ -2,6 +2,7 @@
 implementation, ranking/report invariants, and re-ranking behavior."""
 
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,7 +19,7 @@ from denseadapt.corpus import ParseError, passage_text
 from denseadapt import evaluation
 from denseadapt.evaluation import read_trec_run
 from denseadapt.mining import DenseRetriever
-from oracles import pack_run, run_lists, top_k_list, trec_run_text
+from oracles import pack_run, pairwise, run_lists, top_k_list, trec_run_text
 
 
 # independent straight-from-formula oracle, kept deliberately naive
@@ -58,10 +59,6 @@ class TestNdcg:
         value = ndcg_at_k(["b", "a"], {"a": 2, "b": 1}, 10)
         expected = (1.0 + 2.0 / math.log2(3)) / (2.0 + 1.0 / math.log2(3))
         assert value == pytest.approx(expected, abs=1e-9)
-        assert value == pytest.approx(0.8597, abs=1e-4)
-
-    def test_accepts_scored_tuples(self):
-        value = ndcg_at_k([("b", 2.0), ("a", 1.0)], {"a": 2, "b": 1}, 10)
         assert value == pytest.approx(0.8597, abs=1e-4)
 
     def test_k_validation(self):
@@ -242,25 +239,30 @@ class TestRunMemory:
 
 
 class TestEvaluate:
+    """`evaluate` scores a run that `full_rank` ranked."""
+
     def test_deterministic(self):
         passages, queries, qrels, model = tiny_world()
-        a = evaluate(model, queries, passages, qrels)
-        b = evaluate(model, queries, passages, qrels)
+        a = evaluate(full_rank(model, queries, passages), queries, qrels)
+        b = evaluate(full_rank(model, queries, passages), queries, qrels)
         assert a.per_query == b.per_query
         assert a.averages == b.averages
 
     def test_average_is_mean_of_per_query(self):
         passages, queries, qrels, model = tiny_world()
-        report = evaluate(model, queries, passages, qrels)
+        report = evaluate(full_rank(model, queries, passages), queries, qrels)
         for metric, values in report.per_query.items():
             assert report.averages[metric] == \
                 pytest.approx(sum(values.values()) / len(values))
 
     def test_disjoint_union_weighted_mean(self):
         passages, queries, qrels, model = tiny_world()
-        first = evaluate(model, [queries[0]], passages, qrels)
-        second = evaluate(model, [queries[1]], passages, qrels)
-        union = evaluate(model, queries, passages, qrels)
+
+        def report(qs):
+            return evaluate(full_rank(model, qs, passages), qs, qrels)
+
+        first, second = report([queries[0]]), report([queries[1]])
+        union = report(queries)
         for metric in union.averages:
             expected = (first.averages[metric] + second.averages[metric]) / 2
             assert union.averages[metric] == pytest.approx(expected)
@@ -268,20 +270,45 @@ class TestEvaluate:
     def test_unjudged_query_skipped(self):
         passages, queries, qrels, model = tiny_world()
         queries = queries + [Query("q-unjudged", "w3")]
-        report = evaluate(model, queries, passages, qrels)
+        report = evaluate(full_rank(model, queries, passages), queries, qrels)
         assert "q-unjudged" not in report.per_query["ndcg@10"]
         assert report.config["n_skipped"] == 1
 
     def test_zero_judged_queries_rejected(self):
         passages, _, _, model = tiny_world()
+        queries = [Query("qx", "w0")]
         with pytest.raises(ValueError):
-            evaluate(model, [Query("qx", "w0")], passages, Qrels({}))
+            evaluate(full_rank(model, queries, passages), queries, Qrels({}))
 
-    def test_accepts_prebuilt_run(self):
+    def test_per_query_values_are_the_oracle_metrics_of_the_run(self):
+        passages, queries, qrels, model = tiny_world()
+        run = full_rank(model, queries, passages, cutoff=6)
+        report = evaluate(run, queries, qrels, ("ndcg@10", "mrr@3", "ndcg"),
+                          cutoff=6, gain="exp")
+        for i, qid in enumerate(run.qids):
+            rels = qrels.grades_for(qid)
+            assert report.per_query["ndcg@10"][qid] == pytest.approx(
+                oracle_ndcg(run.top_ids(i), rels, 10, gain="exp"))
+            assert report.per_query["ndcg"][qid] == \
+                report.per_query["ndcg@10"][qid]
+            assert report.per_query["mrr@3"][qid] == \
+                oracle_mrr(run.top_ids(i), rels, 3)
+        assert report.config["cutoff"] == 6
+
+    @pytest.mark.parametrize("metrics, gain, message", [
+        (("map@10",), "linear", "unknown metric 'map@10'"),
+        (("ndcg@x",), "linear", "unknown metric 'ndcg@x'"),
+        (("mrr@0",), "linear", "unknown metric 'mrr@0'"),
+        (("ndcg@",), "linear", "unknown metric 'ndcg@'"),
+        ((), "linear", "no metrics to evaluate"),
+        (("mrr@10",), "log", "unknown gain 'log'"),
+    ])
+    def test_bad_metric_or_gain_rejected_before_scoring(self, metrics, gain,
+                                                        message):
         passages, queries, qrels, model = tiny_world()
         run = full_rank(model, queries, passages)
-        assert evaluate(run, queries, passages, qrels).averages == \
-            evaluate(model, queries, passages, qrels).averages
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(run, queries, qrels, metrics, gain=gain)
 
 
 class TestCeRerank:
@@ -291,9 +318,9 @@ class TestCeRerank:
         mirror = {(q.id, pid): score for q in queries
                   for pid, score in run_lists(run)[q.id]}
         texts = {f"w{i} w{(i+1) % 12}": f"p{i}" for i in range(12)}
-        ce = CrossEncoderScorer(
+        ce = CrossEncoderScorer(pairwise(
             lambda qt, pt: mirror[({q.text: q.id for q in queries}[qt],
-                                   texts[pt])], name="mirror")
+                                   texts[pt])]), name="mirror")
         reranked = ce_rerank(run, ce, queries, passages, top_n=6)
         for qid in run_lists(run):
             assert [pid for pid, _ in run_lists(reranked)[qid]] == \
@@ -305,9 +332,9 @@ class TestCeRerank:
         mirror = {(q.id, pid): score for q in queries
                   for pid, score in run_lists(run)[q.id]}
         texts = {f"w{i} w{(i+1) % 12}": f"p{i}" for i in range(12)}
-        ce = CrossEncoderScorer(
+        ce = CrossEncoderScorer(pairwise(
             lambda qt, pt: -mirror[({q.text: q.id for q in queries}[qt],
-                                    texts[pt])], name="neg")
+                                    texts[pt])]), name="neg")
         reranked = ce_rerank(run, ce, queries, passages, top_n=6)
         for qid in run_lists(run):
             got = [pid for pid, _ in run_lists(reranked)[qid]]
@@ -320,21 +347,23 @@ class TestCeRerank:
         run = full_rank(model, queries, passages, cutoff=12)
         passage_by_text = {f"w{i} w{(i+1) % 12}": f"p{i}" for i in range(12)}
         query_by_text = {q.text: q.id for q in queries}
-        ce = CrossEncoderScorer(
+        ce = CrossEncoderScorer(pairwise(
             lambda qt, pt: float(
-                qrels.grades_for(query_by_text[qt]).get(passage_by_text[pt], 0)),
+                qrels.grades_for(query_by_text[qt]).get(passage_by_text[pt], 0))),
             name="grade-oracle")
         reranked = ce_rerank(run, ce, queries, passages, top_n=12)
         for q in queries:
             rels = qrels.grades_for(q.id)
-            before = ndcg_at_k(run_lists(run)[q.id], rels, 10)
-            after = ndcg_at_k(run_lists(reranked)[q.id], rels, 10)
+            before = ndcg_at_k([pid for pid, _ in run_lists(run)[q.id]],
+                               rels, 10)
+            after = ndcg_at_k([pid for pid, _ in run_lists(reranked)[q.id]],
+                              rels, 10)
             assert after >= before - 1e-12
 
     def test_candidates_beyond_top_n_dropped(self):
         passages, queries, _, model = tiny_world()
         run = full_rank(model, queries, passages, cutoff=12)
-        ce = CrossEncoderScorer(lambda qt, pt: 0.0, name="flat")
+        ce = CrossEncoderScorer(pairwise(lambda qt, pt: 0.0), name="flat")
         reranked = ce_rerank(run, ce, queries, passages, top_n=4)
         assert all(len(r) == 4 for r in run_lists(reranked).values())
 
@@ -366,7 +395,7 @@ class TestCeRerank:
             batches.append((list(query_texts), list(passage_texts)))
             return [0.0] * len(query_texts)
 
-        ce_rerank(run, CrossEncoderScorer(batch, batched=True), queries,
+        ce_rerank(run, CrossEncoderScorer(batch), queries,
                   passages, top_n=5)
         assert batches == [
             ([queries[i].text for i in group
@@ -387,7 +416,8 @@ class TestCeRerank:
                               for i, pid in enumerate(order)]})
         path = tmp_path / "run.trec"
         write_trec_run(run, path)
-        ce = CrossEncoderScorer(lambda qt, pt: float(qt == pt), name="match")
+        ce = CrossEncoderScorer(pairwise(lambda qt, pt: float(qt == pt)),
+                                name="match")
         for first_stage in (run, read_trec_run(path)):
             reranked = ce_rerank(first_stage, ce, queries, passages, top_n=5)
             assert run_lists(reranked)["q"] == [
@@ -398,7 +428,7 @@ class TestCeRerank:
     def test_top_n_below_one_rejected(self, top_n):
         passages, queries, _, model = tiny_world()
         run = full_rank(model, queries, passages, cutoff=3)
-        ce = CrossEncoderScorer(lambda qt, pt: 0.0, name="flat")
+        ce = CrossEncoderScorer(pairwise(lambda qt, pt: 0.0), name="flat")
         with pytest.raises(ValueError, match="top_n must be >= 1"):
             ce_rerank(run, ce, queries, passages, top_n=top_n)
 

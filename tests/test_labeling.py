@@ -18,11 +18,12 @@ from denseadapt.training import tuple_batches
 from denseadapt.mining import PoolColumns
 from denseadapt.util import derive_seed
 from oracles import (binary_relevance_labels, ce_margin,
-                     lexical_overlap_score, stream_rows)
+                     lexical_overlap_score, pairwise, stream_rows)
 
 
 def fixed_ce(scores: dict) -> CrossEncoderScorer:
-    return CrossEncoderScorer(lambda q, p: scores[(q, p)], name="fixed")
+    return CrossEncoderScorer(pairwise(lambda q, p: scores[(q, p)]),
+                              name="fixed")
 
 
 def make_pool(source, negatives):
@@ -55,7 +56,7 @@ class TestCeMargin:
         assert ce_margin(ce, "q", "lo", "hi") < 0
 
     def test_non_finite_rejected(self):
-        ce = CrossEncoderScorer(lambda q, p: float("nan"))
+        ce = CrossEncoderScorer(pairwise(lambda q, p: float("nan")))
         with pytest.raises(ValueError):
             ce_margin(ce, "q", "a", "b")
 
@@ -291,8 +292,7 @@ class TestLabelStream:
             return lexical.score_pairs(query_texts, passage_texts)
 
         ds = build_dataset(queries, pack(pools), corpus,
-                           CrossEncoderScorer(counting, name="counting",
-                                              batched=True),
+                           CrossEncoderScorer(counting, name="counting"),
                            seed=1, n_tuples=20_000)
         assert 20_000 > _BLOCK
         texts = {p.id: passage_text(p) for p in corpus}
@@ -306,7 +306,7 @@ class TestLabelStream:
         # A per-pair scorer labels the same stream.
         per_pair = build_dataset(
             queries, pack(pools), corpus,
-            CrossEncoderScorer(lexical_overlap_score), seed=1,
+            CrossEncoderScorer(pairwise(lexical_overlap_score)), seed=1,
             n_tuples=20_000)
         for column in ("query", "pos", "neg", "margin"):
             np.testing.assert_array_equal(getattr(ds.tuples, column),

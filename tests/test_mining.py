@@ -25,15 +25,22 @@ TWO_DOCS = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
 
 
 class TestBuildIndex:
-    def test_postings_and_avgdl(self):
-        index = build_bm25_index(TWO_DOCS)
-        row = index.terms["a"]
-        lo, hi = index.indptr[row], index.indptr[row + 1]
-        assert [(index.ids[i], t) for i, t in
-                zip(index.doc[lo:hi].tolist(), index.tf[lo:hi].tolist())] == \
-            [("d1", 2)]
-        assert index.avgdl == pytest.approx(2.5)
-        assert index.n_docs == 2
+    def test_postings_hold_each_passage_and_its_weight(self):
+        """Each term's postings list the passages holding it, in corpus
+        order, each weighing exactly the oracle's one-term score."""
+        passages = toy_corpus(30, seed=6)
+        index = build_bm25_index(passages)
+        assert index.ids == [p.id for p in passages]
+        assert set(index.terms) == {t for p in passages
+                                    for t in tokenize(p.body)}
+        for term, row in index.terms.items():
+            lo, hi = index.indptr[row], index.indptr[row + 1]
+            docs = index.doc[lo:hi].tolist()
+            assert [index.ids[i] for i in docs] == \
+                [p.id for p in passages if term in tokenize(p.body)]
+            assert index.weight[lo:hi].tolist() == \
+                [bm25_score(passages, [term], index.ids[i]) for i in docs]
+        assert index.indptr[-1] == len(index.doc) == len(index.weight)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -44,7 +51,7 @@ class TestBuildIndex:
         b = build_bm25_index(TWO_DOCS)
         assert a.terms == b.terms
         assert a.ids == b.ids
-        for name in ("indptr", "doc", "tf", "norm"):
+        for name in ("indptr", "doc", "weight"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
 
@@ -73,30 +80,34 @@ class TestBM25Score:
         # idf(a) = ln(1 + (2 - 1 + 0.5) / (1 + 0.5)) = ln 2, tf = 2,
         # dl = 3, avgdl = 2.5:
         # score = ln2 * 2 * 2.2 / (2 + 1.2 * (0.25 + 0.75 * 3 / 2.5) - 0.9)
-        index = build_bm25_index(TWO_DOCS)
         expected = math.log(2.0) * (2 * 2.2) / (2 + 1.2 * (0.25 + 0.9))
-        assert bm25_score(index, ["a"], "d1") == pytest.approx(expected)
+        assert bm25_score(TWO_DOCS, ["a"], "d1") == pytest.approx(expected)
         assert expected == pytest.approx(0.9023, abs=1e-4)
+        scores = BM25Retriever(build_bm25_index(TWO_DOCS)).scores("a")
+        assert scores.tolist() == [bm25_score(TWO_DOCS, ["a"], "d1"), 0.0]
 
     def test_absent_term_contributes_zero(self):
-        index = build_bm25_index(TWO_DOCS)
-        assert bm25_score(index, ["a"], "d2") == 0.0
-        base = bm25_score(index, ["a"], "d1")
-        assert bm25_score(index, ["a", "zzz"], "d1") == pytest.approx(base)
+        retriever = BM25Retriever(build_bm25_index(TWO_DOCS))
+        assert bm25_score(TWO_DOCS, ["a"], "d2") == 0.0
+        base = bm25_score(TWO_DOCS, ["a"], "d1")
+        assert bm25_score(TWO_DOCS, ["a", "zzz"], "d1") == pytest.approx(base)
+        assert retriever.scores("a zzz").tolist() == \
+            retriever.scores("a").tolist()
 
     def test_repeated_query_terms_count_per_occurrence(self):
-        index = build_bm25_index(TWO_DOCS)
-        assert bm25_score(index, ["a", "a"], "d1") == \
-            pytest.approx(2 * bm25_score(index, ["a"], "d1"))
+        assert bm25_score(TWO_DOCS, ["a", "a"], "d1") == \
+            pytest.approx(2 * bm25_score(TWO_DOCS, ["a"], "d1"))
+        retriever = BM25Retriever(build_bm25_index(TWO_DOCS))
+        assert retriever.scores("a a")[0] == 2 * retriever.scores("a")[0]
 
     def test_unknown_passage(self):
-        index = build_bm25_index(TWO_DOCS)
         with pytest.raises(KeyError):
-            bm25_score(index, ["a"], "nope")
+            bm25_score(TWO_DOCS, ["a"], "nope")
 
     def test_disjoint_texts_score_zero(self):
-        index = build_bm25_index(TWO_DOCS)
-        assert bm25_score(index, ["x", "y"], "d1") == 0.0
+        assert bm25_score(TWO_DOCS, ["x", "y"], "d1") == 0.0
+        retriever = BM25Retriever(build_bm25_index(TWO_DOCS))
+        assert retriever.scores("x y").tolist() == [0.0, 0.0]
 
 
 def toy_corpus(n=40, seed=0):
@@ -116,7 +127,7 @@ class TestRetrieveTopK:
         retriever = BM25Retriever(index)
         query = "w0 w5 w7"
         top = top_k_list(retriever, query, 1)
-        all_scores = {p.id: bm25_score(index, tokenize(query), p.id)
+        all_scores = {p.id: bm25_score(passages, tokenize(query), p.id)
                       for p in passages}
         best = max(all_scores.values())
         assert top[0][1] == pytest.approx(best)
@@ -152,7 +163,7 @@ class TestRetrieveTopK:
         for _ in range(20):
             query = " ".join(rng.choice([f"w{i}" for i in range(30)], size=3))
             got = top_k_list(retriever, query, 10)
-            brute = sorted(((p.id, bm25_score(index, tokenize(query), p.id))
+            brute = sorted(((p.id, bm25_score(passages, tokenize(query), p.id))
                             for p in passages), key=lambda kv: (-kv[1], kv[0]))[:10]
             assert [pid for pid, _ in got] == [pid for pid, _ in brute]
             np.testing.assert_allclose([s for _, s in got], [s for _, s in brute])
@@ -245,7 +256,7 @@ class TestTopKTies:
         index = build_bm25_index(passages)
         got = top_k_list(BM25Retriever(index), " ".join(query), k)
         assert got == by_score_then_id(
-            [(pid, bm25_score(index, query, pid)) for pid in ids], k)
+            [(pid, bm25_score(passages, query, pid)) for pid in ids], k)
 
     @settings(max_examples=50, deadline=None)
     @given(shuffled_ids, st.integers(1, 40))

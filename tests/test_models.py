@@ -752,31 +752,31 @@ class TestLexicalOverlapCE:
 
 
 class TestCrossEncoderScorer:
-    def test_per_pair_function_mapped_over_the_pairs(self):
-        ce = CrossEncoderScorer(lambda q, p: len(q) - len(p))
+    def test_scores_come_back_as_float64(self):
+        ce = CrossEncoderScorer(oracles.pairwise(lambda q, p: len(q) - len(p)))
         got = ce.score_pairs(["abc", "a"], ["a", "abcd"])
         assert got.dtype == np.float64
         assert got.tolist() == [2.0, -3.0]
         assert ce("ab", "a") == 1.0
 
-    def test_batched_function_scores_the_lists(self):
+    def test_function_scores_the_lists(self):
         calls = []
 
         def batch(queries, passages):
             calls.append((list(queries), list(passages)))
             return [len(q) for q in queries]
 
-        ce = CrossEncoderScorer(batch, batched=True)
+        ce = CrossEncoderScorer(batch)
         assert ce.score_pairs(["ab", "c"], ["x", "y"]).tolist() == [2.0, 1.0]
         assert ce("abc", "z") == 3.0
         assert calls == [(["ab", "c"], ["x", "y"]), (["abc"], ["z"])]
 
     def test_unequal_lists_rejected(self):
-        ce = CrossEncoderScorer(lambda q, p: 0.0)
+        ce = CrossEncoderScorer(oracles.pairwise(lambda q, p: 0.0))
         with pytest.raises(ValueError, match="2 query texts for 1 passage"):
             ce.score_pairs(["a", "b"], ["c"])
 
     def test_batch_of_wrong_shape_rejected(self):
-        ce = CrossEncoderScorer(lambda qs, ps: [0.0], batched=True)
+        ce = CrossEncoderScorer(lambda qs, ps: [0.0])
         with pytest.raises(ValueError, match=r"2 pairs scored as shape \(1,\)"):
             ce.score_pairs(["a", "b"], ["c", "d"])

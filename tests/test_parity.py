@@ -1,7 +1,7 @@
 """Smoke test of the parity script: one case prints one stable line, and
 the digests of the label TSV, a checkpoint file, a reranked run, the
-mock generator's queries, a mined pool file and TSDAE over a vocabulary
-of several gradient blocks are pinned."""
+mock generator's queries, a mined pool file, BM25 scores and TSDAE over
+a vocabulary of several gradient blocks are pinned."""
 
 import re
 
@@ -59,6 +59,16 @@ def test_mine_digest_pinned(capsys):
     parity.main(["mine"])
     assert capsys.readouterr().out == (
         "mine 0c2a7b62081963417848b580f7a42c9cf2c730710f7e872cba2ce207e2ca2259"
+        "\n")
+
+
+def test_bm25_digest_pinned(capsys):
+    """The float64 BM25 scores of every toy query over the toy corpus, as
+    the retriever summed them when it recomputed idf and the length norm
+    for each query token."""
+    parity.main(["bm25"])
+    assert capsys.readouterr().out == (
+        "bm25 3698700f07a498b2e26672c48d4a065ade3efc42ddf24e59da37b4bf4ac87722"
         "\n")
 
 

@@ -678,6 +678,15 @@ class TestConfig:
         ({"paths": None}, "config key paths must be an object; got NoneType"),
         ({"seed": {"a": 1}}, "config key seed takes a value, not an object"),
         ([{"seed": 1}], "config must be an object; got list"),
+        *(({"evaluate": {key: value}}, f"config key evaluate.{key}: {what}")
+          for key, value, what in [
+              ("metrics", ["ndcg@x"], "unknown metric 'ndcg@x'"),
+              ("metrics", ["ndcg@10", "map@10"], "unknown metric 'map@10'"),
+              ("metrics", ["mrr@0"], "unknown metric 'mrr@0'"),
+              ("metrics", ["ndcg@"], "unknown metric 'ndcg@'"),
+              ("metrics", [], "no metrics to evaluate"),
+              ("gain", "log", "unknown gain 'log'"),
+          ]),
         *((data, f"config key {key} must be {what}") for data, key, what in [
             ({"ingest": {"drop_missing_body": "false"}},
              "ingest.drop_missing_body", "a bool; got 'false'"),
@@ -786,9 +795,14 @@ class TestConfig:
                                        "got None"),
         ('{"generate": {"top_p": 2}}', "config key generate.top_p must be in "
                                        "(0, 1]; got 2"),
+        ('{"evaluate": {"metrics": ["map@10"]}}',
+         "config key evaluate.metrics: unknown metric 'map@10'"),
+        ('{"evaluate": {"gain": "log"}}',
+         "config key evaluate.gain: unknown gain 'log'"),
     ], ids=["unknown-key", "object-is-int", "object-is-null", "value-is-object",
             "top-level-list", "not-json", "bool-is-string", "int-is-float",
-            "int-is-string", "int-is-null", "out-of-range"])
+            "int-is-string", "int-is-null", "out-of-range", "unknown-metric",
+            "unknown-gain"])
     def test_cli_reports_unknown_key_without_traceback(self, tmp_path, text,
                                                        message):
         config_path = tmp_path / "config.json"
@@ -808,13 +822,17 @@ class TestConfig:
                 "label": {"ce_scale": 2.5},
                 "mine": {"retrievers": ["bm25"]},
                 "paths": {"corpus": "c.jsonl", "queries": None},
-                "train": {"gpl": {"steps": None}, "qgen": {"steps": 3}}}
+                "train": {"gpl": {"steps": None}, "qgen": {"steps": 3}},
+                "evaluate": {"metrics": ["ndcg", "mrr@1", "ndcg@100"],
+                             "gain": "exp"}}
         cfg = PipelineConfig.from_dict(data)
         assert (cfg["ingest"]["drop_missing_body"], cfg["encoder"]["init_scale"],
                 cfg["label"]["ce_scale"], cfg["mine"]["retrievers"],
                 cfg["paths"]["queries"], cfg["train"]["gpl"]["steps"],
-                cfg["train"]["qgen"]["steps"]) == \
-            (True, 1, 2.5, ["bm25"], None, None, 3)
+                cfg["train"]["qgen"]["steps"], cfg["evaluate"]["metrics"],
+                cfg["evaluate"]["gain"]) == \
+            (True, 1, 2.5, ["bm25"], None, None, 3,
+             ["ndcg", "mrr@1", "ndcg@100"], "exp")
         readme = Path(__file__).resolve().parent.parent / "README.md"
         example = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
         cfg = PipelineConfig.from_dict(json.loads(example.group(1)))
