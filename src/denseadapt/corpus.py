@@ -49,11 +49,6 @@ class Qrels:
     def grades_for(self, query_id: str) -> dict[str, int]:
         return self.judgments.get(query_id, {})
 
-    def set(self, query_id: str, passage_id: str, grade: int) -> None:
-        if grade < 0:
-            raise ValueError(f"negative grade {grade} for ({query_id}, {passage_id})")
-        self.judgments.setdefault(query_id, {})[passage_id] = grade
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip surrounding punctuation.

@@ -18,6 +18,7 @@ from .corpus import ParseError, Passage, Qrels, Query, passage_text
 from .labeling import _BLOCK
 from .mining import DenseRetriever, _id_rank, rank_queries
 from .models import CrossEncoderScorer, EncoderModel
+from .util import check_interval
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +76,7 @@ def full_rank(model: EncoderModel, queries: Sequence[Query],
     under the model's similarity: `rank_queries` over a DenseRetriever,
     each query's `retrieve_top_k` written straight into the run's
     columns."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    check_interval("cutoff", cutoff)
     retriever = DenseRetriever(model, corpus)
     width = min(cutoff, len(retriever.ids))
     rows = np.empty((len(queries), width), dtype=np.int32)
@@ -189,8 +189,7 @@ def ce_rerank(first_stage: RunRanking, ce: CrossEncoderScorer,
     candidates are scored together, one `ce.score_pairs` call per block of
     at most _BLOCK pairs (a query with more has a call of its own). The
     result keeps the first stage's passage-id table."""
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
+    check_interval("top_n", top_n)
     texts = {p.id: passage_text(p) for p in corpus}
     query_texts = {q.id: q.text for q in queries}
     kept = np.array([i for i, qid in enumerate(first_stage.qids)

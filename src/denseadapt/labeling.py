@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class TupleColumns:
                 map(self.passage_ids.__getitem__, self.pos[block].tolist()),
                 map(self.passage_ids.__getitem__, self.neg[block].tolist()),
                 self.margin[block].tolist())
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, str, str, float]]
-                  ) -> "TupleColumns":
-        appender = _Appender()
-        for row in rows:
-            appender.add(*row)
-        return appender.columns()
 
 
 @dataclass

@@ -174,10 +174,7 @@ class PoolColumns:
     list for query i is entries ranked[b][0][i]:ranked[b][0][i + 1] of
     ranked[b][1] (int64 offsets, int32 rows); every query has a list from
     every retriever, perhaps an empty one. A query with no negative is
-    unusable.
-
-    `PoolColumns.from_lists({qid: (source, {retriever: [ids]})})` packs
-    per-query lists; `negatives` and `lists` unpack one query.
+    unusable. `lists` unpacks one query's rank-ordered lists.
     """
 
     query_ids: list[str]
@@ -188,14 +185,6 @@ class PoolColumns:
     retrievers: list[str]
     ranked: list[tuple[np.ndarray, np.ndarray]]
 
-    @classmethod
-    def from_lists(cls, pools: Mapping[str, tuple[str, Mapping[str, Sequence[str]]]]
-                   ) -> "PoolColumns":
-        packer = _Packer()
-        for qid, (source, lists) in pools.items():
-            packer.add(qid, source, lists)
-        return packer.columns()
-
     def __len__(self) -> int:
         return len(self.query_ids)
 
@@ -204,20 +193,10 @@ class PoolColumns:
         i = bisect_left(self.query_ids, query_id)
         return i if i < len(self) and self.query_ids[i] == query_id else None
 
-    def span(self, i: int) -> slice:
-        """Query i's entries in `rows`."""
-        return slice(self.offsets[i], self.offsets[i + 1])
-
     def size(self, query_id: str) -> int:
         """The number of a query's negatives, 0 if it has no pool."""
         i = self.find(query_id)
         return 0 if i is None else int(self.offsets[i + 1] - self.offsets[i])
-
-    def negatives(self, query_id: str) -> list[str]:
-        """A query's negatives in ascending id order, [] if it has no pool."""
-        i = self.find(query_id)
-        return [] if i is None else \
-            list(map(self.passage_ids.__getitem__, self.rows[self.span(i)].tolist()))
 
     def lists(self, i: int) -> dict[str, list[str]]:
         """Query i's rank-ordered list from each retriever."""

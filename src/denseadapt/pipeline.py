@@ -47,7 +47,8 @@ from .qgen import SamplerConfig, compute_budget, \
     generate_queries, mock_generator, write_gen_qrels
 from .training import TrainRunConfig, LossConfig, gpl_train, qgen_train, \
     write_loss_trace
-from .util import canonical_json, derive_seed, sha256_bytes, sha256_files
+from .util import INTERVALS, canonical_json, derive_seed, in_interval, \
+    sha256_bytes, sha256_files
 
 logger = logging.getLogger(__name__)
 
@@ -127,42 +128,42 @@ _NULLABLE = {**{f"paths.{k}": str for k, v in DEFAULTS["paths"].items()
 _KINDS = {bool: "a bool", int: "an int", float: "a number", str: "a string",
           list: "a list of strings"}
 
-# The interval of each numeric leaf, as the library check it reaches makes
-# it (SamplerConfig, compute_budget, TrainRunConfig, LossConfig,
-# PretrainConfig, udalm_step, retrieve_top_k, qgen_train's batch of two),
-# so a bad value fails at load, before any stage runs. `mask_ratio` is in
-# (0, 1), as `mlm_corrupt` requires. `label.ce_scale` must be positive: a
-# negative scale inverts the teacher, and 0 zeroes every margin.
-_SCHEDULE = {"steps": "[1, inf)", "batch_size": "[1, inf)",
-             "learning_rate": "[0, inf)", "log_every": "[1, inf)",
-             "checkpoint_every": "[0, inf)", "tau": "(0, inf)",
-             "mask_ratio": "(0, 1)"}
+
+def _leaves(tree: dict, where: str = ""):
+    """The dotted path of each leaf of a config tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{where}{key}.")
+        else:
+            yield f"{where}{key}"
+
+
+# The interval of each numeric leaf: its name's INTERVALS entry, the range
+# the library checks too, so a bad value fails at load, before any stage
+# runs. Two ranges are the pipeline's own: `qgen_train` needs a batch of
+# two, and a negative `label.ce_scale` inverts the teacher while 0 zeroes
+# every margin.
 _RANGES = {
-    **{f"{section}.{key}": _SCHEDULE[key]
-       for section in ("train.gpl", "train.qgen", "pretrain", "udalm")
-       for key in functools.reduce(dict.__getitem__, section.split("."),
-                                   DEFAULTS) if key in _SCHEDULE},
-    "train.qgen.batch_size": "[2, inf)",
-    "encoder.dim": "[1, inf)", "encoder.max_seq_len": "[1, inf)",
-    "generate.total_budget": "[3, inf)", "generate.temperature": "(0, inf)",
-    "generate.top_k": "[1, inf)", "generate.top_p": "(0, 1]",
-    "generate.max_query_len": "[1, inf)", "mine.n_per_retriever": "[1, inf)",
-    "label.ce_scale": "(0, inf)", "pretrain.deletion_ratio": "[0, 1]",
-    "pretrain.ict_mask_prob": "[0, 1]", "pretrain.dropout_rate": "[0, 1)",
-    "udalm.mix_weight": "[0, 1]", "evaluate.cutoff": "[1, inf)",
-    "rerank.top_n": "[1, inf)",
+    **{key: INTERVALS[key.rpartition(".")[2]] for key in _leaves(DEFAULTS)
+       if key.rpartition(".")[2] in INTERVALS},
+    "train.qgen.batch_size": "[2, inf)", "label.ce_scale": "(0, inf)",
 }
 
-# The leaves a library function parses, as `evaluate` does before it scores
-# a run: a value it refuses fails at load too.
+
+def _check_retrievers(names: list[str]) -> None:
+    """Raise unless `names` lists at least one retriever `stage_mine` builds."""
+    if not names:
+        raise ValueError("no retriever to mine with")
+    unknown = [name for name in names if name not in ("bm25", "dense")]
+    if unknown:
+        raise ValueError(f"unknown retriever {unknown[0]!r}")
+
+
+# The leaves a function parses, as `evaluate` does before it scores a run:
+# a value it refuses fails at load too.
 _PARSERS = {"evaluate.metrics": parse_metrics,
-            "evaluate.gain": functools.partial(_gain, 0)}
-
-
-def _in_interval(value, interval: str) -> bool:
-    low, high = map(float, interval[1:-1].split(","))
-    return (low < value if interval[0] == "(" else low <= value) and \
-        (value < high if interval[-1] == ")" else value <= high)
+            "evaluate.gain": functools.partial(_gain, 0),
+            "mine.retrievers": _check_retrievers}
 
 
 def _check_value(key: str, value) -> None:
@@ -184,7 +185,7 @@ def _check_value(key: str, value) -> None:
                             f"{' or null' if key in _NULLABLE else ''}; "
                             f"got {value!r}")
     interval = _RANGES.get(key)
-    if interval and value is not None and not _in_interval(value, interval):
+    if interval and value is not None and not in_interval(value, interval):
         raise PipelineError(f"config key {key} must be in {interval}; "
                             f"got {value!r}")
     parse = _PARSERS.get(key)
@@ -235,10 +236,6 @@ class PipelineConfig:
             raise PipelineError(f"config {path} is not valid JSON: {e}") from None
         return cls(_deep_merge(_deep_merge(DEFAULTS, data, ""),
                                overrides or {}, ""))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(_deep_merge(DEFAULTS, data, ""))
 
     def __getitem__(self, key: str):
         return self.data[key]
@@ -486,17 +483,13 @@ def stage_mine(cfg: PipelineConfig) -> list[Path]:
 
     def compute(out_dir: Path) -> None:
         passages = load_corpus(_artifact(cfg, "ingest"))
-        names = cfg["mine"]["retrievers"]
-        unknown = [name for name in names if name not in ("bm25", "dense")]
-        if unknown:
-            raise PipelineError(f"unknown retriever {unknown[0]!r}")
         # Built one at a time: the BM25 index is gone before the checkpoint
         # is loaded and the corpus encoded.
         retrievers = (BM25Retriever(build_bm25_index(passages))
                       if name == "bm25" else
                       DenseRetriever(load_model(model_input[0]), passages,
                                      similarity="cosine")
-                      for name in names)
+                      for name in cfg["mine"]["retrievers"])
         pools = mine_pools(load_queries(_artifact(cfg, "generate")), retrievers,
                            n_per_retriever=cfg["mine"]["n_per_retriever"])
         write_hard_negatives(pools, out_dir / "hard-negatives.jsonl")

@@ -21,7 +21,7 @@ from .models import (BOS_INDEX, MASK_INDEX, NUM_RESERVED, EncoderModel,
                      new_grads)
 from .training import (LossConfig, TrainRunConfig, fit, margin_mse_step,
                        mnrl_loss, mnrl_step, tuple_batches)
-from .util import derive_seed
+from .util import check_interval, derive_seed
 
 PRETRAIN_METHODS = ("tsdae", "mlm", "ict", "simcse", "ct", "cd")
 
@@ -45,20 +45,9 @@ class PretrainConfig:
         if self.method not in PRETRAIN_METHODS:
             raise ValueError(f"unknown pre-training method {self.method!r}; "
                              f"expected one of {PRETRAIN_METHODS}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        for name in ("deletion_ratio", "ict_mask_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.mask_ratio < 1.0:  # as mlm_corrupt requires
-            raise ValueError("mask_ratio must be in (0, 1)")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        for name in ("steps", "batch_size", "learning_rate", "deletion_ratio",
+                     "mask_ratio", "ict_mask_prob", "dropout_rate", "tau"):
+            check_interval(name, getattr(self, name))
 
 
 def token_cross_entropy(logits: np.ndarray, target_ids: Sequence[int],
@@ -178,8 +167,7 @@ def tsdae_corrupt(ids: Sequence, deletion_ratio: float = 0.6,
     Survivor order is preserved and at least one id survives when the
     input is non-empty.
     """
-    if not 0.0 <= deletion_ratio <= 1.0:
-        raise ValueError("deletion_ratio must be in [0, 1]")
+    check_interval("deletion_ratio", deletion_ratio)
     ids = list(ids)
     n = len(ids)
     if n == 0:
@@ -222,8 +210,7 @@ def mlm_corrupt(ids: Sequence[int], vocab_size: int, mask_ratio: float = 0.15,
 
     Returns (corrupted ids, selected positions, actions per position).
     """
-    if not 0.0 < mask_ratio < 1.0:
-        raise ValueError("mask_ratio must be in (0, 1)")
+    check_interval("mask_ratio", mask_ratio)
     n = len(ids)
     if n == 0:
         raise ValueError("cannot mask an empty sequence")
@@ -245,18 +232,6 @@ def mlm_corrupt(ids: Sequence[int], vocab_size: int, mask_ratio: float = 0.15,
         else:
             actions.append("keep")
     return corrupted, positions, actions
-
-
-def mlm_loss(model: EncoderModel, original_ids: Sequence[int],
-             corrupted_ids: Sequence[int], positions: Sequence[int]
-             ) -> tuple[float, dict[str, np.ndarray]]:
-    """Cross-entropy of predicting original tokens at the selected positions
-    from per-position encoder states (projected token embeddings), scored
-    against the tied embedding table."""
-    if not positions:
-        raise ValueError("no masked positions")
-    return _tied_output_loss(model, [_masked_item(original_ids, corrupted_ids,
-                                                  positions)], 1.0)
 
 
 def _masked_item(ids: Sequence[int], corrupted: Sequence[int],
@@ -310,8 +285,7 @@ def simcse_pairs(model: EncoderModel, tokens: Tokens,
                  dropout_rate: float = 0.1, rng=0):
     """Encode each row twice with independent multiplicative dropout on the
     pooled vector; returns (query embs, passage embs, caches for both)."""
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must be in [0, 1)")
+    check_interval("dropout_rate", dropout_rate)
     rng = np.random.default_rng(rng)
     shape = (len(tokens), model.dim)
     q_out, q_cache = encode_ids(model, tokens,
@@ -349,21 +323,6 @@ def ct_step(tokens: Tokens, model_a: EncoderModel, model_b: EncoderModel,
     return loss, grads_a, grads_b
 
 
-# --- CLS-focused masked prediction --------------------------------------------
-
-
-def condensor_loss(model: EncoderModel, head: np.ndarray, ids: np.ndarray,
-                   mask_ratio: float = 0.15, rng=0
-                   ) -> tuple[float, dict[str, np.ndarray]]:
-    """Masked prediction where the head consumes [final CLS state (+)
-    token-embedding state at position i]; requires CLS pooling."""
-    if model.pooling != "cls":
-        raise ValueError("this objective requires CLS pooling")
-    return _tied_output_loss(model, [_masked_item(
-        ids, *mlm_corrupt(ids, model.vocab_size, mask_ratio, rng)[:2])], 1.0,
-        head)
-
-
 # --- multi-task schedule -------------------------------------------------------
 
 
@@ -375,8 +334,7 @@ def udalm_step(model: EncoderModel, mlm_batch: Sequence[Sequence[int]],
     ids of target texts (an empty row has nothing to mask but counts in the
     mean) + (1 - mix_weight) * margin regression on a labeled source batch
     (query, positive and negative rows, target margins)."""
-    if not 0.0 <= mix_weight <= 1.0:
-        raise ValueError("mix_weight must be in [0, 1]")
+    check_interval("mix_weight", mix_weight)
     if not len(mlm_batch):
         raise ValueError("empty target batch")
     q, pos, neg, margins = marginmse_batch

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Passage, Query, passage_text, tokenize
 from .models import QueryGenerator
-from .util import derive_seed
+from .util import check_interval, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -37,14 +37,8 @@ class SamplerConfig:
     max_query_len: int = 12
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.max_query_len < 1:
-            raise ValueError("max_query_len must be >= 1")
+        for name in ("temperature", "top_k", "top_p", "max_query_len"):
+            check_interval(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -78,8 +72,7 @@ def compute_budget(corpus_size: int, total_budget: int = DEFAULT_TOTAL_BUDGET
     """
     if corpus_size < 1:
         raise ValueError("corpus_size must be >= 1")
-    if total_budget < MIN_QUERIES_PER_PASSAGE:
-        raise ValueError(f"total_budget must be >= {MIN_QUERIES_PER_PASSAGE}")
+    check_interval("total_budget", total_budget)
     if MIN_QUERIES_PER_PASSAGE * corpus_size > total_budget:
         effective = total_budget // MIN_QUERIES_PER_PASSAGE
         qpp = MIN_QUERIES_PER_PASSAGE

@@ -17,7 +17,7 @@ from .labeling import GPLDataset, TupleColumns, sample_tuple
 from .mining import PoolColumns
 from .models import (EncoderModel, Tokens, apply_gradients, encode_backward,
                      encode_ids, new_grads, save_model)
-from .util import derive_seed
+from .util import check_interval, derive_seed
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class LossConfig:
     similarity: str = "cosine"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        check_interval("tau", self.tau)
         if self.similarity not in ("dot", "cosine"):
             raise ValueError(f"unknown similarity {self.similarity!r}")
 
@@ -46,16 +45,11 @@ class TrainRunConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+        if self.steps is not None:
+            check_interval("steps", self.steps)
+        for name in ("batch_size", "learning_rate", "log_every",
+                     "checkpoint_every"):
+            check_interval(name, getattr(self, name))
 
 
 def margin_mse_loss(predicted_margins: np.ndarray, target_margins: np.ndarray

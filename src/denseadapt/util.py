@@ -47,3 +47,39 @@ def sha256_files(paths, roles) -> str:
         h.update(role.encode("utf-8"))
         h.update(sha256_file(p).encode("ascii"))
     return h.hexdigest()
+
+
+# The interval of each numeric setting, by the name it has both as a config
+# leaf and as a library argument or dataclass field: the one statement of
+# each range, which the library checks and the config loader both read.
+# `mask_ratio` is open at both ends, as masking needs at least one kept and
+# one masked token; `total_budget` is the budget rule's 3 queries per passage.
+INTERVALS = {
+    "steps": "[1, inf)", "batch_size": "[1, inf)", "learning_rate": "[0, inf)",
+    "log_every": "[1, inf)", "checkpoint_every": "[0, inf)", "tau": "(0, inf)",
+    "mask_ratio": "(0, 1)", "deletion_ratio": "[0, 1]",
+    "ict_mask_prob": "[0, 1]", "dropout_rate": "[0, 1)", "mix_weight": "[0, 1]",
+    "dim": "[1, inf)", "max_seq_len": "[1, inf)", "init_scale": "(0, inf)",
+    "total_budget": "[3, inf)", "temperature": "(0, inf)", "top_k": "[1, inf)",
+    "top_p": "(0, 1]", "max_query_len": "[1, inf)",
+    "n_per_retriever": "[1, inf)", "cutoff": "[1, inf)", "top_n": "[1, inf)",
+}
+
+
+def in_interval(value, interval: str) -> bool:
+    """Whether `value` lies in `interval`, written as "[low, high)" and the
+    like, with inf for no upper bound."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (low < value if interval[0] == "(" else low <= value) and \
+        (value < high if interval[-1] == ")" else value <= high)
+
+
+def check_interval(name: str, value) -> None:
+    """Raise ValueError unless `value` lies in the INTERVALS entry of `name`.
+    A half-line is stated as a bound: "top_n must be >= 1"."""
+    interval = INTERVALS[name]
+    if not in_interval(value, interval):
+        low, high = interval[1:-1].split(", ")
+        bound = f"in {interval}" if high != "inf" else \
+            f"{'>' if interval[0] == '(' else '>='} {low}"
+        raise ValueError(f"{name} must be {bound}; got {value!r}")

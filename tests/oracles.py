@@ -9,21 +9,27 @@ a generation-only baseline would train on, the token cross-entropy of
 tied-output losses written out array by array, the tied-output loss with
 its vocabulary gradient formed as one V x d product, a labelled stream's tuples
 as named rows, and the checkpoint format written and read as whole JSON
-documents."""
+documents.
+
+Also the builders that only tests need: labelled streams and mined pools
+packed from rows and lists, one pool's negatives, a graded judgment set
+one pair at a time, a config merged from a dict, and the single-row masked
+and CLS-focused losses the pre-training schedule computes in batches."""
 
 import base64
 import json
 import math
 from collections import Counter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from denseadapt import pretraining
-from denseadapt.corpus import Passage, passage_text, tokenize
+from denseadapt import labeling, mining, pipeline, pretraining
+from denseadapt.corpus import Passage, Qrels, passage_text, tokenize
 from denseadapt.evaluation import RunRanking
-from denseadapt.labeling import GPLDataset
-from denseadapt.mining import retrieve_top_k
+from denseadapt.labeling import GPLDataset, TupleColumns
+from denseadapt.mining import PoolColumns, retrieve_top_k
+from denseadapt.pipeline import PipelineConfig
 from denseadapt.models import (CrossEncoderScorer, EncoderModel, Tokens,
                                encode_backward, encode_ids, new_grads)
 
@@ -129,6 +135,46 @@ def pack_run(rankings: Mapping[str, Sequence[tuple[str, float]]]
         list(table), np.array(rows, dtype=np.int32),
         np.array([score for ranking in rankings.values()
                   for _, score in ranking], dtype=np.float64))
+
+
+def pack_pools(pools: Mapping[str, tuple[str, Mapping[str, Sequence[str]]]]
+               ) -> PoolColumns:
+    """The PoolColumns of per-query (source, {retriever: [ids]}) lists,
+    packed and checked as `read_hard_negatives` packs its records."""
+    packer = mining._Packer()
+    for qid, (source, lists) in pools.items():
+        packer.add(qid, source, lists)
+    return packer.columns()
+
+
+def pool_negatives(pools: PoolColumns, query_id: str) -> list[str]:
+    """A query's negatives in ascending id order, [] if it has no pool."""
+    i = pools.find(query_id)
+    return [] if i is None else list(map(
+        pools.passage_ids.__getitem__,
+        pools.rows[pools.offsets[i]:pools.offsets[i + 1]].tolist()))
+
+
+def pack_tuples(rows: Iterable[tuple[str, str, str, float]]) -> TupleColumns:
+    """The TupleColumns of (query id, positive id, negative id, margin)
+    rows, each checked as `build_dataset` checks its tuples."""
+    appender = labeling._Appender()
+    for row in rows:
+        appender.add(*row)
+    return appender.columns()
+
+
+def set_grade(qrels: Qrels, query_id: str, passage_id: str, grade: int
+              ) -> None:
+    """Judge one (query, passage) pair; a grade is never negative."""
+    if grade < 0:
+        raise ValueError(f"negative grade {grade} for ({query_id}, {passage_id})")
+    qrels.judgments.setdefault(query_id, {})[passage_id] = grade
+
+
+def config_from_dict(data: dict) -> PipelineConfig:
+    """The DEFAULTS with `data` merged in, checked as a config file is."""
+    return PipelineConfig(pipeline._deep_merge(pipeline.DEFAULTS, data, ""))
 
 
 def run_lists(run: RunRanking) -> dict[str, list[tuple[str, float]]]:
@@ -266,6 +312,31 @@ def tied_output_loss(model: EncoderModel, items: Sequence[tuple],
     encode_backward(model, cache, np.add.reduceat(
         d_x[:, :d], np.cumsum(lengths) - lengths), grads)
     return loss, grads
+
+
+def mlm_loss(model: EncoderModel, original_ids: Sequence[int],
+             corrupted_ids: Sequence[int], positions: Sequence[int]
+             ) -> tuple[float, dict[str, np.ndarray]]:
+    """Cross-entropy of predicting original tokens at the selected positions
+    from per-position encoder states (projected token embeddings), scored
+    against the tied embedding table: one row of the masked objective."""
+    if not positions:
+        raise ValueError("no masked positions")
+    return pretraining._tied_output_loss(model, [pretraining._masked_item(
+        original_ids, corrupted_ids, positions)], 1.0)
+
+
+def condensor_loss(model: EncoderModel, head: np.ndarray, ids: np.ndarray,
+                   mask_ratio: float = 0.15, rng=0
+                   ) -> tuple[float, dict[str, np.ndarray]]:
+    """Masked prediction where the head consumes [final CLS state (+)
+    token-embedding state at position i]; requires CLS pooling. One row of
+    the CLS-focused objective."""
+    if model.pooling != "cls":
+        raise ValueError("this objective requires CLS pooling")
+    return pretraining._tied_output_loss(model, [pretraining._masked_item(
+        ids, *pretraining.mlm_corrupt(ids, model.vocab_size, mask_ratio,
+                                      rng)[:2])], 1.0, head)
 
 
 def _pack_array(a: np.ndarray) -> dict:

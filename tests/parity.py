@@ -45,16 +45,20 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (BM25Retriever, DenseRetriever, Passage,
-                        PretrainConfig, Query, SamplerConfig, TrainRunConfig,
-                        build_bm25_index, build_dataset, ce_rerank,
-                        compute_budget, full_rank, generate_queries,
-                        gpl_train, init_encoder, lexical_overlap_ce,
-                        load_model, mine_pools, mock_generator, pretrain,
-                        qgen_train, run_pipeline, save_model, write_dataset,
-                        write_hard_negatives, write_trec_run)
-from denseadapt.mining import PoolColumns
-from denseadapt.models import NUM_RESERVED
+from denseadapt.corpus import Passage, Query
+from denseadapt.evaluation import ce_rerank, full_rank, write_trec_run
+from denseadapt.labeling import build_dataset, write_dataset
+from denseadapt.mining import (BM25Retriever, DenseRetriever, PoolColumns,
+                               build_bm25_index, mine_pools,
+                               write_hard_negatives)
+from denseadapt.models import (NUM_RESERVED, init_encoder, lexical_overlap_ce,
+                               load_model, save_model)
+from denseadapt.pipeline import run_pipeline
+from denseadapt.pretraining import PretrainConfig, pretrain
+from denseadapt.qgen import (SamplerConfig, compute_budget, generate_queries,
+                             mock_generator)
+from denseadapt.training import TrainRunConfig, gpl_train, qgen_train
+from oracles import pack_pools
 
 WORDS = [f"w{i:02d}" for i in range(40)]
 WIDE_VOCAB = 3 * 4_096 + 1
@@ -85,7 +89,7 @@ def toy_lists(passages, queries) -> dict[str, tuple[str, dict]]:
 
 
 def toy_pools(passages, queries) -> PoolColumns:
-    return PoolColumns.from_lists(toy_lists(passages, queries))
+    return pack_pools(toy_lists(passages, queries))
 
 
 def model_for(pooling: str = "mean", similarity: str = "dot"):
@@ -154,7 +158,7 @@ def label_tsv_case() -> tuple[str]:
     lists = toy_lists(passages, queries)
     source, single = lists[queries[0].id]
     lists[queries[0].id] = (source, {"bm25": single["bm25"][:1]})
-    dataset = build_dataset(queries, PoolColumns.from_lists(lists), passages,
+    dataset = build_dataset(queries, pack_pools(lists), passages,
                             lexical_overlap_ce(), seed=1, n_tuples=500)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.tsv"

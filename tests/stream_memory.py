@@ -48,17 +48,14 @@ from pathlib import Path
 
 import numpy as np
 
-from denseadapt import (Passage, PretrainConfig, Query, build_dataset,
-                        init_encoder, lexical_overlap_ce, pretrain,
-                        read_dataset, write_dataset, write_hard_negatives,
-                        write_trec_run)
-from denseadapt.corpus import passage_text
-from denseadapt.evaluation import read_trec_run
-from denseadapt.mining import PoolColumns, read_hard_negatives
-from denseadapt.models import NUM_RESERVED
-from denseadapt.pretraining import _LOGIT_BLOCK
+from denseadapt.corpus import Passage, Query, passage_text
+from denseadapt.evaluation import read_trec_run, write_trec_run
+from denseadapt.labeling import build_dataset, read_dataset, write_dataset
+from denseadapt.mining import read_hard_negatives, write_hard_negatives
+from denseadapt.models import NUM_RESERVED, init_encoder, lexical_overlap_ce
+from denseadapt.pretraining import _LOGIT_BLOCK, PretrainConfig, pretrain
 from denseadapt.training import tuple_batches
-from oracles import pack_run
+from oracles import pack_pools, pack_run
 
 BOUND = 32  # bytes per tuple
 N_QUERIES, POOL, N_PASSAGES = 200, 50, 400
@@ -74,7 +71,7 @@ def pool_lists(n_queries: int = POOL_QUERIES, n_list: int = POOL_LIST,
                n_passages: int = POOL_PASSAGES) -> dict:
     """Per-query (source, {"bm25": ids, "dense": ids}) with two lists of
     n_list ids each that share half their ids, as
-    `PoolColumns.from_lists` takes them."""
+    `pack_pools` takes them."""
     pids = [f"p{i:05d}" for i in range(n_passages)]
     return {f"genQ-{i:06d}": (pids[i % n_passages], {
         name: [pids[(7 * i + shift + k) % n_passages] for k in range(n_list)]
@@ -88,7 +85,7 @@ def world():
         words[(i * k) % 100] for k in (1, 3, 7, 11))) for i in range(N_PASSAGES)]
     queries = [Query(f"q{i:04d}", f"{words[i % 100]} {words[(i * 3) % 100]}",
                      passages[i].id) for i in range(N_QUERIES)]
-    pools = PoolColumns.from_lists({q.id: (q.source_passage_id, {"bm25": sorted(
+    pools = pack_pools({q.id: (q.source_passage_id, {"bm25": sorted(
         passages[N_QUERIES + (i + k) % (N_PASSAGES - N_QUERIES)].id
         for k in range(POOL))}) for i, q in enumerate(queries)})
     return words, passages, queries, pools
@@ -129,7 +126,7 @@ def pool_id_bytes(directory: Path) -> float:
     written pools of `pool_lists()`."""
     lists = pool_lists()
     path = directory / "hard-negatives.jsonl"
-    write_hard_negatives(PoolColumns.from_lists(lists), path)
+    write_hard_negatives(pack_pools(lists), path)
     n_ids = sum(len(ids) for _, per in lists.values() for ids in per.values())
     del lists
     _, _, held = traced_growth(lambda: read_hard_negatives(path))

@@ -24,17 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from denseadapt import (BM25Retriever, DenseRetriever, LossConfig, Passage,
-                        Qrels, Query, SamplerConfig, TrainRunConfig,
-                        build_bm25_index, build_dataset, compute_budget, evaluate,
-                        full_rank, generate_queries, gpl_train, init_encoder,
-                        lexical_overlap_ce, mine_pools, mock_generator,
-                        qgen_train)
-from denseadapt.corpus import passage_text, tokenize
-from denseadapt.labeling import GPLDataset, TupleColumns
-from denseadapt.mining import PoolColumns
+from denseadapt.corpus import Passage, Qrels, Query, passage_text, tokenize
+from denseadapt.evaluation import evaluate, full_rank
+from denseadapt.labeling import GPLDataset, build_dataset
+from denseadapt.mining import (BM25Retriever, DenseRetriever, build_bm25_index,
+                               mine_pools)
+from denseadapt.models import init_encoder, lexical_overlap_ce
+from denseadapt.qgen import (SamplerConfig, compute_budget, generate_queries,
+                             mock_generator)
+from denseadapt.training import (LossConfig, TrainRunConfig, gpl_train,
+                                 qgen_train)
 from denseadapt.util import derive_seed
-from oracles import binary_relevance_labels, ce_margin, stream_rows
+from oracles import (binary_relevance_labels, ce_margin, pack_pools,
+                     pack_tuples, pool_negatives, set_grade, stream_rows)
 
 N_GENERAL = 8
 N_TOPICS = 8
@@ -90,8 +92,8 @@ def make_domain(prefix: str, seed: int):
             qid = f"{prefix}q{k:02d}{i}"
             queries.append(Query(qid, " ".join(q_tokens)))
             for i2 in range(PASSAGES_PER_TOPIC):
-                qrels.set(qid, f"{prefix}p{k:02d}{i2}", 2)
-                qrels.set(qid, f"{prefix}p{sibling:02d}{i2}", 1)
+                set_grade(qrels, qid, f"{prefix}p{k:02d}{i2}", 2)
+                set_grade(qrels, qid, f"{prefix}p{sibling:02d}{i2}", 1)
     return passages, queries, qrels
 
 
@@ -123,7 +125,7 @@ def train_source_model(seed: int):
             tuples.append((qid, p.id, neg.id, margin))
     cfg = TrainRunConfig(seed=derive_seed(seed, "srctrain"),
                          log_every=SOURCE_TRAIN["steps"], **SOURCE_TRAIN)
-    model, _ = gpl_train(model, GPLDataset(TupleColumns.from_rows(tuples)),
+    model, _ = gpl_train(model, GPLDataset(pack_tuples(tuples)),
                          src_passages, train_queries, cfg)
     return model, (src_passages, src_queries, src_qrels)
 
@@ -173,7 +175,7 @@ def binary_labeled(dataset):
                CE_SCALE * (pos_label - neg_label))
               for t, (_, _, pos_label), (_, _, neg_label)
               in zip(stream_rows(dataset), labels[0::2], labels[1::2])]
-    return GPLDataset(TupleColumns.from_rows(tuples), dict(dataset.manifest))
+    return GPLDataset(pack_tuples(tuples), dict(dataset.manifest))
 
 
 def adapt_gpl(seed: int, model0, corpus, queries, dataset):
@@ -207,7 +209,7 @@ def plant_duplicates(passages, qrels, per_topic_slots=("0", "1")):
     for qid, grades in qrels.judgments.items():
         for pid, grade in list(grades.items()):
             if pid.endswith(per_topic_slots):
-                planted_qrels.set(qid, pid + "-dup", grade)
+                set_grade(planted_qrels, qid, pid + "-dup", grade)
     return passages + duplicates, planted_qrels
 
 
@@ -221,9 +223,9 @@ def poison_pools(pools, queries, corpus_ids):
     for q in queries:
         lists[q.id] = (q.source_passage_id, pools.lists(pools.find(q.id)))
         dup_id = q.source_passage_id + "-dup"
-        if dup_id in corpus_ids and dup_id not in pools.negatives(q.id):
+        if dup_id in corpus_ids and dup_id not in pool_negatives(pools, q.id):
             lists[q.id][1].setdefault("planted", []).append(dup_id)
-    return PoolColumns.from_lists(lists)
+    return pack_pools(lists)
 
 
 @dataclass

@@ -13,18 +13,19 @@ import numpy as np
 import pytest
 
 import synthworld
-from denseadapt import (CrossEncoderScorer, LossConfig, Passage,
-                        build_bm25_index, ce_rerank, compute_budget,
-                        full_rank, init_encoder, margin_mse_loss, mnrl_loss, mrr_at_k,
-                        ndcg_at_k, tokenize)
-from denseadapt.mining import BM25Retriever, DenseRetriever
-from denseadapt.models import encode_backward, encode_ids, new_grads
-from denseadapt.pretraining import (condensor_loss, ct_step, ict_example,
-                                    init_condensor_head, mlm_corrupt,
-                                    mlm_loss, simcse_step, split_sentences,
+from denseadapt.corpus import Passage, tokenize
+from denseadapt.evaluation import ce_rerank, full_rank, mrr_at_k, ndcg_at_k
+from denseadapt.mining import BM25Retriever, DenseRetriever, build_bm25_index
+from denseadapt.models import (CrossEncoderScorer, encode_backward, encode_ids,
+                               init_encoder, new_grads)
+from denseadapt.pretraining import (ct_step, ict_example, init_condensor_head,
+                                    mlm_corrupt, simcse_step, split_sentences,
                                     tsdae_corrupt, tsdae_loss)
+from denseadapt.qgen import compute_budget
+from denseadapt.training import LossConfig, margin_mse_loss, mnrl_loss
 from gradcheck import finite_diff_gradcheck
-from oracles import bm25_score, pairwise, run_lists, top_k_list
+from oracles import (bm25_score, condensor_loss, mlm_loss, pairwise, run_lists,
+                     top_k_list)
 
 SEEDS = (0, 4, 6)
 
@@ -190,7 +191,7 @@ def test_criterion_4_retrieval_oracle_equivalence():
             ok = False
             break
         got_dense = top_k_list(dense, query, 10)
-        from denseadapt import encode_batch
+        from denseadapt.models import encode_batch
         q_emb = encode_batch(model, [query])[0]
         scores = dense_scores_all @ q_emb
         brute_dense = sorted(zip((p.id for p in passages), scores.tolist()),

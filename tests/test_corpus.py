@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denseadapt import (DuplicateIdError, ParseError, Passage, Query,
-                        downsample_corpus, load_corpus, load_qrels,
-                        load_queries, passage_text, save_corpus, save_queries,
-                        tokenize)
+from denseadapt.corpus import (DuplicateIdError, ParseError, Passage, Query,
+                               downsample_corpus, load_corpus, load_qrels,
+                               load_queries, passage_text, save_corpus,
+                               save_queries, tokenize)
 
 
 def write_lines(path, lines):

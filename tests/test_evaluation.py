@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denseadapt import (CrossEncoderScorer, Passage, Qrels, Query, ce_rerank,
-                        evaluate, full_rank, init_encoder, mrr_at_k,
-                        ndcg_at_k, write_trec_run)
-from denseadapt.corpus import ParseError, passage_text
 from denseadapt import evaluation
-from denseadapt.evaluation import read_trec_run
+from denseadapt.corpus import ParseError, Passage, Qrels, Query, passage_text
+from denseadapt.evaluation import (ce_rerank, evaluate, full_rank, mrr_at_k,
+                                   ndcg_at_k, read_trec_run, write_trec_run)
 from denseadapt.mining import DenseRetriever
+from denseadapt.models import CrossEncoderScorer, init_encoder
 from oracles import pack_run, pairwise, run_lists, top_k_list, trec_run_text
 
 

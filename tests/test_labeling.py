@@ -8,17 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from denseadapt import (CrossEncoderScorer, Passage, Query, TupleColumns,
-                        build_dataset, init_encoder,
-                        lexical_overlap_ce, read_dataset, sample_tuple,
-                        write_dataset)
-from denseadapt.corpus import ParseError, passage_text
-from denseadapt.labeling import _BLOCK, GPLDataset
+from denseadapt.corpus import ParseError, Passage, Query, passage_text
+from denseadapt.labeling import (_BLOCK, GPLDataset, build_dataset,
+                                 read_dataset, sample_tuple, write_dataset)
+from denseadapt.models import (CrossEncoderScorer, init_encoder,
+                               lexical_overlap_ce)
 from denseadapt.training import tuple_batches
-from denseadapt.mining import PoolColumns
 from denseadapt.util import derive_seed
 from oracles import (binary_relevance_labels, ce_margin,
-                     lexical_overlap_score, pairwise, stream_rows)
+                     lexical_overlap_score, pack_pools, pack_tuples,
+                     pairwise, stream_rows)
 
 
 def fixed_ce(scores: dict) -> CrossEncoderScorer:
@@ -27,11 +26,11 @@ def fixed_ce(scores: dict) -> CrossEncoderScorer:
 
 
 def make_pool(source, negatives):
-    """One query's pool as `PoolColumns.from_lists` takes it."""
+    """One query's pool as `pack_pools` takes it."""
     return source, {"bm25": list(negatives)}
 
 
-pack = PoolColumns.from_lists
+pack = pack_pools
 
 
 class TestCeMargin:
@@ -208,7 +207,7 @@ class TestLabelStream:
         corpus, queries, pools = self.make_world()
         ce = lexical_overlap_ce()
         expected = tmp_path / "expected.tsv"
-        write_dataset(GPLDataset(TupleColumns.from_rows(
+        write_dataset(GPLDataset(pack_tuples(
             self.one_per_query_reference(queries, pools, corpus, ce, seed=5))),
             expected)
         for n_tuples in (None, 5):
@@ -329,11 +328,11 @@ class TestLabelStream:
 class TestTrainingTupleValidation:
     def test_pos_equals_neg_rejected(self):
         with pytest.raises(ValueError):
-            TupleColumns.from_rows([("q", "same", "same", 0.0)])
+            pack_tuples([("q", "same", "same", 0.0)])
 
     def test_non_finite_margin_rejected(self):
         with pytest.raises(ValueError):
-            TupleColumns.from_rows([("q", "a", "b", float("inf"))])
+            pack_tuples([("q", "a", "b", float("inf"))])
 
     def test_build_rejects_a_pool_holding_the_positive(self):
         corpus = [Passage("p0", "", "a b"), Passage("p1", "", "c")]
@@ -358,7 +357,7 @@ class TestDatasetIO:
         tuples = [("q1", "p1", "n1", 2.125),
                   ("q2", "p2", "n2", -3.5),
                   ("q3", "p3", "n3", 0.1 + 0.2)]
-        return GPLDataset(TupleColumns.from_rows(tuples), {"seed": 1})
+        return GPLDataset(pack_tuples(tuples), {"seed": 1})
 
     def test_round_trip_exact(self, tmp_path):
         ds = self.make_dataset()

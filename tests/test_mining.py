@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denseadapt import (BM25Retriever, DenseRetriever, ParseError, Passage,
-                        Query, build_bm25_index, encode_batch,
-                        PoolColumns, full_rank, init_encoder, mine_pools,
-                        read_hard_negatives, retrieve_top_k, tokenize,
-                        write_hard_negatives)
 from denseadapt import mining
-from oracles import (bm25_score, hard_negatives_text, mined_lists, run_lists,
-                     top_k_list, union_entry)
+from denseadapt.corpus import ParseError, Passage, Query, tokenize
+from denseadapt.evaluation import full_rank
+from denseadapt.mining import (BM25Retriever, DenseRetriever, PoolColumns,
+                               build_bm25_index, mine_pools,
+                               read_hard_negatives, retrieve_top_k,
+                               write_hard_negatives)
+from denseadapt.models import encode_batch, init_encoder
+from oracles import (bm25_score, hard_negatives_text, mined_lists, pack_pools,
+                     pool_negatives, run_lists, top_k_list, union_entry)
 from stream_memory import POOL_BOUND, pool_lists
 
 TWO_DOCS = [Passage("d1", "", "a b a"), Passage("d2", "", "b c")]
@@ -301,14 +303,14 @@ class TestMineNegatives:
         passages, retrievers = self.make_world()
         query = Query("q1", passages[0].body, source_passage_id=passages[0].id)
         pools = mine_pools([query], retrievers, n_per_retriever=10)
-        assert passages[0].id not in pools.negatives("q1")
+        assert passages[0].id not in pool_negatives(pools, "q1")
         assert pools.size("q1")
 
     def test_pool_bound_and_dedup(self):
         passages, retrievers = self.make_world()
         query = Query("q1", passages[3].body, source_passage_id=passages[3].id)
-        negatives = mine_pools([query], retrievers,
-                               n_per_retriever=10).negatives("q1")
+        negatives = pool_negatives(
+            mine_pools([query], retrievers, n_per_retriever=10), "q1")
         assert len(negatives) <= 20
         assert len(negatives) == len(set(negatives))
         assert negatives == sorted(negatives)
@@ -407,7 +409,7 @@ class TestMineNegatives:
         loaded = read_hard_negatives(path)
         assert loaded.query_ids == pools.query_ids == sorted(q.id for q in queries)
         for i, qid in enumerate(pools.query_ids):
-            assert loaded.negatives(qid) == pools.negatives(qid)
+            assert pool_negatives(loaded, qid) == pool_negatives(pools, qid)
             assert loaded.lists(i) == pools.lists(i)
 
 
@@ -432,7 +434,7 @@ def check_union(pools: PoolColumns, lists) -> None:
     retriever's list is the one given."""
     assert pools.query_ids == sorted(lists)
     for i, qid in enumerate(pools.query_ids):
-        assert pools.negatives(qid) == list(union_entry(lists[qid][1]))
+        assert pool_negatives(pools, qid) == list(union_entry(lists[qid][1]))
         assert pools.lists(i) == lists[qid][1]
 
 
@@ -469,7 +471,7 @@ class TestPoolBytes:
             path.write_text(text, encoding="utf-8")
             pools = read_hard_negatives(path)
         assert written(pools) == text
-        assert written(PoolColumns.from_lists(lists)) == text
+        assert written(pack_pools(lists)) == text
         check_union(pools, lists)
 
     @settings(max_examples=150, deadline=None)

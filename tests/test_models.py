@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 import oracles
 
-from denseadapt import (CrossEncoderScorer, LossConfig, apply_gradients,
-                        encode_batch, init_encoder, lexical_overlap_ce,
-                        load_model, margin_mse_loss, mnrl_loss, save_model,
-                        tokenize)
 from denseadapt import models
-from denseadapt.corpus import ParseError
-from denseadapt.models import (NUM_RESERVED, OOV_INDEX, EncoderModel, Tokens,
-                               encode_backward, encode_ids, new_grads)
+from denseadapt.corpus import ParseError, tokenize
+from denseadapt.models import (NUM_RESERVED, OOV_INDEX, CrossEncoderScorer,
+                               EncoderModel, Tokens, apply_gradients,
+                               encode_backward, encode_batch, encode_ids,
+                               init_encoder, lexical_overlap_ce, load_model,
+                               new_grads, save_model)
+from denseadapt.training import LossConfig, margin_mse_loss, mnrl_loss
 from gradcheck import as_dense, finite_diff_gradcheck
 
 TOKENS = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()

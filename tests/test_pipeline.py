@@ -16,14 +16,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from denseadapt import (Passage, PipelineConfig, PipelineError, init_encoder,
-                        load_corpus, load_model, parse_method, pipeline,
-                        run_pipeline, run_stage, save_model)
+from denseadapt import pipeline
 from denseadapt.cli import main as cli_main
+from denseadapt.corpus import Passage, load_corpus
+from denseadapt.models import init_encoder, load_model, save_model
 from denseadapt.pipeline import (DEFAULTS, MANIFEST, CacheManifest,
-                                 _initial_model, stage_generate, stage_ingest)
+                                 PipelineConfig, PipelineError, _initial_model,
+                                 parse_method, run_pipeline, run_stage,
+                                 stage_generate, stage_ingest)
 from denseadapt.util import sha256_files
-from oracles import stream_rows
+from oracles import config_from_dict, pack_pools, stream_rows
 
 
 # The tree the `denseadapt` under test was imported from, for child runs.
@@ -120,7 +122,7 @@ def small_config(root, out, **extra):
         "evaluate": {"cutoff": 12},
     }
     data.update(extra)
-    return PipelineConfig.from_dict(data)
+    return config_from_dict(data)
 
 
 class TestStages:
@@ -687,6 +689,10 @@ class TestConfig:
               ("metrics", [], "no metrics to evaluate"),
               ("gain", "log", "unknown gain 'log'"),
           ]),
+        ({"mine": {"retrievers": []}},
+         "config key mine.retrievers: no retriever to mine with"),
+        ({"mine": {"retrievers": ["bm25", "splade"]}},
+         "config key mine.retrievers: unknown retriever 'splade'"),
         *((data, f"config key {key} must be {what}") for data, key, what in [
             ({"ingest": {"drop_missing_body": "false"}},
              "ingest.drop_missing_body", "a bool; got 'false'"),
@@ -714,6 +720,10 @@ class TestConfig:
             ({"encoder": {"dim": 0}}, "encoder.dim", "in [1, inf); got 0"),
             ({"encoder": {"max_seq_len": -2}}, "encoder.max_seq_len",
              "in [1, inf); got -2"),
+            ({"encoder": {"init_scale": -1}}, "encoder.init_scale",
+             "in (0, inf); got -1"),
+            ({"encoder": {"init_scale": 0}}, "encoder.init_scale",
+             "in (0, inf); got 0"),
             ({"rerank": {"top_n": -1}}, "rerank.top_n", "in [1, inf); got -1"),
             ({"label": {"ce_scale": -1}}, "label.ce_scale",
              "in (0, inf); got -1"),
@@ -772,7 +782,7 @@ class TestConfig:
         or a value of another type than the key's default or outside its
         range, is an error naming the key's dotted path."""
         with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
-            PipelineConfig.from_dict(data)
+            config_from_dict(data)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
         with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
@@ -825,7 +835,7 @@ class TestConfig:
                 "train": {"gpl": {"steps": None}, "qgen": {"steps": 3}},
                 "evaluate": {"metrics": ["ndcg", "mrr@1", "ndcg@100"],
                              "gain": "exp"}}
-        cfg = PipelineConfig.from_dict(data)
+        cfg = config_from_dict(data)
         assert (cfg["ingest"]["drop_missing_body"], cfg["encoder"]["init_scale"],
                 cfg["label"]["ce_scale"], cfg["mine"]["retrievers"],
                 cfg["paths"]["queries"], cfg["train"]["gpl"]["steps"],
@@ -835,7 +845,7 @@ class TestConfig:
              ["ndcg", "mrr@1", "ndcg@100"], "exp")
         readme = Path(__file__).resolve().parent.parent / "README.md"
         example = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
-        cfg = PipelineConfig.from_dict(json.loads(example.group(1)))
+        cfg = config_from_dict(json.loads(example.group(1)))
         assert cfg["train"]["gpl"]["steps"] == 2000
 
     def test_benchmark_configs_load(self, tmp_path):
@@ -991,9 +1001,9 @@ class TestUdalmMethod:
         src_dir = tmp_path / "src"
         src_dir.mkdir()
         corpus_path, queries_path, _ = write_world(src_dir)
-        from denseadapt import (Query, build_dataset, lexical_overlap_ce,
-                                write_dataset)
-        from denseadapt.mining import PoolColumns
+        from denseadapt.corpus import Query
+        from denseadapt.labeling import build_dataset, write_dataset
+        from denseadapt.models import lexical_overlap_ce
         passages = load_corpus(corpus_path)
         queries = []
         pools = {}
@@ -1002,12 +1012,12 @@ class TestUdalmMethod:
             queries.append(q)
             negs = [passages[(i + 3) % len(passages)].id]
             pools[q.id] = (p.id, {"bm25": negs})
-        dataset = build_dataset(queries, PoolColumns.from_lists(pools), passages,
+        dataset = build_dataset(queries, pack_pools(pools), passages,
                                 lexical_overlap_ce(), seed=0)
         tuples_path = src_dir / "source-tuples.tsv"
         write_dataset(dataset, tuples_path)
         src_queries_path = src_dir / "source-queries.jsonl"
-        from denseadapt import save_queries
+        from denseadapt.corpus import save_queries
         save_queries(queries, src_queries_path)
 
         return small_config(tmp_path, tmp_path / "out", paths={
@@ -1030,7 +1040,8 @@ class TestUdalmMethod:
         """Training tokenizes every target passage its schedule draws (at
         40 steps, all of them) and every source query and passage its
         tuples name once, however many steps run."""
-        from denseadapt import load_queries, read_dataset
+        from denseadapt.corpus import load_queries
+        from denseadapt.labeling import read_dataset
         from denseadapt.models import EncoderModel
         cfg = self.udalm_config(tmp_path)
         cfg.data["udalm"]["steps"] = 40

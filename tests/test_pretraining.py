@@ -7,19 +7,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from denseadapt import LossConfig, Passage, init_encoder, mnrl_loss, pretraining
-from denseadapt.models import NUM_RESERVED, EncoderModel, encode_ids, new_grads
-from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig,
-                                    condensor_loss, ct_step,
+from denseadapt import pretraining
+from denseadapt.corpus import Passage
+from denseadapt.models import (NUM_RESERVED, EncoderModel, encode_ids,
+                               init_encoder, new_grads)
+from denseadapt.pretraining import (PRETRAIN_METHODS, PretrainConfig, ct_step,
                                     ict_example, init_condensor_head,
-                                    mlm_corrupt, mlm_loss, pretrain,
-                                    simcse_pairs, simcse_step, split_sentences,
+                                    mlm_corrupt, pretrain, simcse_pairs,
+                                    simcse_step, split_sentences,
                                     token_cross_entropy, tsdae_corrupt,
                                     tsdae_loss, udalm_step)
-from denseadapt.training import TrainRunConfig
+from denseadapt.training import LossConfig, TrainRunConfig, mnrl_loss
 from denseadapt.util import derive_seed
 from gradcheck import as_dense, finite_diff_gradcheck
 import oracles
+from oracles import condensor_loss, mlm_loss
 
 TOKENS = [f"w{i}" for i in range(24)]
 
@@ -476,7 +478,7 @@ class TestUdalm:
                        self.source_batch(model), mix_weight=1.5)
 
     def test_pure_endpoints(self, model):
-        from denseadapt import margin_mse_loss
+        from denseadapt.training import margin_mse_loss
         from denseadapt.models import encode_batch
 
         loss_mse_only, _ = udalm_step(model, target_rows(model, ["w0 w1"]),

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denseadapt import (GenerationBudget, Passage, SamplerConfig,
-                        compute_budget, generate_queries, mock_generator,
-                        nucleus_filter, tokenize)
 from denseadapt import qgen
-from denseadapt.corpus import passage_text
+from denseadapt.corpus import Passage, passage_text, tokenize
 from denseadapt.models import QueryGenerator
-from denseadapt.qgen import EOS_TOKEN, NOISE_VOCAB, PLACEHOLDER_TOKEN, _decode
+from denseadapt.qgen import (EOS_TOKEN, NOISE_VOCAB, PLACEHOLDER_TOKEN,
+                             GenerationBudget, SamplerConfig, _decode,
+                             compute_budget, generate_queries, mock_generator,
+                             nucleus_filter)
 
 
 class TestComputeBudget:

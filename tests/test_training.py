@@ -8,13 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from denseadapt import (LossConfig, Passage, Query, TrainRunConfig,
-                        TupleColumns, gpl_train, init_encoder,
-                        margin_mse_loss, mnrl_loss, qgen_train)
+from denseadapt.corpus import Passage, Query
 from denseadapt.labeling import GPLDataset
-from denseadapt.mining import PoolColumns
-from denseadapt.models import EncoderModel, new_grads
-from denseadapt.training import fit
+from denseadapt.models import EncoderModel, init_encoder, new_grads
+from denseadapt.training import (LossConfig, TrainRunConfig, fit, gpl_train,
+                                 margin_mse_loss, mnrl_loss, qgen_train)
+from oracles import pack_pools, pack_tuples
 
 TOKENS = [f"w{i}" for i in range(20)]
 
@@ -176,7 +175,7 @@ class TestTrainRunConfig:
 
 
 def tuple_dataset(tuples):
-    return GPLDataset(TupleColumns.from_rows(tuples), {"seed": 0})
+    return GPLDataset(pack_tuples(tuples), {"seed": 0})
 
 
 class TestGplTrain:
@@ -357,7 +356,7 @@ class TestQgenTrain:
     @pytest.mark.parametrize("hard", [False, True])
     def test_tokenizes_each_distinct_text_once(self, monkeypatch, steps, hard):
         corpus, queries = self.make_world()
-        pools = PoolColumns.from_lists(
+        pools = pack_pools(
             {q.id: (q.source_passage_id, {"bm25": ["p4"]}) for q in queries}
         ) if hard else None
         calls = count_token_ids(monkeypatch)
@@ -370,7 +369,7 @@ class TestQgenTrain:
 
     def test_hard_negative_mode_trains_and_uses_pools(self):
         corpus, queries = self.make_world()
-        pools = PoolColumns.from_lists({q.id: (q.source_passage_id, {"bm25": [
+        pools = pack_pools({q.id: (q.source_passage_id, {"bm25": [
             p.id for p in corpus if p.id != q.source_passage_id]})
             for q in queries})
         model = init_encoder(TOKENS, dim=6, seed=2, similarity="cosine",
