@@ -7,11 +7,12 @@ import json
 import logging
 from pathlib import Path
 
-import click
-
 from .corpus import DuplicateIdError, ParseError
 from .pipeline import (PipelineConfig, PipelineError, run_pipeline, run_stage,
                        STAGE_NAMES)
+
+# Imported after numpy (via .pipeline): before it, peak RSS is ~0.4 MiB higher.
+import click
 
 
 def _load_config(config_path: str, seed: int | None, method: str | None

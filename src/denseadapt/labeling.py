@@ -258,6 +258,9 @@ def read_dataset(path: str | Path) -> GPLDataset:
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     manifest = {}
     if manifest_path.exists():
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
+        try:
+            with open(manifest_path, encoding="utf-8") as f:
+                manifest = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"{manifest_path}: not valid JSON: {e}") from None
     return GPLDataset(appender.columns(), manifest)

@@ -16,13 +16,13 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import ParseError, tokenize
+from .util import check_interval
 
 OOV_INDEX = 0
 MASK_INDEX = 1
@@ -86,6 +86,9 @@ def init_encoder(tokens: Iterable[str], dim: int = 32, seed: int = 0,
                  pooling: str = "mean", similarity: str = "dot",
                  init_scale: float = 0.05, max_seq_len: int = 350) -> EncoderModel:
     """Fresh encoder over the given token set, deterministic per seed."""
+    for name, value in (("dim", dim), ("init_scale", init_scale),
+                        ("max_seq_len", max_seq_len)):
+        check_interval(name, value)
     vocab = {t: i + NUM_RESERVED for i, t in enumerate(sorted(set(tokens)))}
     rng = np.random.default_rng(seed)
     embedding = rng.normal(0.0, init_scale, size=(NUM_RESERVED + len(vocab), dim))
@@ -305,60 +308,30 @@ class CrossEncoderScorer:
         return float(self.score_pairs([query_text], [passage_text_])[0])
 
 
-# Pairs per overlap count in `lexical_overlap_ce`: bounds its temporaries.
-_PAIR_CHUNK = 1024
-
-
 def lexical_overlap_ce(scale: float = 10.0) -> CrossEncoderScorer:
     """Mock cross-encoder: scale * fraction of query terms present in the passage.
 
     A pair scores scale * |q & p| / |q| over the two texts' token sets, and
     0.0 for a query without tokens. Identical texts score identically, so
     duplicated passages receive equal scores and their margins vanish.
-    Each distinct text of a call is tokenized once, into a sorted row of
-    term ids held in one flat array; overlaps are counted a chunk of pairs
-    at a time.
+    Each distinct text of a call is tokenized once into a term set; a
+    passage's set keeps only the terms of the call's queries.
     """
 
     def score_pairs(query_texts: Sequence[str],
                     passage_texts: Sequence[str]) -> np.ndarray:
-        rows: dict[str, int] = {}  # distinct text -> its row, queries first
-        query = np.fromiter((rows.setdefault(t, len(rows)) for t in query_texts),
-                            dtype=np.int64, count=len(query_texts))
-        n_query_rows = len(rows)
-        passage = np.fromiter((rows.setdefault(t, len(rows))
-                               for t in passage_texts),
-                              dtype=np.int64, count=len(passage_texts))
-        terms: dict[str, int] = {}  # query term -> id
-        term_rows = [sorted({terms.setdefault(t, len(terms))
-                             for t in tokenize(text)})
-                     for text in islice(rows, n_query_rows)]
-        # Only query terms can overlap: a passage's row keeps those alone.
-        term_rows += [sorted({terms[t] for t in tokenize(text) if t in terms})
-                      for text in islice(rows, n_query_rows, None)]
-        sizes = np.fromiter(map(len, term_rows), dtype=np.int64,
-                            count=len(term_rows))
-        flat = np.fromiter(chain.from_iterable(term_rows), dtype=np.int64,
-                           count=int(sizes.sum()))
-        del term_rows
-        starts = np.cumsum(sizes) - sizes
-        # (row, term) keys of every row, ascending: rows ascend, terms too.
-        keys = np.repeat(np.arange(sizes.size) * len(terms), sizes) + flat
-        scores = np.zeros(query.size)
-        for lo in range(0, query.size, _PAIR_CHUNK):
-            chunk = slice(lo, lo + _PAIR_CHUNK)
-            n = sizes[query[chunk]]
-            ends = np.cumsum(n)
-            # Each query term of each pair, keyed into the pair's passage row.
-            at = np.arange(ends[-1]) + np.repeat(starts[query[chunk]] - ends + n, n)
-            probe = np.repeat(passage[chunk] * len(terms), n) + flat[at]
-            found = np.searchsorted(keys, probe)
-            hits = np.concatenate(([0], np.cumsum(
-                keys[np.minimum(found, keys.size - 1)] == probe)))
-            overlap = hits[ends] - hits[ends - n]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores[chunk] = np.where(n > 0, scale * overlap / n, 0.0)
-        return scores
+        terms = {t: frozenset(tokenize(t)) for t in dict.fromkeys(query_texts)}
+        # One string per query term: a passage's set holds these, not its
+        # own copies (tokens are never empty, so `filter` drops misses only).
+        vocab = {w: w for q in terms.values() for w in q}
+        for text in dict.fromkeys(passage_texts):
+            if text not in terms:
+                terms[text] = frozenset(filter(None, map(vocab.get,
+                                                         tokenize(text))))
+        pairs = ((terms[q], terms[p]) for q, p in zip(query_texts, passage_texts))
+        return np.fromiter((scale * len(q & p) / len(q) if q else 0.0
+                            for q, p in pairs),
+                           dtype=np.float64, count=len(query_texts))
 
     return CrossEncoderScorer(score_pairs, name=f"lexical-overlap-{scale:g}")
 

@@ -336,12 +336,12 @@ def _run_cached(cfg: PipelineConfig, stage_dir: Path,
             raise PipelineError(f"missing artifact {path}; run {producer} first")
     # Each input is hashed under a role that survives moving the cache: its
     # path under the dataset directory, or the `paths` key that names it.
+    # Equal roles can only name one file, which is hashed once.
     keys = {Path(v): f"paths.{k}" for k, v in cfg["paths"].items() if v}
-    input_hash = sha256_files(
-        [path for path, _ in inputs],
-        [Path(p).relative_to(cfg.dataset_dir).as_posix()
-         if Path(p).is_relative_to(cfg.dataset_dir) else keys[Path(p)]
-         for p, _ in inputs])
+    roles = {(Path(p).relative_to(cfg.dataset_dir).as_posix()
+              if Path(p).is_relative_to(cfg.dataset_dir) else keys[Path(p)]): p
+             for p, _ in inputs}
+    input_hash = sha256_files(list(roles.values()), list(roles))
     scratch = stage_dir.with_name(stage_dir.name + ".tmp")
     retired = stage_dir.with_name(stage_dir.name + ".old")
     shutil.rmtree(scratch, ignore_errors=True)
@@ -589,8 +589,12 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
             checkpoint_every=section["checkpoint_every"])
         if final == "udalm":
             paths = cfg["paths"]
+            source = read_dataset(paths["source_tuples"])
+            if not len(source.tuples):
+                raise PipelineError(f"paths.source_tuples "
+                                    f"{paths['source_tuples']} holds no tuples")
             model, trace = udalm_train(
-                model, passages, read_dataset(paths["source_tuples"]),
+                model, passages, source,
                 load_corpus(paths["source_corpus"]),
                 load_queries(paths["source_queries"]), run_cfg,
                 float(section["mix_weight"]), float(section["mask_ratio"]),

@@ -33,6 +33,18 @@ def model():
     return init_encoder(TOKENS, dim=8, seed=0, init_scale=0.3)
 
 
+class TestInitEncoder:
+    @pytest.mark.parametrize("setting, value, message", [
+        ("init_scale", -1.0, r"init_scale must be > 0; got -1\.0"),
+        ("init_scale", 0.0, r"init_scale must be > 0; got 0\.0"),
+        ("dim", 0, "dim must be >= 1; got 0"),
+        ("max_seq_len", 0, "max_seq_len must be >= 1; got 0"),
+    ])
+    def test_out_of_interval_setting_rejected(self, setting, value, message):
+        with pytest.raises(ValueError, match=message):
+            init_encoder(TOKENS, **{setting: value})
+
+
 class TestEncodeBatch:
     def test_single_token_mean_is_projected_embedding(self, model):
         row = model.embedding[model.vocab["alpha"]]
@@ -725,7 +737,7 @@ class TestLexicalOverlapCE:
         words = [f"t{i}" for i in range(30)] + ["T1,", "t2.", "(t3)", "--"]
         texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 12))))
                  for _ in range(200)]
-        n = 2 * models._PAIR_CHUNK + 7
+        n = 2 * 1024 + 7
         queries = [texts[i] for i in rng.integers(0, 200, size=n)]
         passages = [texts[i] for i in rng.integers(0, 200, size=n)]
         want = np.array([oracles.lexical_overlap_score(q, p)

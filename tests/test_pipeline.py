@@ -977,6 +977,22 @@ class TestCli:
             assert isinstance(result.exception, SystemExit)
             assert result.output.startswith(message), result.output
 
+    def test_bad_label_sidecar_reported_without_traceback(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        for name in ("ingest", "generate", "mine", "label"):
+            run_stage(name, cfg)
+        sidecar = cfg.stage_dir("label") / "gpl-training-data.tsv.manifest.json"
+        sidecar.write_text("{broken")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        result = CliRunner().invoke(cli_main, ["stage", "train", "--method",
+                                               "gpl", "--config",
+                                               str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: {sidecar}: not valid JSON"), \
+            result.output
+
     def test_missing_upstream_is_actionable(self, tmp_path):
         corpus, queries, qrels = write_world(tmp_path)
         config = {"dataset": "toy",
@@ -1034,6 +1050,33 @@ class TestUdalmMethod:
         cfg = self.udalm_config(tmp_path)
         report = run_pipeline(cfg, "udalm")
         assert 0.0 <= report.averages["ndcg@10"] <= 1.0
+
+    def run_cli(self, tmp_path, cfg):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        return CliRunner().invoke(cli_main, ["run", "--method", "udalm",
+                                             "--config", str(config_path)])
+
+    def test_empty_source_tuples_reported_before_training(self, tmp_path):
+        cfg = self.udalm_config(tmp_path)
+        tuples = Path(cfg["paths"]["source_tuples"])
+        tuples.write_text("")
+        result = self.run_cli(tmp_path, cfg)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: paths.source_tuples {tuples} "
+                                 "holds no tuples\n")
+        assert not (cfg.dataset_dir / "udalm" / "train").exists()
+
+    def test_source_corpus_may_be_the_ingested_corpus(self, tmp_path):
+        """The source world is the target world: the ingested corpus is
+        both an artifact input and paths.source_corpus, hashed once."""
+        cfg = self.udalm_config(tmp_path)
+        ingested = cfg.stage_dir("ingest") / "corpus.jsonl"
+        cfg.data["paths"]["source_corpus"] = str(ingested)
+        result = self.run_cli(tmp_path, cfg)
+        assert result.exit_code == 0, result.output
+        assert (cfg.dataset_dir / "udalm" / "train" / "model-final.json").exists()
 
     def test_udalm_tokenizes_each_distinct_text_once(self, tmp_path,
                                                      monkeypatch):
