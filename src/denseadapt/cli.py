@@ -7,7 +7,8 @@ import json
 import logging
 from pathlib import Path
 
-from .corpus import DuplicateIdError, ParseError
+from .corpus import ParseError
+from .evaluation import load_report
 from .pipeline import (PipelineConfig, PipelineError, run_pipeline, run_stage,
                        STAGE_NAMES)
 
@@ -43,7 +44,7 @@ def run(config_path: str, method: str, seed: int | None) -> None:
     """Run a method's full stage sequence and print the eval averages."""
     try:
         report = run_pipeline(_load_config(config_path, seed, method), method)
-    except (PipelineError, ParseError, DuplicateIdError) as e:
+    except (PipelineError, ParseError) as e:
         raise click.ClickException(str(e)) from e
     click.echo(json.dumps({"method": method, "averages": report.averages},
                           sort_keys=True, indent=2))
@@ -61,7 +62,7 @@ def stage(name: str, config_path: str, method: str | None, seed: int | None
     """Run a single pipeline stage."""
     try:
         outputs = run_stage(name, _load_config(config_path, seed, method))
-    except (PipelineError, ParseError, DuplicateIdError) as e:
+    except (PipelineError, ParseError) as e:
         raise click.ClickException(str(e)) from e
     for path in outputs:
         click.echo(str(path))
@@ -76,11 +77,13 @@ def report(directory: str) -> None:
     if not found:
         raise click.ClickException(f"no reports under {directory}")
     for path in found:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        method = doc.get("config", {}).get("method", path.parent.name)
+        try:
+            doc = load_report(path)
+        except ParseError as e:
+            raise click.ClickException(str(e)) from e
+        method = doc.config.get("method", path.parent.name)
         averages = " ".join(f"{k}={v:.4f}" for k, v in
-                            sorted(doc["averages"].items()))
+                            sorted(doc.averages.items()))
         click.echo(f"{method:<24} {averages}")
 
 

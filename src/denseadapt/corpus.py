@@ -11,7 +11,7 @@ import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class ParseError(ValueError):
     """An input file line could not be parsed."""
 
 
-class DuplicateIdError(ValueError):
+class DuplicateIdError(ParseError):
     """A corpus or query file repeats an id."""
 
 
@@ -71,13 +71,13 @@ def passage_text(p: Passage) -> str:
     return p.body
 
 
-def load_corpus(path: str | Path, drop_missing_body: bool = False) -> list[Passage]:
-    """Read corpus.jsonl into Passage records, preserving file order.
-
-    Missing titles become empty strings. With drop_missing_body=True,
-    passages whose body is empty or whitespace-only are skipped.
-    """
-    passages: list[Passage] = []
+def _records(path: str | Path, kind: str
+             ) -> Iterator[tuple[dict, str, str, str]]:
+    """(record, id, title, text) of each non-blank line of a corpus or query
+    file. A missing or null title is "". A line that is not a JSON object
+    with `_id` and a string `text`, a title that is not a string, or an
+    `_id` that is empty, holds whitespace or repeats (`DuplicateIdError`)
+    is a ParseError naming `path:line`."""
     seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -87,19 +87,34 @@ def load_corpus(path: str | Path, drop_missing_body: bool = False) -> list[Passa
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if "_id" not in record or "text" not in record:
-                raise ParseError(f"{path}:{lineno}: record needs '_id' and 'text'")
-            pid = str(record["_id"])
-            if not pid:
-                raise ParseError(f"{path}:{lineno}: empty '_id'")
-            if pid in seen:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate passage id {pid!r}")
-            seen.add(pid)
-            body = str(record["text"])
-            if drop_missing_body and not body.strip():
-                continue
-            passages.append(Passage(pid, str(record.get("title", "")), body))
-    return passages
+            if not isinstance(record, dict) or "_id" not in record \
+                    or "text" not in record:
+                raise ParseError(f"{path}:{lineno}: record is not a JSON "
+                                 "object with '_id' and 'text'")
+            rid, title, text = str(record["_id"]), record.get("title"), record["text"]
+            if title is None:
+                title = ""
+            if not (isinstance(text, str) and isinstance(title, str)):
+                key = "title" if isinstance(text, str) else "text"
+                raise ParseError(f"{path}:{lineno}: {key!r} must be a string; "
+                                 f"got {record[key]!r}")
+            # Run files split their lines on whitespace.
+            if rid.split() != [rid]:
+                raise ParseError(f"{path}:{lineno}: '_id' must be non-empty "
+                                 f"and hold no whitespace; got {rid!r}")
+            if rid in seen:
+                raise DuplicateIdError(f"{path}:{lineno}: duplicate {kind} id {rid!r}")
+            seen.add(rid)
+            yield record, rid, title, text
+
+
+def load_corpus(path: str | Path, drop_missing_body: bool = False) -> list[Passage]:
+    """Read corpus.jsonl into Passage records, preserving file order and
+    checking each as `_records` does. With drop_missing_body=True, passages
+    whose body is empty or whitespace-only are skipped."""
+    return [Passage(pid, title, body)
+            for _, pid, title, body in _records(path, "passage")
+            if body.strip() or not drop_missing_body]
 
 
 def save_corpus(passages: Iterable[Passage], path: str | Path) -> None:
@@ -110,26 +125,12 @@ def save_corpus(passages: Iterable[Passage], path: str | Path) -> None:
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    """Read queries.jsonl; generated queries may carry source_passage_id."""
+    """Read queries.jsonl, checking each record as `_records` does;
+    generated queries may carry source_passage_id."""
     queries: list[Query] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if "_id" not in record or "text" not in record:
-                raise ParseError(f"{path}:{lineno}: record needs '_id' and 'text'")
-            qid = str(record["_id"])
-            if qid in seen:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            seen.add(qid)
-            src = record.get("source_passage_id")
-            queries.append(Query(qid, str(record["text"]),
-                                 None if src is None else str(src)))
+    for record, qid, _, text in _records(path, "query"):
+        src = record.get("source_passage_id")
+        queries.append(Query(qid, text, None if src is None else str(src)))
     return queries
 
 

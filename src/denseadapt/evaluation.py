@@ -54,19 +54,28 @@ class EvalReport:
     averages: dict[str, float]
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"per_query": self.per_query, "averages": self.averages,
-                "config": self.config}
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=2)
+            json.dump(vars(self), f, sort_keys=True, indent=2)
 
 
 def load_report(path: str | Path) -> EvalReport:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return EvalReport(doc["per_query"], doc["averages"], doc.get("config", {}))
+    """The report `EvalReport.save` writes. One that is not JSON, lacks one
+    of its three objects or holds an average that is not a number is a
+    ParseError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: not valid JSON: {e}") from None
+    keys = ("per_query", "averages", "config")
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(key), dict) for key in keys)
+            and all(isinstance(v, (int, float))
+                    for v in doc["averages"].values())):
+        raise ParseError(f"{path}: a report needs 'per_query', 'averages' and "
+                         "'config' objects, with numbers as averages")
+    return EvalReport(doc["per_query"], doc["averages"], doc["config"])
 
 
 def full_rank(model: EncoderModel, queries: Sequence[Query],

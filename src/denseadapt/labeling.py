@@ -4,7 +4,6 @@ columns."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from array import array
@@ -223,20 +222,14 @@ def build_dataset(queries: Sequence[Query], pools: PoolColumns,
 
 def write_dataset(dataset: GPLDataset, path: str | Path) -> None:
     """TSV `qid <TAB> pos <TAB> neg <TAB> margin` with margins at 17
-    significant digits (exact float64 round-trip); manifest as a JSON
-    sidecar next to the file."""
-    path = Path(path)
+    significant digits (exact float64 round-trip)."""
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(f"{qid}\t{pos}\t{neg}\t{margin:.17g}\n"
                      for qid, pos, neg, margin in dataset.tuples.rows())
-    with open(path.with_suffix(path.suffix + ".manifest.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(dataset.manifest, f, sort_keys=True, indent=2)
 
 
 def read_dataset(path: str | Path) -> GPLDataset:
     """The TSV `write_dataset` writes, parsed line by line into columns."""
-    path = Path(path)
     appender = _Appender()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -255,12 +248,4 @@ def read_dataset(path: str | Path) -> GPLDataset:
                 appender.add(qid, pos_id, neg_id, margin)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-    manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    manifest = {}
-    if manifest_path.exists():
-        try:
-            with open(manifest_path, encoding="utf-8") as f:
-                manifest = json.load(f)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise ParseError(f"{manifest_path}: not valid JSON: {e}") from None
-    return GPLDataset(appender.columns(), manifest)
+    return GPLDataset(appender.columns())

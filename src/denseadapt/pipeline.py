@@ -165,12 +165,15 @@ _PARSERS = {"evaluate.metrics": parse_metrics,
             "evaluate.gain": functools.partial(_gain, 0),
             "mine.retrievers": _check_retrievers}
 
+# The one backend each backend key's stage builds.
+_BACKENDS = {"generate.generator": "mock", "label.cross_encoder": "lexical"}
+
 
 def _check_value(key: str, value) -> None:
     """Raise unless `value` has the type of the DEFAULTS leaf at dotted
-    `key`, lies in its `_RANGES` interval and passes its `_PARSERS`
-    function. A float takes an int too; a bool stands for nothing but a
-    bool."""
+    `key`, lies in its `_RANGES` interval, passes its `_PARSERS` function
+    and names its `_BACKENDS` backend. A float takes an int too; a bool
+    stands for nothing but a bool."""
     kind = _NULLABLE.get(key) or \
         type(functools.reduce(dict.__getitem__, key.split("."), DEFAULTS))
     if isinstance(value, bool):
@@ -194,6 +197,8 @@ def _check_value(key: str, value) -> None:
             parse(value)
         except ValueError as e:
             raise PipelineError(f"config key {key}: {e}") from None
+    if key in _BACKENDS and value != _BACKENDS[key]:
+        raise PipelineError(f"config key {key}: unknown backend {value!r}")
 
 
 def _deep_merge(base: dict, override: dict, where: str) -> dict:
@@ -270,8 +275,9 @@ def parse_method(method: str) -> tuple[str | None, str]:
 class CacheManifest:
     """One stage's cache record, `cache-manifest.json` in the stage's own
     directory: input hash, config hash, the sorted names of its output
-    files and a timestamp. A stage writes it into its scratch directory
-    after its outputs, so the rename that publishes them commits it too.
+    files, a timestamp and the stage's summary (null but for `label`). A
+    stage writes it into its scratch directory after its outputs, so the
+    rename that publishes them commits it too.
     A stage is a cache hit only when its directory holds a record with
     both hashes and exactly its output files (an older version of a stage
     may have written fewer), all still present; a record that cannot be
@@ -281,10 +287,10 @@ class CacheManifest:
     config_hash: str
     outputs: list[str]
 
-    def save(self, directory: Path) -> None:
+    def save(self, directory: Path, summary: dict | None) -> None:
         with open(directory / MANIFEST, "w", encoding="utf-8") as f:
-            json.dump(dict(vars(self), timestamp=time.time()), f,
-                      sort_keys=True, indent=2)
+            json.dump(dict(vars(self), timestamp=time.time(), summary=summary),
+                      f, sort_keys=True, indent=2)
 
     def resolve(self, directory: Path) -> bool:
         try:
@@ -321,16 +327,17 @@ def _run_lock(directory: Path):
 def _run_cached(cfg: PipelineConfig, stage_dir: Path,
                 inputs: Sequence[tuple[str | Path, str]],
                 outputs: Sequence[str], config_hash: str,
-                compute: Callable[[Path], None]) -> list[Path]:
+                compute: Callable[[Path], dict | None]) -> list[Path]:
     """Run one stage through the cache; return its output paths.
 
     `inputs` are (path, producing stage) pairs that must exist; `outputs`
     are file names in `stage_dir`. On a miss `compute(out_dir)` writes
-    into a scratch directory, the stage's record is added, and the
-    scratch directory replaces `stage_dir`: a crash leaves no partial file
-    there and no record vouching for one, and no file of an earlier run
-    stays beside the new ones. Each lookup first removes the scratch or
-    retired directory of a run killed before it cleaned up."""
+    into a scratch directory and may return the stage's summary, the
+    stage's record is added, and the scratch directory replaces
+    `stage_dir`: a crash leaves no partial file there and no record
+    vouching for one, and no file of an earlier run stays beside the new
+    ones. Each lookup first removes the scratch or retired directory of a
+    run killed before it cleaned up."""
     for path, producer in inputs:
         if not os.path.exists(path):
             raise PipelineError(f"missing artifact {path}; run {producer} first")
@@ -354,8 +361,7 @@ def _run_cached(cfg: PipelineConfig, stage_dir: Path,
 
     scratch.mkdir(parents=True)
     try:
-        compute(scratch)
-        manifest.save(scratch)
+        manifest.save(scratch, compute(scratch))
         if stage_dir.exists():
             os.replace(stage_dir, retired)
         os.replace(scratch, stage_dir)
@@ -417,10 +423,7 @@ def _init_model_input(cfg: PipelineConfig) -> list[tuple[str, str]]:
 
 
 def _cross_encoder(cfg: PipelineConfig):
-    backend = cfg["label"]["cross_encoder"]
-    if backend == "lexical":
-        return lexical_overlap_ce(float(cfg["label"]["ce_scale"]))
-    raise PipelineError(f"unknown cross-encoder backend {backend!r}")
+    return lexical_overlap_ce(float(cfg["label"]["ce_scale"]))
 
 
 # --- stages -------------------------------------------------------------------
@@ -460,8 +463,6 @@ def stage_generate(cfg: PipelineConfig) -> list[Path]:
             passages = corpus_io.downsample_corpus(
                 passages, budget.effective_corpus_size,
                 derive_seed(cfg["seed"], "downsample"))
-        if gen_cfg["generator"] != "mock":
-            raise PipelineError(f"unknown generator backend {gen_cfg['generator']!r}")
         generator = mock_generator(corpus)
         sampler = SamplerConfig(temperature=float(gen_cfg["temperature"]),
                                 top_k=gen_cfg["top_k"],
@@ -506,7 +507,7 @@ def stage_label(cfg: PipelineConfig) -> list[Path]:
     gpl = cfg["train"]["gpl"]
     schedule = {"steps": gpl["steps"], "batch_size": gpl["batch_size"]}
 
-    def compute(out_dir: Path) -> None:
+    def compute(out_dir: Path) -> dict:
         n_tuples = None if schedule["steps"] is None else \
             schedule["steps"] * schedule["batch_size"]
         dataset = build_dataset(load_queries(_artifact(cfg, "generate")),
@@ -516,11 +517,11 @@ def stage_label(cfg: PipelineConfig) -> list[Path]:
                                 seed=derive_seed(cfg["seed"], "label"),
                                 n_tuples=n_tuples)
         write_dataset(dataset, out_dir / "gpl-training-data.tsv")
+        return dataset.manifest
 
     return _run_cached(cfg, cfg.stage_dir("label"),
                        _inputs(cfg, "ingest", "generate", "mine"),
-                       ["gpl-training-data.tsv",
-                        "gpl-training-data.tsv.manifest.json"],
+                       ["gpl-training-data.tsv"],
                        _stage_config_hash(cfg, "label",
                                           extra={"gpl_schedule": schedule}),
                        compute)

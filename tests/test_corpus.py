@@ -1,6 +1,7 @@
 """Corpus loading, tokenization, down-sampling, and qrels parsing."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,67 @@ class TestQueriesIO:
         path = tmp_path / "queries.jsonl"
         save_queries(queries, path)
         assert load_queries(path) == queries
+
+
+LOADERS = pytest.mark.parametrize("load", [load_corpus, load_queries],
+                                  ids=["corpus", "queries"])
+
+
+class TestRecordRules:
+    """load_corpus and load_queries check each record alike."""
+
+    def check_refused(self, load, tmp_path, line, message):
+        path = tmp_path / "records.jsonl"
+        write_lines(path, [json.dumps({"_id": "a1", "text": "x"}), line])
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(f'{path}:2: {message}')}$") as e:
+            load(path)
+        return e.type
+
+    @LOADERS
+    @pytest.mark.parametrize("line", ["5", "[]", '"text"', "null"])
+    def test_record_not_an_object_refused(self, load, tmp_path, line):
+        self.check_refused(load, tmp_path, line,
+                           "record is not a JSON object with '_id' and 'text'")
+
+    @LOADERS
+    def test_missing_or_null_title_is_empty(self, load, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_lines(path, [json.dumps({"_id": "a1", "title": None, "text": "x"}),
+                           json.dumps({"_id": "a2", "text": "y"})])
+        records = load(path)
+        assert [r.id for r in records] == ["a1", "a2"]
+        if load is load_corpus:
+            assert records == [Passage("a1", "", "x"), Passage("a2", "", "y")]
+
+    @LOADERS
+    @pytest.mark.parametrize("record, message", [
+        ({"_id": "a2", "text": None}, "'text' must be a string; got None"),
+        ({"_id": "a2", "text": 5}, "'text' must be a string; got 5"),
+        ({"_id": "a2", "title": 5, "text": "y"},
+         "'title' must be a string; got 5"),
+        ({"_id": "a2", "title": ["t"], "text": "y"},
+         "'title' must be a string; got ['t']"),
+        ({"_id": "a2", "title": False, "text": "y"},
+         "'title' must be a string; got False"),
+    ], ids=["null-text", "int-text", "int-title", "list-title", "bool-title"])
+    def test_non_string_title_or_text_refused(self, load, tmp_path, record,
+                                              message):
+        self.check_refused(load, tmp_path, json.dumps(record), message)
+
+    @LOADERS
+    @pytest.mark.parametrize("rid", ["", "p 1", " p1", "p1\t", "p\u00a01"])
+    def test_empty_or_whitespace_id_refused(self, load, tmp_path, rid):
+        self.check_refused(load, tmp_path, json.dumps({"_id": rid, "text": "y"}),
+                           f"'_id' must be non-empty and hold no whitespace; "
+                           f"got {rid!r}")
+
+    @LOADERS
+    def test_duplicate_id_is_a_parse_error(self, load, tmp_path):
+        kind = "passage" if load is load_corpus else "query"
+        assert self.check_refused(load, tmp_path,
+                                  json.dumps({"_id": "a1", "text": "z"}),
+                                  f"duplicate {kind} id 'a1'") is DuplicateIdError
 
 
 class TestLoadQrels:

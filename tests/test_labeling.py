@@ -365,7 +365,6 @@ class TestDatasetIO:
         write_dataset(ds, path)
         loaded = read_dataset(path)
         assert stream_rows(loaded) == stream_rows(ds)
-        assert loaded.manifest == {"seed": 1}
 
     def test_negative_margin_sign_survives(self, tmp_path):
         ds = self.make_dataset()

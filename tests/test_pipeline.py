@@ -583,8 +583,7 @@ class TestCache:
                                     "qrels.tsv", "queries.jsonl"],
                   "shared/generate": ["gen-qrels.tsv", "gen-queries.jsonl"],
                   "shared/mine": ["hard-negatives.jsonl"],
-                  "shared/label": ["gpl-training-data.tsv",
-                                   "gpl-training-data.tsv.manifest.json"],
+                  "shared/label": ["gpl-training-data.tsv"],
                   "gpl/train": ["loss-trace.csv", "model-final.json"],
                   "gpl/evaluate": ["report.json", "run.trec"]}
         assert sorted(p.relative_to(cfg.dataset_dir).as_posix()
@@ -594,8 +593,16 @@ class TestCache:
         for stage, names in stages.items():
             record = json.loads((cfg.dataset_dir / stage / MANIFEST).read_text())
             assert sorted(record) == ["config_hash", "input_hash", "outputs",
-                                      "timestamp"]
+                                      "summary", "timestamp"]
             assert record["outputs"] == names
+            if stage != "shared/label":
+                assert record["summary"] is None
+        tsv = cfg.stage_dir("label") / "gpl-training-data.tsv"
+        summary = json.loads((tsv.parent / MANIFEST).read_text())["summary"]
+        assert sorted(summary) == ["cross_encoder", "n_queries", "n_skipped",
+                                   "n_tuples", "retrievers", "seed"]
+        assert summary["n_tuples"] == len(tsv.read_text().splitlines()) == 100
+        assert summary["retrievers"] == ["bm25", "dense"]
 
 
 def test_input_hash_names_files_by_role(tmp_path):
@@ -922,6 +929,7 @@ class TestCli:
                                  "is locked by another run\n")
 
     @pytest.mark.parametrize("case", ["bad-json-line", "duplicate-id",
+                                      "whitespace-id",
                                       "init-model-not-json",
                                       "init-model-empty-object",
                                       "init-model-list",
@@ -961,13 +969,17 @@ class TestCli:
             cfg.data["paths"]["init_model"] = str(bad)
             message = f"Error: {bad}: {reason}"
         else:
-            line = "{not json" if case == "bad-json-line" else \
-                corpus.read_text().splitlines()[0]
+            line, reason = {
+                "bad-json-line": ("{not json", "invalid JSON ("),
+                "duplicate-id": (corpus.read_text().splitlines()[0],
+                                 "duplicate passage id 'p00'"),
+                "whitespace-id": (json.dumps({"_id": "p 1", "text": "t00"}),
+                                  "'_id' must be non-empty and hold no "
+                                  "whitespace; got 'p 1'"),
+            }[case]
             with open(corpus, "a") as f:
                 f.write(line + "\n")
-            message = f"Error: {corpus}:13: " + (
-                "invalid JSON (" if case == "bad-json-line"
-                else "duplicate passage id 'p00'")
+            message = f"Error: {corpus}:13: {reason}"
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(cfg.data))
         for command in (["stage", "ingest"], ["run", "--method", "gpl"]):
@@ -977,7 +989,9 @@ class TestCli:
             assert isinstance(result.exception, SystemExit)
             assert result.output.startswith(message), result.output
 
-    def test_bad_label_sidecar_reported_without_traceback(self, tmp_path):
+    def test_stray_label_sidecar_is_not_read(self, tmp_path):
+        """The label stage's summary lives in its cache record; a file
+        beside the labels that an older version wrote is not read."""
         cfg = small_config(tmp_path, tmp_path / "out")
         for name in ("ingest", "generate", "mine", "label"):
             run_stage(name, cfg)
@@ -988,10 +1002,49 @@ class TestCli:
         result = CliRunner().invoke(cli_main, ["stage", "train", "--method",
                                                "gpl", "--config",
                                                str(config_path)])
+        assert result.exit_code == 0, result.output
+        assert (cfg.stage_dir("train", scope="gpl") / "model-final.json").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("label", "cross_encoder", "monot5"), ("generate", "generator", "t5")])
+    def test_unknown_backend_rejected_before_any_stage(self, tmp_path, section,
+                                                       key, value):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        cfg.data[section][key] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        result = CliRunner().invoke(cli_main, ["run", "--method", "gpl",
+                                               "--config", str(config_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith(f"Error: {sidecar}: not valid JSON"), \
-            result.output
+        assert result.output == \
+            f"Error: config key {section}.{key}: unknown backend {value!r}\n"
+        assert not (cfg.dataset_dir / "shared").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        *((text, "a report needs 'per_query', 'averages' and 'config' "
+                 "objects, with numbers as averages") for text in [
+            "{}", "[]",
+            '{"per_query": {}, "averages": {"mrr@10": "high"}, "config": {}}',
+            '{"per_query": {}, "averages": {}, "config": 5}']),
+        ("not json", "not valid JSON: "),
+    ], ids=["empty-object", "list", "averages-not-numbers", "config-not-object",
+            "not-json"])
+    def test_edited_report_reported_without_traceback(self, tmp_path, text,
+                                                      reason):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        run = ["run", "--method", "zero_shot", "--config", str(config_path)]
+        assert CliRunner().invoke(cli_main, run).exit_code == 0
+        report = cfg.stage_dir("evaluate", scope="zero_shot") / "report.json"
+        report.write_text(text)
+        for command in (run, ["report", str(tmp_path / "out")]):
+            result = CliRunner().invoke(cli_main, command)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.startswith(f"Error: {report}: {reason}"), \
+                result.output
 
     def test_missing_upstream_is_actionable(self, tmp_path):
         corpus, queries, qrels = write_world(tmp_path)
