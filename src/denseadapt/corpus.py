@@ -71,41 +71,61 @@ def passage_text(p: Passage) -> str:
     return p.body
 
 
-def _records(path: str | Path, kind: str
-             ) -> Iterator[tuple[dict, str, str, str]]:
-    """(record, id, title, text) of each non-blank line of a corpus or query
-    file. A missing or null title is "". A line that is not a JSON object
-    with `_id` and a string `text`, a title that is not a string, or an
-    `_id` that is empty, holds whitespace or repeats (`DuplicateIdError`)
-    is a ParseError naming `path:line`."""
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(number, text without its newline) of each non-blank line of a text
+    file, split as `open` splits it, so `\r\n` ends a line too. A line
+    that is not UTF-8 is a ParseError naming `path:line`."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(record, dict) or "_id" not in record \
-                    or "text" not in record:
-                raise ParseError(f"{path}:{lineno}: record is not a JSON "
-                                 "object with '_id' and 'text'")
-            rid, title, text = str(record["_id"]), record.get("title"), record["text"]
-            if title is None:
-                title = ""
-            if not (isinstance(text, str) and isinstance(title, str)):
-                key = "title" if isinstance(text, str) else "text"
-                raise ParseError(f"{path}:{lineno}: {key!r} must be a string; "
-                                 f"got {record[key]!r}")
-            # Run files split their lines on whitespace.
-            if rid.split() != [rid]:
-                raise ParseError(f"{path}:{lineno}: '_id' must be non-empty "
-                                 f"and hold no whitespace; got {rid!r}")
-            if rid in seen:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate {kind} id {rid!r}")
-            seen.add(rid)
-            yield record, rid, title, text
+            if not line.isascii():
+                try:  # a byte that is not UTF-8 reads as a lone surrogate
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path}:{lineno}: not UTF-8") from None
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
+def _id_text(value, key: str, path: str | Path, lineno: int) -> str:
+    """An id's text: a JSON string, or a number's text; else a ParseError."""
+    if type(value) not in (str, int, float):  # a bool is not an id
+        raise ParseError(f"{path}:{lineno}: {key!r} must be a string or a "
+                         f"number; got {value!r}")
+    return str(value)
+
+
+def _records(path: str | Path, kind: str
+             ) -> Iterator[tuple[dict, int, str, str, str]]:
+    """(record, line number, id, title, text) of each non-blank line of a
+    corpus or query file. A missing or null title is "". A line that is
+    not a JSON object with `_id` and a string `text`, a title that is not
+    a string, or an `_id` that is not a string or a number, is empty,
+    holds whitespace or repeats (`DuplicateIdError`) is a ParseError
+    naming `path:line`."""
+    seen: set[str] = set()
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(record, dict) or "_id" not in record \
+                or "text" not in record:
+            raise ParseError(f"{path}:{lineno}: record is not a JSON "
+                             "object with '_id' and 'text'")
+        rid, text = _id_text(record["_id"], "_id", path, lineno), record["text"]
+        title = "" if record.get("title") is None else record["title"]
+        if not (isinstance(text, str) and isinstance(title, str)):
+            key = "title" if isinstance(text, str) else "text"
+            raise ParseError(f"{path}:{lineno}: {key!r} must be a string; got "
+                             f"{record[key]!r}")
+        # Run files split their lines on whitespace.
+        if rid.split() != [rid]:
+            raise ParseError(f"{path}:{lineno}: '_id' must be non-empty "
+                             f"and hold no whitespace; got {rid!r}")
+        if rid in seen:
+            raise DuplicateIdError(f"{path}:{lineno}: duplicate {kind} id {rid!r}")
+        seen.add(rid)
+        yield record, lineno, rid, title, text
 
 
 def load_corpus(path: str | Path, drop_missing_body: bool = False) -> list[Passage]:
@@ -113,7 +133,7 @@ def load_corpus(path: str | Path, drop_missing_body: bool = False) -> list[Passa
     checking each as `_records` does. With drop_missing_body=True, passages
     whose body is empty or whitespace-only are skipped."""
     return [Passage(pid, title, body)
-            for _, pid, title, body in _records(path, "passage")
+            for _, _, pid, title, body in _records(path, "passage")
             if body.strip() or not drop_missing_body]
 
 
@@ -126,11 +146,13 @@ def save_corpus(passages: Iterable[Passage], path: str | Path) -> None:
 
 def load_queries(path: str | Path) -> list[Query]:
     """Read queries.jsonl, checking each record as `_records` does;
-    generated queries may carry source_passage_id."""
+    generated queries may carry source_passage_id, an id as `_id` is, or
+    null for none."""
     queries: list[Query] = []
-    for record, qid, _, text in _records(path, "query"):
+    for record, lineno, qid, _, text in _records(path, "query"):
         src = record.get("source_passage_id")
-        queries.append(Query(qid, text, None if src is None else str(src)))
+        queries.append(Query(qid, text, None if src is None else
+                             _id_text(src, "source_passage_id", path, lineno)))
     return queries
 
 
@@ -146,22 +168,18 @@ def save_queries(queries: Iterable[Query], path: str | Path) -> None:
 def load_qrels(path: str | Path) -> Qrels:
     """Read 3-column TSV qrels. Repeated (query, passage) pairs keep the last value."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, pid, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from e
-            if grade < 0:
-                raise ParseError(f"{path}:{lineno}: negative grade {grade}")
-            qrels.judgments.setdefault(qid, {})[pid] = grade
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        qid, pid, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from e
+        if grade < 0:
+            raise ParseError(f"{path}:{lineno}: negative grade {grade}")
+        qrels.judgments.setdefault(qid, {})[pid] = grade
     return qrels
 
 

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ParseError, Passage, Qrels, Query, passage_text
+from .corpus import ParseError, Passage, Qrels, Query, passage_text, \
+    read_lines
 from .labeling import _BLOCK
 from .mining import DenseRetriever, _id_rank, rank_queries
 from .models import CrossEncoderScorer, EncoderModel
@@ -252,16 +253,15 @@ def read_trec_run(path: str | Path) -> RunRanking:
     qids: dict[str, int] = {}
     pids: dict[str, int] = {}
     query, rows, scores = array("i"), array("i"), array("d")
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                qid, _, pid, _, score, _ = line.split()
-                scores.append(float(score))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: expected 'qid Q0 pid rank "
-                                 f"score tag' ({e})") from e
-            query.append(qids.setdefault(qid, len(qids)))
-            rows.append(pids.setdefault(pid, len(pids)))
+    for lineno, line in read_lines(path):
+        try:
+            qid, _, pid, _, score, _ = line.split()
+            scores.append(float(score))
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: expected 'qid Q0 pid rank "
+                             f"score tag' ({e})") from e
+        query.append(qids.setdefault(qid, len(qids)))
+        rows.append(pids.setdefault(pid, len(pids)))
     query = np.frombuffer(query, dtype=np.int32)
     rows = np.frombuffer(rows, dtype=np.int32)
     scores = np.frombuffer(scores, dtype=np.float64)

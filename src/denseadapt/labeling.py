@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import ParseError, Passage, Query, passage_text
+from .corpus import ParseError, Passage, Query, passage_text, read_lines
 from .mining import PoolColumns
 from .models import CrossEncoderScorer
 from .util import derive_seed
@@ -231,21 +231,17 @@ def write_dataset(dataset: GPLDataset, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> GPLDataset:
     """The TSV `write_dataset` writes, parsed line by line into columns."""
     appender = _Appender()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            qid, pos_id, neg_id, margin_str = parts
-            try:
-                margin = float(margin_str)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: bad margin {margin_str!r}") from e
-            try:
-                appender.add(qid, pos_id, neg_id, margin)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        qid, pos_id, neg_id, margin_str = parts
+        try:
+            margin = float(margin_str)
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: bad margin {margin_str!r}") from e
+        try:
+            appender.add(qid, pos_id, neg_id, margin)
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from e
     return GPLDataset(appender.columns())

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ParseError, Passage, Query, passage_text, tokenize
+from .corpus import ParseError, Passage, Query, passage_text, read_lines, \
+    tokenize
 from .models import EncoderModel, encode_batch
 
 K1 = 1.2
@@ -383,16 +384,13 @@ def read_hard_negatives(path: str | Path) -> PoolColumns:
     columns. A record that is not a pool, repeats a query, or names other
     retrievers than the first record is a ParseError naming its line."""
     packer = _Packer()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            try:
-                packer.add(*_pool_record(record))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        try:
+            packer.add(*_pool_record(record))
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from e
     return packer.columns()

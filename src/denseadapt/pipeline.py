@@ -2,9 +2,11 @@
 
 Each stage produces its artifacts once and is skipped on re-run when both
 its input hash and its config hash match the cache record in its directory
-(`cache-manifest.json`) and all output files still exist. Every stage runs
-through `_run_cached`, so its outputs and its record appear only once it
-completes. Stage layout under the output root:
+(`cache-manifest.json`) and all output files still exist. Every stage takes
+only the config, reads the method from it and runs through `_run_cached`,
+which works out the stage's directory and config hash from its name; its
+outputs and its record appear only once it completes. Stage layout under
+the output root:
 
     <out>/<dataset>/shared/<stage>/...     ingest, generate, mine, label,
                                            pretrain-<method>
@@ -64,9 +66,15 @@ _SHARED_STAGES = {"zero_shot": (), "gpl": ("generate", "mine", "label"),
                   "qgen": ("generate",), "qgen_hard": ("generate", "mine"),
                   "udalm": ()}
 
-# The artifact of each shared stage that later stages read.
+# The stages whose directory (`PipelineConfig.stage_dir`) and config hash
+# are the method's own; every other stage is shared by the methods that
+# agree on its config.
+_METHOD_STAGES = ("train", "evaluate", "rerank")
+
+# The artifact of each stage that later stages read.
 _ARTIFACT = {"ingest": "corpus.jsonl", "generate": "gen-queries.jsonl",
-             "mine": "hard-negatives.jsonl", "label": "gpl-training-data.tsv"}
+             "mine": "hard-negatives.jsonl", "label": "gpl-training-data.tsv",
+             "train": "model-final.json", "evaluate": "run.trec"}
 
 # The ingest stage's copy of each input file, by `paths` key.
 _INGESTED = {"corpus": "corpus.jsonl", "queries": "queries.jsonl",
@@ -250,7 +258,8 @@ class PipelineConfig:
         root = os.environ.get(CACHE_ROOT_ENV) or self.data["paths"]["output"]
         return Path(root) / self.data["dataset"]
 
-    def stage_dir(self, stage: str, scope: str = "shared") -> Path:
+    def stage_dir(self, stage: str) -> Path:
+        scope = self.data["method"] if stage in _METHOD_STAGES else "shared"
         return self.dataset_dir / scope / stage
 
 
@@ -324,20 +333,23 @@ def _run_lock(directory: Path):
 # --- the stage runner -----------------------------------------------------------
 
 
-def _run_cached(cfg: PipelineConfig, stage_dir: Path,
+def _run_cached(cfg: PipelineConfig, stage: str,
                 inputs: Sequence[tuple[str | Path, str]],
-                outputs: Sequence[str], config_hash: str,
-                compute: Callable[[Path], dict | None]) -> list[Path]:
+                outputs: Sequence[str], compute: Callable[[Path], dict | None],
+                *sections: str, **extra) -> list[Path]:
     """Run one stage through the cache; return its output paths.
 
-    `inputs` are (path, producing stage) pairs that must exist; `outputs`
-    are file names in `stage_dir`. On a miss `compute(out_dir)` writes
-    into a scratch directory and may return the stage's summary, the
-    stage's record is added, and the scratch directory replaces
-    `stage_dir`: a crash leaves no partial file there and no record
-    vouching for one, and no file of an earlier run stays beside the new
-    ones. Each lookup first removes the scratch or retired directory of a
-    run killed before it cleaned up."""
+    The stage's name gives its directory, `cfg.stage_dir(stage)`, and its
+    config hash: of the seed, the encoder, the config `sections`, `extra`
+    and, for a stage in `_METHOD_STAGES`, the method. `inputs` are (path,
+    producing stage) pairs that must exist; `outputs` are file names in
+    the stage's directory. On a miss `compute(out_dir)` writes into a
+    scratch directory and may return the stage's summary, the stage's
+    record is added, and the scratch directory replaces the stage's: a
+    crash leaves no partial file there and no record vouching for one, and
+    no file of an earlier run stays beside the new ones. Each lookup first
+    removes the scratch or retired directory of a run killed before it
+    cleaned up."""
     for path, producer in inputs:
         if not os.path.exists(path):
             raise PipelineError(f"missing artifact {path}; run {producer} first")
@@ -349,6 +361,12 @@ def _run_cached(cfg: PipelineConfig, stage_dir: Path,
               if Path(p).is_relative_to(cfg.dataset_dir) else keys[Path(p)]): p
              for p, _ in inputs}
     input_hash = sha256_files(list(roles.values()), list(roles))
+    if stage in _METHOD_STAGES:
+        extra["method"] = cfg["method"]
+    config_hash = sha256_bytes(canonical_json(
+        {"seed": cfg["seed"], "encoder": cfg["encoder"],
+         **{section: cfg[section] for section in sections}, **extra}).encode())
+    stage_dir = cfg.stage_dir(stage)
     scratch = stage_dir.with_name(stage_dir.name + ".tmp")
     retired = stage_dir.with_name(stage_dir.name + ".old")
     shutil.rmtree(scratch, ignore_errors=True)
@@ -372,16 +390,6 @@ def _run_cached(cfg: PipelineConfig, stage_dir: Path,
 
 
 # --- stage helpers ------------------------------------------------------------
-
-
-def _stage_config_hash(cfg: PipelineConfig, *sections: str, extra: dict | None = None
-                       ) -> str:
-    payload = {"seed": cfg["seed"], "encoder": cfg["encoder"]}
-    for section in sections:
-        payload[section] = cfg.data[section]
-    if extra:
-        payload.update(extra)
-    return sha256_bytes(canonical_json(payload).encode())
 
 
 def _artifact(cfg: PipelineConfig, stage: str) -> Path:
@@ -447,11 +455,11 @@ def stage_ingest(cfg: PipelineConfig) -> list[Path]:
             corpus_io.save_qrels(load_qrels(paths["qrels"]), out_dir / "qrels.tsv")
         save_model(_initial_model(cfg, passages), out_dir / "model-initial.json")
 
-    return _run_cached(cfg, cfg.stage_dir("ingest"),
+    return _run_cached(cfg, "ingest",
                        [*((paths[key], "nothing (external source data)")
                           for key in given), *_init_model_input(cfg)],
                        [*(_INGESTED[key] for key in given), "model-initial.json"],
-                       _stage_config_hash(cfg, "ingest"), compute)
+                       compute, "ingest")
 
 
 def stage_generate(cfg: PipelineConfig) -> list[Path]:
@@ -473,10 +481,9 @@ def stage_generate(cfg: PipelineConfig) -> list[Path]:
         save_queries(queries, out_dir / "gen-queries.jsonl")
         write_gen_qrels(queries, out_dir / "gen-qrels.tsv")
 
-    return _run_cached(cfg, cfg.stage_dir("generate"),
-                       _inputs(cfg, "ingest"),
-                       ["gen-queries.jsonl", "gen-qrels.tsv"],
-                       _stage_config_hash(cfg, "generate"), compute)
+    return _run_cached(cfg, "generate", _inputs(cfg, "ingest"),
+                       ["gen-queries.jsonl", "gen-qrels.tsv"], compute,
+                       "generate")
 
 
 def stage_mine(cfg: PipelineConfig) -> list[Path]:
@@ -495,10 +502,9 @@ def stage_mine(cfg: PipelineConfig) -> list[Path]:
                            n_per_retriever=cfg["mine"]["n_per_retriever"])
         write_hard_negatives(pools, out_dir / "hard-negatives.jsonl")
 
-    return _run_cached(cfg, cfg.stage_dir("mine"),
+    return _run_cached(cfg, "mine",
                        [*_inputs(cfg, "ingest", "generate"), model_input],
-                       ["hard-negatives.jsonl"],
-                       _stage_config_hash(cfg, "mine"), compute)
+                       ["hard-negatives.jsonl"], compute, "mine")
 
 
 def stage_label(cfg: PipelineConfig) -> list[Path]:
@@ -519,17 +525,15 @@ def stage_label(cfg: PipelineConfig) -> list[Path]:
         write_dataset(dataset, out_dir / "gpl-training-data.tsv")
         return dataset.manifest
 
-    return _run_cached(cfg, cfg.stage_dir("label"),
-                       _inputs(cfg, "ingest", "generate", "mine"),
-                       ["gpl-training-data.tsv"],
-                       _stage_config_hash(cfg, "label",
-                                          extra={"gpl_schedule": schedule}),
-                       compute)
+    return _run_cached(cfg, "label", _inputs(cfg, "ingest", "generate", "mine"),
+                       ["gpl-training-data.tsv"], compute, "label",
+                       gpl_schedule=schedule)
 
 
-def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
-    if method not in PRETRAIN_METHODS:
-        raise PipelineError(f"unknown pre-training method {method!r}")
+def stage_pretrain(cfg: PipelineConfig) -> list[Path]:
+    method, _ = parse_method(cfg["method"])
+    if method is None:
+        raise PipelineError(f"method {cfg['method']!r} has no pre-training stage")
 
     def compute(out_dir: Path) -> None:
         passages = load_corpus(_artifact(cfg, "ingest"))
@@ -547,16 +551,14 @@ def stage_pretrain(cfg: PipelineConfig, method: str) -> list[Path]:
         save_model(model, out_dir / "model-pretrained.json")
         write_loss_trace(trace, out_dir / "loss-trace.csv")
 
-    return _run_cached(cfg, cfg.stage_dir(f"pretrain-{method}"),
+    return _run_cached(cfg, f"pretrain-{method}",
                        [*_inputs(cfg, "ingest"), *_init_model_input(cfg)],
-                       ["model-pretrained.json", "loss-trace.csv"],
-                       _stage_config_hash(cfg, "pretrain",
-                                          extra={"pretrain_method": method}),
-                       compute)
+                       ["model-pretrained.json", "loss-trace.csv"], compute,
+                       "pretrain", pretrain_method=method)
 
 
-def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
-    pre, final = parse_method(method)
+def stage_train(cfg: PipelineConfig) -> list[Path]:
+    pre, final = parse_method(cfg["method"])
     if final == "zero_shot":
         raise PipelineError("zero_shot has no train stage")
     start = _start_checkpoint(cfg, pre)
@@ -568,7 +570,7 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
                 raise PipelineError(f"udalm requires paths.{key}")
             inputs.append((Path(cfg["paths"][key]),
                            "nothing (external source data)"))
-    train_seed = derive_seed(cfg["seed"], "train", method)
+    train_seed = derive_seed(cfg["seed"], "train", cfg["method"])
     # The one config section the method reads, and the only one it hashes.
     section = cfg["udalm"] if final == "udalm" else \
         cfg["train"]["gpl" if final == "gpl" else "qgen"]
@@ -616,21 +618,21 @@ def stage_train(cfg: PipelineConfig, method: str) -> list[Path]:
         save_model(model, out_dir / "model-final.json")
         write_loss_trace(trace, out_dir / "loss-trace.csv")
 
-    return _run_cached(cfg, cfg.stage_dir("train", scope=method), inputs,
+    return _run_cached(cfg, "train", inputs,
                        ["model-final.json", "loss-trace.csv", *checkpoints],
-                       _stage_config_hash(cfg, extra={"method": method,
-                                                      "train": section}),
-                       compute)
+                       compute, train=section)
 
 
-def _scored_run(cfg: PipelineConfig, method: str, stage: str,
-                source: tuple[Path, str], config_hash: str,
-                rank: Callable[[list, list], RunRanking]) -> list[Path]:
+def _scored_run(cfg: PipelineConfig, stage: str, source: tuple[Path, str],
+                rank: Callable[[list, list], RunRanking],
+                *sections: str) -> list[Path]:
     """An evaluation stage: `rank(passages, queries)` ranks the ingested
     test queries, report.json scores that run against the qrels and
-    run.trec keeps it. `source` is the (path, producer) it ranks from."""
+    run.trec keeps it. `source` is the (path, producer) it ranks from;
+    the config section named `stage` and `sections` are hashed."""
     ingested = [(cfg.stage_dir("ingest") / name, f"ingest (with paths.{key})")
                 for key, name in _INGESTED.items()]
+    method = cfg["method"]
     tag = method if stage == "evaluate" else f"{method}+{stage}"
 
     def compute(out_dir: Path) -> None:
@@ -645,64 +647,47 @@ def _scored_run(cfg: PipelineConfig, method: str, stage: str,
         report.save(out_dir / "report.json")
         write_trec_run(run, out_dir / "run.trec", tag=tag)
 
-    return _run_cached(cfg, cfg.stage_dir(stage, scope=method),
-                       [*ingested, source], ["report.json", "run.trec"],
-                       config_hash, compute)
+    return _run_cached(cfg, stage, [*ingested, source],
+                       ["report.json", "run.trec"], compute, stage, *sections)
 
 
-def stage_evaluate(cfg: PipelineConfig, method: str) -> list[Path]:
-    pre, final = parse_method(method)
+def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
+    pre, final = parse_method(cfg["method"])
     model_input = _start_checkpoint(cfg, pre) if final == "zero_shot" else \
-        (cfg.stage_dir("train", scope=method) / "model-final.json", "train")
+        _inputs(cfg, "train")[0]
     return _scored_run(
-        cfg, method, "evaluate", model_input,
-        _stage_config_hash(cfg, "evaluate", extra={"method": method}),
+        cfg, "evaluate", model_input,
         lambda passages, queries: full_rank(
             load_model(model_input[0]), queries, passages,
             cfg["evaluate"]["cutoff"]))
 
 
-def stage_rerank(cfg: PipelineConfig, method: str) -> list[Path]:
-    run_file = cfg.stage_dir("evaluate", scope=method) / "run.trec"
+def stage_rerank(cfg: PipelineConfig) -> list[Path]:
+    run_input = _inputs(cfg, "evaluate")[0]
     return _scored_run(
-        cfg, method, "rerank", (run_file, "evaluate"),
-        _stage_config_hash(cfg, "rerank", "label", extra={"method": method}),
+        cfg, "rerank", run_input,
         lambda passages, queries: ce_rerank(
-            read_trec_run(run_file), _cross_encoder(cfg), queries, passages,
-            top_n=cfg["rerank"]["top_n"]))
+            read_trec_run(run_input[0]), _cross_encoder(cfg), queries, passages,
+            top_n=cfg["rerank"]["top_n"]), "label")
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> list[Path]:
-    """Run one named stage under the run lock; method-scoped stages take the
-    method from the config. Raises an actionable error when upstream
-    artifacts are missing."""
+    """Run one named stage under the run lock. Raises an actionable error
+    when upstream artifacts are missing."""
     if name not in STAGE_NAMES:
         raise PipelineError(f"unknown stage {name!r}; valid stages: "
                             + ", ".join(STAGE_NAMES))
-    method = cfg["method"]
     with _run_lock(cfg.dataset_dir):
-        if name == "pretrain":
-            pre, _ = parse_method(method)
-            if pre is None:
-                raise PipelineError(f"method {method!r} has no pre-training stage")
-            return stage_pretrain(cfg, pre)
-        stage = globals()[f"stage_{name}"]
-        if name in ("train", "evaluate", "rerank"):
-            return stage(cfg, method)
-        return stage(cfg)
+        return globals()[f"stage_{name}"](cfg)
 
 
 def run_pipeline(cfg: PipelineConfig, method: str) -> EvalReport:
     """Execute the method's full stage sequence and return the eval report."""
     pre, final = parse_method(method)
     cfg = PipelineConfig(_deep_merge(cfg.data, {"method": method}, ""))
+    stages = ["ingest", *(["pretrain"] if pre else []), *_SHARED_STAGES[final],
+              *([] if final == "zero_shot" else ["train"]), "evaluate"]
     with _run_lock(cfg.dataset_dir):
-        stage_ingest(cfg)
-        if pre is not None:
-            stage_pretrain(cfg, pre)
-        for name in _SHARED_STAGES[final]:
-            globals()[f"stage_{name}"](cfg)
-        if final != "zero_shot":
-            stage_train(cfg, method)
-        report_path = stage_evaluate(cfg, method)[0]
-    return load_report(report_path)
+        for name in stages:
+            outputs = globals()[f"stage_{name}"](cfg)
+    return load_report(outputs[0])

@@ -144,7 +144,7 @@ def udalm_case():
     with tempfile.TemporaryDirectory() as tmp:
         cfg = TestUdalmMethod().udalm_config(Path(tmp))
         run_pipeline(cfg, "udalm")
-        train_dir = cfg.stage_dir("train", scope="udalm")
+        train_dir = cfg.dataset_dir / "udalm" / "train"
         model = load_model(train_dir / "model-final.json")
         rows = (train_dir / "loss-trace.csv").read_text().splitlines()[1:]
     trace = [(int(step), float(loss))

@@ -11,6 +11,9 @@ from denseadapt.corpus import (DuplicateIdError, ParseError, Passage, Query,
                                downsample_corpus, load_corpus, load_qrels,
                                load_queries, passage_text, save_corpus,
                                save_queries, tokenize)
+from denseadapt.evaluation import read_trec_run
+from denseadapt.labeling import read_dataset
+from denseadapt.mining import read_hard_negatives
 
 
 def write_lines(path, lines):
@@ -68,6 +71,25 @@ class TestQueriesIO:
         save_queries(queries, path)
         assert load_queries(path) == queries
 
+    def test_source_passage_id_is_an_id_or_null(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        write_lines(path, [json.dumps({"_id": f"q{i}", "text": "a",
+                                       "source_passage_id": src})
+                           for i, src in enumerate(("d1", 7, None))])
+        assert [q.source_passage_id for q in load_queries(path)] == \
+            ["d1", "7", None]
+
+    @pytest.mark.parametrize("src", [True, [1], {}])
+    def test_other_source_passage_id_refused(self, tmp_path, src):
+        path = tmp_path / "queries.jsonl"
+        write_lines(path, [json.dumps({"_id": "q1", "text": "a"}),
+                           json.dumps({"_id": "q2", "text": "b",
+                                       "source_passage_id": src})])
+        message = f"{path}:2: 'source_passage_id' must be a string or a " \
+            f"number; got {src!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_queries(path)
+
 
 LOADERS = pytest.mark.parametrize("load", [load_corpus, load_queries],
                                   ids=["corpus", "queries"])
@@ -123,11 +145,63 @@ class TestRecordRules:
                            f"got {rid!r}")
 
     @LOADERS
+    @pytest.mark.parametrize("rid", [None, True, False, [1], {"a": 1}])
+    def test_id_neither_string_nor_number_refused(self, load, tmp_path, rid):
+        self.check_refused(load, tmp_path, json.dumps({"_id": rid, "text": "y"}),
+                           f"'_id' must be a string or a number; got {rid!r}")
+
+    @LOADERS
+    def test_number_id_loads_as_its_text(self, load, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_lines(path, ['{"_id": 7, "text": "x"}', '{"_id": 1.5, "text": "y"}'])
+        assert [r.id for r in load(path)] == ["7", "1.5"]
+
+    @LOADERS
     def test_duplicate_id_is_a_parse_error(self, load, tmp_path):
         kind = "passage" if load is load_corpus else "query"
         assert self.check_refused(load, tmp_path,
                                   json.dumps({"_id": "a1", "text": "z"}),
                                   f"duplicate {kind} id 'a1'") is DuplicateIdError
+
+
+# Each line reader, with a first line it accepts.
+READERS = {
+    "corpus": (load_corpus, '{"_id": "p1", "text": "a"}'),
+    "queries": (load_queries, '{"_id": "q1", "text": "a"}'),
+    "qrels": (load_qrels, "q1\tp1\t1"),
+    "hard-negatives": (read_hard_negatives,
+                       '{"neg": {"bm25": ["p2"]}, "pos": ["p1"], "qid": "q1"}'),
+    "label-tuples": (read_dataset, "q1\tp1\tp2\t0.5"),
+    "trec-run": (read_trec_run, "q1 Q0 p1 1 0.5 run"),
+}
+
+
+class TestLineDecoding:
+    """Every line reader decodes through `read_lines`."""
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, name):
+        read, line = READERS[name]
+        path = tmp_path / name
+        path.write_bytes(f"{line}\n".encode() + b"\xff" + f"{line}\n".encode())
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(f'{path}:2: not UTF-8')}$"):
+            read(path)
+
+    def test_utf8_beyond_ascii_reads(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"_id": "p1", "text": "caf\u00e9 \u2615"}\n',
+                        encoding="utf-8")
+        assert load_corpus(path) == [Passage("p1", "", "caf\u00e9 \u2615")]
+
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        for read, lines in ((load_corpus, [json.dumps({"_id": "p1", "text": "a"}),
+                                           json.dumps({"_id": "p2", "text": "b"})]),
+                            (load_qrels, ["q1\tp1\t1", "q1\tp2\t0"])):
+            lf.write_bytes("\n".join(lines).encode() + b"\n")
+            crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+            assert read(crlf) == read(lf)
 
 
 class TestLoadQrels:

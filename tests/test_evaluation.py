@@ -455,6 +455,13 @@ class TestTrecRunOutput:
                    for a, b in zip(run_lists(back)["q2"],
                                    run_lists(run)["q2"]))
 
+    def test_blank_lines_skipped(self, tmp_path):
+        """As in every other line file."""
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d2 1 1.5 t\n\n \nq1 Q0 d1 2 0.5 t\n")
+        assert run_lists(read_trec_run(path)) == {"q1": [("d2", 1.5),
+                                                         ("d1", 0.5)]}
+
     def test_short_line_names_its_location(self, tmp_path):
         path = tmp_path / "run.trec"
         path.write_text("q1 Q0 d2 1 1.5 test\nq1 Q0 d1 2\n")

@@ -20,6 +20,7 @@ from denseadapt import pipeline
 from denseadapt.cli import main as cli_main
 from denseadapt.corpus import Passage, load_corpus
 from denseadapt.models import init_encoder, load_model, save_model
+from denseadapt.pretraining import PRETRAIN_METHODS
 from denseadapt.pipeline import (DEFAULTS, MANIFEST, CacheManifest,
                                  PipelineConfig, PipelineError, _initial_model,
                                  parse_method, run_pipeline, run_stage,
@@ -215,6 +216,95 @@ class TestParseMethod:
             parse_method(method)
 
 
+# The stages each final method runs after ingest and its pre-training.
+FINAL_STAGES = {"zero_shot": ["evaluate"],
+                "gpl": ["generate", "mine", "label", "train", "evaluate"],
+                "qgen": ["generate", "train", "evaluate"],
+                "qgen_hard": ["generate", "mine", "train", "evaluate"],
+                "udalm": ["train", "evaluate"]}
+
+METHODS = {**{method: ["ingest", *(["pretrain"] if method == "udalm" else []),
+                       *stages] for method, stages in FINAL_STAGES.items()},
+           **{f"{pre}+{final}": ["ingest", "pretrain", *FINAL_STAGES[final]]
+              for pre in PRETRAIN_METHODS
+              for final in ("gpl", "qgen", "qgen_hard")}}
+
+# Each stage's config hash on `small_config`, by stage directory. No code
+# change may move one: every cache built before it would be a miss.
+CONFIG_HASHES = {
+    "shared/ingest":
+        "196885a21d57fba20e26ca1040af6c18dc341038773c92bf35546bbbd6e3b02b",
+    "shared/generate":
+        "2055061d5136c2866c1aa3153e01e45d9977158f8292ee61861494d473b20619",
+    "shared/mine":
+        "d656770637b6886bc2f0e75f033de58e54934561e561ff1603e34d65a205f98d",
+    "shared/label":
+        "7c31b749e52079fc701dd69bb98305c56abd245c3731632628853744550b5b04",
+    "shared/pretrain-tsdae":
+        "2ca648b894a4491ff9ceeb42da0a8e9802cfb80c2a134328261a5e3274441b90",
+    "gpl/train":
+        "5c430e909d310906d7e884de7cf06b0c3b817024f0fdd5a1be3acec0bb84ab8e",
+    "qgen/train":
+        "2642788860547af72135f9a179a93070f0257fa33bf325367ecec2d24723095c",
+    "zero_shot/evaluate":
+        "0e05eaf5022e5fc87efabcba3c0398aaed0efe190909509bc4a90e5d73b48210",
+    "gpl/evaluate":
+        "ad028179126573167c64ad90db417df85bad657411caa13649750e8b803d5db1",
+    "gpl/rerank":
+        "199775ad0bdf5a2a50ec9b7af9dad94545cc0eb446fdaaa41d080ecb29beec6c",
+}
+
+
+class TestStageGraph:
+    """The runners reach each stage through its module attribute
+    `pipeline.stage_<name>`, which bench/tracing.py wraps, and pass it
+    only the config."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (stage name, config) of each stage call; no stage runs, and
+        each returns its name as its one output."""
+        calls = []
+
+        def recorder(name):
+            def stage(cfg):
+                calls.append((name, cfg))
+                return [name]
+            return stage
+
+        for name in pipeline.STAGE_NAMES:
+            monkeypatch.setattr(pipeline, f"stage_{name}", recorder(name))
+        monkeypatch.setattr(pipeline, "load_report", lambda path: path)
+        return calls
+
+    def test_every_method_runs_its_stages_in_order(self, tmp_path, calls):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        assert len(METHODS) == 23
+        for method, stages in METHODS.items():
+            calls.clear()
+            assert run_pipeline(cfg, method) == "evaluate"
+            assert [name for name, _ in calls] == stages, method
+            assert {c["method"] for _, c in calls} == {method}
+
+    def test_run_stage_calls_the_named_stage_with_the_config(self, tmp_path,
+                                                              calls):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        for name in pipeline.STAGE_NAMES:
+            calls.clear()
+            assert run_stage(name, cfg) == [name]
+            assert len(calls) == 1 and calls[0][0] == name \
+                and calls[0][1] is cfg
+
+    def test_config_hashes_are_pinned(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        for method in ("gpl", "qgen", "zero_shot", "tsdae+gpl"):
+            run_pipeline(cfg, method)
+        run_stage("rerank", cfg)  # the config's method is gpl
+        assert {name: json.loads(
+            (cfg.dataset_dir / name / MANIFEST).read_text())["config_hash"]
+            for name in CONFIG_HASHES} == CONFIG_HASHES
+
+
 class TestCache:
     def mtimes(self, base):
         return {str(p): p.stat().st_mtime_ns
@@ -337,7 +427,7 @@ class TestCache:
             "gpl": {"steps": 25, "batch_size": 4, "learning_rate": 0.01,
                     "log_every": 5, "checkpoint_every": 10}})
         run_pipeline(cfg, "gpl")
-        train = cfg.stage_dir("train", scope="gpl")
+        train = cfg.dataset_dir / "gpl" / "train"
         assert json.loads((train / MANIFEST).read_text())["outputs"] == \
             ["ckpt-10.json", "ckpt-20.json", "loss-trace.csv",
              "model-final.json"]
@@ -989,6 +1079,19 @@ class TestCli:
             assert isinstance(result.exception, SystemExit)
             assert result.output.startswith(message), result.output
 
+    def test_non_utf8_input_reported_without_traceback(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        corpus = Path(cfg["paths"]["corpus"])
+        lines = corpus.read_bytes().split(b"\n")
+        corpus.write_bytes(b"\n".join([lines[0], lines[1] + b"\xff", *lines[2:]]))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.data))
+        result = CliRunner().invoke(cli_main, ["stage", "ingest", "--config",
+                                               str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {corpus}:2: not UTF-8\n"
+
     def test_stray_label_sidecar_is_not_read(self, tmp_path):
         """The label stage's summary lives in its cache record; a file
         beside the labels that an older version wrote is not read."""
@@ -1003,7 +1106,7 @@ class TestCli:
                                                "gpl", "--config",
                                                str(config_path)])
         assert result.exit_code == 0, result.output
-        assert (cfg.stage_dir("train", scope="gpl") / "model-final.json").exists()
+        assert (cfg.dataset_dir / "gpl" / "train" / "model-final.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("label", "cross_encoder", "monot5"), ("generate", "generator", "t5")])
@@ -1037,7 +1140,7 @@ class TestCli:
         config_path.write_text(json.dumps(cfg.data))
         run = ["run", "--method", "zero_shot", "--config", str(config_path)]
         assert CliRunner().invoke(cli_main, run).exit_code == 0
-        report = cfg.stage_dir("evaluate", scope="zero_shot") / "report.json"
+        report = cfg.dataset_dir / "zero_shot" / "evaluate" / "report.json"
         report.write_text(text)
         for command in (run, ["report", str(tmp_path / "out")]):
             result = CliRunner().invoke(cli_main, command)
